@@ -13,10 +13,9 @@
 //      randomness and schedules no events, the measured perturbation is
 //      exactly 0% and the full results are bit-identical (also checked).
 //   2. Host-side cost, reported for transparency: wall-clock overhead
-//      of the monitored run (on multi-core hosts the feed is an SPSC
-//      ring enqueue and the κ pipeline runs on a worker thread; on a
-//      single-core host it runs inline), plus a microbenchmark of the
-//      synchronous per-packet pipeline (IdTable probe, Fenwick, LIS).
+//      of the monitored run (the κ pipeline runs inline on the
+//      simulation thread), plus a microbenchmark of the per-packet
+//      pipeline (IdTable probe, Fenwick, LIS).
 //
 // Usage: bench_monitor_overhead [--check PCT] [--packets N] [--reps R]
 //   --check PCT  exit non-zero when simulated-throughput perturbation
@@ -28,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -141,17 +139,13 @@ int main(int argc, char** argv) {
   std::printf("  throughput perturbation: %.4f%%\n", perturbation_pct);
   std::printf("  results bit-identical: %s (mean kappa %.17g)\n",
               identical ? "yes" : "NO", r_off.mean.kappa);
-  std::printf(
-      "  host wall time: off min %.2f ms, on min %.2f ms (%+.2f%%; %s, "
-      "%u cores)\n",
-      best_off, best_on, 100.0 * (best_on - best_off) / best_off,
-      std::thread::hardware_concurrency() > 1 ? "async feed" : "inline",
-      std::thread::hardware_concurrency());
+  std::printf("  host wall time: off min %.2f ms, on min %.2f ms (%+.2f%%)\n",
+              best_off, best_on, 100.0 * (best_on - best_off) / best_off);
   std::printf("  monitored: %zu windows, %zu attributed packets\n",
               r_on.monitor != nullptr ? r_on.monitor->windows().size() : 0,
               r_on.monitor != nullptr ? r_on.monitor->divergence().size() : 0);
   const double observe_ns = observe_ns_per_packet(1u << 20);
-  std::printf("  observe() sync pipeline: %.1f ns/packet\n", observe_ns);
+  std::printf("  observe() pipeline: %.1f ns/packet\n", observe_ns);
 
   // Simulated quantities are deterministic; host wall times go behind
   // the CHOIR_BENCH_HOST_TIME gate.

@@ -1,7 +1,6 @@
 #include "monitor/stream_monitor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -37,168 +36,7 @@ StreamMonitor::StreamMonitor(MonitorConfig config)
           telemetry::gauge("monitor.window_flow_kappa_ppm")),
       tm_track_(telemetry::track("monitor")) {
   CHOIR_EXPECT(config_.window_packets > 0, "window_packets must be > 0");
-  if (config_.async) {
-    std::size_t capacity = 64;
-    while (capacity < config_.ring_capacity) capacity <<= 1;
-    ring_.resize(capacity);
-    ring_mask_ = capacity - 1;
-    worker_ = std::thread([this] { worker_main(); });
-  }
 }
-
-StreamMonitor::~StreamMonitor() { stop_worker(); }
-
-// ---- Async pipeline ---------------------------------------------------
-
-void StreamMonitor::enqueue(const Item& item) {
-  const std::uint64_t tail = ring_tail_.load(std::memory_order_relaxed);
-  // Backpressure: block only when the worker trails by a whole ring.
-  while (tail - ring_head_.load(std::memory_order_acquire) >= ring_.size()) {
-    std::this_thread::yield();
-  }
-  ring_[tail & ring_mask_] = item;
-  ring_tail_.store(tail + 1, std::memory_order_release);
-  if (worker_idle_.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    wake_.notify_one();
-  }
-}
-
-void StreamMonitor::worker_main() {
-  std::uint64_t head = ring_head_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (head == ring_tail_.load(std::memory_order_acquire)) {
-      if (worker_stop_.load(std::memory_order_acquire)) {
-        // Re-check after the stop flag: the feeder publishes every item
-        // before raising it, so an empty ring here is final.
-        if (head == ring_tail_.load(std::memory_order_acquire)) break;
-        continue;
-      }
-      // Short spin for the common keep-up case, then sleep.
-      bool got = false;
-      for (int spin = 0; spin < 1024; ++spin) {
-        if (head != ring_tail_.load(std::memory_order_acquire)) {
-          got = true;
-          break;
-        }
-        std::this_thread::yield();
-      }
-      if (!got) {
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        worker_idle_.store(true, std::memory_order_relaxed);
-        wake_.wait_for(lock, std::chrono::microseconds(200), [&] {
-          return head != ring_tail_.load(std::memory_order_acquire) ||
-                 worker_stop_.load(std::memory_order_acquire);
-        });
-        worker_idle_.store(false, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    const Item item = ring_[head & ring_mask_];
-    ring_head_.store(++head, std::memory_order_release);
-    if (item.kind == kItemObserve) {
-      do_observe(item.id, item.time, item.flow);
-    } else {
-      std::string name;
-      {
-        std::lock_guard<std::mutex> lock(names_mutex_);
-        name = stream_names_[item.name_index];
-      }
-      do_begin_stream(name);
-    }
-  }
-}
-
-void StreamMonitor::stop_worker() {
-  if (!worker_.joinable()) return;
-  worker_stop_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    wake_.notify_one();
-  }
-  worker_.join();
-  worker_stop_.store(false, std::memory_order_release);
-}
-
-void StreamMonitor::begin_stream(const std::string& name) {
-  if (!config_.async) {
-    do_begin_stream(name);
-    return;
-  }
-  Item item;
-  item.kind = kItemBegin;
-  {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    stream_names_.push_back(name);
-    item.name_index = static_cast<std::uint32_t>(stream_names_.size() - 1);
-  }
-  if (!worker_.joinable()) worker_ = std::thread([this] { worker_main(); });
-  enqueue(item);
-}
-
-void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp) {
-  observe(raw_id, timestamp, flow::kNoFlow);
-}
-
-void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
-                            flow::FlowId flow) {
-  if (!config_.async) {
-    do_observe(raw_id, timestamp, flow);
-    return;
-  }
-  Item item;
-  item.id = raw_id;
-  item.time = timestamp;
-  item.kind = kItemObserve;
-  item.flow = flow;
-  enqueue(item);
-}
-
-void StreamMonitor::finalize() {
-  if (config_.async) {
-    stop_worker();  // drains the ring, then joins
-    close_stream();
-    flush_telemetry();
-    return;
-  }
-  close_stream();
-}
-
-void StreamMonitor::flush_telemetry() {
-  // One-shot flush on the finalizing thread: async workers never touch
-  // the (unsynchronized) telemetry instruments live.
-  tm_observed_.add(observed_);
-  tm_matched_.add(matched_total_);
-  tm_windows_.add(windows_.size());
-  tm_streams_.add(streams_.size());
-  if (!windows_.empty()) {
-    tm_window_kappa_ppm_.set(
-        static_cast<std::int64_t>(windows_.back().metrics.kappa * 1e6));
-    tm_running_kappa_ppm_.set(
-        static_cast<std::int64_t>(windows_.back().kappa_running * 1e6));
-    for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
-      if (!it->has_flows) continue;
-      tm_window_flow_kappa_ppm_.set(
-          static_cast<std::int64_t>(it->flow_aggregate.worst * 1e6));
-      break;
-    }
-  }
-  if (auto* tracer = telemetry::tracer()) {
-    for (const WindowRecord& window : windows_) {
-      char args[160];
-      std::snprintf(args, sizeof(args),
-                    "{\"stream\":\"%s\",\"window\":%llu,\"kappa\":%.9f,"
-                    "\"moved\":%zu,\"missing\":%zu,\"extra\":%zu}",
-                    window.stream_name.c_str(),
-                    static_cast<unsigned long long>(window.index),
-                    window.metrics.kappa, window.moved, window.missing,
-                    window.extra);
-      tracer->instant("monitor-window", window.last_time_ns, tm_track_, args);
-    }
-  }
-}
-
-// ---- Pipeline (worker thread in async mode) ---------------------------
 
 void StreamMonitor::install_reference(core::Trial reference) {
   reference.make_occurrences_unique();
@@ -212,8 +50,6 @@ void StreamMonitor::install_reference(core::Trial reference) {
 void StreamMonitor::set_reference(core::Trial reference,
                                   std::vector<flow::FlowId> flows) {
   CHOIR_EXPECT(!stream_open_, "cannot replace the reference mid-stream");
-  CHOIR_EXPECT(!config_.async || !worker_.joinable() || observed_ == 0,
-               "set_reference() must precede async feeding");
   CHOIR_EXPECT(flows.empty() || flows.size() == reference.size(),
                "reference flow ids must parallel the trial");
   install_reference(std::move(reference));
@@ -225,7 +61,7 @@ void StreamMonitor::set_reference(core::Trial reference,
   }
 }
 
-void StreamMonitor::do_begin_stream(const std::string& name) {
+void StreamMonitor::begin_stream(const std::string& name) {
   close_stream();
   stream_open_ = true;
   stream_is_reference_ =
@@ -245,6 +81,8 @@ void StreamMonitor::do_begin_stream(const std::string& name) {
   running_ = RunningEstimate{};
 }
 
+void StreamMonitor::finalize() { close_stream(); }
+
 void StreamMonitor::fenwick_add(std::size_t index_a) {
   const std::size_t size = fenwick_.size();
   std::uint32_t* tree = fenwick_.data();
@@ -258,8 +96,12 @@ std::uint64_t StreamMonitor::fenwick_prefix(std::size_t index_a) const {
   return sum;
 }
 
-void StreamMonitor::do_observe(core::PacketId raw_id, Ns timestamp,
-                               flow::FlowId flow) {
+void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp) {
+  observe(raw_id, timestamp, flow::kNoFlow);
+}
+
+void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
+                            flow::FlowId flow) {
   CHOIR_EXPECT(stream_open_, "observe() requires an open stream");
   const IdTable::Hit hit = id_table_.observe(raw_id);
   const core::PacketId id =
@@ -272,7 +114,7 @@ void StreamMonitor::do_observe(core::PacketId raw_id, Ns timestamp,
     flow_ids_high_ = flow + 1;
   }
   ++observed_;
-  if (!config_.async) tm_observed_.add();
+  tm_observed_.add();
   if (stream_is_reference_) return;
 
   // Match against the reference and fold the packet into the running
@@ -286,7 +128,7 @@ void StreamMonitor::do_observe(core::PacketId raw_id, Ns timestamp,
   if (j != IdTable::kNoRef) {
     ++stream_matched_;
     ++matched_total_;
-    if (!config_.async) tm_matched_.add();
+    tm_matched_.add();
     const double l_a = static_cast<double>(reference_[j].time);
     const double l_b =
         static_cast<double>(timestamp - stream_packets_.front().time);
@@ -310,11 +152,11 @@ void StreamMonitor::do_observe(core::PacketId raw_id, Ns timestamp,
   }
 
   if (stream_packets_.size() - window_begin_ >= config_.window_packets) {
-    close_window(false);
+    close_window();
   }
 }
 
-void StreamMonitor::update_running(Ns) {
+void StreamMonitor::update_running() {
   RunningEstimate r;
   const auto na = static_cast<double>(reference_.size());
   const auto nb = static_cast<double>(stream_packets_.size());
@@ -351,7 +193,7 @@ core::Trial StreamMonitor::slice_trial(
   return slice;
 }
 
-void StreamMonitor::close_window(bool) {
+void StreamMonitor::close_window() {
   const std::size_t b_begin = window_begin_;
   const std::size_t b_end = stream_packets_.size();
   if (b_end == b_begin) return;
@@ -384,7 +226,7 @@ void StreamMonitor::close_window(bool) {
   window.missing = cmp.size_a - cmp.common;
   window.extra = cmp.size_b - cmp.common;
   window.lcs_length = cmp.lcs_length;
-  update_running(window.last_time_ns);
+  update_running();
   window.kappa_running = running_.kappa;
 
   // Per-flow κ for this window: the same slice pair demuxed by flow id,
@@ -411,27 +253,24 @@ void StreamMonitor::close_window(bool) {
 
   if (config_.top_k > 0) attribute_window(cmp, window);
 
-  if (!config_.async) {
-    tm_windows_.add();
-    tm_window_kappa_ppm_.set(
-        static_cast<std::int64_t>(window.metrics.kappa * 1e6));
-    tm_running_kappa_ppm_.set(
-        static_cast<std::int64_t>(running_.kappa * 1e6));
-    if (window.has_flows) {
-      tm_window_flow_kappa_ppm_.set(static_cast<std::int64_t>(
-          window.flow_aggregate.worst * 1e6));
-    }
-    if (auto* tracer = telemetry::tracer()) {
-      char args[160];
-      std::snprintf(args, sizeof(args),
-                    "{\"stream\":\"%s\",\"window\":%llu,\"kappa\":%.9f,"
-                    "\"moved\":%zu,\"missing\":%zu,\"extra\":%zu}",
-                    stream_name_.c_str(),
-                    static_cast<unsigned long long>(window_index_),
-                    window.metrics.kappa, window.moved, window.missing,
-                    window.extra);
-      tracer->instant("monitor-window", window.last_time_ns, tm_track_, args);
-    }
+  tm_windows_.add();
+  tm_window_kappa_ppm_.set(
+      static_cast<std::int64_t>(window.metrics.kappa * 1e6));
+  tm_running_kappa_ppm_.set(static_cast<std::int64_t>(running_.kappa * 1e6));
+  if (window.has_flows) {
+    tm_window_flow_kappa_ppm_.set(
+        static_cast<std::int64_t>(window.flow_aggregate.worst * 1e6));
+  }
+  if (auto* tracer = telemetry::tracer()) {
+    char args[160];
+    std::snprintf(args, sizeof(args),
+                  "{\"stream\":\"%s\",\"window\":%llu,\"kappa\":%.9f,"
+                  "\"moved\":%zu,\"missing\":%zu,\"extra\":%zu}",
+                  stream_name_.c_str(),
+                  static_cast<unsigned long long>(window_index_),
+                  window.metrics.kappa, window.moved, window.missing,
+                  window.extra);
+    tracer->instant("monitor-window", window.last_time_ns, tm_track_, args);
   }
 
   windows_.push_back(std::move(window));
@@ -564,7 +403,7 @@ void StreamMonitor::close_stream() {
     return;
   }
   telemetry::ProfileSpan prof("monitor.finalize");
-  close_window(true);
+  close_window();
 
   // Exact finale: the whole stream against the whole reference, via the
   // offline algorithm — what `compare_trials` on saved captures reports.
@@ -584,8 +423,9 @@ void StreamMonitor::close_stream() {
   result.extra = cmp.size_b - cmp.common;
 
   // Per-flow finale: exact Eq. 5 per flow over the shared (classifier)
-  // id space. Inline (jobs = 1): close_stream may already be on the
-  // async worker, and the finale is a once-per-stream cost.
+  // id space. Inline (jobs = 1): the monitor runs on the thread that
+  // feeds it, which may already be a task-pool worker, and the finale is
+  // a once-per-stream cost.
   const bool stream_has_flows =
       std::any_of(stream_flows_.begin(), stream_flows_.end(),
                   [](flow::FlowId f) { return f != flow::kNoFlow; });
@@ -617,7 +457,7 @@ void StreamMonitor::close_stream() {
   }
 
   streams_.push_back(std::move(result));
-  if (!config_.async) tm_streams_.add();
+  tm_streams_.add();
   ++stream_ordinal_;
   stream_packets_.clear();
   stream_flows_.clear();

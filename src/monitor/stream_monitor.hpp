@@ -28,14 +28,11 @@
 //
 // The monitor is a pure observer: it draws no randomness, schedules
 // nothing, and a seeded run is bit-identical with the monitor on or off.
+// It runs inline on the feeding thread, so its telemetry is live.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/units.hpp"
@@ -61,18 +58,6 @@ struct MonitorConfig {
   /// monitored against it. Clear it when loading a reference explicitly
   /// via set_reference().
   bool reference_from_first_stream = true;
-  /// Run the matching/window pipeline on a dedicated worker thread.
-  /// observe() then costs one SPSC-ring enqueue (~10 ns) on the feeding
-  /// thread — the <2% perturbation budget of the record path — while the
-  /// κ computation proceeds concurrently. Outputs are identical to sync
-  /// mode (the worker consumes the exact same sequence); accessors are
-  /// only valid after finalize(). Telemetry counters/gauges and tracer
-  /// events are flushed at finalize() instead of live, so the sim
-  /// thread's instruments are never touched from the worker.
-  bool async = false;
-  /// Async ring capacity (entries, rounded up to a power of two). The
-  /// feeder blocks only when the worker trails by a full ring.
-  std::size_t ring_capacity = 1u << 16;
   /// Worst flows (ascending κ) kept per stream finale when the feed
   /// carries flow ids. 0 keeps only the aggregate.
   std::size_t flow_top_k = 16;
@@ -159,7 +144,6 @@ const char* to_string(DivergenceRecord::Kind kind);
 class StreamMonitor {
  public:
   explicit StreamMonitor(MonitorConfig config = {});
-  ~StreamMonitor();
   StreamMonitor(const StreamMonitor&) = delete;
   StreamMonitor& operator=(const StreamMonitor&) = delete;
 
@@ -206,34 +190,14 @@ class StreamMonitor {
   std::uint64_t matched() const { return matched_total_; }
 
  private:
-  // The do_* methods are the actual pipeline; in async mode they run on
-  // the worker thread, in sync mode directly on the caller.
-  void do_begin_stream(const std::string& name);
-  void do_observe(core::PacketId raw_id, Ns timestamp, flow::FlowId flow);
-  void close_window(bool stream_ending);
+  void close_window();
   void close_stream();
   void install_reference(core::Trial reference);
-  void update_running(Ns timestamp);
+  void update_running();
   core::Trial slice_trial(const std::vector<core::TrialPacket>& packets,
                           std::size_t begin, std::size_t end) const;
   void attribute_window(const core::ComparisonResult& cmp,
                         const WindowRecord& window);
-  /// Async mode defers all telemetry/tracer output to finalize() so the
-  /// worker never touches the sim thread's instruments.
-  void flush_telemetry();
-
-  // Async pipeline.
-  enum : std::uint32_t { kItemObserve = 0, kItemBegin = 1 };
-  struct Item {
-    core::PacketId id{};
-    Ns time = 0;
-    std::uint32_t kind = 0;        ///< kItemObserve | kItemBegin
-    std::uint32_t name_index = 0;  ///< into stream_names_ for kItemBegin
-    flow::FlowId flow = flow::kNoFlow;
-  };
-  void enqueue(const Item& item);
-  void worker_main();
-  void stop_worker();
 
   // Fenwick tree over reference positions, for insertion ranks.
   void fenwick_add(std::size_t index_a);
@@ -270,12 +234,10 @@ class StreamMonitor {
   double running_abs_latency_ns_ = 0.0;
   double running_abs_iat_ns_ = 0.0;
   double running_footrule_ = 0.0;
-  Ns prev_b_time_ = 0;  ///< previous *matched* handling uses raw B stream
   RunningEstimate running_;
 
-  // Comparison arena for window closes and the stream finale. All
-  // compares run on the single pipeline thread (the worker in async
-  // mode), so one scratch serves every window without contention.
+  // Comparison arena for window closes and the stream finale; one
+  // scratch serves every compare.
   core::CompareScratch compare_scratch_;
 
   // Outputs.
@@ -294,21 +256,6 @@ class StreamMonitor {
   telemetry::GaugeHandle tm_running_kappa_ppm_;
   telemetry::GaugeHandle tm_window_flow_kappa_ppm_;  ///< worst flow κ
   std::uint32_t tm_track_ = 0;
-
-  // Async worker state. The feeding thread touches only the ring, the
-  // name list and the wake flag; all monitor state above belongs to the
-  // worker while it runs.
-  std::vector<Item> ring_;
-  std::size_t ring_mask_ = 0;
-  alignas(64) std::atomic<std::uint64_t> ring_head_{0};  ///< consumer
-  alignas(64) std::atomic<std::uint64_t> ring_tail_{0};  ///< producer
-  std::atomic<bool> worker_stop_{false};
-  std::atomic<bool> worker_idle_{false};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  std::vector<std::string> stream_names_;
-  std::mutex names_mutex_;
-  std::thread worker_;
 };
 
 }  // namespace choir::monitor

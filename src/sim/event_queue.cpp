@@ -1,61 +1,32 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-
 #include "common/expect.hpp"
 
 namespace choir::sim {
 
-std::uint64_t EventQueue::schedule_at(Ns at, EventFn fn) {
+void EventQueue::schedule_at(Ns at, EventFn fn) {
   CHOIR_EXPECT(at >= now_, "cannot schedule an event in the past");
-  const std::uint64_t handle = next_seq_++;
-  heap_.push(Event{at, handle, std::move(fn)});
-  ++live_;
-  return handle;
+  heap_.push(Event{at, next_seq_++, std::move(fn)});
 }
 
-void EventQueue::cancel(std::uint64_t handle) {
-  cancelled_.push_back(handle);
+void EventQueue::pop_one() {
+  // const_cast is safe: we pop immediately after moving the callback out.
+  Event& top = const_cast<Event&>(heap_.top());
+  const Ns at = top.at;
+  EventFn fn = std::move(top.fn);
+  heap_.pop();
+  now_ = at;
+  ++fired_;
+  fn();
 }
-
-bool EventQueue::empty() const { return live_ == 0; }
-
-bool EventQueue::pop_one() {
-  while (!heap_.empty()) {
-    // const_cast is safe: we pop immediately after moving the callback out.
-    Event& top = const_cast<Event&>(heap_.top());
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), top.seq);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      heap_.pop();
-      --live_;
-      continue;
-    }
-    Ns at = top.at;
-    EventFn fn = std::move(top.fn);
-    heap_.pop();
-    --live_;
-    now_ = at;
-    ++fired_;
-    fn();
-    return true;
-  }
-  return false;
-}
-
-bool EventQueue::step() { return pop_one(); }
 
 void EventQueue::run_until(Ns until) {
-  while (!heap_.empty() && heap_.top().at <= until) {
-    if (!pop_one()) break;
-  }
+  while (!heap_.empty() && heap_.top().at <= until) pop_one();
   if (now_ < until) now_ = until;
 }
 
 void EventQueue::run() {
-  while (pop_one()) {
-  }
+  while (!heap_.empty()) pop_one();
 }
 
 }  // namespace choir::sim

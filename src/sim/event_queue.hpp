@@ -20,18 +20,12 @@ using EventFn = std::function<void()>;
 class EventQueue {
  public:
   /// Schedule `fn` to run at absolute simulated time `at` (>= now()).
-  /// Returns a handle usable with cancel().
-  std::uint64_t schedule_at(Ns at, EventFn fn);
+  void schedule_at(Ns at, EventFn fn);
 
   /// Schedule `fn` to run `delay` ns from now.
-  std::uint64_t schedule_in(Ns delay, EventFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  void schedule_in(Ns delay, EventFn fn) {
+    schedule_at(now_ + delay, std::move(fn));
   }
-
-  /// Cancel a previously scheduled event. Safe to call for events that
-  /// already fired (no-op). Cancellation is lazy: the slot is skipped when
-  /// popped.
-  void cancel(std::uint64_t handle);
 
   /// Run events until the queue drains or `until` (inclusive) is reached.
   /// Events scheduled during execution are processed if in range.
@@ -40,12 +34,9 @@ class EventQueue {
   /// Run events until the queue is empty.
   void run();
 
-  /// Fire at most one event; returns false if the queue is empty.
-  bool step();
-
   Ns now() const { return now_; }
-  bool empty() const;
-  std::size_t pending() const { return live_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
   std::uint64_t events_fired() const { return fired_; }
 
  private:
@@ -59,14 +50,13 @@ class EventQueue {
     }
   };
 
-  bool pop_one();
+  /// Fire the earliest event; the heap must be non-empty.
+  void pop_one();
 
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
-  std::vector<std::uint64_t> cancelled_;  // sorted insertion not needed; small
   Ns now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace choir::sim

@@ -15,9 +15,8 @@ namespace choir::telemetry {
 namespace {
 
 // Thread-local: a profiler is visible only on the thread that installed
-// it. Background threads (e.g. the monitor's async worker) see null and
-// their ProfileSpans are no-ops, so the sim thread's span stack can
-// never be corrupted from another thread.
+// it. Other threads see null and their ProfileSpans are no-ops, so the
+// sim thread's span stack can never be corrupted from another thread.
 thread_local SpanProfiler* g_profiler = nullptr;
 
 std::uint64_t steady_now_ns() {

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "analysis/export.hpp"
 #include "choir/controller.hpp"
@@ -208,11 +207,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     monitor::MonitorConfig mcfg;
     mcfg.window_packets = config.monitor.window_packets;
     mcfg.top_k = config.monitor.top_k;
-    // With a spare core, the recorder's per-packet feed is a ring
-    // enqueue and matching/window κ run on the monitor's worker thread;
-    // on a single-core host the threads would just time-slice, so the
-    // pipeline runs inline instead. Outputs are identical either way.
-    mcfg.async = std::thread::hardware_concurrency() > 1;
     stream_monitor = std::make_shared<monitor::StreamMonitor>(mcfg);
     monitor_session.emplace(stream_monitor.get());
   }

@@ -85,38 +85,6 @@ TEST(EventQueue, EventsScheduledDuringRunAreProcessed) {
   EXPECT_EQ(q.now(), 99);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool fired = false;
-  const auto h = q.schedule_at(10, [&] { fired = true; });
-  q.cancel(h);
-  q.run();
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelOneOfMany) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1, [&] { order.push_back(1); });
-  const auto h = q.schedule_at(2, [&] { order.push_back(2); });
-  q.schedule_at(3, [&] { order.push_back(3); });
-  q.cancel(h);
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, StepFiresExactlyOne) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(1, [&] { ++fired; });
-  q.schedule_at(2, [&] { ++fired; });
-  EXPECT_TRUE(q.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(q.step());
-  EXPECT_EQ(fired, 2);
-  EXPECT_FALSE(q.step());
-}
-
 TEST(EventQueue, CountsFiredEvents) {
   EventQueue q;
   for (int i = 0; i < 7; ++i) q.schedule_at(i, [] {});

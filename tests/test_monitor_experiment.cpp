@@ -108,14 +108,18 @@ TEST(MonitorExperiment, DivergenceArtifactsAreByteDeterministic) {
   fs::remove_all(base);
 }
 
-TEST(MonitorExperiment, TelemetryCountersFlushAtFinalize) {
+TEST(MonitorExperiment, LiveTelemetryCountersAndWindowSpans) {
+  // The monitor runs inline on the simulation thread, so its counters
+  // and every monitor.window span land in that thread's sessions.
   ExperimentConfig config = small_config();
   config.monitor.enabled = true;
   config.monitor.window_packets = 128;
   config.telemetry.enabled = true;
+  config.telemetry.profile = true;
   const ExperimentResult result = run_experiment(config);
   ASSERT_NE(result.telemetry_registry, nullptr);
   ASSERT_NE(result.monitor, nullptr);
+  ASSERT_NE(result.profile, nullptr);
   auto& registry = *result.telemetry_registry;
   EXPECT_EQ(registry.counter("monitor.observed").value(),
             result.monitor->observed());
@@ -123,6 +127,11 @@ TEST(MonitorExperiment, TelemetryCountersFlushAtFinalize) {
             result.monitor->windows().size());
   EXPECT_EQ(registry.counter("monitor.streams").value(),
             result.monitor->streams().size());
+  const auto& aggregates = result.profile->aggregates();
+  ASSERT_FALSE(result.monitor->windows().empty());
+  ASSERT_TRUE(aggregates.count("monitor.window"));
+  EXPECT_EQ(aggregates.at("monitor.window").count,
+            result.monitor->windows().size());
 }
 
 TEST(MonitorExperiment, ProfilerCapturesPipelinePhases) {

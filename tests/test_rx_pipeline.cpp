@@ -100,7 +100,7 @@ TEST(RxPipeline, StagedCountDrainsOverTime) {
   q.run_until(10);
   for (int i = 0; i < 10; ++i) pipe.admit(q.now() + i, 1400);
   EXPECT_GT(pipe.staged(), 0u);
-  q.run_until(seconds(1));
+  q.run_until(milliseconds(1));
   EXPECT_EQ(pipe.staged(), 0u);
 }
 
