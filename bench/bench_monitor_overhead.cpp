@@ -15,7 +15,7 @@
 //   2. Host-side cost, reported for transparency: wall-clock overhead
 //      of the monitored run (the κ pipeline runs inline on the
 //      simulation thread), plus a microbenchmark of the per-packet
-//      pipeline (IdTable probe, Fenwick, LIS).
+//      pipeline (FlatIndex probe, Fenwick, LIS).
 //
 // Usage: bench_monitor_overhead [--check PCT] [--packets N] [--reps R]
 //   --check PCT  exit non-zero when simulated-throughput perturbation

@@ -10,7 +10,7 @@
 
 #include "choir/middlebox.hpp"
 #include "core/metrics.hpp"
-#include "gen/generator.hpp"
+#include "gen/multi_flow.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
 #include "trace/recorder.hpp"
@@ -74,7 +74,7 @@ int main() {
   stream.rate = gbps(10);
   stream.count = 20'000;  // ends well before the replays below
   stream.start = milliseconds(1);
-  gen::CbrGenerator generator(queue, gen_vf, pool, stream);
+  gen::MultiFlowGenerator generator(queue, gen_vf, pool, {stream});
   generator.start();
 
   // ...and, somewhere in the middle of it, the "bug": one datagram to

@@ -68,14 +68,14 @@ void write_snapshots_jsonl(const std::vector<telemetry::Snapshot>& snapshots,
     for (const auto& [name, value] : s.counters) {
       if (!first) out << ',';
       first = false;
-      out << '"' << telemetry::json_escape(name) << "\":" << value;
+      out << '"' << json::escape(name) << "\":" << value;
     }
     out << "},\"gauges\":{";
     first = true;
     for (const auto& [name, value] : s.gauges) {
       if (!first) out << ',';
       first = false;
-      out << '"' << telemetry::json_escape(name) << "\":" << value;
+      out << '"' << json::escape(name) << "\":" << value;
     }
     out << "}}\n";
   }
@@ -102,7 +102,7 @@ void write_chrome_trace(const telemetry::Tracer& tracer,
 std::string render_series_jsonl(const telemetry::SeriesSampler& sampler) {
   std::string out;
   for (const auto& [name, entry] : sampler.entries()) {
-    out += "{\"name\":\"" + telemetry::json_escape(name) + "\",\"kind\":\"";
+    out += "{\"name\":\"" + json::escape(name) + "\",\"kind\":\"";
     out += telemetry::to_string(entry.kind);
     out += "\",\"interval_ns\":" + std::to_string(sampler.interval());
     out += ",\"total\":" + std::to_string(entry.series.total());

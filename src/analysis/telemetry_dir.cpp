@@ -36,18 +36,6 @@ std::size_t count_lines(const fs::path& path) {
 
 }  // namespace
 
-const char* to_string(TelemetryDirStatus status) {
-  switch (status) {
-    case TelemetryDirStatus::kOk:
-      return "ok";
-    case TelemetryDirStatus::kEmpty:
-      return "empty";
-    case TelemetryDirStatus::kMissingDir:
-      return "missing";
-  }
-  return "?";
-}
-
 TelemetryDirSummary summarize_telemetry_dir(const std::string& dir) {
   TelemetryDirSummary summary;
   if (!fs::exists(dir) || !fs::is_directory(dir)) {

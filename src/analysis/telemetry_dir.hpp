@@ -18,8 +18,6 @@ namespace choir::analysis {
 
 enum class TelemetryDirStatus { kOk, kEmpty, kMissingDir };
 
-const char* to_string(TelemetryDirStatus status);
-
 struct TelemetryDirSummary {
   TelemetryDirStatus status = TelemetryDirStatus::kMissingDir;
   /// Human-readable summary (kOk/kEmpty) or error line (kMissingDir).

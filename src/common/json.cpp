@@ -128,12 +128,6 @@ const Value* Value::find(const std::string& name) const {
   return nullptr;
 }
 
-const Value& Value::at(const std::string& name) const {
-  const Value* v = find(name);
-  CHOIR_EXPECT(v != nullptr, "missing JSON member: " + name);
-  return *v;
-}
-
 // --- Parser -------------------------------------------------------------
 
 namespace {

@@ -88,8 +88,6 @@ class Value {
 
   /// Member lookup (first match); nullptr when absent or not an object.
   const Value* find(const std::string& name) const;
-  /// Member lookup that throws choir::Error when absent.
-  const Value& at(const std::string& name) const;
 };
 
 /// Parse a complete JSON document; throws choir::Error on malformed

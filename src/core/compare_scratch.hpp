@@ -6,20 +6,18 @@
 //
 // Two pieces:
 //
-//  - ReferenceIndex: a flat open-addressing table (IdTable-style: dense
-//    linear probing, power-of-two capacity) mapping packet id -> index
-//    in trial A. A node-based unordered_map costs ~2 dependent cache
-//    misses per operation and one allocation per node; the flat table
-//    is one probe and zero allocations once built. It is immutable
-//    after rebuild(), so one index built over a reference trial can be
-//    shared read-only across evaluation workers (experiment.cpp builds
-//    it once for run A and reuses it for every B..E comparison).
+//  - ReferenceIndex: packet id -> index in trial A, a FlatIndex whose
+//    dense ids are exactly the positions in A (common/flat_index.hpp).
+//    It is immutable after rebuild(), so one index built over a
+//    reference trial can be shared read-only across evaluation workers
+//    (experiment.cpp builds it once for run A and reuses it for every
+//    B..E comparison).
 //
 //  - CompareScratch: the per-worker mutable state — an epoch-stamped
 //    claim array that fuses trial-B duplicate detection with the match
-//    pass (one table probe plus one array write per packet), the rank
-//    and LIS buffers, and a reusable Alignment. Epoch stamping makes
-//    the logical clear between comparisons O(1).
+//    pass (one table probe plus one array write per packet), the B-only
+//    duplicate set, the rank and LIS buffers, and a reusable Alignment.
+//    Epoch stamping makes the logical clear between comparisons O(1).
 //
 // Not thread-safe: share only the const ReferenceIndex; give each
 // worker its own CompareScratch.
@@ -39,64 +37,34 @@ namespace choir::core {
 /// Read-only after rebuild(), hence shareable across threads.
 class ReferenceIndex {
  public:
-  static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoIndex = PacketIdIndex::kNone;
 
   ReferenceIndex() = default;
   explicit ReferenceIndex(const Trial& a) { rebuild(a); }
 
-  /// Index `a`; throws choir::Error on duplicate packet ids. Slot
-  /// storage is reused when capacity allows; returns true when it had
-  /// to grow (allocation telemetry for the scratch counters).
+  /// Index `a`; throws choir::Error on duplicate packet ids and leaves
+  /// the index empty. Slot storage is reused when capacity allows;
+  /// returns true when it had to grow (allocation telemetry for the
+  /// scratch counters).
   bool rebuild(const Trial& a) {
-    std::size_t capacity = 64;
-    while (capacity < 2 * (a.size() + 1)) capacity <<= 1;
-    const bool grew =
-        slots_.capacity() < capacity || used_.capacity() < capacity;
-    // Stale slot payloads are never read (used_ is authoritative), so
-    // only the occupancy bytes need clearing.
-    slots_.resize(capacity);
-    used_.assign(capacity, 0);
-    mask_ = capacity - 1;
-    size_ = a.size();
-    for (std::uint32_t j = 0; j < a.size(); ++j) {
-      const PacketId id = a[j].id;
-      std::size_t i = PacketIdHash{}(id) & mask_;
-      while (used_[i]) {
-        CHOIR_EXPECT(!(slots_[i].id == id),
-                     "trial A contains duplicate packet ids");
-        i = (i + 1) & mask_;
-      }
-      used_[i] = 1;
-      slots_[i].id = id;
-      slots_[i].index = j;
+    index_.clear();
+    const bool grew = index_.reserve(a.size());
+    for (const TrialPacket& p : a.packets()) {
+      const bool fresh = index_.insert(p.id).fresh;
+      if (!fresh) index_.clear();
+      CHOIR_EXPECT(fresh, "trial A contains duplicate packet ids");
     }
     return grew;
   }
 
   /// Position of `id` in the indexed trial, kNoIndex when absent.
-  std::uint32_t lookup(PacketId id) const {
-    if (used_.empty()) return kNoIndex;
-    std::size_t i = PacketIdHash{}(id) & mask_;
-    while (used_[i]) {
-      if (slots_[i].id == id) return slots_[i].index;
-      i = (i + 1) & mask_;
-    }
-    return kNoIndex;
-  }
+  std::uint32_t lookup(PacketId id) const { return index_.find(id); }
 
   /// Number of packets indexed (size of the trial passed to rebuild).
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return index_.size(); }
 
  private:
-  struct Slot {
-    PacketId id{};
-    std::uint32_t index = kNoIndex;
-  };
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint8_t> used_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
+  PacketIdIndex index_;
 };
 
 /// Per-worker comparison arena. Fields below `shared_ref` are
@@ -131,14 +99,9 @@ struct CompareScratch {
   };
   std::vector<Claim> claimed;
 
-  /// Duplicate detection for B-only ids (ids absent from A), epoch-
-  /// stamped like `claimed` so clears stay O(1).
-  struct BOnlySlot {
-    PacketId id{};
-    std::uint32_t epoch = 0;
-  };
-  std::vector<BOnlySlot> b_only;
-  std::size_t b_only_mask = 0;
+  /// Duplicate detection for B-only ids (ids absent from A), cleared
+  /// per alignment in O(1).
+  PacketIdIndex b_only;
 
   std::uint32_t epoch = 0;
 

@@ -69,12 +69,11 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
     index = &scratch.own_ref;
   }
 
-  // Epoch bump makes every claim/B-only stamp from earlier comparisons
-  // stale in O(1); on the (rare) u32 wrap the stamps are cleared for
-  // real so old epochs can never read as current.
+  // Epoch bump makes every claim stamp from earlier comparisons stale in
+  // O(1); on the (rare) u32 wrap the stamps are cleared for real so old
+  // epochs can never read as current.
   if (++scratch.epoch == 0) {
     for (auto& c : scratch.claimed) c.epoch = 0;
-    for (auto& s : scratch.b_only) s.epoch = 0;
     scratch.epoch = 1;
   }
   const std::uint32_t epoch = scratch.epoch;
@@ -82,17 +81,10 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
     ++scratch.grows;
     scratch.claimed.resize(a.size());
   }
-  {
-    // The B-only set is sized for the worst case (every B packet absent
-    // from A) up front, so the scan below never rehashes mid-pass.
-    std::size_t capacity = 64;
-    while (capacity < 2 * (b.size() + 1)) capacity <<= 1;
-    if (scratch.b_only.size() < capacity) {
-      ++scratch.grows;
-      scratch.b_only.assign(capacity, CompareScratch::BOnlySlot{});
-      scratch.b_only_mask = capacity - 1;
-    }
-  }
+  // The B-only set is sized for the worst case (every B packet absent
+  // from A) up front, so the scan below never rehashes mid-pass.
+  scratch.b_only.clear();
+  if (scratch.b_only.reserve(b.size())) ++scratch.grows;
 
   // --- Fused duplicate-check / match pass over B: one flat-table probe
   // per packet, one claim write for the common (id present in A) case —
@@ -112,14 +104,8 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
       m.index_b = k;
       out->matches.push_back(m);
     } else {
-      std::size_t i = PacketIdHash{}(id) & scratch.b_only_mask;
-      while (scratch.b_only[i].epoch == epoch) {
-        CHOIR_EXPECT(!(scratch.b_only[i].id == id),
-                     "trial B contains duplicate packet ids");
-        i = (i + 1) & scratch.b_only_mask;
-      }
-      scratch.b_only[i].id = id;
-      scratch.b_only[i].epoch = epoch;
+      CHOIR_EXPECT(scratch.b_only.insert(id).fresh,
+                   "trial B contains duplicate packet ids");
     }
   }
   const std::uint32_t m = static_cast<std::uint32_t>(out->matches.size());

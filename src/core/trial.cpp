@@ -1,7 +1,5 @@
 #include "core/trial.hpp"
 
-#include <unordered_map>
-
 namespace choir::core {
 
 void Trial::shift_times(Ns delta) {
@@ -15,26 +13,21 @@ void Trial::rebase_to_zero() {
 }
 
 std::size_t Trial::make_occurrences_unique() {
-  std::unordered_map<PacketId, std::uint64_t, PacketIdHash> counts;
+  PacketIdIndex index;
+  index.reserve(packets_.size());
+  std::vector<std::uint32_t> counts;  // by dense id of the raw id
   counts.reserve(packets_.size());
   std::size_t rewritten = 0;
   for (auto& p : packets_) {
-    const std::uint64_t occurrence = counts[p.id]++;
+    const auto [id, fresh] = index.insert(p.id);
+    if (fresh) counts.push_back(0);
+    const std::uint32_t occurrence = counts[id]++;
     if (occurrence > 0) {
       p.id = occurrence_id(p.id, occurrence);
       ++rewritten;
     }
   }
   return rewritten;
-}
-
-bool Trial::ids_unique() const {
-  std::unordered_map<PacketId, bool, PacketIdHash> seen;
-  seen.reserve(packets_.size());
-  for (const auto& p : packets_) {
-    if (!seen.emplace(p.id, true).second) return false;
-  }
-  return true;
 }
 
 }  // namespace choir::core

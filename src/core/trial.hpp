@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/units.hpp"
 
 namespace choir::core {
@@ -47,6 +48,9 @@ struct PacketIdHash {
     return static_cast<std::size_t>(x);
   }
 };
+
+/// Packet id -> dense id, in first-insert order.
+using PacketIdIndex = FlatIndex<PacketId, PacketIdHash>;
 
 /// One received packet: identity plus receiver timestamp.
 struct TrialPacket {
@@ -90,9 +94,6 @@ class Trial {
   /// per Section 3's ordering construction. Stable: k-th duplicate gets
   /// occurrence k. Returns the number of packets rewritten.
   std::size_t make_occurrences_unique();
-
-  /// True if no id occurs twice.
-  bool ids_unique() const;
 
  private:
   std::vector<TrialPacket> packets_;

@@ -1,6 +1,5 @@
 #include "fault/fault_plan.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -99,12 +98,6 @@ std::string format_ns(Ns t) {
 FaultLayer layer_of(FaultKind kind) { return info_of(kind).layer; }
 
 const char* kind_name(FaultKind kind) { return info_of(kind).name; }
-
-Ns FaultPlan::horizon() const {
-  Ns h = 0;
-  for (const FaultEvent& e : events_) h = std::max(h, e.end());
-  return h;
-}
 
 void FaultPlan::validate() const {
   for (std::size_t i = 0; i < events_.size(); ++i) {

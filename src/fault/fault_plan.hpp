@@ -84,9 +84,6 @@ class FaultPlan {
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
 
-  /// Last instant any event is active (0 for an empty plan).
-  Ns horizon() const;
-
   /// Parse the text form. Throws choir::FormatError with a line number
   /// on any malformed directive; a validated plan round-trips through
   /// to_text()/parse() unchanged.

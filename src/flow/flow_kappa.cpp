@@ -123,10 +123,10 @@ FlowSetComparison compare_flows(const core::Trial& a, const FlowTable& table_a,
                                 std::span<const FlowId> ids_b, int jobs) {
   // Remap B's ids into A's id space by key; B-only flows are appended
   // past A's count in B's first-seen order.
-  const std::size_t a_count = table_a.ids();
-  std::vector<FlowId> remap(table_b.ids(), kNoFlow);
+  const std::size_t a_count = table_a.size();
+  std::vector<FlowId> remap(table_b.size(), kNoFlow);
   std::size_t extras = 0;
-  for (FlowId bid = 0; bid < table_b.ids(); ++bid) {
+  for (FlowId bid = 0; bid < table_b.size(); ++bid) {
     const FlowId aid = table_a.lookup(table_b.key_of(bid));
     if (aid != kNoFlow) {
       remap[bid] = aid;
@@ -145,7 +145,7 @@ FlowSetComparison compare_flows(const core::Trial& a, const FlowTable& table_a,
 
   // Attach keys: ids below a_count come from A's table, the rest from B's.
   std::vector<FlowId> extra_key(extras, kNoFlow);
-  for (FlowId bid = 0; bid < table_b.ids(); ++bid) {
+  for (FlowId bid = 0; bid < table_b.size(); ++bid) {
     if (remap[bid] >= a_count) extra_key[remap[bid] - a_count] = bid;
   }
   for (std::size_t f = 0; f < out.flows.size(); ++f) {

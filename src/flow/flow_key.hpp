@@ -7,9 +7,8 @@
 // destination), mirroring how RTP distinguishes media streams sharing a
 // transport tuple.
 //
-// Keys are small value types; hashing reuses the repo's golden-ratio
-// multiply + xor-shift mix (see monitor/id_table.hpp) so the open
-// addressing in FlowTable probes once in the common case.
+// Keys are small value types; hashing is a golden-ratio multiply +
+// xor-shift mix so FlowTable's FlatIndex probes once in the common case.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +48,12 @@ inline std::uint64_t hash_of(const FlowKey& key) {
   x ^= x >> 29;
   return x;
 }
+
+struct FlowKeyHash {
+  std::size_t operator()(const FlowKey& key) const noexcept {
+    return static_cast<std::size_t>(hash_of(key));
+  }
+};
 
 /// Key of a parsed header stack (5-tuple part), with an optional stream.
 FlowKey key_of(const pktio::FlowAddress& addr, std::uint32_t stream = 0);

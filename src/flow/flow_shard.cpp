@@ -16,8 +16,7 @@ std::vector<GlobalFlow> merged_flows(const FlowShardSet& set) {
   std::vector<GlobalFlow> out;
   for (int s = 0; s < set.shards(); ++s) {
     const FlowTable& table = set.shard(s);
-    for (FlowId id = 0; id < table.ids(); ++id) {
-      if (!table.live(id)) continue;
+    for (FlowId id = 0; id < table.size(); ++id) {
       out.push_back(GlobalFlow{table.key_of(id), s, id, table.stats_of(id)});
     }
   }

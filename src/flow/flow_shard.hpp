@@ -53,7 +53,7 @@ class FlowShardSet {
         .classify(key, wire_len, timestamp, arrival_index);
   }
 
-  /// Live flows across all shards.
+  /// Flows across all shards.
   std::size_t size() const {
     std::size_t n = 0;
     for (const auto& t : tables_) n += t.size();
@@ -69,8 +69,7 @@ class FlowShardSet {
     for (int s = 0; s < shards(); ++s) {
       const FlowTable& from = other.shard(s);
       FlowTable& into = shard(s);
-      for (FlowId id = 0; id < from.ids(); ++id) {
-        if (!from.live(id)) continue;
+      for (FlowId id = 0; id < from.size(); ++id) {
         into.merge_entry(from.key_of(id), from.stats_of(id));
       }
     }
@@ -93,7 +92,7 @@ struct GlobalFlow {
   FlowTable::FlowStats stats;
 };
 
-/// Deterministic global enumeration: every live flow across the shards,
+/// Deterministic global enumeration: every flow across the shards,
 /// ordered by first arrival (ties — possible only after merging sets
 /// from independent captures — break on the key tuple). For a set fed
 /// from one packet stream this is exactly the first-seen order a single

@@ -1,28 +1,19 @@
-// Open-addressing flow classifier for the record path.
+// Flow classifier for the record path: flow key -> dense FlowId, plus
+// per-flow counters.
 //
-// Modeled on monitor/id_table.hpp: flat slots probed linearly, so the
-// common case — a packet of an already-seen flow — is one probe that
-// yields the dense flow id and the per-flow counters in a single cache
-// line pair. A node-based map would cost two dependent misses per packet,
-// which at recorder line rate dominates classification.
-//
-// Differences from IdTable, both forced by flow lifecycle:
-//  - Dense ids. The n-th distinct key ever classified gets id n, so ids
-//    are a deterministic function of arrival order and downstream layers
-//    (demux, per-flow κ, aggregation) can use plain vectors indexed by
-//    FlowId instead of hash lookups.
-//  - Tombstones. Flows can be evicted (erase) without disturbing probe
-//    chains; an insert reuses the first tombstone on its probe path, and
-//    a rehash (growth or cleanup when tombstones pile up) drops them.
-//    Erased ids are retired, never reused: re-classifying the same key
-//    later is a new flow with a new id, which keeps the id space
-//    append-only and merge-friendly.
+// The key index is a FlatIndex (common/flat_index.hpp), so the common
+// case — a packet of an already-seen flow — is one probe. Its dense ids
+// are the FlowIds: the n-th distinct key ever classified gets id n, so
+// ids are a deterministic function of arrival order and downstream
+// layers (demux, per-flow κ, aggregation) use plain vectors indexed by
+// FlowId instead of hash lookups. Flows are never evicted; every id is
+// live.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/expect.hpp"
+#include "common/flat_index.hpp"
 #include "common/units.hpp"
 #include "flow/flow_key.hpp"
 
@@ -42,32 +33,22 @@ class FlowTable {
     Ns last_seen = 0;
   };
 
-  /// Size the slot array for an expected flow count (optional; the table
+  /// Size the key index for an expected flow count (optional; the table
   /// grows itself).
-  void reserve(std::size_t flows) {
-    std::size_t capacity = kMinCapacity;
-    while (capacity < 2 * (flows + 1)) capacity <<= 1;
-    if (capacity > slots_.size()) rehash(capacity);
-  }
+  void reserve(std::size_t flows) { index_.reserve(flows); }
 
   /// The hot path: look up `key`, assigning the next dense id when it is
   /// new, and fold the packet into the flow's counters. `arrival_index`
   /// is the caller's running packet count (used only for first_index).
   FlowId classify(const FlowKey& key, std::uint32_t wire_len, Ns timestamp,
                   std::uint64_t arrival_index) {
-    const std::size_t slot = insert_slot(key);
-    FlowId id = ids_[slot];
-    if (id == kNoFlow) {
-      id = static_cast<FlowId>(keys_.size());
-      ids_[slot] = id;
+    const auto [id, fresh] = index_.insert(key);
+    if (fresh) {
       keys_.push_back(key);
       FlowStats st;
       st.first_index = arrival_index;
       st.first_seen = timestamp;
-      st.last_seen = timestamp;
       stats_.push_back(st);
-      live_flag_.push_back(1);
-      ++live_;
     }
     FlowStats& st = stats_[id];
     ++st.packets;
@@ -76,48 +57,16 @@ class FlowTable {
     return id;
   }
 
-  /// Read-only lookup; kNoFlow when the key is absent (or erased).
-  FlowId lookup(const FlowKey& key) const {
-    if (slots_.empty()) return kNoFlow;
-    std::size_t i = hash_of(key) & mask_;
-    while (state_[i] != kEmpty) {
-      if (state_[i] == kUsed && slots_[i] == key) return ids_[i];
-      i = (i + 1) & mask_;
-    }
-    return kNoFlow;
-  }
-
-  /// Evict a flow: its slot becomes a tombstone (probe chains through it
-  /// stay intact) and its id is retired. Returns false when absent.
-  bool erase(const FlowKey& key) {
-    if (slots_.empty()) return false;
-    std::size_t i = hash_of(key) & mask_;
-    while (state_[i] != kEmpty) {
-      if (state_[i] == kUsed && slots_[i] == key) {
-        state_[i] = kTombstone;
-        live_flag_[ids_[i]] = 0;
-        ids_[i] = kNoFlow;
-        ++tombstones_;
-        --live_;
-        return true;
-      }
-      i = (i + 1) & mask_;
-    }
-    return false;
-  }
+  /// Read-only lookup; kNoFlow when the key is absent.
+  FlowId lookup(const FlowKey& key) const { return index_.find(key); }
 
   /// Merge one flow's counters from another table (same key may carry a
   /// different id there). Used by FlowShardSet::merge_from.
   void merge_entry(const FlowKey& key, const FlowStats& other) {
-    const std::size_t slot = insert_slot(key);
-    FlowId id = ids_[slot];
-    if (id == kNoFlow) {
-      id = static_cast<FlowId>(keys_.size());
-      ids_[slot] = id;
+    const auto [id, fresh] = index_.insert(key);
+    if (fresh) {
       keys_.push_back(key);
       stats_.push_back(other);
-      live_flag_.push_back(1);
-      ++live_;
       return;
     }
     FlowStats& st = stats_[id];
@@ -130,85 +79,15 @@ class FlowTable {
     if (other.last_seen > st.last_seen) st.last_seen = other.last_seen;
   }
 
-  std::size_t size() const { return live_; }       ///< live flows
-  std::size_t ids() const { return keys_.size(); } ///< ids ever assigned
-  std::size_t capacity() const { return slots_.size(); }
-  std::size_t tombstones() const { return tombstones_; }
-  bool live(FlowId id) const { return live_flag_[id] != 0; }
+  std::size_t size() const { return keys_.size(); }  ///< flows (= ids)
+  std::size_t capacity() const { return index_.capacity(); }
   const FlowKey& key_of(FlowId id) const { return keys_[id]; }
   const FlowStats& stats_of(FlowId id) const { return stats_[id]; }
 
  private:
-  static constexpr std::size_t kMinCapacity = 64;
-  enum : std::uint8_t { kEmpty = 0, kUsed = 1, kTombstone = 2 };
-
-  /// Probe for `key`; when absent, claim the first tombstone seen on the
-  /// probe path (or the terminating empty slot) with ids_[slot] left as
-  /// kNoFlow for the caller to fill.
-  std::size_t insert_slot(const FlowKey& key) {
-    if (slots_.empty() || 2 * (live_ + tombstones_ + 1) > slots_.size()) {
-      grow();
-    }
-    std::size_t i = hash_of(key) & mask_;
-    std::size_t first_tombstone = slots_.size();
-    while (state_[i] != kEmpty) {
-      if (state_[i] == kUsed && slots_[i] == key) return i;
-      if (state_[i] == kTombstone && first_tombstone == slots_.size()) {
-        first_tombstone = i;
-      }
-      i = (i + 1) & mask_;
-    }
-    if (first_tombstone != slots_.size()) {
-      i = first_tombstone;
-      --tombstones_;
-    }
-    state_[i] = kUsed;
-    slots_[i] = key;
-    ids_[i] = kNoFlow;
-    return i;
-  }
-
-  void grow() {
-    // Capacity for the live population at <= 50% load; when tombstones
-    // (not growth) triggered us this can equal the current capacity, and
-    // the rehash is a pure cleanup that reclaims them.
-    std::size_t capacity = slots_.empty() ? kMinCapacity : slots_.size();
-    while (capacity < 2 * (live_ + 1) * 2) capacity <<= 1;
-    rehash(capacity);
-  }
-
-  void rehash(std::size_t capacity) {
-    std::vector<FlowKey> old_slots = std::move(slots_);
-    std::vector<FlowId> old_ids = std::move(ids_);
-    std::vector<std::uint8_t> old_state = std::move(state_);
-    slots_.assign(capacity, FlowKey{});
-    ids_.assign(capacity, kNoFlow);
-    state_.assign(capacity, kEmpty);
-    mask_ = capacity - 1;
-    tombstones_ = 0;
-    for (std::size_t s = 0; s < old_slots.size(); ++s) {
-      if (old_state[s] != kUsed) continue;
-      std::size_t i = hash_of(old_slots[s]) & mask_;
-      while (state_[i] != kEmpty) i = (i + 1) & mask_;
-      state_[i] = kUsed;
-      slots_[i] = old_slots[s];
-      ids_[i] = old_ids[s];
-    }
-  }
-
-  // Slot arrays (parallel, structure-of-arrays: the probe loop touches
-  // state_ + slots_ only; ids_ is read once on a hit).
-  std::vector<FlowKey> slots_;
-  std::vector<FlowId> ids_;
-  std::vector<std::uint8_t> state_;
-  std::size_t mask_ = 0;
-  std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;
-
-  // Dense per-id storage, append-only.
-  std::vector<FlowKey> keys_;
-  std::vector<FlowStats> stats_;
-  std::vector<std::uint8_t> live_flag_;
+  FlatIndex<FlowKey, FlowKeyHash> index_;
+  std::vector<FlowKey> keys_;    ///< by FlowId
+  std::vector<FlowStats> stats_; ///< by FlowId
 };
 
 }  // namespace choir::flow

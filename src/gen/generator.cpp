@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/expect.hpp"
-
 namespace choir::gen {
 
 pktio::Mbuf* make_frame(pktio::Mempool& pool, const StreamConfig& config,
@@ -15,43 +13,6 @@ pktio::Mbuf* make_frame(pktio::Mempool& pool, const StreamConfig& config,
       (static_cast<std::uint64_t>(config.stream_id) << 40) ^ sequence;
   pktio::write_eth_ipv4_udp(m->frame, config.flow);
   return m;
-}
-
-// --- CbrGenerator -----------------------------------------------------
-
-CbrGenerator::CbrGenerator(sim::EventQueue& queue, net::Vf& vf,
-                           pktio::Mempool& pool, StreamConfig config)
-    : queue_(queue), vf_(vf), pool_(pool), config_(config),
-      gap_ns_(mean_iat_ns(config.frame_bytes, config.rate)) {
-  CHOIR_EXPECT(config_.rate > 0 && config_.frame_bytes >= pktio::kEthIpv4UdpLen,
-               "CBR stream misconfigured");
-}
-
-void CbrGenerator::start() {
-  if (config_.count == 0) return;
-  // Prepare bursts one period ahead of their wire times, like a paced
-  // transmit queue being kept topped up.
-  queue_.schedule_at(std::max<Ns>(queue_.now(), config_.start - kNsPerMs),
-                     [this] { emit_chunk(); });
-}
-
-void CbrGenerator::emit_chunk() {
-  const std::uint64_t limit =
-      std::min<std::uint64_t>(config_.count, emitted_ + config_.burst);
-  for (; emitted_ < limit; ++emitted_) {
-    pktio::Mbuf* m = make_frame(pool_, config_, config_.frame_bytes, emitted_);
-    if (m == nullptr) {
-      ++alloc_failures_;
-      continue;
-    }
-    vf_.tx_paced(m, frame_time(emitted_));
-  }
-  if (emitted_ < config_.count) {
-    // Wake up just before the next chunk's first wire time.
-    const Ns next = frame_time(emitted_) - kNsPerUs;
-    queue_.schedule_at(std::max(queue_.now() + 1, next),
-                       [this] { emit_chunk(); });
-  }
 }
 
 // --- PoissonGenerator ---------------------------------------------------

@@ -1,10 +1,11 @@
 // Traffic generators.
 //
-// CbrGenerator is the Pktgen-DPDK stand-in used by every paper
-// experiment: fixed-size frames at a constant bit rate, emitted through a
-// VF's paced-transmit path (Pktgen's rate control). PoissonGenerator and
-// ImixGenerator extend the library beyond the paper's workloads for the
-// examples and property tests.
+// The Pktgen-DPDK stand-in used by every paper experiment is
+// MultiFlowGenerator (gen/multi_flow.hpp): fixed-size frames at a
+// constant bit rate, emitted through a VF's paced-transmit path (Pktgen's
+// rate control); with one flow it is a plain CBR stream. This header
+// holds the stream config it shares with PoissonGenerator and
+// ImixGenerator, which extend the library beyond the paper's workloads.
 #pragma once
 
 #include <cstdint>
@@ -28,38 +29,6 @@ struct StreamConfig {
   std::uint64_t count = 0;          ///< frames to emit
   Ns start = 0;                     ///< wire time of the first frame
   std::uint16_t burst = 32;         ///< frames prepared per event
-};
-
-/// Constant-bit-rate generator. Frame n is offered to the wire at
-/// start + n * gap, where gap is the exact per-frame serialization budget
-/// at the configured rate.
-class CbrGenerator {
- public:
-  CbrGenerator(sim::EventQueue& queue, net::Vf& vf, pktio::Mempool& pool,
-               StreamConfig config);
-
-  void start();
-
-  std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t alloc_failures() const { return alloc_failures_; }
-  bool done() const { return emitted_ >= config_.count; }
-
-  /// Exact spacing between consecutive frames.
-  double gap_ns() const { return gap_ns_; }
-
- private:
-  void emit_chunk();
-  Ns frame_time(std::uint64_t n) const {
-    return config_.start + static_cast<Ns>(gap_ns_ * static_cast<double>(n));
-  }
-
-  sim::EventQueue& queue_;
-  net::Vf& vf_;
-  pktio::Mempool& pool_;
-  StreamConfig config_;
-  double gap_ns_;
-  std::uint64_t emitted_ = 0;
-  std::uint64_t alloc_failures_ = 0;
 };
 
 /// Poisson-arrival generator: same config, exponential gaps with the

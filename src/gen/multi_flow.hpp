@@ -1,10 +1,13 @@
-// Many-flow traffic generator.
+// Constant-bit-rate traffic generator, one flow or many.
 //
-// MultiFlowGenerator is the fan-out counterpart of CbrGenerator: one
-// paced aggregate stream whose frames round-robin over N distinct
-// 5-tuples. It models a generator host sourcing traffic for many
-// concurrent flows through one port — the workload the flow subsystem
-// classifies back apart on the recorder side.
+// MultiFlowGenerator emits one paced aggregate stream: frame n is offered
+// to the wire at start + n * gap, where gap is the exact per-frame
+// serialization budget at the configured rate, and its frames
+// round-robin over N distinct 5-tuples. With flows = 1 it is the plain
+// CBR stream every paper experiment replays; with more it models a
+// generator host sourcing many concurrent flows through one port — the
+// workload the flow subsystem classifies back apart on the recorder
+// side.
 //
 // Determinism: frame n goes to flow (n % flows) at wire time
 // start + n * gap, so flow membership, per-flow counts, and per-flow

@@ -35,16 +35,82 @@
 #include <string>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/units.hpp"
 #include "core/compare_scratch.hpp"
 #include "core/metrics.hpp"
 #include "core/trial.hpp"
 #include "flow/flow_kappa.hpp"
-#include "monitor/id_table.hpp"
 #include "monitor/incremental_lis.hpp"
 #include "telemetry/metric.hpp"
 
 namespace choir::monitor {
+
+/// Packet id -> reference position, fused with the per-stream occurrence
+/// counter used for duplicate tagging. The reference ids hold dense ids
+/// 0..n-1 of one FlatIndex, so the dense id *is* the reference position;
+/// ids first seen on a stream get ids >= n and resolve to kNoRef. The
+/// common case — a unique packet present in the reference — is one probe.
+/// Occurrence counters sit in a per-id array, reset per stream in O(1) by
+/// an epoch stamp.
+class IdTable {
+ public:
+  static constexpr std::uint32_t kNoRef = core::PacketIdIndex::kNone;
+
+  struct Hit {
+    std::uint32_t ref_index = kNoRef;  ///< position in the reference trial
+    std::uint64_t occurrence = 0;      ///< 0-based occurrence of the raw id
+  };
+
+  /// Rebuild over an (already occurrence-tagged) reference trial.
+  /// Existing stream-side entries are discarded.
+  void rebuild(const core::Trial& reference) {
+    index_.clear();
+    index_.reserve(reference.size());
+    for (const core::TrialPacket& p : reference.packets()) {
+      CHOIR_EXPECT(index_.insert(p.id).fresh,
+                   "reference trial contains duplicate packet ids");
+    }
+    reference_size_ = reference.size();
+    counts_.assign(reference.size(), Count{});
+    epoch_ = 1;
+  }
+
+  /// Bump the stream epoch: every occurrence counter reads as zero again.
+  void new_stream() { ++epoch_; }
+
+  /// The hot path: look up `raw`, inserting it when absent, and claim its
+  /// next occurrence number.
+  Hit observe(core::PacketId raw) {
+    const core::PacketIdIndex::Inserted hit = index_.insert(raw);
+    if (hit.fresh) counts_.emplace_back();
+    Count& count = counts_[hit.id];
+    if (count.epoch != epoch_) count = Count{0, epoch_};
+    return Hit{to_ref(hit.id), count.value++};
+  }
+
+  /// Read-only lookup (used for occurrence-tagged duplicate ids).
+  std::uint32_t ref_index_of(core::PacketId id) const {
+    return to_ref(index_.find(id));
+  }
+
+  std::size_t size() const { return index_.size(); }
+
+ private:
+  struct Count {
+    std::uint64_t value = 0;
+    std::uint32_t epoch = 0;
+  };
+
+  std::uint32_t to_ref(std::uint32_t id) const {
+    return id < reference_size_ ? id : kNoRef;
+  }
+
+  core::PacketIdIndex index_;
+  std::size_t reference_size_ = 0;
+  std::vector<Count> counts_;  ///< by dense id
+  std::uint32_t epoch_ = 1;
+};
 
 struct MonitorConfig {
   /// Packets of trial B per window. Each window is compared as its own

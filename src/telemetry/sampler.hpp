@@ -151,7 +151,6 @@ class SeriesSampler {
 
   /// Begin sampling; the first sample lands one interval from now.
   void start();
-  void stop();
 
   /// Sample every instrument immediately (the final post-run point).
   void sample_now();

@@ -24,8 +24,6 @@ void SeriesSampler::start() {
   queue_.schedule_in(config_.interval, [this] { tick(); });
 }
 
-void SeriesSampler::stop() { running_ = false; }
-
 void SeriesSampler::push(const std::string& name, SeriesKind kind, Ns t,
                          double value) {
   auto it = entries_.find(name);
@@ -65,7 +63,6 @@ void SeriesSampler::sample_now() {
 }
 
 void SeriesSampler::tick() {
-  if (!running_) return;
   sample_now();
   queue_.schedule_in(config_.interval, [this] { tick(); });
 }

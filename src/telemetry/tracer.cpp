@@ -5,38 +5,9 @@
 #include <ostream>
 
 #include "common/expect.hpp"
+#include "common/json.hpp"
 
 namespace choir::telemetry {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::uint32_t Tracer::track(const std::string& name) {
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
@@ -84,12 +55,12 @@ void Tracer::write_chrome_json(std::ostream& out) const {
     if (!first) out << ',';
     first = false;
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << i
-        << ",\"args\":{\"name\":\"" << json_escape(tracks_[i]) << "\"}}";
+        << ",\"args\":{\"name\":\"" << json::escape(tracks_[i]) << "\"}}";
   }
   for (const TraceEvent& e : events_) {
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":\"" << json_escape(e.name)
+    out << "{\"name\":\"" << json::escape(e.name)
         << "\",\"cat\":\"choir\",\"ph\":\"" << e.phase
         << "\",\"pid\":1,\"tid\":" << e.track << ",\"ts\":";
     write_us(out, e.ts);

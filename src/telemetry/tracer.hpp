@@ -30,9 +30,6 @@ struct TraceEvent {
   std::string args_json;   ///< pre-rendered JSON object body, may be empty
 };
 
-/// Escape a string for embedding inside a JSON string literal.
-std::string json_escape(const std::string& s);
-
 class Tracer {
  public:
   static constexpr std::size_t kDefaultMaxEvents = 1u << 20;

@@ -102,8 +102,7 @@ struct ReplayPath {
   std::unique_ptr<pktio::Mempool> beacon_pool;
   std::unique_ptr<app::Middlebox> middlebox;
   std::unique_ptr<app::Controller> controller;
-  std::unique_ptr<gen::CbrGenerator> generator;
-  std::unique_ptr<gen::MultiFlowGenerator> multi_generator;
+  std::unique_ptr<gen::MultiFlowGenerator> generator;
   // Baseline engines (Section 9 ablations); at most one is active.
   std::unique_ptr<replay::PacedReplayerBase> baseline;
   std::unique_ptr<replay::GapFillReplayer> gapfill;
@@ -441,19 +440,16 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     stream.rate = env.rate / env.replayers;
     stream.count = per_stream;
     stream.start = milliseconds(10);
+    gen::MultiFlowConfig mf;
+    mf.base = stream;
     if (config.flow.enabled && config.flow.flows > 1) {
       // Fan the aggregate over this generator's share of the flows; the
       // pacing, counts and payload tokens match the single-flow path.
-      gen::MultiFlowConfig mf;
-      mf.base = stream;
       mf.flows = std::max<std::uint32_t>(
           1, config.flow.flows / static_cast<std::uint32_t>(env.replayers));
-      p.multi_generator = std::make_unique<gen::MultiFlowGenerator>(
-          queue, *p.gen_vf, *p.gen_pool, mf);
-    } else {
-      p.generator = std::make_unique<gen::CbrGenerator>(queue, *p.gen_vf,
-                                                        *p.gen_pool, stream);
     }
+    p.generator = std::make_unique<gen::MultiFlowGenerator>(
+        queue, *p.gen_vf, *p.gen_pool, mf);
   }
 
   // ---- Background noise ------------------------------------------------
@@ -629,8 +625,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       p.controller->start_record(milliseconds(1), p.ctl_flow);
       p.controller->stop_record(record_end, p.ctl_flow);
     }
-    if (p.generator != nullptr) p.generator->start();
-    if (p.multi_generator != nullptr) p.multi_generator->start();
+    p.generator->start();
   }
 
   // Baseline replay engines (ablations) share the Choir recording but
@@ -746,12 +741,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       result.control_send_failures += p.controller->send_failures();
       result.control_timeouts += p.controller->timeouts();
     }
-    if (p.generator != nullptr) {
-      result.generator_alloc_failures += p.generator->alloc_failures();
-    }
-    if (p.multi_generator != nullptr) {
-      result.generator_alloc_failures += p.multi_generator->alloc_failures();
-    }
+    result.generator_alloc_failures += p.generator->alloc_failures();
   }
   if (group != nullptr) {
     result.group_stats = group->stats();

@@ -78,7 +78,7 @@ FlowClassification classify_capture_sharded(const Capture& capture,
   std::vector<std::vector<flow::FlowId>> remap(
       static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    remap[static_cast<std::size_t>(s)].assign(set.shard(s).ids(),
+    remap[static_cast<std::size_t>(s)].assign(set.shard(s).size(),
                                               flow::kNoFlow);
   }
   flow::FlowId gid = 0;

@@ -1,5 +1,6 @@
 #include "trace/recorder.hpp"
 
+#include "common/json.hpp"
 #include "flow/flow_shard.hpp"
 #include "trace/flow_classify.hpp"
 
@@ -17,7 +18,7 @@ void CaptureDaemon::arm(Ns from, Ns until, Capture* out) {
     if (active_ == out) active_ = nullptr;
     if (auto* tracer = telemetry::tracer()) {
       tracer->span("capture-window", from, until, tm_track_,
-                   "{\"capture\":\"" + telemetry::json_escape(out->name()) +
+                   "{\"capture\":\"" + json::escape(out->name()) +
                        "\"}");
     }
   });
@@ -42,14 +43,14 @@ bool CaptureDaemon::drain() {
         if (flow_shards_ > 0) {
           flow::FlowKey key;
           if (key_of_record(record, &key)) {
-            const std::size_t before = flow_table_.ids();
+            const std::size_t before = flow_table_.size();
             fid = flow_table_.classify(key, record.wire_len,
                                        record.timestamp, recorded_);
             const int s = flow::shard_of_key(key, flow_shards_);
             const auto su = static_cast<std::size_t>(s);
             tm_flow_packets_[su].add();
             tm_flow_bytes_[su].add(record.wire_len);
-            if (flow_table_.ids() > before) tm_flow_new_[su].add();
+            if (flow_table_.size() > before) tm_flow_new_[su].add();
           } else {
             ++flow_unclassified_;
           }

@@ -111,6 +111,25 @@ TEST(ReferenceIndex, DuplicateIdThrows) {
   EXPECT_THROW(ReferenceIndex{a}, Error);
 }
 
+TEST(ReferenceIndex, FailedRebuildLeavesIndexEmpty) {
+  Rng rng(14);
+  const Trial good = random_trial(rng, 100, 0.0, 0);
+  std::vector<TrialPacket> pkts = good.packets();
+  pkts.push_back(pkts[40]);  // duplicate id at the end of the trial
+  const Trial dup(std::move(pkts));
+  ReferenceIndex index(good);
+  EXPECT_THROW(index.rebuild(dup), Error);
+  // A half-built index must not pass align_trials' shared-ref size check
+  // or answer lookups.
+  EXPECT_EQ(index.size(), 0u);
+  for (const TrialPacket& p : dup.packets()) {
+    EXPECT_EQ(index.lookup(p.id), ReferenceIndex::kNoIndex);
+  }
+  CompareScratch scratch;
+  scratch.shared_ref = &index;
+  EXPECT_THROW(align_trials(dup, good, scratch, &scratch.alignment), Error);
+}
+
 TEST(ReferenceIndex, RebuildReusesStorage) {
   Rng rng(12);
   const Trial big = random_trial(rng, 2000, 0.0, 0);

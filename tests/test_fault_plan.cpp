@@ -91,11 +91,6 @@ TEST(FaultPlan, WindowsAndTargets) {
   EXPECT_FALSE(e.matches("link.gen1"));
   e.target = "*";
   EXPECT_TRUE(e.matches("anything"));
-
-  FaultPlan plan;
-  EXPECT_EQ(plan.horizon(), 0);
-  plan.add(e);
-  EXPECT_EQ(plan.horizon(), 150);
 }
 
 TEST(ChaosPlans, ScaleWithIntensityAndValidate) {

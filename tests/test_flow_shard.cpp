@@ -47,7 +47,7 @@ std::vector<Arrival> arrival_stream(std::uint32_t flows,
 
 void expect_matches_sequential(const std::vector<GlobalFlow>& merged,
                                const FlowTable& sequential) {
-  ASSERT_EQ(merged.size(), sequential.ids());
+  ASSERT_EQ(merged.size(), sequential.size());
   for (std::size_t f = 0; f < merged.size(); ++f) {
     const auto id = static_cast<FlowId>(f);
     EXPECT_EQ(merged[f].key, sequential.key_of(id)) << "flow " << f;
@@ -194,7 +194,7 @@ TEST(FlowShard, ExperimentFlowEvaluationIsJobCountInvariant) {
   EXPECT_EQ(ref.per_packet, sharded.per_packet);
   EXPECT_EQ(ref.table.size(), sharded.table.size());
   EXPECT_EQ(ref.unclassified, sharded.unclassified);
-  for (FlowId id = 0; id < ref.table.ids(); ++id) {
+  for (FlowId id = 0; id < ref.table.size(); ++id) {
     EXPECT_EQ(ref.table.key_of(id), sharded.table.key_of(id));
     EXPECT_EQ(ref.table.stats_of(id).packets,
               sharded.table.stats_of(id).packets);

@@ -1,10 +1,8 @@
-// FlowTable adversarial coverage: the open-addressing classifier under
-// the conditions that break naive tables — long probe chains from
-// colliding keys, erase/re-insert churn exercising tombstone reuse, and
+// FlowTable adversarial coverage: the classifier under the conditions
+// that break naive tables — long probe chains from colliding keys and
 // growth to the 100k-flow scale the bench suite runs at. The dense-id
-// contract (n-th distinct key gets id n, erased ids are retired and
-// never reused) is what the demux and per-flow κ layers index by, so it
-// is asserted throughout.
+// contract (n-th distinct key gets id n) is what the demux and per-flow
+// κ layers index by, so it is asserted throughout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -50,7 +48,6 @@ TEST(FlowTable, AssignsDenseIdsInFirstSeenOrder) {
     EXPECT_EQ(table.classify(key_n(n), 10, Ns{1000 + n}, 100 + n), n);
   }
   EXPECT_EQ(table.size(), 100u);
-  EXPECT_EQ(table.ids(), 100u);
   const auto& st = table.stats_of(7);
   EXPECT_EQ(st.packets, 2u);
   EXPECT_EQ(st.bytes, 107u + 10u);
@@ -71,64 +68,7 @@ TEST(FlowTable, SurvivesCollisionHeavyProbeChains) {
   for (std::uint32_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(table.lookup(keys[i]), i);
   }
-
-  // Erasing mid-chain must not break probes to the keys behind it.
-  EXPECT_TRUE(table.erase(keys[5]));
-  EXPECT_FALSE(table.erase(keys[5]));  // already gone
-  EXPECT_EQ(table.tombstones(), 1u);
-  EXPECT_EQ(table.lookup(keys[5]), kNoFlow);
-  for (std::uint32_t i = 6; i < keys.size(); ++i) {
-    EXPECT_EQ(table.lookup(keys[i]), i) << "chain broken behind tombstone";
-  }
-}
-
-TEST(FlowTable, ReusesTombstonesAndRetiresIds) {
-  const auto keys = colliding_keys(22);
-  FlowTable table;
-  for (std::uint32_t i = 0; i < 20; ++i) table.classify(keys[i], 64, 0, i);
-  ASSERT_TRUE(table.erase(keys[3]));
-  ASSERT_TRUE(table.erase(keys[9]));
-  EXPECT_EQ(table.tombstones(), 2u);
-  EXPECT_EQ(table.size(), 18u);
-  EXPECT_FALSE(table.live(3));
-  EXPECT_FALSE(table.live(9));
-
-  // A colliding insert claims the first tombstone on its probe path
-  // instead of extending the chain.
-  EXPECT_EQ(table.classify(keys[20], 64, 0, 20), 20u);
-  EXPECT_EQ(table.tombstones(), 1u);
-
-  // Re-classifying an erased key is a NEW flow: fresh id, fresh stats;
-  // the retired id stays retired (the id space is append-only).
-  const FlowId reborn = table.classify(keys[3], 64, Ns{99}, 21);
-  EXPECT_EQ(reborn, 21u);
-  EXPECT_FALSE(table.live(3));
-  EXPECT_TRUE(table.live(reborn));
-  EXPECT_EQ(table.stats_of(reborn).packets, 1u);
-  EXPECT_EQ(table.stats_of(reborn).first_index, 21u);
-  EXPECT_EQ(table.lookup(keys[3]), reborn);
-  EXPECT_EQ(table.ids(), 22u);
-  EXPECT_EQ(table.size(), 20u);
-}
-
-TEST(FlowTable, RehashReclaimsTombstonesAndKeepsIds) {
-  FlowTable table;
-  // Churn: enough insert+erase cycles that tombstones alone force a
-  // cleanup rehash (growth triggers at 50% live+tombstone load).
-  for (std::uint32_t n = 0; n < 200; ++n) {
-    table.classify(key_n(n), 64, Ns{n}, n);
-    if (n % 2 == 0) ASSERT_TRUE(table.erase(key_n(n)));
-  }
-  EXPECT_EQ(table.size(), 100u);
-  EXPECT_EQ(table.ids(), 200u);
-  // Post-rehash the live keys still map to their original dense ids.
-  for (std::uint32_t n = 1; n < 200; n += 2) {
-    EXPECT_EQ(table.lookup(key_n(n)), n);
-    EXPECT_TRUE(table.live(n));
-  }
-  for (std::uint32_t n = 0; n < 200; n += 2) {
-    EXPECT_EQ(table.lookup(key_n(n)), kNoFlow);
-  }
+  EXPECT_EQ(table.lookup(key_n(1)), kNoFlow);
 }
 
 TEST(FlowTable, GrowsTo100kFlows) {
@@ -138,7 +78,6 @@ TEST(FlowTable, GrowsTo100kFlows) {
     ASSERT_EQ(table.classify(key_n(n), 100, Ns{n}, n), n);
   }
   EXPECT_EQ(table.size(), kFlows);
-  EXPECT_EQ(table.ids(), kFlows);
   // Load factor stays <= 50% and capacity is a power of two.
   EXPECT_GE(table.capacity(), 2u * kFlows);
   EXPECT_EQ(table.capacity() & (table.capacity() - 1), 0u);

@@ -1,4 +1,5 @@
 #include "gen/generator.hpp"
+#include "gen/multi_flow.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +49,7 @@ struct GenFixture : ::testing::Test {
 TEST_F(GenFixture, CbrEmitsExactCount) {
   net::PhysNic nic(queue, quiet(), Rng(1), egress);
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  CbrGenerator gen(queue, vf, pool, stream(1000));
+  MultiFlowGenerator gen(queue, vf, pool, {stream(1000)});
   gen.start();
   queue.run();
   EXPECT_EQ(gen.emitted(), 1000u);
@@ -59,7 +60,7 @@ TEST_F(GenFixture, CbrEmitsExactCount) {
 TEST_F(GenFixture, CbrGapIsExact) {
   net::PhysNic nic(queue, quiet(), Rng(2), egress);
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  CbrGenerator gen(queue, vf, pool, stream(500));
+  MultiFlowGenerator gen(queue, vf, pool, {stream(500)});
   gen.start();
   queue.run();
   // 1400 B at 40 G: 280 ns per frame, exactly, at the wire.
@@ -74,7 +75,7 @@ TEST_F(GenFixture, CbrGapIsExact) {
 TEST_F(GenFixture, CbrAtEightyGig) {
   net::PhysNic nic(queue, quiet(), Rng(3), egress);
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  CbrGenerator gen(queue, vf, pool, stream(200, gbps(80)));
+  MultiFlowGenerator gen(queue, vf, pool, {stream(200, gbps(80))});
   gen.start();
   queue.run();
   const Ns gap = sink.deliveries[1].wire_time - sink.deliveries[0].wire_time;
@@ -84,7 +85,7 @@ TEST_F(GenFixture, CbrAtEightyGig) {
 TEST_F(GenFixture, CbrSequentialPayloadTokens) {
   net::PhysNic nic(queue, quiet(), Rng(4), egress);
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  CbrGenerator gen(queue, vf, pool, stream(100));
+  MultiFlowGenerator gen(queue, vf, pool, {stream(100)});
   gen.start();
   queue.run();
   for (std::size_t i = 1; i < sink.deliveries.size(); ++i) {
@@ -96,7 +97,7 @@ TEST_F(GenFixture, CbrSequentialPayloadTokens) {
 TEST_F(GenFixture, CbrZeroCountIsNoop) {
   net::PhysNic nic(queue, quiet(), Rng(5), egress);
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  CbrGenerator gen(queue, vf, pool, stream(0));
+  MultiFlowGenerator gen(queue, vf, pool, {stream(0)});
   gen.start();
   queue.run();
   EXPECT_TRUE(sink.deliveries.empty());
@@ -106,7 +107,7 @@ TEST_F(GenFixture, CbrSurvivesPoolExhaustion) {
   net::PhysNic nic(queue, quiet(), Rng(6), egress);
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
   pktio::Mempool tiny(16);
-  CbrGenerator gen(queue, vf, tiny, stream(1000));
+  MultiFlowGenerator gen(queue, vf, tiny, {stream(1000)});
   gen.start();
   queue.run();
   EXPECT_GT(gen.alloc_failures(), 0u);
@@ -118,10 +119,10 @@ TEST_F(GenFixture, CbrMisconfigurationThrows) {
   net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
   StreamConfig bad = stream(10);
   bad.rate = 0;
-  EXPECT_THROW(CbrGenerator(queue, vf, pool, bad), Error);
+  EXPECT_THROW(MultiFlowGenerator(queue, vf, pool, {bad}), Error);
   StreamConfig tiny_frame = stream(10);
   tiny_frame.frame_bytes = 20;
-  EXPECT_THROW(CbrGenerator(queue, vf, pool, tiny_frame), Error);
+  EXPECT_THROW(MultiFlowGenerator(queue, vf, pool, {tiny_frame}), Error);
 }
 
 TEST_F(GenFixture, PoissonMeanRateApproximatesTarget) {

@@ -225,7 +225,7 @@ TEST(Tracer, ChromeJsonIsWellFormed) {
   Tracer tracer;
   const std::uint32_t mb = tracer.track("middlebox.0");
   tracer.span("record", Ns{1000}, Ns{5500}, 0);
-  tracer.instant("wake \"quoted\"\n", Ns{2001}, mb);
+  tracer.instant("wake \"quoted\"\r\n", Ns{2001}, mb);
   tracer.span("replay", Ns{7000}, Ns{9123}, mb,
               "{\"bursts\":3}");
   std::ostringstream out;
@@ -238,8 +238,8 @@ TEST(Tracer, ChromeJsonIsWellFormed) {
   // ts is exported in microseconds with ns precision: 1000ns -> 1.000.
   EXPECT_NE(text.find("\"ts\":1.000"), std::string::npos);
   EXPECT_NE(text.find("\"dur\":4.500"), std::string::npos);
-  // The quoted/newlined name survives escaping.
-  EXPECT_NE(text.find("wake \\\"quoted\\\"\\n"), std::string::npos);
+  // The quoted/newlined name survives escaping; CR uses the short form.
+  EXPECT_NE(text.find("wake \\\"quoted\\\"\\r\\n"), std::string::npos);
   EXPECT_NE(text.find("\"bursts\":3"), std::string::npos);
 }
 
