@@ -1,11 +1,11 @@
 #include "obs/group_trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "common/chrome_trace.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
 #include "fault/fault_plan.hpp"
@@ -55,18 +55,8 @@ bool is_control_kind(EventKind kind) {
   }
 }
 
-/// Chrome-trace timestamps are microseconds; 3 decimals keeps the
-/// nanosecond grid exactly (same convention as telemetry::Tracer).
-std::string us_repr(double ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", ns / 1000.0);
-  return std::string(buf);
-}
-
-void append_args(json::Writer& w, const FlightLog& log,
-                 const TimelineEvent& ev) {
-  const FlightEvent& e = ev.e;
-  w.key("args");
+std::string render_args(const FlightLog& log, const FlightEvent& e) {
+  json::Writer w;
   w.begin_object();
   if (is_control_kind(e.kind)) {
     w.key("op");
@@ -97,6 +87,7 @@ void append_args(json::Writer& w, const FlightLog& log,
   w.key("parent");
   w.number(static_cast<std::uint64_t>(e.parent));
   w.end_object();
+  return w.str();
 }
 
 }  // namespace
@@ -121,25 +112,22 @@ std::string render_group_trace(const FlightLog& log,
     }
   }
 
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& event_json) {
-    if (!first) out += ',';
-    first = false;
-    out += event_json;
-  };
-
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-       "\"args\":{\"name\":\"choir replay group\"}}");
-  std::size_t sort_index = 0;
+  ChromeTraceWriter w(/*display_ns=*/false);
+  w.event("process_name", nullptr, "M")
+      .number("pid", 0)
+      .args("{\"name\":\"choir replay group\"}");
+  std::uint64_t sort_index = 0;
   for (std::uint16_t id : log.node_ids()) {
-    const std::string tid = std::to_string(id);
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" + tid +
-         ",\"args\":{\"name\":\"" + json::escape(log.label(id)) + " (node " +
-         tid + ")\"}}");
-    emit("{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         tid + ",\"args\":{\"sort_index\":" + std::to_string(sort_index++) +
-         "}}");
+    const std::string label =
+        json::escape(log.label(id)) + " (node " + std::to_string(id) + ")";
+    w.event("thread_name", nullptr, "M")
+        .number("pid", 0)
+        .number("tid", id)
+        .args("{\"name\":\"" + label + "\"}");
+    w.event("thread_sort_index", nullptr, "M")
+        .number("pid", 0)
+        .number("tid", id)
+        .args("{\"sort_index\":" + std::to_string(sort_index++) + "}");
   }
 
   // Replay rounds as complete-span bars on the track that opened them.
@@ -159,36 +147,21 @@ std::string render_group_trace(const FlightLog& log,
   }
   for (const auto& r : rounds) {
     if (r.second == nullptr) continue;
-    emit("{\"name\":\"round " + std::to_string(r.first->e.round) +
-         "\",\"cat\":\"obs\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
-         std::to_string(r.first->e.node) + ",\"ts\":" +
-         us_repr(r.first->t_est) + ",\"dur\":" +
-         us_repr(r.second->t_est - r.first->t_est) + "}");
+    w.event("round " + std::to_string(r.first->e.round), "obs", "X")
+        .number("pid", 0)
+        .number("tid", r.first->e.node)
+        .time("ts", r.first->t_est)
+        .time("dur", r.second->t_est - r.first->t_est);
   }
 
   for (const TimelineEvent& ev : timeline.events) {
     const FlightEvent& e = ev.e;
-    json::Writer w;
-    w.begin_object();
-    w.key("name");
-    w.string(kind_name(e.kind));
-    w.key("cat");
-    w.string("obs");
-    w.key("ph");
-    w.string("i");
-    w.key("pid");
-    w.number(std::uint64_t{0});
-    w.key("tid");
-    w.number(static_cast<std::uint64_t>(e.node));
-    w.key("s");
-    w.string("t");
-    append_args(w, log, ev);
-    w.end_object();
-    // Splice the unquoted ts in by hand: the writer has no raw-number
-    // channel and %.17g would widen every timestamp needlessly.
-    std::string obj = w.str();
-    obj.insert(obj.size() - 1, ",\"ts\":" + us_repr(ev.t_est));
-    emit(obj);
+    w.event(kind_name(e.kind), "obs", "i")
+        .number("pid", 0)
+        .number("tid", e.node)
+        .string("s", "t")
+        .args(render_args(log, e))
+        .time("ts", ev.t_est);
 
     const bool sender = (e.kind == EventKind::kControlSend ||
                          e.kind == EventKind::kBeaconSend) &&
@@ -197,15 +170,15 @@ std::string render_group_trace(const FlightLog& log,
                            e.kind == EventKind::kBeaconRecv) &&
                           e.parent != 0 && produced.count(e.parent) != 0;
     if (sender || receiver) {
-      const std::uint32_t id = sender ? e.span : e.parent;
-      emit(std::string("{\"name\":\"ctl\",\"cat\":\"ctlflow\",\"ph\":\"") +
-           (sender ? "s" : "f") + "\"" + (sender ? "" : ",\"bp\":\"e\"") +
-           ",\"id\":" + std::to_string(id) + ",\"pid\":0,\"tid\":" +
-           std::to_string(e.node) + ",\"ts\":" + us_repr(ev.t_est) + "}");
+      w.event("ctl", "ctlflow", sender ? "s" : "f");
+      if (receiver) w.string("bp", "e");
+      w.number("id", sender ? e.span : e.parent)
+          .number("pid", 0)
+          .number("tid", e.node)
+          .time("ts", ev.t_est);
     }
   }
-  out += "]}\n";
-  return out;
+  return w.finish();
 }
 
 std::string render_events_jsonl(const FlightLog& log,

@@ -20,6 +20,7 @@
 #include "common/units.hpp"
 #include "net/nic.hpp"
 #include "pktio/ethdev.hpp"
+#include "replay/replayer.hpp"
 #include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/telemetry.hpp"
@@ -34,7 +35,7 @@ struct ReplayStats {
 
 /// Common plumbing: walk a Recording and re-transmit bursts at times
 /// chosen by the concrete pacing policy.
-class PacedReplayerBase {
+class PacedReplayerBase : public Replayer {
  public:
   PacedReplayerBase(sim::EventQueue& queue, sim::NodeClock& clock,
                     net::Vf& out, const app::Recording& recording,
@@ -48,10 +49,7 @@ class PacedReplayerBase {
       tm_pacing_delay_ = telemetry::histogram(label + ".pacing_delay_ns");
     }
   }
-  virtual ~PacedReplayerBase() = default;
-
-  /// Replay so that the first burst targets wall-clock `wall_start`.
-  void schedule_replay(Ns wall_start);
+  void schedule_replay(Ns wall_start) override;
 
   bool active() const { return active_; }
   const ReplayStats& stats() const { return stats_; }

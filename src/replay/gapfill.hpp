@@ -17,12 +17,13 @@
 #include "common/units.hpp"
 #include "net/nic.hpp"
 #include "pktio/ethdev.hpp"
+#include "replay/replayer.hpp"
 #include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 
 namespace choir::replay {
 
-class GapFillReplayer {
+class GapFillReplayer : public Replayer {
  public:
   struct Config {
     BitsPerSec line_rate = gbps(100);   ///< rate fillers are sized for
@@ -37,8 +38,7 @@ class GapFillReplayer {
   GapFillReplayer(sim::EventQueue& queue, sim::NodeClock& clock, net::Vf& out,
                   const app::Recording& recording, Config config);
 
-  /// Replay with the first packet targeting wall-clock `wall_start`.
-  void schedule_replay(Ns wall_start);
+  void schedule_replay(Ns wall_start) override;
 
   bool active() const { return active_; }
   std::uint64_t real_packets_sent() const { return real_sent_; }

@@ -4,7 +4,7 @@
 // A tick only *reads* simulation state — it draws no randomness and
 // mutates nothing the simulation observes — so enabling sampling cannot
 // reorder a seeded run; it merely interleaves pure-observer events
-// between the real ones (bench_series_overhead gates this).
+// between the real ones (bench_observer_cost gates this).
 //
 //  - Sampler keeps whole-registry Snapshots (the counters.jsonl export).
 //  - SeriesSampler keeps one fixed-capacity ring of (t, value) points

@@ -1,9 +1,9 @@
 #include "telemetry/tracer.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
+#include "common/chrome_trace.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
 
@@ -36,44 +36,27 @@ void Tracer::push(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
-namespace {
-/// Trace Event Format timestamps are microseconds; emit with three
-/// decimals so the full nanosecond resolution survives.
-void write_us(std::ostream& out, Ns ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  out << buf;
-}
-}  // namespace
-
 void Tracer::write_chrome_json(std::ostream& out) const {
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
+  ChromeTraceWriter w(/*display_ns=*/true);
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << i
-        << ",\"args\":{\"name\":\"" << json::escape(tracks_[i]) << "\"}}";
+    w.event("thread_name", nullptr, "M")
+        .number("pid", 1)
+        .number("tid", i)
+        .args("{\"name\":\"" + json::escape(tracks_[i]) + "\"}");
   }
   for (const TraceEvent& e : events_) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"name\":\"" << json::escape(e.name)
-        << "\",\"cat\":\"choir\",\"ph\":\"" << e.phase
-        << "\",\"pid\":1,\"tid\":" << e.track << ",\"ts\":";
-    write_us(out, e.ts);
+    w.event(e.name, "choir", e.phase == 'X' ? "X" : "i")
+        .number("pid", 1)
+        .number("tid", e.track)
+        .time("ts", static_cast<double>(e.ts));
     if (e.phase == 'X') {
-      out << ",\"dur\":";
-      write_us(out, e.dur);
-    } else if (e.phase == 'i') {
-      out << ",\"s\":\"t\"";
+      w.time("dur", static_cast<double>(e.dur));
+    } else {
+      w.string("s", "t");
     }
-    if (!e.args_json.empty()) out << ",\"args\":" << e.args_json;
-    out << '}';
+    if (!e.args_json.empty()) w.args(e.args_json);
   }
-  out << "]}\n";
+  out << w.finish();
 }
 
 void Tracer::write_chrome_json(const std::string& path) const {

@@ -45,8 +45,6 @@ struct TelemetryOptions {
   /// (created if missing): counters.jsonl (sampled time series),
   /// trace.json (Chrome/Perfetto trace), histograms.csv (percentiles).
   std::string dir;
-  /// Registry sampling period on the simulated timeline.
-  Ns sample_period = milliseconds(5);
   /// Per-metric ring-buffer series sampling (docs/SERIES.md): every
   /// counter, gauge, and histogram-percentile set sampled into a
   /// fixed-capacity ring on this sim-time cadence. 0 disables the
@@ -60,8 +58,6 @@ struct TelemetryOptions {
   /// runs outside the simulation state, so installing one cannot change
   /// a seeded run.
   std::function<void(Ns, const telemetry::SeriesSampler&)> series_observer;
-  /// Trace-event memory bound; past it, events count as dropped.
-  std::size_t max_trace_events = telemetry::Tracer::kDefaultMaxEvents;
   /// Host-time span profiling of the hot paths (record drain, replay
   /// pacing, κ compute, monitor windows). Off by default because host
   /// timestamps are nondeterministic, which would break byte-identical
@@ -115,9 +111,6 @@ struct ObsOptions {
   /// trace with causal flow arrows) and `events.jsonl` (the merged
   /// timeline, one JSON object per event) into this directory.
   std::string dir;
-  /// Events each node's ring holds; older events are overwritten, like
-  /// an aircraft flight recorder.
-  std::size_t ring_events = 4096;
   /// Record round-affine events only every Nth replay round (<= 1:
   /// every round). Round-less events (fault activations, PTP syncs,
   /// record-phase commands) always record.

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "common/expect.hpp"
+#include "fault/fault_plan.hpp"
 
 namespace choir::testbed {
 namespace {
@@ -135,6 +140,89 @@ TEST(Experiment, ControlPlaneDrivesEverything) {
   EXPECT_EQ(result.middlebox_stats[0].control_frames, 5u);
   EXPECT_EQ(result.middlebox_stats[0].replays_started, 3u);
 }
+
+// Fault targets are checked against the built topology's fault-point
+// list: every point docs/FAULTS.md documents for a mode is accepted, and
+// a target naming no wired point throws (instead of silently never
+// firing).
+struct FaultPointCase {
+  const char* mode;
+  bool group;
+  std::vector<std::string> accepted;
+  std::vector<std::string> rejected;
+};
+
+void PrintTo(const FaultPointCase& c, std::ostream* os) { *os << c.mode; }
+
+class FaultPointTable : public ::testing::TestWithParam<FaultPointCase> {};
+
+/// A one-event plan aimed at `target`, on the target's own layer, with a
+/// window long after the run ends.
+ExperimentResult run_with_target(bool group, const std::string& target) {
+  ExperimentConfig cfg = small(local_dual(), 200);
+  cfg.runs = 2;
+  cfg.collect_series = false;
+  cfg.group.enabled = group;
+  const std::string layer = target.substr(0, target.find('.'));
+  const std::string kind = layer == "link"  ? "link_down"
+                           : layer == "nic" ? "nic_rx_stall"
+                           : layer == "pool" ? "mem_pressure"
+                                             : "clock_degrade";
+  cfg.env.faults = fault::FaultPlan::parse(
+      kind + " target=" + target + " start=100s duration=1ns");
+  return run_experiment(cfg);
+}
+
+TEST_P(FaultPointTable, AcceptsDocumentedPointsAndRejectsUnknownTargets) {
+  const FaultPointCase& c = GetParam();
+  // local_dual has replayers 0 and 1: "<i>" expands to both.
+  std::vector<std::string> accepted;
+  for (const std::string& point : c.accepted) {
+    const std::size_t at = point.find("<i>");
+    if (at == std::string::npos) {
+      accepted.push_back(point);
+      continue;
+    }
+    for (const char* i : {"0", "1"}) {
+      accepted.push_back(std::string(point).replace(at, 3, i));
+    }
+  }
+  for (const std::string& target : accepted) {
+    EXPECT_NO_THROW(run_with_target(c.group, target)) << target;
+  }
+  for (const std::string& target : c.rejected) {
+    try {
+      run_with_target(c.group, target);
+      ADD_FAILURE() << target << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + target + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The accepted lists mirror docs/FAULTS.md's injection-point table.
+INSTANTIATE_TEST_SUITE_P(
+    Modes, FaultPointTable,
+    ::testing::Values(
+        FaultPointCase{"legacy",
+                       false,
+                       {"link.gen<i>", "link.repl<i>-out", "link.to-recorder",
+                        "nic.repl<i>-in", "nic.repl<i>-out", "pool.gen<i>",
+                        "pool.ctl<i>", "*"},
+                       {"nic.repl7-out", "link.to-repl0", "clock.repl0",
+                        "link.ctl", "link.to-ctl", "pool.ctl"}},
+        FaultPointCase{"group",
+                       true,
+                       {"link.gen<i>", "link.repl<i>-out", "link.to-recorder",
+                        "nic.repl<i>-in", "nic.repl<i>-out", "pool.gen<i>",
+                        "link.to-repl<i>", "clock.repl<i>", "link.ctl",
+                        "link.to-ctl", "pool.ctl", "*"},
+                       {"nic.repl7-out", "pool.ctl0", "pool.gen2"}}),
+    [](const ::testing::TestParamInfo<FaultPointCase>& info) {
+      return std::string(info.param.mode);
+    });
 
 }  // namespace
 }  // namespace choir::testbed

@@ -146,10 +146,37 @@ TEST(MonitorExperiment, ProfilerCapturesPipelinePhases) {
   ASSERT_TRUE(aggregates.count("experiment.build"));
   ASSERT_TRUE(aggregates.count("experiment.run"));
   ASSERT_TRUE(aggregates.count("experiment.evaluate"));
+  EXPECT_EQ(aggregates.at("experiment.build").count, 1u);
   EXPECT_EQ(aggregates.at("experiment.run").count, 1u);
+  EXPECT_EQ(aggregates.at("experiment.evaluate").count, 1u);
+  EXPECT_FALSE(aggregates.count("experiment.flow_eval"));
   // Hot-path spans fire per drain/pace step while the run phase is open.
   ASSERT_TRUE(aggregates.count("record.drain"));
   EXPECT_GT(aggregates.at("record.drain").count, 0u);
+
+  // With flows on, per-flow evaluation is one span nested inside the
+  // evaluate phase (perfbench reads both boundaries).
+  ExperimentConfig flows = config;
+  flows.flow.enabled = true;
+  flows.flow.flows = 16;
+  const ExperimentResult flow_result = run_experiment(flows);
+  ASSERT_NE(flow_result.profile, nullptr);
+  const auto& flow_aggregates = flow_result.profile->aggregates();
+  ASSERT_TRUE(flow_aggregates.count("experiment.flow_eval"));
+  EXPECT_EQ(flow_aggregates.at("experiment.flow_eval").count, 1u);
+  EXPECT_EQ(flow_aggregates.at("experiment.evaluate").count, 1u);
+  const telemetry::TraceEvent* evaluate = nullptr;
+  const telemetry::TraceEvent* flow_eval = nullptr;
+  for (const auto& e : flow_result.telemetry_trace->events()) {
+    if (e.name == "experiment.evaluate") evaluate = &e;
+    if (e.name == "experiment.flow_eval") flow_eval = &e;
+  }
+  ASSERT_NE(evaluate, nullptr);
+  ASSERT_NE(flow_eval, nullptr);
+  EXPECT_EQ(evaluate->args_json, "{\"depth\":0}");
+  EXPECT_EQ(flow_eval->args_json, "{\"depth\":1}");
+  EXPECT_GE(flow_eval->ts, evaluate->ts);
+  EXPECT_LE(flow_eval->ts + flow_eval->dur, evaluate->ts + evaluate->dur);
   // Without a profile session, no profiler is attached.
   ExperimentConfig plain = small_config();
   plain.telemetry.enabled = true;
