@@ -88,7 +88,7 @@ const std::string& loader_trace_path(std::size_t packets) {
   return path;
 }
 
-// Copying loader: read_trace streams every 87-byte record into a
+// Copying loader: read_trace copies every 87-byte record into a
 // Capture, then to_trial materializes ids and timestamps from it.
 void BM_ParseLoad(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

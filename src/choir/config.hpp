@@ -13,10 +13,6 @@ struct ChoirConfig {
   std::uint16_t replayer_id = 0;
   std::uint32_t stream_id = 0;
 
-  /// Stamp the 16-byte evaluation trailer on forwarded packets while
-  /// recording (Section 6's setup).
-  bool stamp_tags = true;
-
   /// Forwarding loop model.
   net::PollLoopConfig poll{};
 

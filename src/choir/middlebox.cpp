@@ -127,7 +127,9 @@ bool Middlebox::on_poll() {
   }
   if (fwd == 0) return true;
 
-  if (recording_active_ && config_.stamp_tags) {
+  // While recording, stamp the 16-byte evaluation trailer on every
+  // forwarded packet (Section 6's setup).
+  if (recording_active_) {
     for (std::uint16_t i = 0; i < fwd; ++i) {
       trace::stamp(burst[i]->frame,
                    trace::Tag{config_.replayer_id, config_.stream_id,

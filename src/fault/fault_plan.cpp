@@ -1,6 +1,8 @@
 #include "fault/fault_plan.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/expect.hpp"
@@ -40,6 +42,22 @@ const KindInfo& info_of(FaultKind kind) {
   throw FormatError("fault plan line " + std::to_string(line) + ": " + what);
 }
 
+/// Parse a finite double filling all of `token`, or fail with `what`.
+double parse_number(const std::string& token, int line,
+                    const std::string& what) {
+  std::size_t pos = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(token, &pos);
+  } catch (const std::exception&) {
+    fail_at(line, "bad " + what + " '" + token + "'");
+  }
+  if (pos != token.size() || !std::isfinite(value)) {
+    fail_at(line, "bad " + what + " '" + token + "'");
+  }
+  return value;
+}
+
 /// Parse "120", "120ns", "3us", "12ms", "0.5s" into nanoseconds.
 Ns parse_duration(const std::string& token, int line) {
   std::size_t pos = 0;
@@ -62,18 +80,18 @@ Ns parse_duration(const std::string& token, int line) {
   } else {
     fail_at(line, "bad time unit '" + unit + "'");
   }
-  return static_cast<Ns>(value * scale);
+  // Ns holds [-2^63, 2^63); casting NaN, an infinity or anything else
+  // outside that range is undefined, and NaN fails both comparisons.
+  const double ns = value * scale;
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) {
+    fail_at(line, "time not finite or out of range '" + token + "'");
+  }
+  return static_cast<Ns>(ns);
 }
 
 double parse_probability(const std::string& token, int line) {
-  std::size_t pos = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(token, &pos);
-  } catch (const std::exception&) {
-    fail_at(line, "bad probability '" + token + "'");
-  }
-  if (pos != token.size() || p < 0.0 || p > 1.0) {
+  const double p = parse_number(token, line, "probability");
+  if (p < 0.0 || p > 1.0) {
     fail_at(line, "probability out of [0,1]: '" + token + "'");
   }
   return p;
@@ -108,14 +126,20 @@ void FaultPlan::validate() const {
     if (e.start < 0 || e.duration < 0) {
       throw FormatError(where + "negative window");
     }
-    if (e.probability < 0.0 || e.probability > 1.0) {
+    if (e.duration > std::numeric_limits<Ns>::max() - e.start) {
+      throw FormatError(where + "window end out of range");
+    }
+    // Negated range tests, so that NaN fails them too.
+    if (!(e.probability >= 0.0 && e.probability <= 1.0)) {
       throw FormatError(where + "probability out of [0,1]");
     }
     if (e.delay < 0) throw FormatError(where + "negative delay");
     if (e.kind == FaultKind::kNicBurstTruncate && e.burst_cap == 0) {
       throw FormatError(where + "burst_cap must be >= 1");
     }
-    if (e.factor < 0.0) throw FormatError(where + "negative factor");
+    if (!std::isfinite(e.factor) || e.factor < 0.0) {
+      throw FormatError(where + "factor not finite and >= 0");
+    }
     if (e.target.empty()) throw FormatError(where + "empty target");
   }
 }
@@ -179,17 +203,10 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         }
         event.burst_cap = static_cast<std::uint16_t>(cap);
       } else if (key == "factor") {
-        std::size_t pos = 0;
-        double factor = 0.0;
-        try {
-          factor = std::stod(value, &pos);
-        } catch (const std::exception&) {
-          fail_at(line_no, "bad factor '" + value + "'");
-        }
-        if (pos != value.size() || factor < 0.0) {
+        event.factor = parse_number(value, line_no, "factor");
+        if (event.factor < 0.0) {
           fail_at(line_no, "factor out of range '" + value + "'");
         }
-        event.factor = factor;
       } else {
         fail_at(line_no, "unknown key '" + key + "'");
       }

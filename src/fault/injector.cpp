@@ -210,12 +210,11 @@ struct FaultInjector::ClockPoint {
 
 // --- FaultInjector ----------------------------------------------------
 
-FaultInjector::FaultInjector(sim::EventQueue& queue, FaultPlan plan, Rng rng,
-                             InjectorConfig config)
+FaultInjector::FaultInjector(sim::EventQueue& queue, FaultPlan plan, Rng rng)
     : queue_(queue),
       plan_(std::move(plan)),
       seed_(rng.split(0x4641554cULL).next_u64()),
-      dup_pool_(std::max<std::size_t>(1, config.duplicate_pool_pkts)) {
+      dup_pool_(kDuplicatePoolPkts) {
   plan_.validate();
   if (telemetry::Registry::current() != nullptr) {
     tm_link_down_ = telemetry::counter("fault.link_down_drops");

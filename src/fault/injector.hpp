@@ -53,16 +53,13 @@ struct FaultStats {
   }
 };
 
-struct InjectorConfig {
-  /// Private pool backing duplicated frames. When it runs dry the
-  /// duplicate is skipped (and counted), never the original.
-  std::size_t duplicate_pool_pkts = 512;
-};
-
 class FaultInjector {
  public:
-  FaultInjector(sim::EventQueue& queue, FaultPlan plan, Rng rng,
-                InjectorConfig config = {});
+  /// Frames in the private pool backing duplicated frames. When it runs
+  /// dry the duplicate is skipped (and counted), never the original.
+  static constexpr std::size_t kDuplicatePoolPkts = 512;
+
+  FaultInjector(sim::EventQueue& queue, FaultPlan plan, Rng rng);
   ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;

@@ -38,34 +38,10 @@ StreamMonitor::StreamMonitor(MonitorConfig config)
   CHOIR_EXPECT(config_.window_packets > 0, "window_packets must be > 0");
 }
 
-void StreamMonitor::install_reference(core::Trial reference) {
-  reference.make_occurrences_unique();
-  reference.rebase_to_zero();
-  id_table_.rebuild(reference);
-  fenwick_.assign(reference.size() + 1, 0);
-  reference_ = std::move(reference);
-  reference_set_ = true;
-}
-
-void StreamMonitor::set_reference(core::Trial reference,
-                                  std::vector<flow::FlowId> flows) {
-  CHOIR_EXPECT(!stream_open_, "cannot replace the reference mid-stream");
-  CHOIR_EXPECT(flows.empty() || flows.size() == reference.size(),
-               "reference flow ids must parallel the trial");
-  install_reference(std::move(reference));
-  reference_flows_ = std::move(flows);
-  for (const flow::FlowId f : reference_flows_) {
-    if (f != flow::kNoFlow && f + 1 > flow_ids_high_) {
-      flow_ids_high_ = f + 1;
-    }
-  }
-}
-
 void StreamMonitor::begin_stream(const std::string& name) {
   close_stream();
   stream_open_ = true;
-  stream_is_reference_ =
-      !reference_set_ && config_.reference_from_first_stream;
+  stream_is_reference_ = !reference_set_;
   stream_name_ = name;
   stream_packets_.clear();
   stream_flows_.clear();
@@ -94,10 +70,6 @@ std::uint64_t StreamMonitor::fenwick_prefix(std::size_t index_a) const {
   std::uint64_t sum = 0;
   for (std::size_t i = index_a; i > 0; i -= i & (~i + 1)) sum += tree[i];
   return sum;
-}
-
-void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp) {
-  observe(raw_id, timestamp, flow::kNoFlow);
 }
 
 void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
@@ -396,7 +368,12 @@ void StreamMonitor::close_stream() {
   if (!stream_open_) return;
   stream_open_ = false;
   if (stream_is_reference_) {
-    install_reference(core::Trial(std::move(stream_packets_)));
+    reference_ = core::Trial(std::move(stream_packets_));
+    reference_.make_occurrences_unique();
+    reference_.rebase_to_zero();
+    id_table_.rebuild(reference_);
+    fenwick_.assign(reference_.size() + 1, 0);
+    reference_set_ = true;
     reference_flows_ = std::move(stream_flows_);
     stream_packets_.clear();
     stream_flows_.clear();
@@ -436,23 +413,21 @@ void StreamMonitor::close_stream() {
     result.has_flows = true;
     result.flow_count = flows.aggregate.flows;
     result.flow_aggregate = flows.aggregate;
-    if (config_.flow_top_k > 0) {
-      std::vector<std::size_t> order;
-      order.reserve(flows.flows.size());
-      for (std::size_t f = 0; f < flows.flows.size(); ++f) {
-        const flow::FlowComparison& fc = flows.flows[f];
-        if (fc.in_a || fc.in_b) order.push_back(f);
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         return flows.flows[x].metrics.kappa <
-                                flows.flows[y].metrics.kappa;
-                       });
-      if (order.size() > config_.flow_top_k) order.resize(config_.flow_top_k);
-      result.worst_flows.reserve(order.size());
-      for (const std::size_t f : order) {
-        result.worst_flows.push_back(flows.flows[f]);
-      }
+    std::vector<std::size_t> order;
+    order.reserve(flows.flows.size());
+    for (std::size_t f = 0; f < flows.flows.size(); ++f) {
+      const flow::FlowComparison& fc = flows.flows[f];
+      if (fc.in_a || fc.in_b) order.push_back(f);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t x, std::size_t y) {
+                       return flows.flows[x].metrics.kappa <
+                              flows.flows[y].metrics.kappa;
+                     });
+    if (order.size() > kWorstFlowsKept) order.resize(kWorstFlowsKept);
+    result.worst_flows.reserve(order.size());
+    for (const std::size_t f : order) {
+      result.worst_flows.push_back(flows.flows[f]);
     }
   }
 

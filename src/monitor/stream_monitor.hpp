@@ -119,15 +119,11 @@ struct MonitorConfig {
   /// Attribution entries kept per window *per kind* (moved, latency,
   /// missing, extra). 0 disables attribution.
   std::size_t top_k = 16;
-  /// When set (the default), the first stream observed becomes the
-  /// reference trial A and emits no windows; every later stream is
-  /// monitored against it. Clear it when loading a reference explicitly
-  /// via set_reference().
-  bool reference_from_first_stream = true;
-  /// Worst flows (ascending κ) kept per stream finale when the feed
-  /// carries flow ids. 0 keeps only the aggregate.
-  std::size_t flow_top_k = 16;
 };
+
+/// Worst flows (ascending κ) kept per stream finale when the feed
+/// carries flow ids.
+inline constexpr std::size_t kWorstFlowsKept = 16;
 
 /// One closed window of a monitored stream.
 struct WindowRecord {
@@ -213,29 +209,21 @@ class StreamMonitor {
   StreamMonitor(const StreamMonitor&) = delete;
   StreamMonitor& operator=(const StreamMonitor&) = delete;
 
-  /// Load the reference trial A explicitly (offline use). Timestamps are
-  /// rebased to the first packet and duplicate ids occurrence-tagged, so
-  /// any capture-order trial is accepted. `flows`, when non-empty, must
-  /// parallel the trial and enables the per-flow finale for monitored
-  /// streams fed through the 3-argument observe().
-  void set_reference(core::Trial reference, std::vector<flow::FlowId> flows = {});
+  /// True once the first stream has closed and become the reference.
   bool has_reference() const { return reference_set_; }
-  const core::Trial& reference() const { return reference_; }
 
   /// Start a new stream, closing the current one (tail window, exact
-  /// finale). The first stream becomes the reference when
-  /// `reference_from_first_stream` is set.
+  /// finale). The first stream observed becomes the reference trial A
+  /// and emits no windows; every later stream is monitored against it.
+  /// Its timestamps are rebased to its first packet on close.
   void begin_stream(const std::string& name);
 
   /// Observe the next packet of the current stream: raw (pre-occurrence-
-  /// tagging) identity plus receiver timestamp, exactly what the capture
-  /// path records. O(log n) amortized; windows close inline.
-  void observe(core::PacketId raw_id, Ns timestamp);
-
-  /// Same, with the packet's flow id (from the recorder's classifier;
-  /// flow::kNoFlow for unclassifiable packets). Feeding flows for the
-  /// reference stream and at least one monitored stream enables the
-  /// per-flow finale in StreamResult.
+  /// tagging) identity, receiver timestamp and flow id, exactly what the
+  /// capture path records (flow::kNoFlow for unclassified packets). Flow
+  /// ids on the reference and at least one monitored stream enable the
+  /// per-flow finale in StreamResult. O(log n) amortized; windows close
+  /// inline.
   void observe(core::PacketId raw_id, Ns timestamp, flow::FlowId flow);
 
   /// Close the current stream. Idempotent; further observes require a
@@ -258,7 +246,6 @@ class StreamMonitor {
  private:
   void close_window();
   void close_stream();
-  void install_reference(core::Trial reference);
   void update_running();
   core::Trial slice_trial(const std::vector<core::TrialPacket>& packets,
                           std::size_t begin, std::size_t end) const;
@@ -275,8 +262,8 @@ class StreamMonitor {
   bool reference_set_ = false;
   IdTable id_table_;  ///< fused id->ref-position + occurrence counting
 
-  // Flow feed (parallel to reference_ / stream_packets_; kNoFlow where
-  // the 2-argument observe was used). flow_ids_high_ tracks the id-space
+  // Flow feed (parallel to reference_ / stream_packets_; kNoFlow for
+  // unclassified packets). flow_ids_high_ tracks the id-space
   // size: the classifier's ids are dense, so max+1 is the flow count.
   std::vector<flow::FlowId> reference_flows_;
   std::vector<flow::FlowId> stream_flows_;

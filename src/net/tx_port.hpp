@@ -41,7 +41,6 @@ class TxPort {
   /// and false is returned. Ownership passes to the port either way.
   bool submit(pktio::Mbuf* pkt, Ns not_before) {
     const Ns now = queue_.now();
-    drain_completed(now);
     if (in_flight_ >= queue_pkts_) {
       ++drops_;
       tm_drops_.add();
@@ -77,11 +76,6 @@ class TxPort {
   BitsPerSec rate() const { return rate_; }
 
  private:
-  void drain_completed(Ns) {
-    // in_flight_ is decremented by completion events; nothing to do here,
-    // but the hook documents where a timer-wheel variant would reap.
-  }
-
   sim::EventQueue& queue_;
   Link& link_;
   BitsPerSec rate_;

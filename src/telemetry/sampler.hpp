@@ -43,18 +43,9 @@ class Sampler {
   void stop() { running_ = false; }
 
   /// Take a snapshot immediately (used for the final post-run sample).
-  void sample_now() {
-    samples_.push_back(registry_.snapshot(queue_.now()));
-    if (sink_) sink_(samples_.back());
-  }
-
-  /// Optional streaming consumer, called after each snapshot is taken.
-  void set_sink(std::function<void(const Snapshot&)> sink) {
-    sink_ = std::move(sink);
-  }
+  void sample_now() { samples_.push_back(registry_.snapshot(queue_.now())); }
 
   const std::vector<Snapshot>& samples() const { return samples_; }
-  Ns period() const { return period_; }
 
  private:
   void tick() {
@@ -67,7 +58,6 @@ class Sampler {
   const Registry& registry_;
   Ns period_;
   bool running_ = false;
-  std::function<void(const Snapshot&)> sink_;
   std::vector<Snapshot> samples_;
 };
 
@@ -133,8 +123,6 @@ const char* to_string(SeriesKind kind);
 struct SeriesConfig {
   Ns interval = milliseconds(5);  ///< sim-time cadence between samples
   std::size_t capacity = 4096;    ///< ring capacity per metric
-  /// Also sample <hist>.count/.p50/.p90/.p99/.p999 per histogram.
-  bool histogram_percentiles = true;
 };
 
 /// Per-metric ring-buffer series sampled from a Registry on a sim-time

@@ -44,19 +44,17 @@ void SeriesSampler::sample_now() {
   for (const auto& [name, gauge] : registry_.gauges()) {
     push(name, SeriesKind::kGauge, now, static_cast<double>(gauge.value()));
   }
-  if (config_.histogram_percentiles) {
-    for (const auto& [name, histogram] : registry_.histograms()) {
-      push(name + ".count", SeriesKind::kCounter, now,
-           static_cast<double>(histogram.count()));
-      push(name + ".p50", SeriesKind::kPercentile, now,
-           static_cast<double>(histogram.percentile(50.0)));
-      push(name + ".p90", SeriesKind::kPercentile, now,
-           static_cast<double>(histogram.percentile(90.0)));
-      push(name + ".p99", SeriesKind::kPercentile, now,
-           static_cast<double>(histogram.percentile(99.0)));
-      push(name + ".p999", SeriesKind::kPercentile, now,
-           static_cast<double>(histogram.percentile(99.9)));
-    }
+  for (const auto& [name, histogram] : registry_.histograms()) {
+    push(name + ".count", SeriesKind::kCounter, now,
+         static_cast<double>(histogram.count()));
+    push(name + ".p50", SeriesKind::kPercentile, now,
+         static_cast<double>(histogram.percentile(50.0)));
+    push(name + ".p90", SeriesKind::kPercentile, now,
+         static_cast<double>(histogram.percentile(90.0)));
+    push(name + ".p99", SeriesKind::kPercentile, now,
+         static_cast<double>(histogram.percentile(99.0)));
+    push(name + ".p999", SeriesKind::kPercentile, now,
+         static_cast<double>(histogram.percentile(99.9)));
   }
   ++samples_taken_;
   if (sink_) sink_(now);

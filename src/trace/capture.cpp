@@ -21,10 +21,7 @@ core::PacketId CaptureRecord::packet_id() const {
   if (has_trailer) {
     if (const auto tag = decode_tag(trailer)) return packet_id_of(*tag);
   }
-  core::PacketId id;
-  id.hi = 0x7261772d74616773ULL;  // untagged: fall back to payload
-  id.lo = payload_token;
-  return id;
+  return untagged_packet_id(payload_token);
 }
 
 core::Trial Capture::to_trial() const {

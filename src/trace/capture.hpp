@@ -30,6 +30,13 @@ struct CaptureRecord {
   core::PacketId packet_id() const;
 };
 
+/// Identity of a record without a valid evaluation tag: its payload
+/// token under a fixed high word ("raw-tags" in ASCII), so it can never
+/// equal a tagged packet's id.
+inline core::PacketId untagged_packet_id(std::uint64_t payload_token) {
+  return core::PacketId{0x7261772d74616773ULL, payload_token};
+}
+
 /// An ordered packet capture from one receiver. Order is arrival order
 /// (ring order), NOT timestamp order — hardware timestamps may be noisy
 /// while delivery stays FIFO, and the two must not be conflated (the

@@ -26,13 +26,6 @@ void put(std::ofstream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-template <typename T>
-T get(std::ifstream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  return value;
-}
-
 /// memcpy-based field read: the 87-byte record stride leaves every
 /// multi-byte field unaligned somewhere, and a cast-and-deref would be
 /// UB there; memcpy compiles to the same single load on x86-64/ARM64.
@@ -85,99 +78,73 @@ void write_trace(const Capture& capture, const std::string& path) {
 }
 
 Capture read_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  check_format(in.good(), "cannot open trace file: " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  check_format(in.good() && std::memcmp(magic, kMagic, 8) == 0,
-               "bad trace magic: " + path);
-  const auto version = get<std::uint32_t>(in);
-  check_format(in.good(), "truncated trace header: " + path);
-  check_format(version == kTraceVersion,
-               "unsupported trace version " + std::to_string(version) + ": " +
-                   path);
-  const auto count = get<std::uint64_t>(in);
-  check_format(in.good(), "truncated trace header: " + path);
-  // Validate the declared count against the actual file size before
-  // trusting it for an allocation — a corrupted header must not drive an
-  // unbounded reserve.
-  const auto header_end = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto file_end = in.tellg();
-  in.seekg(header_end);
-  check_format(count <= static_cast<std::uint64_t>(file_end - header_end) /
-                            kTraceRecordBytes,
-               "trace record count exceeds file size: " + path);
-
-  Capture capture(path);
-  capture.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CaptureRecord r;
-    r.timestamp = get<std::int64_t>(in);
-    r.wire_len = get<std::uint32_t>(in);
-    r.header_len = get<std::uint16_t>(in);
-    r.has_trailer = get<std::uint8_t>(in) != 0;
-    // The header/trailer arrays are fixed-size, so reads below cannot
-    // overrun; the declared lengths still have to be sane before any
-    // consumer indexes with them.
-    check_format(r.header_len <= pktio::kMaxHeaderBytes,
-                 "trace record " + std::to_string(i) +
-                     " header_len exceeds maximum: " + path);
-    check_format(r.wire_len <= kMaxPlausibleWireLen &&
-                     r.wire_len >= r.header_len,
-                 "trace record " + std::to_string(i) +
-                     " has implausible wire_len: " + path);
-    in.read(reinterpret_cast<char*>(r.header.data()),
-            static_cast<std::streamsize>(r.header.size()));
-    in.read(reinterpret_cast<char*>(r.trailer.data()),
-            static_cast<std::streamsize>(r.trailer.size()));
-    r.payload_token = get<std::uint64_t>(in);
-    check_format(in.good(), "truncated trace file: " + path);
-    capture.append(r);
-  }
-  return capture;
+  return MappedCapture(path).materialize();
 }
 
 // ---- MappedCapture -----------------------------------------------------
 
+namespace {
+/// The whole file, read into memory (the loader's path when mapping is
+/// unavailable or fails).
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  check_format(in.good(), "cannot open trace file: " + path);
+  const std::streamoff end = in.seekg(0, std::ios::end).tellg();
+  std::vector<std::uint8_t> bytes(end > 0 ? static_cast<std::size_t>(end) : 0);
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
+}
+}  // namespace
+
 MappedCapture::MappedCapture(const std::string& path) : path_(path) {
-  load(path);
+  load();
 }
 
-void MappedCapture::load(const std::string& path) {
+void MappedCapture::load() {
+  std::size_t len = 0;
 #if CHOIR_TRACE_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  check_format(fd >= 0, "cannot open trace file: " + path);
+  const int fd = ::open(path_.c_str(), O_RDONLY);
+  check_format(fd >= 0, "cannot open trace file: " + path_);
   struct stat st{};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
-    throw FormatError("cannot open trace file: " + path);
+    throw FormatError("cannot open trace file: " + path_);
   }
-  const auto file_len = static_cast<std::size_t>(st.st_size);
-  check_format(file_len >= kTraceHeaderBytes,
-               "truncated trace header: " + path);
-  void* map = ::mmap(nullptr, file_len, PROT_READ, MAP_PRIVATE, fd, 0);
+  len = static_cast<std::size_t>(st.st_size);
+  // An empty file cannot be mapped; the buffer path below rejects it.
+  void* map = len > 0 ? ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0)
+                      : MAP_FAILED;
   ::close(fd);
-  if (map == MAP_FAILED) {
-    // Mapping itself failed (special filesystem, resource limit):
-    // degrade to copy semantics, not to an error.
-    fallback_ = read_trace(path);
-    count_ = fallback_.size();
-    return;
+  if (map != MAP_FAILED) {
+    map_ = map;
+    map_len_ = len;
+    bytes_ = static_cast<const std::uint8_t*>(map);
   }
-  map_ = map;
-  map_len_ = file_len;
+#endif
+  if (map_ == nullptr) {
+    // Mapping failed (special filesystem, resource limit) or is
+    // unavailable: decode the same bytes from an owned copy.
+    owned_ = read_file(path_);
+    bytes_ = owned_.data();
+    len = owned_.size();
+  }
   try {
-    const auto* bytes = static_cast<const std::uint8_t*>(map_);
-    check_format(std::memcmp(bytes, kMagic, 8) == 0,
-                 "bad trace magic: " + path);
-    const auto version = get_at<std::uint32_t>(bytes + 8);
+    check_format(len >= 8 && std::memcmp(bytes_, kMagic, 8) == 0,
+                 "bad trace magic: " + path_);
+    check_format(len >= 12, "truncated trace header: " + path_);
+    const auto version = get_at<std::uint32_t>(bytes_ + 8);
     check_format(version == kTraceVersion,
                  "unsupported trace version " + std::to_string(version) +
-                     ": " + path);
-    count_ = get_at<std::uint64_t>(bytes + 12);
-    check_format(count_ <= (map_len_ - kTraceHeaderBytes) / kTraceRecordBytes,
-                 "trace record count exceeds file size: " + path);
+                     ": " + path_);
+    check_format(len >= kTraceHeaderBytes, "truncated trace header: " + path_);
+    // Validate the declared count against the actual file size before
+    // trusting it for any offset or allocation.
+    count_ = get_at<std::uint64_t>(bytes_ + 12);
+    check_format(count_ <= (len - kTraceHeaderBytes) / kTraceRecordBytes,
+                 "trace record count exceeds file size: " + path_);
     // Validate every record's sanity fields up front (one pass over two
     // fields per record) so the random-access accessors can stay
     // check-free on the hot path.
@@ -187,19 +154,15 @@ void MappedCapture::load(const std::string& path) {
       const auto wire_len = get_at<std::uint32_t>(r + kOffWireLen);
       check_format(header_len <= pktio::kMaxHeaderBytes,
                    "trace record " + std::to_string(i) +
-                       " header_len exceeds maximum: " + path);
+                       " header_len exceeds maximum: " + path_);
       check_format(wire_len <= kMaxPlausibleWireLen && wire_len >= header_len,
                    "trace record " + std::to_string(i) +
-                       " has implausible wire_len: " + path);
+                       " has implausible wire_len: " + path_);
     }
   } catch (...) {
     unmap();
     throw;
   }
-#else
-  fallback_ = read_trace(path);
-  count_ = fallback_.size();
-#endif
 }
 
 void MappedCapture::unmap() noexcept {
@@ -216,10 +179,12 @@ MappedCapture::MappedCapture(MappedCapture&& other) noexcept
     : path_(std::move(other.path_)),
       map_(other.map_),
       map_len_(other.map_len_),
-      count_(other.count_),
-      fallback_(std::move(other.fallback_)) {
+      owned_(std::move(other.owned_)),
+      bytes_(other.bytes_),
+      count_(other.count_) {
   other.map_ = nullptr;
   other.map_len_ = 0;
+  other.bytes_ = nullptr;
   other.count_ = 0;
 }
 
@@ -229,41 +194,36 @@ MappedCapture& MappedCapture::operator=(MappedCapture&& other) noexcept {
     path_ = std::move(other.path_);
     map_ = other.map_;
     map_len_ = other.map_len_;
+    owned_ = std::move(other.owned_);
+    bytes_ = other.bytes_;
     count_ = other.count_;
-    fallback_ = std::move(other.fallback_);
     other.map_ = nullptr;
     other.map_len_ = 0;
+    other.bytes_ = nullptr;
     other.count_ = 0;
   }
   return *this;
 }
 
 const std::uint8_t* MappedCapture::record_ptr(std::size_t i) const {
-  return static_cast<const std::uint8_t*>(map_) + kTraceHeaderBytes +
-         i * kTraceRecordBytes;
+  return bytes_ + kTraceHeaderBytes + i * kTraceRecordBytes;
 }
 
 Ns MappedCapture::timestamp(std::size_t i) const {
-  if (map_ == nullptr) return fallback_[i].timestamp;
   return get_at<std::int64_t>(record_ptr(i) + kOffTimestamp);
 }
 
 core::PacketId MappedCapture::raw_packet_id(std::size_t i) const {
-  if (map_ == nullptr) return fallback_[i].packet_id();
   const std::uint8_t* r = record_ptr(i);
   if (get_at<std::uint8_t>(r + kOffHasTrailer) != 0) {
     std::array<std::uint8_t, pktio::kTrailerBytes> trailer;
     std::memcpy(trailer.data(), r + kOffTrailer, trailer.size());
     if (const auto tag = decode_tag(trailer)) return packet_id_of(*tag);
   }
-  core::PacketId id;
-  id.hi = 0x7261772d74616773ULL;  // untagged: fall back to payload
-  id.lo = get_at<std::uint64_t>(r + kOffPayloadToken);
-  return id;
+  return untagged_packet_id(get_at<std::uint64_t>(r + kOffPayloadToken));
 }
 
 CaptureRecord MappedCapture::record(std::size_t i) const {
-  if (map_ == nullptr) return fallback_[i];
   const std::uint8_t* p = record_ptr(i);
   CaptureRecord r;
   r.timestamp = get_at<std::int64_t>(p + kOffTimestamp);
@@ -277,7 +237,6 @@ CaptureRecord MappedCapture::record(std::size_t i) const {
 }
 
 core::Trial MappedCapture::to_trial() const {
-  if (map_ == nullptr) return fallback_.to_trial();
   core::Trial trial;
   trial.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) {
@@ -288,7 +247,6 @@ core::Trial MappedCapture::to_trial() const {
 }
 
 Capture MappedCapture::materialize() const {
-  if (map_ == nullptr) return fallback_;
   Capture capture(path_);
   capture.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) capture.append(record(i));

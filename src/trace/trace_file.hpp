@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "trace/capture.hpp"
 
@@ -31,19 +32,19 @@ inline constexpr std::size_t kTraceRecordBytes =
 /// Write `capture` to `path`. Throws choir::Error on I/O failure.
 void write_trace(const Capture& capture, const std::string& path);
 
-/// Read a capture back. Throws choir::Error on I/O failure or a
-/// malformed/mismatched file.
+/// Read a capture back: MappedCapture(path).materialize(). Throws
+/// FormatError on I/O failure or a malformed/mismatched file.
 Capture read_trace(const std::string& path);
 
-/// Zero-copy view of a trace file: the records stay on disk (mmap'd
-/// read-only) and are decoded field-by-field on access, so building a
-/// metrics trial or replay feed never materializes the 48-byte headers
-/// it does not need. Validation matches read_trace exactly — the same
-/// malformed input throws the same FormatError — and on platforms or
-/// files where mapping is unavailable the constructor falls back to
-/// read_trace copy semantics transparently (zero_copy() reports which
-/// path is active). Foreign-endian files fail the version check on both
-/// paths.
+/// Zero-copy view of a trace file, and the format's one decoder: the
+/// records stay on disk (mmap'd read-only) and are decoded field-by-field
+/// on access, so building a metrics trial or replay feed never
+/// materializes the 48-byte headers it does not need. On platforms or
+/// files where mapping is unavailable the file is read into an owned
+/// buffer and decoded the same way (zero_copy() reports which path is
+/// active). The constructor validates the header and every record, so a
+/// malformed file throws FormatError there. Foreign-endian files fail
+/// the version check.
 class MappedCapture {
  public:
   explicit MappedCapture(const std::string& path);
@@ -73,19 +74,20 @@ class MappedCapture {
   /// timestamps only). Identical to materialize().to_trial().
   core::Trial to_trial() const;
 
-  /// Full in-memory copy; byte-for-byte what read_trace(path) returns.
+  /// Full in-memory copy of every record.
   Capture materialize() const;
 
  private:
   const std::uint8_t* record_ptr(std::size_t i) const;
-  void load(const std::string& path);
+  void load();
   void unmap() noexcept;
 
   std::string path_;
-  void* map_ = nullptr;        ///< whole-file mapping (nullptr: fallback)
+  void* map_ = nullptr;        ///< whole-file mapping, or nullptr
   std::size_t map_len_ = 0;
+  std::vector<std::uint8_t> owned_;  ///< the file, when it is not mapped
+  const std::uint8_t* bytes_ = nullptr;  ///< the file: map_ or owned_
   std::uint64_t count_ = 0;
-  Capture fallback_;           ///< populated only when mapping failed
 };
 
 }  // namespace choir::trace

@@ -1,6 +1,10 @@
 // FaultPlan parsing, validation, and the shipped chaos schedules.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "common/expect.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault_plan.hpp"
@@ -65,6 +69,48 @@ TEST(FaultPlan, RejectsMalformedDirectives) {
   EXPECT_THROW(
       FaultPlan::parse("link_drop target=* start=0 duration=1ms warp=9"),
       FormatError);
+}
+
+TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // NaN passes every < / > range test, and a time outside the Ns range
+  // cannot be converted. Each must be a line-numbered FormatError.
+  const char* const lines[] = {
+      "link_drop target=* start=0 duration=1ms p=nan",
+      "link_drop target=* start=0 duration=1ms p=inf",
+      "clock_degrade target=clock.repl0 start=0 duration=1ms factor=nan",
+      "clock_degrade target=clock.repl0 start=0 duration=1ms factor=inf",
+      "link_drop target=* start=nan duration=1ms",
+      "link_drop target=* start=0 duration=nanms",
+      "link_drop target=* start=0 duration=infs",
+      "link_drop target=* start=0 duration=1e300s",
+      "link_drop target=* start=-1e300 duration=1ms",
+      "link_duplicate target=* start=0 duration=1ms delay=1e19",
+  };
+  for (const char* line : lines) {
+    try {
+      FaultPlan::parse(std::string("# plan\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Each time fits, but the window end start + duration does not.
+  EXPECT_THROW(FaultPlan::parse("link_drop target=* start=9e18 duration=9e18"),
+               FormatError);
+
+  // Plans built in code go through validate().
+  FaultEvent e;
+  e.kind = FaultKind::kLinkDrop;
+  e.duration = milliseconds(1);
+  e.probability = std::nan("");
+  EXPECT_THROW(FaultPlan().add(e).validate(), FormatError);
+  e.probability = 1.0;
+  e.kind = FaultKind::kClockDegrade;
+  e.factor = std::nan("");
+  EXPECT_THROW(FaultPlan().add(e).validate(), FormatError);
+  e.factor = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FaultPlan().add(e).validate(), FormatError);
 }
 
 TEST(FaultPlan, ValidateCatchesBadProgrammaticEvents) {

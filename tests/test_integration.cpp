@@ -2,6 +2,7 @@
 // reduced scale, end to end (generator -> middlebox -> switch -> recorder
 // -> metrics), and the full artifact loop (capture -> trace file -> pcap)
 // must round-trip.
+#include <algorithm>
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -90,34 +91,66 @@ TEST(Integration, CaptureArtifactsRoundTrip) {
   write_trace(result.captures[0], trc);
   trace::write_pcap(result.captures[0], pcap);
 
-  const trace::Capture loaded = trace::read_trace(trc);
-  const auto cmp = core::compare_trials(rebased_trial(result.captures[0]),
-                                        rebased_trial(loaded));
-  EXPECT_EQ(cmp.metrics.kappa, 1.0);
+  const core::Trial original = rebased_trial(result.captures[0]);
+  for (const trace::Capture& loaded :
+       {trace::read_trace(trc), trace::read_pcap(pcap)}) {
+    const core::Trial trial = rebased_trial(loaded);
+    ASSERT_EQ(trial.size(), original.size());
+    for (std::size_t i = 0; i < trial.size(); ++i) {
+      ASSERT_EQ(trial[i].id, original[i].id) << i;
+      ASSERT_EQ(trial[i].time, original[i].time) << i;
+    }
+    EXPECT_EQ(core::compare_trials(original, trial).metrics.kappa, 1.0);
+  }
   std::remove(trc.c_str());
   std::remove(pcap.c_str());
 }
 
 TEST(Integration, MetricsRecomputableFromSavedTraces) {
-  // The paper's artifact flow: save per-run pcaps, analyse offline.
-  ExperimentConfig cfg = cfg_for(local_single(), 3000);
+  // The paper's artifact flow: save per-run captures, analyse offline.
+  // Dual replay reorders (O > 0), so every component is exercised; each
+  // loader must reproduce the in-process metrics bit for bit.
+  ExperimentConfig cfg = cfg_for(local_dual(), 3000, /*seed=*/5);
+  cfg.runs = 3;
   cfg.keep_captures = true;
   const auto result = run_experiment(cfg);
+  ASSERT_EQ(result.comparisons.size(), 2u);
 
-  std::vector<std::string> paths;
+  std::vector<std::string> trc, pcap;
   for (std::size_t i = 0; i < result.captures.size(); ++i) {
-    paths.push_back(::testing::TempDir() + "run" + std::to_string(i) +
-                    ".trc");
-    write_trace(result.captures[i], paths.back());
+    const std::string base =
+        ::testing::TempDir() + "integration_run" + std::to_string(i);
+    trc.push_back(base + ".trc");
+    pcap.push_back(base + ".pcap");
+    write_trace(result.captures[i], trc.back());
+    trace::write_pcap(result.captures[i], pcap.back());
   }
-  const auto trial_a = rebased_trial(trace::read_trace(paths[0]));
-  for (std::size_t r = 1; r < paths.size(); ++r) {
-    const auto trial_b = rebased_trial(trace::read_trace(paths[r]));
-    const auto offline = core::compare_trials(trial_a, trial_b);
-    EXPECT_NEAR(offline.metrics.kappa,
-                result.comparisons[r - 1].metrics.kappa, 1e-12);
+  // Loader 0: MappedCapture; 1: read_trace; 2: read_pcap.
+  const auto load = [&](int loader, std::size_t i) {
+    if (loader == 0) return rebased_trial(trace::MappedCapture(trc[i]));
+    if (loader == 1) return rebased_trial(trace::read_trace(trc[i]));
+    return rebased_trial(trace::read_pcap(pcap[i]));
+  };
+  double worst_o = 0.0;
+  for (int loader = 0; loader < 3; ++loader) {
+    SCOPED_TRACE("loader " + std::to_string(loader));
+    const core::Trial trial_a = load(loader, 0);
+    for (std::size_t r = 1; r < trc.size(); ++r) {
+      const core::ConsistencyMetrics offline =
+          core::compare_trials(trial_a, load(loader, r)).metrics;
+      const core::ConsistencyMetrics& in_process =
+          result.comparisons[r - 1].metrics;
+      EXPECT_EQ(offline.uniqueness, in_process.uniqueness) << r;
+      EXPECT_EQ(offline.ordering, in_process.ordering) << r;
+      EXPECT_EQ(offline.latency, in_process.latency) << r;
+      EXPECT_EQ(offline.iat, in_process.iat) << r;
+      EXPECT_EQ(offline.kappa, in_process.kappa) << r;
+      worst_o = std::max(worst_o, offline.ordering);
+    }
   }
-  for (const auto& p : paths) std::remove(p.c_str());
+  EXPECT_GT(worst_o, 0.0);
+  for (const auto& p : trc) std::remove(p.c_str());
+  for (const auto& p : pcap) std::remove(p.c_str());
 }
 
 TEST(Integration, NoBufferLeaksAcrossFullExperiment) {

@@ -34,11 +34,13 @@ core::Trial cbr_trial(std::size_t n, Ns gap, Ns start = 0) {
   return t;
 }
 
-/// Feed every packet of `b` into an open stream named `name`.
+/// Feed every packet of `b` into a new stream named `name`, without flow
+/// ids. The first stream a monitor sees is its reference trial A, so
+/// tests feed A first (named "reference") and then the monitored trials.
 void feed(StreamMonitor& mon, const core::Trial& b,
           const std::string& name = "b") {
   mon.begin_stream(name);
-  for (const auto& p : b.packets()) mon.observe(p.id, p.time);
+  for (const auto& p : b.packets()) mon.observe(p.id, p.time, flow::kNoFlow);
 }
 
 MonitorConfig offline_config(std::size_t window_packets = 1u << 20,
@@ -46,7 +48,6 @@ MonitorConfig offline_config(std::size_t window_packets = 1u << 20,
   MonitorConfig cfg;
   cfg.window_packets = window_packets;
   cfg.top_k = top_k;
-  cfg.reference_from_first_stream = false;
   return cfg;
 }
 
@@ -177,7 +178,7 @@ TEST(IdTable, GrowthPreservesReferenceMappings) {
 TEST(StreamMonitor, IdenticalStreamIsPerfectlyConsistent) {
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(64, 1000);
-  mon.set_reference(a);
+  feed(mon, a, "reference");
   feed(mon, a);
   mon.finalize();
 
@@ -204,7 +205,7 @@ TEST(StreamMonitor, ConstantTimeShiftIsInvisible) {
   // the whole stream changes nothing (same as the offline L and I).
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(32, 500);
-  mon.set_reference(a);
+  feed(mon, a, "reference");
   feed(mon, cbr_trial(32, 500, /*start=*/987654));
   mon.finalize();
   ASSERT_EQ(mon.windows().size(), 1u);
@@ -224,7 +225,7 @@ TEST(StreamMonitor, DroppedPacketUniquenessClosedForm) {
     if (i == 4) continue;
     dropped.push_back(a[i]);
   }
-  mon.set_reference(a);
+  feed(mon, a, "reference");
   feed(mon, core::Trial(std::move(dropped)));
   mon.finalize();
 
@@ -247,7 +248,7 @@ TEST(StreamMonitor, AdjacentSwapOrderingClosedForm) {
   // One move of distance 1 over the max sum m(m+1)/2 = 10 -> O = 1/10
   // (the paper's worked example, here observed live).
   StreamMonitor mon(offline_config());
-  mon.set_reference(cbr_trial(4, 100));
+  feed(mon, cbr_trial(4, 100), "reference");
   feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}));
   mon.finalize();
 
@@ -260,7 +261,7 @@ TEST(StreamMonitor, LatencyStraddleClosedForm) {
   // Section 3 worked example: the common packet arrives 9 ns after the
   // start of A and 8 ns after the start of B -> L = 1/18.
   StreamMonitor mon(offline_config());
-  mon.set_reference(make_trial({1, 2}, {0, 9}));
+  feed(mon, make_trial({1, 2}, {0, 9}), "reference");
   feed(mon, make_trial({1, 2}, {0, 8}));
   mon.finalize();
   ASSERT_EQ(mon.windows().size(), 1u);
@@ -271,7 +272,7 @@ TEST(StreamMonitor, DuplicateRawIdsAreOccurrenceTagged) {
   // The same raw id three times in both trials matches positionally
   // (occurrence tagging), so the stream is perfectly consistent.
   StreamMonitor mon(offline_config());
-  mon.set_reference(make_trial({7, 7, 7, 8}, {0, 10, 20, 30}));
+  feed(mon, make_trial({7, 7, 7, 8}, {0, 10, 20, 30}), "reference");
   feed(mon, make_trial({7, 7, 7, 8}, {0, 10, 20, 30}));
   mon.finalize();
   EXPECT_EQ(mon.matched(), 4u);
@@ -295,7 +296,7 @@ TEST(StreamMonitor, FullTrialWindowReproducesOfflineKappa) {
   ASSERT_GE(b.size(), a.size());
 
   StreamMonitor mon(offline_config());
-  mon.set_reference(a);
+  feed(mon, a, "reference");
   feed(mon, b);
   mon.finalize();
 
@@ -332,7 +333,7 @@ TEST(StreamMonitor, WindowBoundariesAndDriftAttribution) {
   // window 1 — the boundary-drift signature documented in MONITOR.md.
   StreamMonitor mon(offline_config(/*window_packets=*/4));
   const core::Trial a = cbr_trial(8, 100);
-  mon.set_reference(a);
+  feed(mon, a, "reference");
   feed(mon, make_trial({1, 2, 3, 5, 4, 6, 7, 8},
                        {0, 100, 200, 300, 400, 500, 600, 700}));
   mon.finalize();
@@ -378,7 +379,7 @@ TEST(StreamMonitor, WindowBoundariesAndDriftAttribution) {
 
 TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
   StreamMonitor cfg_full(offline_config(1u << 20, /*top_k=*/16));
-  cfg_full.set_reference(cbr_trial(6, 100));
+  feed(cfg_full, cbr_trial(6, 100), "reference");
   feed(cfg_full, make_trial({2, 1, 4, 3, 6, 5},
                             {0, 100, 200, 300, 400, 500}));
   cfg_full.finalize();
@@ -394,7 +395,7 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
 
   // top_k = 1 keeps a single moved record per window.
   StreamMonitor cfg_k1(offline_config(1u << 20, /*top_k=*/1));
-  cfg_k1.set_reference(cbr_trial(6, 100));
+  feed(cfg_k1, cbr_trial(6, 100), "reference");
   feed(cfg_k1, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
   cfg_k1.finalize();
   moved = 0;
@@ -405,7 +406,7 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
 
   // top_k = 0 disables attribution entirely.
   StreamMonitor cfg_k0(offline_config(1u << 20, /*top_k=*/0));
-  cfg_k0.set_reference(cbr_trial(6, 100));
+  feed(cfg_k0, cbr_trial(6, 100), "reference");
   feed(cfg_k0, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
   cfg_k0.finalize();
   EXPECT_TRUE(cfg_k0.divergence().empty());
@@ -421,7 +422,7 @@ TEST(StreamMonitor, RunningEstimateTracksExactComponents) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (i != 10) b.push_back(a[i]);
   }
-  mon.set_reference(a);
+  feed(mon, a, "reference");
   feed(mon, core::Trial(std::move(b)));
   mon.finalize();
   const RunningEstimate& r = mon.running();
@@ -433,8 +434,8 @@ TEST(StreamMonitor, RunningEstimateTracksExactComponents) {
 }
 
 TEST(StreamMonitor, ReferenceFromFirstStream) {
-  // Default config: the first stream becomes A and emits no windows;
-  // every later stream is monitored against it.
+  // The first stream becomes A and emits no windows; every later stream
+  // is monitored against it.
   MonitorConfig cfg;
   cfg.window_packets = 1u << 20;
   StreamMonitor mon(cfg);
@@ -465,7 +466,7 @@ TEST(Divergence, SerializationIsByteDeterministic) {
   std::string first;
   for (int round = 0; round < 2; ++round) {
     StreamMonitor mon(offline_config(/*window_packets=*/64));
-    mon.set_reference(a);
+    feed(mon, a, "reference");
     feed(mon, b, "run");
     mon.finalize();
     std::ostringstream jsonl, csv;
@@ -483,7 +484,7 @@ TEST(Divergence, SerializationIsByteDeterministic) {
 
 TEST(Divergence, JsonlSchemaFields) {
   StreamMonitor mon(offline_config());
-  mon.set_reference(cbr_trial(4, 100));
+  feed(mon, cbr_trial(4, 100), "reference");
   feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}), "run");
   mon.finalize();
   std::ostringstream out;

@@ -13,28 +13,31 @@
 # "choir::T std::f<...>(...)") are not library code and are skipped.
 #
 # Usage: tools/dead_symbols.sh [BUILD_DIR]    (default: build-dead)
-# Report-only: exits 0 whatever it finds; non-zero only when the build
-# fails.
+# Exits 0 and prints "no unreached library functions outside the
+# keep-set" when the report is empty; exits 1 when it lists any function
+# (CI fails then) or when the build fails.
 #
-# Deliberate keep-set (KEEP below):
-#  - sim::EventQueue::run, json::write, fault::FaultInjector::
-#    attached_points: tests drive or check against them.
-#  - core::lis_length, monitor::rates_of, analysis::summarize(span of
-#    double), analysis::fraction_within, analysis::write_series_csv:
-#    small tested helpers (lis_length is the oracle of the incremental
-#    LIS tests).
-#  - trace::MappedCapture's move operations: perfbench/, built on its
-#    own, moves captures.
-#  - net::PtpMaster / PtpSlave / encode_ptp / decode_ptp
-#    (net/ptp_protocol.*), gen::PoissonGenerator, gen::ImixGenerator,
-#    gen::TraceGenerator and Rng::pareto: unreached, but their tests are
-#    still in the suite; deleting them is an open ROADMAP item.
+# Deliberate keep-set (KEEP below), and why each entry stays:
+#  - Entry points that tests drive: sim::EventQueue::run, json::write
+#    and fault::FaultInjector::attached_points. No production binary
+#    calls them, but the tests drive or check against all three.
+#  - The oracle: core::lis_length, the brute-force LIS the incremental
+#    LIS tests check against.
+#  - Symbols perfbench pins: trace::MappedCapture's move operations.
+#    perfbench/ is built on its own (not by this script) and moves
+#    captures, so their removal would break it.
+#  - The next ROADMAP deletion groups, one group per change:
+#    1. the generator group: gen::PoissonGenerator, gen::ImixGenerator,
+#       gen::TraceGenerator and Rng::pareto;
+#    2. the tested helpers: monitor::rates_of, analysis::summarize(span
+#       of double), analysis::fraction_within and
+#       analysis::write_series_csv.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-dead}"
 
-KEEP='^choir::(sim::EventQueue::run\(|json::write(\[abi:cxx11\])?\(|fault::FaultInjector::attached_points\(|core::lis_length\(|monitor::rates_of\(|analysis::(summarize\(std::span<double const|fraction_within\(|write_series_csv\()|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\)|net::(PtpMaster|PtpSlave|encode_ptp|decode_ptp)|gen::(PoissonGenerator|ImixGenerator|TraceGenerator)::|Rng::pareto\()'
+KEEP='^choir::(sim::EventQueue::run\(|json::write(\[abi:cxx11\])?\(|fault::FaultInjector::attached_points\(|core::lis_length\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\)|gen::(PoissonGenerator|ImixGenerator|TraceGenerator)::|Rng::pareto\(|monitor::rates_of\(|analysis::(summarize\(std::span<double const|fraction_within\(|write_series_csv\())'
 
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections" \
@@ -62,8 +65,9 @@ find "$build/src" "$build/bench" "$build/examples" -type f -perm -u+x \
 dead="$(comm -23 "$lib_symbols" "$bin_symbols" | grep -Ev "$KEEP" || true)"
 if [ -z "$dead" ]; then
   echo "dead_symbols: no unreached library functions outside the keep-set"
-else
-  echo "dead_symbols: $(printf '%s\n' "$dead" | wc -l) library function(s)" \
-    "reached by no production binary:"
-  printf '%s\n' "$dead"
+  exit 0
 fi
+echo "dead_symbols: $(printf '%s\n' "$dead" | wc -l) library function(s)" \
+  "reached by no production binary:"
+printf '%s\n' "$dead"
+exit 1
