@@ -40,7 +40,8 @@ void Controller::send_at(Ns at, const pktio::FlowAddress& flow,
     out.seq = ++next_seq_;
     out.sequenced = true;
   }
-  queue_.schedule_at(at, [this, flow, out] { attempt(flow, out, 0); });
+  queue_.schedule_at(at, sim::Component::kControl,
+                     [this, flow, out] { attempt(flow, out, 0); });
 }
 
 void Controller::attempt(const pktio::FlowAddress& flow,
@@ -59,12 +60,13 @@ void Controller::attempt(const pktio::FlowAddress& flow,
     }
     const Ns next_offset = offset + static_cast<Ns>(gap);
     if (next_offset <= retry_.timeout) {
-      queue_.schedule_in(static_cast<Ns>(gap), [this, flow, msg, attempt_no] {
-        ++retries_;
-        tm_retries_.add();
-        ++dest_slot(pktio::node_for_ip(flow.dst_ip)).retries;
-        attempt(flow, msg, attempt_no + 1);
-      });
+      queue_.schedule_in(static_cast<Ns>(gap), sim::Component::kControl,
+                         [this, flow, msg, attempt_no] {
+                           ++retries_;
+                           tm_retries_.add();
+                           ++dest_slot(pktio::node_for_ip(flow.dst_ip)).retries;
+                           attempt(flow, msg, attempt_no + 1);
+                         });
     } else {
       // The backoff window closed with attempts remaining: the command's
       // redundancy budget is exhausted without any confirmation.

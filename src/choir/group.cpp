@@ -218,10 +218,12 @@ void GroupCoordinator::schedule_round(int round, Ns prepare_at, Ns barrier_at,
                "group rounds must fit the beacon's 12-bit round field");
   CHOIR_EXPECT(prepare_at < barrier_at && barrier_at < round_end,
                "group round schedule out of order");
-  queue_.schedule_at(prepare_at, [this, round] { run_prepare(round); });
-  queue_.schedule_at(barrier_at, [this, round, wall_start, round_end] {
-    run_barrier(round, wall_start, round_end);
-  });
+  queue_.schedule_at(prepare_at, sim::Component::kGroup,
+                     [this, round] { run_prepare(round); });
+  queue_.schedule_at(barrier_at, sim::Component::kGroup,
+                     [this, round, wall_start, round_end] {
+                       run_barrier(round, wall_start, round_end);
+                     });
 }
 
 void GroupCoordinator::run_prepare(int round) {
@@ -281,7 +283,7 @@ void GroupCoordinator::run_barrier(int round, Ns wall_start, Ns round_end) {
     ++stats_.members_started;
     set_state(m, MemberState::kReplaying);
   }
-  queue_.schedule_in(cfg_.check_interval,
+  queue_.schedule_in(cfg_.check_interval, sim::Component::kGroup,
                      [this, round, round_end] { check(round, round_end); });
 }
 
@@ -390,7 +392,7 @@ void GroupCoordinator::check(int round, Ns round_end) {
   }
 
   if (now + cfg_.check_interval <= round_end) {
-    queue_.schedule_in(cfg_.check_interval,
+    queue_.schedule_in(cfg_.check_interval, sim::Component::kGroup,
                        [this, round, round_end] { check(round, round_end); });
   } else {
     finalize_round(round);

@@ -248,7 +248,8 @@ void Middlebox::enable_group(pktio::Mempool& pool,
   group_enabled_ = true;
   group_ = options;
   beacon_pool_ = &pool;
-  queue_.schedule_in(group_.beacon_interval, [this] { send_beacon(); });
+  queue_.schedule_in(group_.beacon_interval, sim::Component::kMiddlebox,
+                     [this] { send_beacon(); });
 }
 
 Ns Middlebox::replay_progress() const {
@@ -311,7 +312,8 @@ void Middlebox::send_beacon() {
       ++stats_.group_beacon_failures;
     }
   }
-  queue_.schedule_in(group_.beacon_interval, [this] { send_beacon(); });
+  queue_.schedule_in(group_.beacon_interval, sim::Component::kMiddlebox,
+                     [this] { send_beacon(); });
 }
 
 void Middlebox::abort_replay() {
@@ -483,7 +485,7 @@ void Middlebox::replay_step() {
   t = std::max({t, loop_free_at_, slip_until_, queue_.now()});
 
   const std::uint64_t epoch = replay_epoch_;
-  queue_.schedule_at(t, [this, epoch] {
+  queue_.schedule_at(t, sim::Component::kMiddlebox, [this, epoch] {
     if (epoch != replay_epoch_) return;  // prepare/resync superseded us
     emit_burst_from(0);
   });
@@ -525,10 +527,11 @@ void Middlebox::emit_burst_from(std::size_t offset) {
       ++stats_.tx_ring_retries;
       tm_tx_ring_retries_.add();
       const std::uint64_t epoch = replay_epoch_;
-      queue_.schedule_in(200, [this, offset, epoch] {
+      const auto retry = [this, offset, epoch] {
         if (epoch != replay_epoch_) return;  // prepare/resync superseded us
         emit_burst_from(offset);
-      });
+      };
+      queue_.schedule_in(200, sim::Component::kMiddlebox, retry);
       return;
     }
   }

@@ -178,7 +178,7 @@ struct FaultInjector::PoolPoint : pktio::MempoolFaultHook {
   }
 };
 
-struct FaultInjector::ClockPoint {
+struct FaultInjector::ClockPoint final : sim::PtpFaultHook {
   FaultInjector* parent;
   sim::PtpService* ptp;
   std::size_t slave;
@@ -192,7 +192,7 @@ struct FaultInjector::ClockPoint {
 
   std::vector<bool> notified;  ///< first-hit observer latch, per event
 
-  double scale_at(Ns now) {
+  double sigma_scale(Ns now) override {
     double scale = 1.0;
     for (std::size_t i = 0; i < events.size(); ++i) {
       const FaultEvent* e = events[i];
@@ -284,15 +284,14 @@ void FaultInjector::attach_clock(const std::string& name,
   if (events.empty()) return;
   clocks_.push_back(std::make_unique<ClockPoint>(this, &ptp, slave, name,
                                                  std::move(events)));
-  ClockPoint* point = clocks_.back().get();
-  ptp.set_sigma_scale(slave, [point](Ns now) { return point->scale_at(now); });
+  ptp.set_fault(slave, clocks_.back().get());
 }
 
 void FaultInjector::detach_all() {
   for (auto& p : links_) p->link->set_fault(nullptr);
   for (auto& p : ports_) p->dev->set_fault(nullptr);
   for (auto& p : pools_) p->pool->set_fault(nullptr);
-  for (auto& p : clocks_) p->ptp->set_sigma_scale(p->slave, nullptr);
+  for (auto& p : clocks_) p->ptp->set_fault(p->slave, nullptr);
   links_.clear();
   ports_.clear();
   pools_.clear();

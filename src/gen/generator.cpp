@@ -30,7 +30,8 @@ void PoissonGenerator::start() {
 }
 
 void PoissonGenerator::emit_next(Ns at) {
-  queue_.schedule_at(std::max(queue_.now(), at), [this, at] {
+  const Ns when = std::max(queue_.now(), at);
+  queue_.schedule_at(when, sim::Component::kGenerator, [this, at] {
     pktio::Mbuf* m = make_frame(pool_, config_, config_.frame_bytes, emitted_);
     if (m != nullptr) {
       vf_.tx_paced(m, at);
@@ -67,7 +68,8 @@ void ImixGenerator::start() {
 }
 
 void ImixGenerator::emit_next(Ns at) {
-  queue_.schedule_at(std::max(queue_.now(), at), [this, at] {
+  const Ns when = std::max(queue_.now(), at);
+  queue_.schedule_at(when, sim::Component::kGenerator, [this, at] {
     const std::uint32_t size = pick_size();
     pktio::Mbuf* m = make_frame(pool_, config_, size, emitted_);
     if (m != nullptr) {

@@ -36,7 +36,7 @@ void MultiFlowGenerator::start() {
   if (config_.base.count == 0) return;
   queue_.schedule_at(
       std::max<Ns>(queue_.now(), config_.base.start - kNsPerMs),
-      [this] { emit_chunk(); });
+      sim::Component::kGenerator,      [this] { emit_chunk(); });
 }
 
 void MultiFlowGenerator::emit_chunk() {
@@ -60,7 +60,7 @@ void MultiFlowGenerator::emit_chunk() {
   if (emitted_ < config_.base.count) {
     const Ns next = frame_time(emitted_) - kNsPerUs;
     queue_.schedule_at(std::max(queue_.now() + 1, next),
-                       [this] { emit_chunk(); });
+                       sim::Component::kGenerator, [this] { emit_chunk(); });
   }
 }
 

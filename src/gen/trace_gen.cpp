@@ -27,7 +27,7 @@ Ns TraceGenerator::frame_time(std::size_t index) const {
 void TraceGenerator::start() {
   if (capture_.empty()) return;
   queue_.schedule_at(std::max<Ns>(queue_.now(), start_ - kNsPerMs),
-                     [this] { emit_chunk(); });
+                     sim::Component::kGenerator, [this] { emit_chunk(); });
 }
 
 void TraceGenerator::emit_chunk() {
@@ -55,7 +55,7 @@ void TraceGenerator::emit_chunk() {
   if (cursor_ < capture_.size()) {
     const Ns next = frame_time(cursor_) - kNsPerUs;
     queue_.schedule_at(std::max(queue_.now() + 1, next),
-                       [this] { emit_chunk(); });
+                       sim::Component::kGenerator, [this] { emit_chunk(); });
   }
 }
 

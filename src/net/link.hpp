@@ -66,7 +66,8 @@ class Link {
       return;
     }
     Endpoint* sink = sink_;
-    queue_.schedule_at(at, [sink, pkt, at] { sink->deliver(pkt, at); });
+    queue_.schedule_at(at, sim::Component::kLink,
+                       [sink, pkt, at] { sink->deliver(pkt, at); });
   }
 
   /// Install (or clear, with nullptr) the fault hook.

@@ -28,7 +28,7 @@ std::uint16_t Vf::backend_tx(pktio::Mbuf* const* pkts, std::uint16_t n) {
   phys_.dma_in_flight_ += accepted;
   for (std::uint16_t i = 0; i < accepted; ++i) {
     pktio::Mbuf* pkt = pkts[i];
-    phys_.queue_.schedule_at(pull, [this, pkt, pull] {
+    phys_.queue_.schedule_at(pull, sim::Component::kNicTx, [this, pkt, pull] {
       --phys_.dma_in_flight_;
       phys_.tx_port_.submit(pkt, pull);
     });
@@ -46,9 +46,10 @@ void Vf::tx_paced(pktio::Mbuf* pkt, Ns not_before) {
     phys_.tx_port_.submit(pkt, not_before);
     return;
   }
-  phys_.queue_.schedule_at(not_before, [this, pkt, not_before] {
-    phys_.tx_port_.submit(pkt, not_before);
-  });
+  phys_.queue_.schedule_at(not_before, sim::Component::kNicTx,
+                           [this, pkt, not_before] {
+                             phys_.tx_port_.submit(pkt, not_before);
+                           });
 }
 
 void Vf::enqueue_rx(pktio::Mbuf* pkt) {
@@ -117,7 +118,7 @@ void PhysNic::deliver(pktio::Mbuf* pkt, Ns wire_time) {
     vf->enqueue_rx(pkt);
     return;
   }
-  queue_.schedule_at(admission.release,
+  queue_.schedule_at(admission.release, sim::Component::kNicRx,
                      [vf, pkt] { vf->enqueue_rx(pkt); });
 }
 

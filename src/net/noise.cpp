@@ -6,11 +6,12 @@ namespace choir::net {
 
 void NoiseSource::run(Ns at, Ns until) {
   stop_at_ = until;
-  queue_.schedule_at(at, [this] { emit_burst(); });
+  queue_.schedule_at(at, sim::Component::kNoise, [this] { emit_burst(); });
   // Rate random walk, independent of the emission cadence.
   const Ns first_update = at + config_.rate_update_interval;
   if (first_update < until) {
-    queue_.schedule_at(first_update, [this] { update_rate(); });
+    queue_.schedule_at(first_update, sim::Component::kNoise,
+                       [this] { update_rate(); });
   }
 }
 
@@ -20,7 +21,8 @@ void NoiseSource::update_rate() {
   rate_ = std::clamp(rate_, config_.min_rate, config_.max_rate);
   const Ns next = queue_.now() + config_.rate_update_interval;
   if (next < stop_at_) {
-    queue_.schedule_at(next, [this] { update_rate(); });
+    queue_.schedule_at(next, sim::Component::kNoise,
+                       [this] { update_rate(); });
   }
 }
 
@@ -53,7 +55,7 @@ void NoiseSource::emit_burst() {
   const double jitter = rng_.lognormal(0.0, config_.burst_jitter_sigma);
   const Ns next = queue_.now() + std::max<Ns>(1, static_cast<Ns>(gap_ns * jitter));
   if (next < stop_at_) {
-    queue_.schedule_at(next, [this] { emit_burst(); });
+    queue_.schedule_at(next, sim::Component::kNoise, [this] { emit_burst(); });
   }
 }
 

@@ -76,7 +76,8 @@ class PollLoop {
 
   void schedule_next(Ns delay) {
     scheduled_ = true;
-    queue_.schedule_in(delay, [this] { iterate(); });
+    queue_.schedule_in(delay, sim::Component::kPollLoop,
+                       [this] { iterate(); });
   }
 
   void iterate() {

@@ -57,7 +57,8 @@ class RxPipeline {
         return out;  // accepted = false
       }
       ++staged_;
-      queue_.schedule_at(release, [this] { --staged_; });
+      queue_.schedule_at(release, sim::Component::kRxPipeline,
+                         [this] { --staged_; });
     }
 
     last_release_ = release;
@@ -86,7 +87,7 @@ class RxPipeline {
   void schedule_next_stall() {
     const double gap_s = rng_.exponential(1.0 / config_.stall_rate_hz);
     const Ns at = queue_.now() + static_cast<Ns>(gap_s * kNsPerSec) + 1;
-    queue_.schedule_at(at, [this] {
+    queue_.schedule_at(at, sim::Component::kRxPipeline, [this] {
       double duration =
           rng_.lognormal(config_.stall_mu_log_ns, config_.stall_sigma_log);
       if (config_.stall_max_ns > 0) {

@@ -97,7 +97,8 @@ void Switch::on_frame(std::size_t in_port, pktio::Mbuf* pkt, Ns wire_time) {
   const Ns ready =
       wire_time + config_.processing_delay + static_cast<Ns>(jitter);
   TxPort* tx = ports_[*out]->tx.get();
-  queue_.schedule_at(ready, [tx, pkt, ready] { tx->submit(pkt, ready); });
+  queue_.schedule_at(ready, sim::Component::kSwitch,
+                     [tx, pkt, ready] { tx->submit(pkt, ready); });
 }
 
 std::uint64_t Switch::queue_drops() const {

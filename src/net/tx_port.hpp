@@ -58,7 +58,7 @@ class TxPort {
     tx_bytes_ += pkt->frame.wire_len;
     // Completion: the frame's last bit leaves at `end`; hand to the link
     // and free the queue slot.
-    queue_.schedule_at(end, [this, pkt, end] {
+    queue_.schedule_at(end, sim::Component::kTxPort, [this, pkt, end] {
       --in_flight_;
       link_.send(pkt, end);
     });

@@ -28,7 +28,8 @@ void PacedReplayerBase::step() {
   last_emission_ = at;
   tm_pacing_delay_.record(at - target);
 
-  queue_.schedule_at(at, [this] { emit_from(0); });
+  queue_.schedule_at(at, sim::Component::kReplayEngine,
+                     [this] { emit_from(0); });
 }
 
 void PacedReplayerBase::emit_from(std::size_t offset) {
@@ -51,7 +52,8 @@ void PacedReplayerBase::emit_from(std::size_t offset) {
     if (sent < chunk) {
       // Full descriptor ring: retry the remainder when slots free up.
       tm_tx_retries_.add();
-      queue_.schedule_in(200, [this, offset] { emit_from(offset); });
+      queue_.schedule_in(200, sim::Component::kReplayEngine,
+                         [this, offset] { emit_from(offset); });
       return;
     }
   }

@@ -24,7 +24,8 @@ void GapFillReplayer::schedule_replay(Ns wall_start) {
   wire_cursor_ = true_start_;
   active_ = true;
   const Ns kickoff = std::max(now, true_start_ - config_.lookahead);
-  queue_.schedule_at(kickoff, [this] { pump(); });
+  queue_.schedule_at(kickoff, sim::Component::kReplayEngine,
+                     [this] { pump(); });
 }
 
 Ns GapFillReplayer::emit_filler(Ns gap_ns) {
@@ -95,7 +96,8 @@ void GapFillReplayer::pump() {
       if (!emit_real(pkt)) {
         // Descriptor ring full (a competing tenant is squeezing us):
         // block here and retry — real packets are never sacrificed.
-        queue_.schedule_in(500, [this] { pump(); });
+        queue_.schedule_in(500, sim::Component::kReplayEngine,
+                           [this] { pump(); });
         return;
       }
       wire_cursor_ += serialization_ns(pkt->frame.wire_len, config_.line_rate);
@@ -106,7 +108,8 @@ void GapFillReplayer::pump() {
   }
   if (active_) {
     const Ns next = std::max(queue_.now() + 1, wire_cursor_ - config_.lookahead / 2);
-    queue_.schedule_at(next, [this] { pump(); });
+    queue_.schedule_at(next, sim::Component::kReplayEngine,
+                       [this] { pump(); });
   }
 }
 

@@ -1,27 +1,43 @@
 #include "sim/event_queue.hpp"
 
-#include "common/expect.hpp"
+#include <algorithm>
 
 namespace choir::sim {
 
-void EventQueue::schedule_at(Ns at, EventFn fn) {
-  CHOIR_EXPECT(at >= now_, "cannot schedule an event in the past");
-  heap_.push(Event{at, next_seq_++, std::move(fn)});
+namespace {
+
+/// Heap order for std::push_heap/pop_heap: `a` fires after `b`.
+struct FiresLater {
+  template <class R>
+  bool operator()(const R& a, const R& b) const {
+    return a.at != b.at ? a.at > b.at : a.order > b.order;
+  }
+};
+
+}  // namespace
+
+EventQueue::~EventQueue() {
+  for (Record& r : heap_) {
+    if (r.drop != nullptr) r.drop(r.storage);
+  }
+}
+
+void EventQueue::push(const Record& r) {
+  heap_.push_back(r);
+  std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
 }
 
 void EventQueue::pop_one() {
-  // const_cast is safe: we pop immediately after moving the callback out.
-  Event& top = const_cast<Event&>(heap_.top());
-  const Ns at = top.at;
-  EventFn fn = std::move(top.fn);
-  heap_.pop();
-  now_ = at;
-  ++fired_;
-  fn();
+  std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
+  Record r = heap_.back();
+  heap_.pop_back();
+  now_ = r.at;
+  ++fired_[r.order & 0xff];
+  r.invoke(r.storage);
 }
 
 void EventQueue::run_until(Ns until) {
-  while (!heap_.empty() && heap_.top().at <= until) pop_one();
+  while (!heap_.empty() && heap_.front().at <= until) pop_one();
   if (now_ < until) now_ = until;
 }
 

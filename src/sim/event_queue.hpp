@@ -4,27 +4,121 @@
 // scheduled for the same nanosecond always fire in the order they were
 // scheduled. This determinism is load-bearing: every experiment in the
 // repo is reproducible bit-for-bit from its seed.
+//
+// Events are trivially copyable records in a flat binary heap. A
+// callable of at most kInlineBytes that is trivially copyable (every
+// per-packet capture: a few pointers and a timestamp) is constructed in
+// the record itself, so scheduling and firing it never allocates. Any
+// other callable is boxed on the heap once and freed when it fires, when
+// it throws, or when the queue is destroyed with it still pending.
+//
+// Every event carries the Component that scheduled it, and the queue
+// counts fired events per component (the event ledger).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <memory>
+#include <new>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/units.hpp"
 
 namespace choir::sim {
 
-using EventFn = std::function<void()>;
+/// Who scheduled an event: the ledger's key. Each id is named once, in
+/// kComponentNames below.
+enum class Component : std::uint8_t {
+  kExternal,      ///< untagged callers: tests, harnesses, examples
+  kGenerator,     ///< traffic generators' emit ticks
+  kTxPort,        ///< TxPort serialization completion
+  kLink,          ///< link delivery to the far end
+  kSwitch,        ///< switch forwarding to an egress port
+  kNicTx,         ///< NIC DMA pulls and paced submits
+  kNicRx,         ///< NIC RX release to a VF ring
+  kRxPipeline,    ///< RX staging release and stall-and-drain
+  kPollLoop,      ///< PMD poll-loop iterations
+  kRecorder,      ///< capture arm and disarm
+  kMiddlebox,     ///< Choir replay pacing and group beacons
+  kControl,       ///< control-channel sends and retries
+  kGroup,         ///< replay-group rounds and health checks
+  kReplayEngine,  ///< baseline replay engines and their dispatch
+  kNoise,         ///< background noise bursts and rate walk
+  kPtp,           ///< PTP servo syncs
+  kSampler,       ///< telemetry snapshot and series ticks
+  kCount,
+};
+
+inline constexpr std::size_t kComponentCount =
+    static_cast<std::size_t>(Component::kCount);
+
+/// Ledger names, indexed by Component (BENCH counters `events.<name>`).
+inline constexpr std::array<std::string_view, kComponentCount>
+    kComponentNames = {
+        "external", "generator", "tx_port", "link", "switch", "nic_tx",
+        "nic_rx", "rx_pipeline", "poll_loop", "recorder", "middlebox",
+        "control", "group", "replay_engine", "noise", "ptp", "sampler"};
+
+/// Fired events per component.
+using EventLedger = std::array<std::uint64_t, kComponentCount>;
 
 class EventQueue {
  public:
-  /// Schedule `fn` to run at absolute simulated time `at` (>= now()).
-  void schedule_at(Ns at, EventFn fn);
+  /// Callable bytes an event record stores inline.
+  static constexpr std::size_t kInlineBytes = 32;
+
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  /// Frees the boxed callables of events still pending.
+  ~EventQueue();
+
+  /// Schedule `fn` to run at absolute simulated time `at` (>= now()),
+  /// charged to `component` in the ledger.
+  template <class F>
+  void schedule_at(Ns at, Component component, F&& fn) {
+    CHOIR_EXPECT(at >= now_, "cannot schedule an event in the past");
+    using Fn = std::decay_t<F>;
+    Record r{at, next_seq_++ << 8 | static_cast<std::uint8_t>(component),
+             nullptr, nullptr, {}};
+    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= 8 &&
+                  std::is_trivially_copyable_v<Fn>) {
+      ::new (static_cast<void*>(r.storage)) Fn(std::forward<F>(fn));
+      r.invoke = [](void* s) { (*std::launder(static_cast<Fn*>(s)))(); };
+      push(r);
+    } else {
+      auto box = std::make_unique<Fn>(std::forward<F>(fn));
+      ::new (static_cast<void*>(r.storage)) Fn*(box.get());
+      r.invoke = [](void* s) {
+        const std::unique_ptr<Fn> owned(*std::launder(static_cast<Fn**>(s)));
+        (*owned)();
+      };
+      r.drop = [](void* s) { delete *std::launder(static_cast<Fn**>(s)); };
+      push(r);
+      box.release();
+    }
+  }
+
+  /// Untagged form, charged to Component::kExternal.
+  template <class F>
+  void schedule_at(Ns at, F&& fn) {
+    schedule_at(at, Component::kExternal, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` to run `delay` ns from now.
-  void schedule_in(Ns delay, EventFn fn) {
-    schedule_at(now_ + delay, std::move(fn));
+  template <class F>
+  void schedule_in(Ns delay, Component component, F&& fn) {
+    schedule_at(now_ + delay, component, std::forward<F>(fn));
+  }
+
+  template <class F>
+  void schedule_in(Ns delay, F&& fn) {
+    schedule_at(now_ + delay, Component::kExternal, std::forward<F>(fn));
   }
 
   /// Run events until the queue drains or `until` (inclusive) is reached.
@@ -37,26 +131,38 @@ class EventQueue {
   Ns now() const { return now_; }
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
-  std::uint64_t events_fired() const { return fired_; }
+  /// Fired events per component; they sum to events_fired().
+  const EventLedger& ledger() const { return fired_; }
+  std::uint64_t events_fired() const {
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : fired_) total += n;
+    return total;
+  }
 
  private:
-  struct Event {
+  /// One pending event, one cache line. Trivially copyable: heap moves
+  /// are plain copies, and firing copies the record out before the
+  /// callable runs, so the callable may schedule (and grow the heap).
+  struct Record {
     Ns at;
-    std::uint64_t seq;
-    EventFn fn;
-    bool operator>(const Event& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
-    }
+    /// Insertion sequence << 8 | component. Sequences are unique, so
+    /// ordering by `order` is ordering by sequence; the low byte is the
+    /// ledger tag.
+    std::uint64_t order;
+    void (*invoke)(void* storage);  ///< runs the callable (and frees a box)
+    void (*drop)(void* storage);    ///< frees a box unfired; null inline
+    alignas(8) unsigned char storage[kInlineBytes];
   };
+  static_assert(std::is_trivially_copyable_v<Record> && sizeof(Record) == 64);
 
+  void push(const Record& r);
   /// Fire the earliest event; the heap must be non-empty.
   void pop_one();
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
+  std::vector<Record> heap_;  ///< binary min-heap on (at, order)
   Ns now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t fired_ = 0;
+  EventLedger fired_{};
 };
 
 }  // namespace choir::sim

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -25,6 +24,22 @@ struct PtpConfig {
   Ns interval = milliseconds(125);   ///< sync message cadence
   double residual_sigma_ns = 20.0;   ///< post-servo offset error (1 sigma)
   double master_offset_ns = 0.0;     ///< systematic asymmetry, if any
+};
+
+/// Fault-layer hook on one PTP slave (clock-degrade windows).
+class PtpFaultHook {
+ public:
+  virtual ~PtpFaultHook() = default;
+  /// Factor on the slave's residual sigma for a sync at `now`.
+  virtual double sigma_scale(Ns now) = 0;
+};
+
+/// Observation hook called after every per-slave correction. It must
+/// not draw RNG or schedule events.
+class PtpSyncObserver {
+ public:
+  virtual ~PtpSyncObserver() = default;
+  virtual void on_sync(std::size_t slave, Ns now, double offset_ns) = 0;
 };
 
 /// Synchronizes a set of slave SystemClocks against an implicit
@@ -65,7 +80,9 @@ class PtpService {
       // Fault-layer degradation (clock-degrade windows) scales the
       // residual sigma; the normal draw itself is consumed either way,
       // so a plan with no active window is bit-identical to no hook.
-      if (slave.sigma_scale) sigma *= slave.sigma_scale(queue_.now());
+      if (slave.fault != nullptr) {
+        sigma *= slave.fault->sigma_scale(queue_.now());
+      }
       const double offset = config_.master_offset_ns + rng_.normal(0.0, sigma);
       slave.clock->set_offset(queue_.now(), offset);
       slave.last_offset_ns = offset;
@@ -75,7 +92,9 @@ class PtpService {
       // Observer hook (flight recorder / clock-history capture): pure
       // observation after the correction is applied — draws no RNG,
       // schedules nothing, zero-perturbation like the telemetry hooks.
-      if (sync_observer_) sync_observer_(i, queue_.now(), offset);
+      if (sync_observer_ != nullptr) {
+        sync_observer_->on_sync(i, queue_.now(), offset);
+      }
     }
     ++rounds_;
   }
@@ -94,25 +113,20 @@ class PtpService {
   /// the slave was registered for, unlike the service-wide rounds()).
   std::uint64_t syncs(std::size_t i) const { return at(i).syncs; }
 
-  /// Fault-layer hook: multiply slave `i`'s residual sigma by
-  /// `scale(now)` on every sync. Pass nullptr to clear.
-  void set_sigma_scale(std::size_t i, std::function<double(Ns)> scale) {
-    at(i).sigma_scale = std::move(scale);
-  }
+  /// Install (or clear, with nullptr) slave `i`'s fault hook: every
+  /// sync multiplies its residual sigma by `hook->sigma_scale(now)`.
+  void set_fault(std::size_t i, PtpFaultHook* hook) { at(i).fault = hook; }
 
-  /// Observation hook called after every per-slave correction with
-  /// (slave index, true time, applied offset ns). Pass nullptr to
-  /// clear. Must not draw RNG or schedule events.
-  void set_sync_observer(
-      std::function<void(std::size_t, Ns, double)> observer) {
-    sync_observer_ = std::move(observer);
+  /// Install (or clear, with nullptr) the sync observer.
+  void set_sync_observer(PtpSyncObserver* observer) {
+    sync_observer_ = observer;
   }
 
   const PtpConfig& config() const { return config_; }
 
  private:
   void schedule_next() {
-    queue_.schedule_in(config_.interval, [this] {
+    queue_.schedule_in(config_.interval, Component::kPtp, [this] {
       sync_all();
       schedule_next();
     });
@@ -124,7 +138,7 @@ class PtpService {
     double last_offset_ns = 0.0;
     double worst_abs_offset_ns = 0.0;
     std::uint64_t syncs = 0;
-    std::function<double(Ns)> sigma_scale;
+    PtpFaultHook* fault = nullptr;
   };
 
   Slave& at(std::size_t i) {
@@ -141,7 +155,7 @@ class PtpService {
   Rng rng_;
   std::vector<Slave> slaves_;
   std::uint64_t rounds_ = 0;
-  std::function<void(std::size_t, Ns, double)> sync_observer_;
+  PtpSyncObserver* sync_observer_ = nullptr;
 };
 
 }  // namespace choir::sim

@@ -37,7 +37,7 @@ class Sampler {
   void start() {
     if (running_) return;
     running_ = true;
-    queue_.schedule_in(period_, [this] { tick(); });
+    queue_.schedule_in(period_, sim::Component::kSampler, [this] { tick(); });
   }
 
   void stop() { running_ = false; }
@@ -51,7 +51,7 @@ class Sampler {
   void tick() {
     if (!running_) return;
     sample_now();
-    queue_.schedule_in(period_, [this] { tick(); });
+    queue_.schedule_in(period_, sim::Component::kSampler, [this] { tick(); });
   }
 
   sim::EventQueue& queue_;

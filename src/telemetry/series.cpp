@@ -21,7 +21,8 @@ SeriesSampler::SeriesSampler(sim::EventQueue& queue, const Registry& registry,
 void SeriesSampler::start() {
   if (running_) return;
   running_ = true;
-  queue_.schedule_in(config_.interval, [this] { tick(); });
+  queue_.schedule_in(config_.interval, sim::Component::kSampler,
+                     [this] { tick(); });
 }
 
 void SeriesSampler::push(const std::string& name, SeriesKind kind, Ns t,
@@ -62,7 +63,8 @@ void SeriesSampler::sample_now() {
 
 void SeriesSampler::tick() {
   sample_now();
-  queue_.schedule_in(config_.interval, [this] { tick(); });
+  queue_.schedule_in(config_.interval, sim::Component::kSampler,
+                     [this] { tick(); });
 }
 
 }  // namespace choir::telemetry

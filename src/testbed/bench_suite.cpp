@@ -95,6 +95,22 @@ std::vector<SuiteCase> environments_cases(std::uint64_t packets) {
   return cases;
 }
 
+/// The event ledger as case counters: `events.<component>` for every
+/// component, plus `events.total`. Only suites add them: the paper-scale
+/// twins in results/ go through make_bench_case too, and keep their
+/// committed bytes.
+void add_event_counters(const ExperimentResult& result,
+                        analysis::BenchCase& c) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < sim::kComponentCount; ++i) {
+    const std::uint64_t n = result.events_by_component[i];
+    total += n;
+    c.counters.emplace_back("events." + std::string(sim::kComponentNames[i]),
+                            static_cast<double>(n));
+  }
+  c.counters.emplace_back("events.total", static_cast<double>(total));
+}
+
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -238,8 +254,10 @@ std::vector<std::string> run_bench_suite(const std::string& suite,
       jobs, cases.size(), [&cases, &task_ms](std::size_t i) {
         const auto task_start = std::chrono::steady_clock::now();
         const SuiteCase& sc = cases[i];
-        analysis::BenchCase c = make_bench_case(
-            sc.config, run_experiment(sc.config), sc.case_name);
+        const ExperimentResult result = run_experiment(sc.config);
+        analysis::BenchCase c =
+            make_bench_case(sc.config, result, sc.case_name);
+        add_event_counters(result, c);
         task_ms[i] = ms_since(task_start);
         return c;
       });

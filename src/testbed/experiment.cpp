@@ -180,6 +180,24 @@ struct SlaveRef {
   const sim::NodeClock* clock = nullptr;
 };
 
+/// PTP correction history: each servo sync lands in the owning node's
+/// clock table (and ring) stamped with that node's believed wall time —
+/// the evidence the timeline merger rebases by.
+struct SyncToFlightLog final : sim::PtpSyncObserver {
+  SyncToFlightLog(obs::FlightLog& l, const std::vector<SlaveRef>& s)
+      : log(l), slaves(s) {}
+
+  void on_sync(std::size_t slave, Ns now, double offset) override {
+    if (slave >= slaves.size()) return;
+    const SlaveRef& ref = slaves[slave];
+    if (ref.node == 0) return;
+    log.note_sync(ref.node, ref.clock->system.read(now), offset);
+  }
+
+  obs::FlightLog& log;
+  const std::vector<SlaveRef>& slaves;
+};
+
 /// Every simulated component of one experiment. Members are destroyed
 /// in reverse declaration order, which the comments below rely on.
 struct Topology {
@@ -191,6 +209,7 @@ struct Topology {
 
   sim::NodeClock gen_clock;
   sim::NodeClock rec_clock;
+  std::optional<SyncToFlightLog> sync_log;  ///< obs runs only
   std::unique_ptr<sim::PtpService> ptp;
   std::unique_ptr<net::Switch> sw;
   // Declared before the components (constructed after them): duplicated
@@ -470,16 +489,8 @@ void add_fault_injector(Topology& t, Rng& root) {
 
 /// Hook the flight log into the PTP servo and the fault layer.
 void wire_flight_log(Topology& t, obs::FlightLog& log) {
-  // PTP correction history: each servo sync lands in the owning node's
-  // clock table (and ring) stamped with that node's believed wall time —
-  // the evidence the timeline merger rebases by.
-  t.ptp->set_sync_observer([&log, &slaves = t.slave_nodes](
-                               std::size_t slave, Ns now, double offset) {
-    if (slave >= slaves.size()) return;
-    const SlaveRef& ref = slaves[slave];
-    if (ref.node == 0) return;
-    log.note_sync(ref.node, ref.clock->system.read(now), offset);
-  });
+  t.sync_log.emplace(log, t.slave_nodes);
+  t.ptp->set_sync_observer(&*t.sync_log);
   if (t.injector == nullptr) return;
 
   // Fault points are interned up front with the node each one damages,
@@ -604,6 +615,9 @@ std::vector<trace::Capture> schedule_rounds(Topology& t,
     const Ns wall_start = sched.wall_start(r);
     const Ns dispatch_at = wall_start - milliseconds(20);
     capture.set_name("run-" + std::to_string(r));
+    // Every run captures the whole trial: reserve it so the recorder's
+    // appends never regrow (and copy) the capture mid-run.
+    capture.reserve(t.config.packets);
     t.daemon->arm(wall_start - sched.arm_margin, sched.round_end(r), &capture);
     if (t.group != nullptr) {
       // The prepare fence goes out well before the readiness deadline
@@ -624,9 +638,10 @@ std::vector<trace::Capture> schedule_rounds(Topology& t,
       // Baselines receive their start command out of band at the same
       // dispatch time the controller would have used.
       replay::Replayer* engine = p.engine.get();
-      t.queue.schedule_at(dispatch_at, [engine, wall_start] {
-        engine->schedule_replay(wall_start);
-      });
+      t.queue.schedule_at(dispatch_at, sim::Component::kReplayEngine,
+                          [engine, wall_start] {
+                            engine->schedule_replay(wall_start);
+                          });
     }
   }
   return captures;
@@ -670,6 +685,7 @@ void collect_counters(Topology& t, ExperimentResult& result) {
     // itself (owning the duplicate pool) outlives the topology.
     t.injector->detach_all();
   }
+  result.events_by_component = t.queue.ledger();
   result.recorder_rx_drops = t.rec.nic->rx_drops();
   result.recorder_imissed = t.rec_vf->imissed();
   result.switch_queue_drops = t.sw->queue_drops();

@@ -17,6 +17,7 @@
 #include "flow/flow_kappa.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/flight_log.hpp"
+#include "sim/event_queue.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/span_profiler.hpp"
@@ -205,6 +206,9 @@ struct ExperimentResult {
   std::uint64_t switch_queue_drops = 0;
   std::uint64_t replay_tx_drops = 0;     ///< replayer egress tail drops
   Ns trial_duration = 0;                 ///< nominal stream duration
+  /// Events the simulation fired, per scheduling component (the event
+  /// ledger); indexed by sim::Component.
+  sim::EventLedger events_by_component{};
 
   // Adversity accounting (all zero unless the preset carries faults).
   fault::FaultStats fault_stats;           ///< injected-fault totals

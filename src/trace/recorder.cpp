@@ -10,18 +10,19 @@ void CaptureDaemon::arm(Ns from, Ns until, Capture* out) {
   // The monitor's stream boundary rides the existing arm event: no new
   // queue insertions, so event sequence numbers — and with them the
   // seeded run — are untouched whether a monitor is installed or not.
-  queue_.schedule_at(from, [this, out] {
+  queue_.schedule_at(from, sim::Component::kRecorder, [this, out] {
     active_ = out;
     if (monitor_ != nullptr) monitor_->begin_stream(out->name());
   });
-  queue_.schedule_at(until, [this, out, from, until] {
+  const auto disarm = [this, out, from, until] {
     if (active_ == out) active_ = nullptr;
     if (auto* tracer = telemetry::tracer()) {
       tracer->span("capture-window", from, until, tm_track_,
                    "{\"capture\":\"" + json::escape(out->name()) +
                        "\"}");
     }
-  });
+  };
+  queue_.schedule_at(until, sim::Component::kRecorder, disarm);
 }
 
 bool CaptureDaemon::drain() {

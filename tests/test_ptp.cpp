@@ -7,6 +7,13 @@
 namespace choir::sim {
 namespace {
 
+/// A fault hook with a constant sigma factor.
+struct FixedSigmaScale final : PtpFaultHook {
+  explicit FixedSigmaScale(double f) : factor(f) {}
+  double sigma_scale(Ns) override { return factor; }
+  double factor;
+};
+
 TEST(Ptp, SyncsAtConfiguredCadence) {
   EventQueue q;
   PtpConfig cfg;
@@ -134,7 +141,8 @@ TEST(Ptp, SigmaScaleHookDegradesResiduals) {
   PtpService p2(q2, cfg, Rng(31));
   p1.add_slave(&plain);
   const std::size_t i2 = p2.add_slave(&hooked);
-  p2.set_sigma_scale(i2, [](Ns) { return 1.0; });
+  FixedSigmaScale unit(1.0);
+  p2.set_fault(i2, &unit);
   p1.start();
   p2.start();
   q1.run_until(milliseconds(100));
@@ -146,7 +154,8 @@ TEST(Ptp, SigmaScaleHookDegradesResiduals) {
   SystemClock degraded;
   PtpService p3(q3, cfg, Rng(31));
   const std::size_t i3 = p3.add_slave(&degraded);
-  p3.set_sigma_scale(i3, [](Ns) { return 100.0; });
+  FixedSigmaScale hundredfold(100.0);
+  p3.set_fault(i3, &hundredfold);
   p3.start();
   q3.run_until(milliseconds(100));
   EXPECT_NEAR(p3.worst_abs_offset_ns(i3), 100.0 * p2.worst_abs_offset_ns(i2),

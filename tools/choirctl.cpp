@@ -71,7 +71,9 @@
 //   --chaos-node I (postmortem) replayer index the preset targets (def 1)
 //   --kappa-gate X (postmortem) flag rounds with kappa below X; exits 1
 //                  when any round fails the gate
-//   --profile      host-time span profiling (profile.csv, trace track)
+//   --profile      host-time span profiling (profile.csv, trace track);
+//                  also prints fired events per recorded packet for
+//                  each scheduling component (the event ledger)
 //   --jobs N       worker threads (0 = auto: CHOIR_JOBS, else hardware
 //                  concurrency; 1 = sequential). Results are
 //                  byte-identical at any setting; `bench <suite> --jobs`
@@ -479,6 +481,33 @@ void print_metrics(const testbed::ExperimentResult& result) {
                                  core::KappaScaling::presence_sensitive()));
 }
 
+void print_profile(const testbed::ExperimentResult& result) {
+  if (result.profile == nullptr) return;
+  std::printf("-- span profile (host time) --\n%s",
+              result.profile->render_table().c_str());
+  // The event ledger, per packet the recorder captured over all runs
+  // (the packets perfbench's pps_per_core counts).
+  std::uint64_t captured = 0;
+  for (const std::size_t n : result.capture_sizes) captured += n;
+  const double per = captured > 0 ? 1.0 / static_cast<double>(captured) : 0.0;
+  std::printf("-- event ledger (events per recorded packet, %llu packets) "
+              "--\n",
+              static_cast<unsigned long long>(captured));
+  std::uint64_t total = 0;
+  for (std::size_t c = 0; c < sim::kComponentCount; ++c) {
+    const std::uint64_t n = result.events_by_component[c];
+    total += n;
+    if (n == 0) continue;
+    std::printf("  %-16s %12llu %8.3f\n",
+                std::string(sim::kComponentNames[c]).c_str(),
+                static_cast<unsigned long long>(n),
+                static_cast<double>(n) * per);
+  }
+  std::printf("  %-16s %12llu %8.3f\n", "total",
+              static_cast<unsigned long long>(total),
+              static_cast<double>(total) * per);
+}
+
 int cmd_list() {
   for (const auto& p : testbed::all_presets()) {
     std::printf("%-28s %3.0f Gbps x%d%s%s\n", p.name.c_str(), p.rate / 1e9,
@@ -500,6 +529,7 @@ int cmd_run(const std::vector<std::string>& args, bool figures) {
   print_metrics(result);
   print_group(result);
   print_flows(result, /*worst_limit=*/0);
+  print_profile(result);
   analysis::DeltaHistogram iat = analysis::DeltaHistogram::log_ns();
   analysis::DeltaHistogram lat = analysis::DeltaHistogram::log_ns();
   for (const auto& c : result.comparisons) {
@@ -524,12 +554,6 @@ int cmd_run(const std::vector<std::string>& args, bool figures) {
     std::printf("wrote %s-{iat,latency,metrics}.csv\n", base.c_str());
   }
   return 0;
-}
-
-void print_profile(const testbed::ExperimentResult& result) {
-  if (result.profile == nullptr) return;
-  std::printf("-- span profile (host time) --\n%s",
-              result.profile->render_table().c_str());
 }
 
 void print_monitor(const testbed::ExperimentResult& result,
