@@ -8,94 +8,9 @@
 #include <cstring>
 #include <thread>
 
-#include "analysis/histogram.hpp"
-#include "analysis/report.hpp"
 #include "common/task_pool.hpp"
-#include "testbed/scale.hpp"
 
 namespace choir::bench {
-
-testbed::ExperimentResult run_env(const testbed::EnvironmentPreset& preset,
-                                  std::uint64_t seed, int jobs) {
-  testbed::ExperimentConfig cfg;
-  cfg.env = preset;
-  cfg.packets = testbed::scale_from_env();
-  cfg.runs = 5;
-  cfg.seed = seed;
-  cfg.collect_series = true;
-  cfg.keep_captures = false;
-  cfg.eval_jobs = jobs;
-  return testbed::run_experiment(cfg);
-}
-
-void print_header(const std::string& figure,
-                  const testbed::EnvironmentPreset& preset,
-                  const testbed::ExperimentResult& result) {
-  std::printf("=== %s — environment %s ===\n", figure.c_str(),
-              preset.name.c_str());
-  std::printf(
-      "rate %.0f Gbps, %u-byte frames, %llu packets/trial (%.1f ms), "
-      "%d replayer(s)%s\n",
-      preset.rate / 1e9, preset.frame_bytes,
-      static_cast<unsigned long long>(result.recorded_packets),
-      to_seconds(result.trial_duration) * 1e3, preset.replayers,
-      preset.with_noise ? ", background noise active" : "");
-  std::printf("capture sizes:");
-  for (const auto size : result.capture_sizes) {
-    std::printf(" %zu", size);
-  }
-  std::printf("  (recorder pipeline drops: %llu)\n",
-              static_cast<unsigned long long>(result.recorder_rx_drops));
-}
-
-void print_run_metrics(const testbed::ExperimentResult& result) {
-  char run = 'B';
-  for (const auto& c : result.comparisons) {
-    std::printf(
-        "Run %c: %5.2f%% IAT +-10ns, U %s, O %s, I %s, L %s, kappa %.4f\n",
-        run++, 100.0 * c.fraction_iat_within(10.0),
-        analysis::format_metric(c.metrics.uniqueness).c_str(),
-        analysis::format_metric(c.metrics.ordering).c_str(),
-        analysis::format_metric(c.metrics.iat).c_str(),
-        analysis::format_metric(c.metrics.latency).c_str(), c.metrics.kappa);
-  }
-  std::printf(
-      "Mean : U %s, O %s, I %s, L %s, kappa %.4f\n",
-      analysis::format_metric(result.mean.uniqueness).c_str(),
-      analysis::format_metric(result.mean.ordering).c_str(),
-      analysis::format_metric(result.mean.iat).c_str(),
-      analysis::format_metric(result.mean.latency).c_str(),
-      result.mean.kappa);
-}
-
-namespace {
-void print_pooled_histogram(const testbed::ExperimentResult& result,
-                            bool latency) {
-  analysis::DeltaHistogram hist = analysis::DeltaHistogram::log_ns();
-  for (const auto& c : result.comparisons) {
-    hist.add_all(latency ? c.series.latency_delta_ns : c.series.iat_delta_ns);
-  }
-  std::printf("%s", hist.render().c_str());
-}
-}  // namespace
-
-void print_iat_histogram(const testbed::ExperimentResult& result) {
-  std::printf("-- IAT delta distribution (runs B-E vs A, pooled) --\n");
-  print_pooled_histogram(result, /*latency=*/false);
-}
-
-void print_latency_histogram(const testbed::ExperimentResult& result) {
-  std::printf("-- latency delta distribution (runs B-E vs A, pooled) --\n");
-  print_pooled_histogram(result, /*latency=*/true);
-}
-
-std::vector<std::string> table2_row(const std::string& name,
-                                    const testbed::ExperimentResult& result) {
-  std::vector<std::string> row{name};
-  const auto cells = analysis::metrics_cells(result.mean);
-  row.insert(row.end(), cells.begin(), cells.end());
-  return row;
-}
 
 namespace {
 
@@ -109,10 +24,6 @@ double host_now_ms() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-}  // namespace
-
-namespace {
 
 /// Find `<flag> VALUE` in argv, strip both (so downstream parsers — e.g.
 /// google-benchmark's Initialize — never see them) and return VALUE.
@@ -210,17 +121,6 @@ Reporter::Reporter(const std::string& name, int* argc, char** argv)
 #endif
     report_.host.hardware_threads = std::thread::hardware_concurrency();
   }
-}
-
-void Reporter::add_env(const testbed::EnvironmentPreset& preset,
-                       const testbed::ExperimentResult& result,
-                       std::uint64_t seed) {
-  testbed::ExperimentConfig cfg;  // mirror run_env()'s configuration
-  cfg.env = preset;
-  cfg.packets = testbed::scale_from_env();
-  cfg.runs = 5;
-  cfg.seed = seed;
-  add_case(cfg, result);
 }
 
 void Reporter::add_case(const testbed::ExperimentConfig& config,

@@ -1,11 +1,11 @@
-// Shared harness for the per-figure / per-table reproduction binaries.
+// Shared harness for the bench binaries.
 //
-// Each bench_* executable reproduces one table or figure from the paper's
-// evaluation: it runs the corresponding environment preset end to end
-// (record -> N replays -> captures -> Section 3 metrics) and prints the
-// same rows/series the paper reports. Scale defaults to a reduced,
-// shape-preserving packet count; set CHOIR_FULL=1 or CHOIR_SCALE=<n> for
-// more (see testbed/scale.hpp).
+// bench_paper reproduces the paper's tables and figures: each artifact
+// runs its environment presets end to end (record -> N replays ->
+// captures -> Section 3 metrics) and prints the same rows/series the
+// paper reports. Scale defaults to a reduced, shape-preserving packet
+// count; set CHOIR_FULL=1 or CHOIR_SCALE=<n> for more (see
+// testbed/scale.hpp).
 // Besides the text output, every binary can emit a machine-readable
 // BENCH_<name>.json (see docs/BENCHMARKS.md): pass `--json PATH` or set
 // CHOIR_BENCH_JSON=<dir>. The JSON is byte-deterministic at a fixed
@@ -23,32 +23,6 @@
 #include "testbed/presets.hpp"
 
 namespace choir::bench {
-
-/// Run one environment at the env-var-selected scale with the paper's
-/// five runs (A plus B-E). `jobs` fans the Section-3 evaluation (0 =
-/// auto, 1 = sequential); results are byte-identical at any setting.
-testbed::ExperimentResult run_env(const testbed::EnvironmentPreset& preset,
-                                  std::uint64_t seed = 2025, int jobs = 0);
-
-/// Print the experiment header (environment, scale, provenance counters).
-void print_header(const std::string& figure,
-                  const testbed::EnvironmentPreset& preset,
-                  const testbed::ExperimentResult& result);
-
-/// Per-run metric lines in the paper's Section 6/7 style:
-///   Run B: 92.23% IAT +-10ns, I 0.0290, L 2.62e-06, kappa 0.9855
-void print_run_metrics(const testbed::ExperimentResult& result);
-
-/// Figure-style histogram of IAT deltas (runs B..E vs A pooled and
-/// per-run percentages in the +-10ns bucket).
-void print_iat_histogram(const testbed::ExperimentResult& result);
-
-/// Figure-style histogram of latency deltas.
-void print_latency_histogram(const testbed::ExperimentResult& result);
-
-/// Table 2 row: environment | U | O | I | L | kappa (means over runs).
-std::vector<std::string> table2_row(const std::string& name,
-                                    const testbed::ExperimentResult& result);
 
 /// Resolve (and strip, so later arg parsers never see it) a `--json
 /// PATH` flag; falls back to CHOIR_BENCH_JSON=<dir>, which maps to
@@ -83,9 +57,9 @@ std::vector<testbed::ExperimentResult> run_configs(
 
 /// Machine-readable twin of a bench binary's text output.
 ///
-///   bench::Reporter reporter("fig4", argc, argv);
+///   bench::Reporter reporter("fig4", &argc, argv);
 ///   ...
-///   reporter.add_env(preset, result);
+///   reporter.add_case(config, result);
 ///   reporter.finish();
 ///
 /// finish() writes BENCH_<name>.json when `--json` / CHOIR_BENCH_JSON
@@ -96,12 +70,6 @@ class Reporter {
   Reporter(const std::string& name, int* argc, char** argv);
 
   bool enabled() const { return !path_.empty(); }
-
-  /// Record an environment run produced by run_env() (its defaults:
-  /// scale_from_env() packets, 5 runs).
-  void add_env(const testbed::EnvironmentPreset& preset,
-               const testbed::ExperimentResult& result,
-               std::uint64_t seed = 2025);
 
   /// Record a custom configuration's run. `case_name` overrides the
   /// preset name when one environment appears in several cases.

@@ -2,7 +2,7 @@
 // Choir's TSC pacing, a gettimeofday busy-wait, tcpreplay-style timer
 // sleeps, and MoonGen-style invalid-packet gap filling — and rank them by
 // consistency on a quiet dedicated path. (The full shared-NIC failure
-// analysis lives in bench_ablation_baselines.)
+// analysis lives in `bench_paper ablation`.)
 //
 // Build & run:  ./build/examples/baseline_shootout
 #include <cstdio>

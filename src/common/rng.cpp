@@ -67,13 +67,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::pareto(double x_m, double alpha) {
-  CHOIR_EXPECT(x_m > 0.0 && alpha > 0.0, "pareto needs positive parameters");
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }

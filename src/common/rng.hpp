@@ -40,10 +40,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Pareto (heavy-tailed) with scale x_m > 0 and shape alpha > 0.
-  /// Mean is finite only for alpha > 1.
-  double pareto(double x_m, double alpha);
-
   /// Log-normal where the *underlying* normal has the given mu/sigma.
   double lognormal(double mu, double sigma);
 

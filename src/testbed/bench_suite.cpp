@@ -18,20 +18,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-const char* engine_tag(ReplayEngine engine) {
-  switch (engine) {
-    case ReplayEngine::kChoir:
-      return "choir";
-    case ReplayEngine::kSleep:
-      return "sleep";
-    case ReplayEngine::kBusyWait:
-      return "busywait";
-    case ReplayEngine::kGapFill:
-      return "gapfill";
-  }
-  return "?";
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   CHOIR_EXPECT(in.good(), "cannot open: " + path);

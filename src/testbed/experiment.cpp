@@ -34,6 +34,36 @@ namespace choir::testbed {
 
 namespace {
 
+struct EngineName {
+  ReplayEngine engine;
+  const char* tag;
+};
+
+constexpr EngineName kEngineNames[] = {
+    {ReplayEngine::kChoir, "choir"},
+    {ReplayEngine::kSleep, "sleep"},
+    {ReplayEngine::kBusyWait, "busywait"},
+    {ReplayEngine::kGapFill, "gapfill"},
+};
+
+}  // namespace
+
+const char* engine_tag(ReplayEngine engine) {
+  for (const auto& e : kEngineNames) {
+    if (e.engine == engine) return e.tag;
+  }
+  return "?";
+}
+
+std::optional<ReplayEngine> parse_engine(std::string_view tag) {
+  for (const auto& e : kEngineNames) {
+    if (tag == e.tag) return e.engine;
+  }
+  return std::nullopt;
+}
+
+namespace {
+
 /// Registry snapshot period on the simulated timeline (counters.jsonl).
 constexpr Ns kSamplePeriod = milliseconds(5);
 /// Events each node's flight ring holds before overwriting the oldest.

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "choir/group.hpp"
@@ -36,6 +38,14 @@ enum class ReplayEngine {
   kBusyWait,  ///< gettimeofday busy-wait (microsecond grid)
   kGapFill,   ///< MoonGen/GapReplay invalid-packet gap filling
 };
+
+/// The engine's one short name ("choir", "sleep", "busywait",
+/// "gapfill"): the `choirctl --engine` value and the suffix of an
+/// ablation case name in BENCH_*.json.
+const char* engine_tag(ReplayEngine engine);
+
+/// Inverse of engine_tag; nullopt for a name no engine has.
+std::optional<ReplayEngine> parse_engine(std::string_view tag);
 
 /// Observability for a run. Telemetry is zero-perturbation: with the
 /// same seed, every metric of the run is bit-identical whether it is

@@ -125,69 +125,5 @@ TEST_F(GenFixture, CbrMisconfigurationThrows) {
   EXPECT_THROW(MultiFlowGenerator(queue, vf, pool, {tiny_frame}), Error);
 }
 
-TEST_F(GenFixture, PoissonMeanRateApproximatesTarget) {
-  net::PhysNic nic(queue, quiet(), Rng(8), egress);
-  net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  PoissonGenerator gen(queue, vf, pool, stream(20000), Rng(9));
-  gen.start();
-  queue.run();
-  ASSERT_EQ(gen.emitted(), 20000u);
-  const Ns span = sink.deliveries.back().wire_time -
-                  sink.deliveries.front().wire_time;
-  const double mean_gap = static_cast<double>(span) / 19999.0;
-  EXPECT_NEAR(mean_gap, 280.0, 15.0);
-}
-
-TEST_F(GenFixture, PoissonGapsAreVariable) {
-  net::PhysNic nic(queue, quiet(), Rng(10), egress);
-  net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  PoissonGenerator gen(queue, vf, pool, stream(1000), Rng(11));
-  gen.start();
-  queue.run();
-  int distinct = 0;
-  for (std::size_t i = 2; i < sink.deliveries.size(); ++i) {
-    const Ns g1 =
-        sink.deliveries[i].wire_time - sink.deliveries[i - 1].wire_time;
-    const Ns g2 =
-        sink.deliveries[i - 1].wire_time - sink.deliveries[i - 2].wire_time;
-    if (g1 != g2) ++distinct;
-  }
-  EXPECT_GT(distinct, 500);
-}
-
-TEST_F(GenFixture, ImixMixesSizes) {
-  net::PhysNic nic(queue, quiet(), Rng(12), egress);
-  net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  ImixGenerator gen(queue, vf, pool, stream(12000), Rng(13));
-  gen.start();
-  queue.run();
-  std::size_t small = 0, medium = 0, large = 0;
-  for (const auto& d : sink.deliveries) {
-    if (d.wire_len == 64) ++small;
-    if (d.wire_len == 576) ++medium;
-    if (d.wire_len == 1500) ++large;
-  }
-  EXPECT_EQ(small + medium + large, sink.deliveries.size());
-  // 7:4:1 mix, loose bands.
-  EXPECT_NEAR(static_cast<double>(small) / 12000.0, 7.0 / 12.0, 0.05);
-  EXPECT_NEAR(static_cast<double>(medium) / 12000.0, 4.0 / 12.0, 0.05);
-  EXPECT_NEAR(static_cast<double>(large) / 12000.0, 1.0 / 12.0, 0.05);
-}
-
-TEST_F(GenFixture, ImixHoldsAggregateRate) {
-  net::PhysNic nic(queue, quiet(), Rng(14), egress);
-  net::Vf& vf = nic.add_vf(pktio::mac_for_node(1));
-  ImixGenerator gen(queue, vf, pool, stream(20000, gbps(10)), Rng(15));
-  gen.start();
-  queue.run();
-  std::uint64_t bytes = 0;
-  for (const auto& d : sink.deliveries) bytes += d.wire_len;
-  const Ns span = sink.deliveries.back().wire_time -
-                  sink.deliveries.front().wire_time;
-  const double rate = static_cast<double>(bytes) * 8.0 /
-                      (static_cast<double>(span) / kNsPerSec);
-  EXPECT_NEAR(rate / gbps(10), 1.0, 0.1);
-}
-
 }  // namespace
 }  // namespace choir::gen

@@ -117,19 +117,6 @@ TEST(Rng, ExponentialRejectsNonPositiveMean) {
   EXPECT_THROW(rng.exponential(-1.0), Error);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(11);
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_GE(rng.pareto(2.0, 1.5), 2.0);
-  }
-}
-
-TEST(Rng, ParetoRejectsBadParameters) {
-  Rng rng(11);
-  EXPECT_THROW(rng.pareto(0.0, 1.0), Error);
-  EXPECT_THROW(rng.pareto(1.0, 0.0), Error);
-}
-
 TEST(Rng, LognormalMedian) {
   Rng rng(12);
   const int n = 100001;

@@ -313,14 +313,9 @@ Options parse_options(const std::vector<std::string>& args,
       // the run needs the group protocol anyway.
       if (opt.nodes > 2) opt.group = true;
     } else if (key == "--engine") {
-      if (value == "choir") {
-        opt.engine = testbed::ReplayEngine::kChoir;
-      } else if (value == "sleep") {
-        opt.engine = testbed::ReplayEngine::kSleep;
-      } else if (value == "busywait") {
-        opt.engine = testbed::ReplayEngine::kBusyWait;
-      } else if (value == "gapfill") {
-        opt.engine = testbed::ReplayEngine::kGapFill;
+      const auto engine = testbed::parse_engine(value);
+      if (engine) {
+        opt.engine = *engine;
       } else {
         opt.ok = false;
       }
