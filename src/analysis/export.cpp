@@ -37,16 +37,6 @@ void write_histogram_csv(const DeltaHistogram& histogram,
   CHOIR_EXPECT(out.good(), "write failed: " + path);
 }
 
-void write_series_csv(const std::vector<double>& series,
-                      const std::string& path) {
-  std::ofstream out = open_out(path);
-  out << "index,delta_ns\n";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    out << i << ',' << series[i] << '\n';
-  }
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
-}
-
 void write_metrics_csv(const std::vector<MetricsRow>& rows,
                        const std::string& path) {
   std::ofstream out = open_out(path);

@@ -20,10 +20,6 @@ namespace choir::analysis {
 void write_histogram_csv(const DeltaHistogram& histogram,
                          const std::string& path);
 
-/// Raw per-packet delta series as CSV: index,delta_ns.
-void write_series_csv(const std::vector<double>& series,
-                      const std::string& path);
-
 /// Metric rows as CSV: label,U,O,I,L,kappa.
 struct MetricsRow {
   std::string label;

@@ -14,10 +14,6 @@ SummaryStats from_shared(const stats::Summary& s) {
 }
 }  // namespace
 
-SummaryStats summarize(std::span<const double> values) {
-  return from_shared(stats::summarize(values, [](double v) { return v; }));
-}
-
 SummaryStats summarize(std::span<const std::int64_t> values) {
   return from_shared(stats::summarize(
       values, [](std::int64_t v) { return static_cast<double>(v); }));
@@ -34,15 +30,6 @@ double percentile(std::vector<double> values, double p) {
   CHOIR_EXPECT(p >= 0.0 && p <= 100.0, "percentile out of range");
   std::sort(values.begin(), values.end());
   return stats::percentile_sorted(values, p);
-}
-
-double fraction_within(std::span<const double> values, double threshold) {
-  if (values.empty()) return 1.0;
-  std::size_t within = 0;
-  for (const double v : values) {
-    if (std::abs(v) <= threshold) ++within;
-  }
-  return static_cast<double>(within) / static_cast<double>(values.size());
 }
 
 }  // namespace choir::analysis

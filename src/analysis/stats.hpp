@@ -15,7 +15,6 @@ struct SummaryStats {
   double max = 0.0;
 };
 
-SummaryStats summarize(std::span<const double> values);
 SummaryStats summarize(std::span<const std::int64_t> values);
 
 /// Stats of |v| over the same values (Table 1's "Abs. Mean" column).
@@ -23,8 +22,5 @@ SummaryStats summarize_abs(std::span<const std::int64_t> values);
 
 /// p in [0,100]; linear interpolation; input need not be sorted.
 double percentile(std::vector<double> values, double p);
-
-/// Fraction of values with |v| <= threshold.
-double fraction_within(std::span<const double> values, double threshold);
 
 }  // namespace choir::analysis

@@ -121,16 +121,6 @@ DriftFinding detect_rate_anomaly(const std::string& name,
   return f;
 }
 
-std::vector<double> rates_of(std::span<const double> cumulative) {
-  std::vector<double> rates;
-  if (cumulative.size() < 2) return rates;
-  rates.reserve(cumulative.size() - 1);
-  for (std::size_t i = 1; i < cumulative.size(); ++i) {
-    rates.push_back(cumulative[i] - cumulative[i - 1]);
-  }
-  return rates;
-}
-
 std::string render_drift(const DriftReport& report) {
   std::string out;
   char line[320];

@@ -73,9 +73,6 @@ DriftFinding detect_rate_anomaly(const std::string& name,
                                  std::span<const double> rates,
                                  const DriftOptions& options = {});
 
-/// Convenience: difference a cumulative counter series into rates.
-std::vector<double> rates_of(std::span<const double> cumulative);
-
 /// Fixed-width rendering of a report, drifting findings first.
 std::string render_drift(const DriftReport& report);
 

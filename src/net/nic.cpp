@@ -25,14 +25,16 @@ std::uint16_t Vf::backend_tx(pktio::Mbuf* const* pkts, std::uint16_t n) {
   last_pull_ = pull;
   // Effective pull delay includes FIFO waiting behind earlier bursts.
   phys_.tm_dma_pull_delay_.record(pull - phys_.queue_.now());
+  // Pulls fire in FIFO order, so each pull pops its own burst.
   phys_.dma_in_flight_ += accepted;
-  for (std::uint16_t i = 0; i < accepted; ++i) {
-    pktio::Mbuf* pkt = pkts[i];
-    phys_.queue_.schedule_at(pull, sim::Component::kNicTx, [this, pkt, pull] {
-      --phys_.dma_in_flight_;
-      phys_.tx_port_.submit(pkt, pull);
-    });
-  }
+  tx_ring_.enqueue_burst(pkts, accepted);
+  phys_.queue_.schedule_at(pull, sim::Component::kNicTx,
+                           [this, accepted, pull] {
+                             for (std::uint16_t i = 0; i < accepted; ++i) {
+                               --phys_.dma_in_flight_;
+                               phys_.tx_port_.submit(tx_ring_.dequeue(), pull);
+                             }
+                           });
   return accepted;
 }
 
@@ -70,7 +72,8 @@ Vf& PhysNic::add_vf(pktio::MacAddress mac, bool promiscuous) {
   const std::string label =
       "nic." + config_.name + ".vf" + std::to_string(vfs_.size());
   vfs_.push_back(std::make_unique<Vf>(*this, mac, config_.rx_ring_pkts,
-                                      promiscuous, label));
+                                      config_.tx_queue_pkts, promiscuous,
+                                      label));
   return *vfs_.back();
 }
 

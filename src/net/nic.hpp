@@ -31,16 +31,16 @@ class PhysNic;
 class Vf : public pktio::PortBackend {
  public:
   Vf(PhysNic& phys, pktio::MacAddress mac, std::size_t rx_ring_pkts,
-     bool promiscuous, const std::string& label)
+     std::size_t tx_ring_pkts, bool promiscuous, const std::string& label)
       : phys_(phys), mac_(mac), rx_ring_(rx_ring_pkts),
-        promiscuous_(promiscuous),
+        tx_ring_(tx_ring_pkts), promiscuous_(promiscuous),
         tm_rx_ring_hwm_(telemetry::gauge(label + ".rx_ring_hwm")),
         tm_imissed_(telemetry::counter(label + ".imissed")) {}
 
   /// DPDK-style transmit: the burst is accepted into the descriptor ring
   /// (as far as it has room — callers see partial acceptance and retry,
   /// exactly like rte_eth_tx_burst) and pulled by DMA after the modeled
-  /// delay (Section 2.3).
+  /// delay (Section 2.3), one event per accepted burst.
   std::uint16_t backend_tx(pktio::Mbuf* const* pkts, std::uint16_t n) override;
 
   /// DPDK-style receive from this VF's ring.
@@ -71,6 +71,7 @@ class Vf : public pktio::PortBackend {
   PhysNic& phys_;
   pktio::MacAddress mac_;
   pktio::Ring rx_ring_;
+  pktio::Ring tx_ring_;  ///< descriptor FIFO: accepted, not yet pulled
   bool promiscuous_;
   std::uint64_t imissed_ = 0;
   Ns last_pull_ = 0;  ///< DMA descriptor-ring FIFO ordering

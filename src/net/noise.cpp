@@ -44,7 +44,12 @@ void NoiseSource::emit_burst() {
     burst[have] = m;
   }
   if (have > 0) {
-    frames_ += vf_.backend_tx(burst, have);
+    // The frames beyond the free descriptors stay ours: release them.
+    const std::uint16_t sent = vf_.backend_tx(burst, have);
+    for (std::uint16_t i = sent; i < have; ++i) {
+      pktio::Mempool::release(burst[i]);
+    }
+    frames_ += sent;
   }
 
   // Next emission: time to serialize one burst at the current offered

@@ -5,18 +5,30 @@
 // scheduled. This determinism is load-bearing: every experiment in the
 // repo is reproducible bit-for-bit from its seed.
 //
-// Events are trivially copyable records in a flat binary heap. A
-// callable of at most kInlineBytes that is trivially copyable (every
-// per-packet capture: a few pointers and a timestamp) is constructed in
-// the record itself, so scheduling and firing it never allocates. Any
-// other callable is boxed on the heap once and freed when it fires, when
-// it throws, or when the queue is destroyed with it still pending.
+// The queue is a calendar: a wheel of kHorizon one-nanosecond slots,
+// each a FIFO list of event records, plus a binary heap for events due
+// kHorizon ns or more from now. Every wheel event lies in
+// [now, now + kHorizon), so one slot holds one time, and appending in
+// scheduling order is appending in sequence order. Heap events migrate
+// into their slots as soon as now() comes within kHorizon of them,
+// before any callback at the new now() runs, so a migrated event always
+// precedes the events scheduled straight into its slot, which are
+// younger. A slot therefore fires in exact (time, sequence) order with
+// no comparison (docs/SIMULATION.md §Determinism).
+//
+// Events are trivially copyable records. A callable of at most
+// kInlineBytes that is trivially copyable (every per-packet capture: a
+// few pointers and a timestamp) is constructed in the record itself, so
+// scheduling and firing it never allocates. Any other callable is boxed
+// on the heap once and freed when it fires, when it throws, or when the
+// queue is destroyed with it still pending.
 //
 // Every event carries the Component that scheduled it, and the queue
 // counts fired events per component (the event ledger).
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -71,6 +83,10 @@ class EventQueue {
  public:
   /// Callable bytes an event record stores inline.
   static constexpr std::size_t kInlineBytes = 32;
+  /// Wheel slots, one nanosecond each: events due less than kHorizon ns
+  /// from now() go straight into their slot, later ones into the
+  /// overflow heap.
+  static constexpr Ns kHorizon = 4096;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -129,8 +145,8 @@ class EventQueue {
   void run();
 
   Ns now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
+  bool empty() const { return pending() == 0; }
+  std::size_t pending() const { return wheel_size_ + overflow_.size(); }
   /// Fired events per component; they sum to events_fired().
   const EventLedger& ledger() const { return fired_; }
   std::uint64_t events_fired() const {
@@ -140,9 +156,10 @@ class EventQueue {
   }
 
  private:
-  /// One pending event, one cache line. Trivially copyable: heap moves
-  /// are plain copies, and firing copies the record out before the
-  /// callable runs, so the callable may schedule (and grow the heap).
+  /// One pending event, one cache line. Trivially copyable: slab and
+  /// heap moves are plain copies, and firing copies the record out
+  /// before the callable runs, so the callable may schedule (and grow
+  /// the slab).
   struct Record {
     Ns at;
     /// Insertion sequence << 8 | component. Sequences are unique, so
@@ -155,11 +172,40 @@ class EventQueue {
   };
   static_assert(std::is_trivially_copyable_v<Record> && sizeof(Record) == 64);
 
-  void push(const Record& r);
-  /// Fire the earliest event; the heap must be non-empty.
-  void pop_one();
+  static constexpr std::size_t kSlots = static_cast<std::size_t>(kHorizon);
+  static constexpr std::size_t kWords = kSlots / 64;
+  static_assert(std::has_single_bit(kSlots) && kWords <= 64,
+                "the slot bitmap's summary is one 64-bit word");
+  static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  std::vector<Record> heap_;  ///< binary min-heap on (at, order)
+  static std::size_t slot_of(Ns at) {
+    return static_cast<std::size_t>(at) & (kSlots - 1);
+  }
+
+  /// Into its wheel slot when due within the horizon, else the heap.
+  void push(const Record& r);
+  /// Append to the tail of the record's slot.
+  void append(const Record& r);
+  /// Move the heap's events due within the horizon into their slots,
+  /// in (at, order) order.
+  void migrate();
+  /// Time of the earliest pending event; the queue must be non-empty.
+  Ns next_at() const;
+  /// Advance now() to `at`, the earliest pending time, and fire the
+  /// first event there.
+  void fire_next(Ns at);
+
+  /// Slab of wheel records; next_[i] links record i to the next one in
+  /// its slot, or to the next free record.
+  std::vector<Record> slab_;
+  std::vector<std::uint32_t> next_;
+  std::uint32_t free_ = kNil;
+  std::array<std::uint32_t, kSlots> head_{};  ///< valid where the bit is set
+  std::array<std::uint32_t, kSlots> tail_{};
+  std::array<std::uint64_t, kWords> bits_{};  ///< non-empty slots
+  std::uint64_t summary_ = 0;                 ///< non-zero words of bits_
+  std::size_t wheel_size_ = 0;
+  std::vector<Record> overflow_;  ///< binary min-heap on (at, order)
   Ns now_ = 0;
   std::uint64_t next_seq_ = 0;
   EventLedger fired_{};

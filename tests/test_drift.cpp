@@ -85,16 +85,6 @@ TEST(RateAnomaly, ZeroIqrWithAnOutlierStillFires) {
             DriftStatus::kDrifting);
 }
 
-TEST(RatesOf, DifferencesCumulativeCounters) {
-  const std::vector<double> cumulative = {0, 10, 25, 25, 40};
-  const std::vector<double> rates = rates_of(cumulative);
-  ASSERT_EQ(rates.size(), 4u);
-  EXPECT_DOUBLE_EQ(rates[0], 10.0);
-  EXPECT_DOUBLE_EQ(rates[1], 15.0);
-  EXPECT_DOUBLE_EQ(rates[2], 0.0);
-  EXPECT_DOUBLE_EQ(rates[3], 15.0);
-}
-
 TEST(DriftReport, RenderPutsDriftingFirstAndCountsThem) {
   std::vector<double> decay;
   for (int i = 0; i < 10; ++i) decay.push_back(0.99 - 0.01 * i);

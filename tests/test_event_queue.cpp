@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,33 +139,65 @@ struct Lcg {
   }
 };
 
-/// Random schedules against the reference order. Every event's (at, seq)
-/// is fixed when it is scheduled, and an event scheduled while the queue
-/// runs lands at or after now() with a larger sequence than anything
-/// already fired. So the firing order of the whole run must equal the
-/// schedule log stable-sorted by time (stable = by sequence). Times come
-/// from a narrow range, so most events tie with others, and fired events
-/// schedule children (some at the same nanosecond). Inline and boxed
-/// callables and every component tag are mixed in.
+/// What a Differential run schedules. Each delay class, relative to
+/// now(), is drawn with its weight.
+struct Mix {
+  int tie = 0;      ///< 0 ns: at now()
+  int near = 0;     ///< 0..7 ns
+  int horizon = 0;  ///< kHorizon - 2 .. kHorizon + 2 ns
+  int wide = 0;     ///< 0 .. 4 kHorizon ns
+  int far = 0;      ///< 1 ms .. 1 s
+  int initial = 400;          ///< events scheduled before the first run
+  std::size_t budget = 4000;  ///< no more children past this many events
+  int max_children = 2;       ///< children per fired event: 0..max
+  int externals = 0;          ///< scheduled from outside per run_until
+  Ns step = 16;               ///< run_until advances 1..step ns
+  int throw_one_in = 0;       ///< 0: never; else 1 in N callbacks throws
+};
+
+/// Seeded random schedules against a reference that shares no code with
+/// the queue: an ordered set of the scheduled, unfired (at, sequence)
+/// pairs, the sequence being the log index. Every event's (at,
+/// sequence) is fixed when it is scheduled, and an event scheduled while
+/// the queue runs lands at or after now() with a larger sequence than
+/// anything already fired. So each firing event must be the set's
+/// least, and the whole run's firing order must equal the schedule log
+/// sorted by (at, sequence). At every run_until boundary the reference
+/// also predicts now() and pending(), and that nothing due by then is
+/// left. Inline and boxed callables and every component tag are mixed
+/// in.
 class Differential {
  public:
-  explicit Differential(std::uint64_t seed) : rng_{seed} {}
+  Differential(std::uint64_t seed, Mix mix) : rng_{seed}, mix_(mix) {}
 
   void run() {
-    for (int i = 0; i < 400; ++i) schedule(static_cast<Ns>(rng_.next() % 64));
+    for (int i = 0; i < mix_.initial; ++i) {
+      schedule(static_cast<Ns>(rng_.next() % 64) + delay());
+    }
     // Drain in steps, so run_until's boundary handling is exercised too.
     Ns until = 0;
     while (!q_.empty()) {
-      q_.run_until(until);
-      until += 1 + static_cast<Ns>(rng_.next() % 16);
+      run_until(until);
+      for (int i = 0; i < mix_.externals && log_.size() < mix_.budget; ++i) {
+        schedule(q_.now() + delay());
+      }
+      const auto step = static_cast<std::uint64_t>(mix_.step);
+      until += 1 + static_cast<Ns>(rng_.next() % step);
+      // Across an idle stretch, land the next boundary just before the
+      // reference's next event.
+      if (!pending_.empty() && pending_.begin()->first > until) {
+        until = std::max(until, pending_.begin()->first -
+                                    static_cast<Ns>(rng_.next() % step));
+      }
     }
   }
 
   void check() const {
     std::vector<Entry> expected = log_;
-    std::stable_sort(
-        expected.begin(), expected.end(),
-        [](const Entry& a, const Entry& b) { return a.at < b.at; });
+    std::sort(expected.begin(), expected.end(),
+              [](const Entry& a, const Entry& b) {
+                return a.at != b.at ? a.at < b.at : a.id < b.id;
+              });
     ASSERT_EQ(fired_.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(fired_[i], expected[i].id) << "at position " << i;
@@ -174,6 +208,9 @@ class Differential {
     EXPECT_EQ(q_.events_fired(), log_.size());
   }
 
+  std::size_t max_pending() const { return max_pending_; }
+  std::size_t throws() const { return throws_; }
+
  private:
   struct Entry {
     Ns at;
@@ -181,40 +218,174 @@ class Differential {
     Component tag;
   };
 
+  Ns delay() {
+    const int total =
+        mix_.tie + mix_.near + mix_.horizon + mix_.wide + mix_.far;
+    int pick =
+        static_cast<int>(rng_.next() % static_cast<std::uint64_t>(total));
+    if ((pick -= mix_.tie) < 0) return 0;
+    if ((pick -= mix_.near) < 0) return static_cast<Ns>(rng_.next() % 8);
+    if ((pick -= mix_.horizon) < 0) {
+      return EventQueue::kHorizon - 2 + static_cast<Ns>(rng_.next() % 5);
+    }
+    if ((pick -= mix_.wide) < 0) {
+      return static_cast<Ns>(
+          rng_.next() % static_cast<std::uint64_t>(4 * EventQueue::kHorizon));
+    }
+    return milliseconds(1) + static_cast<Ns>(rng_.next() % kNsPerSec);
+  }
+
+  /// run_until, resumed after each throwing callable, then checked
+  /// against the reference at the boundary.
+  void run_until(Ns until) {
+    const Ns before = q_.now();
+    until_ = until;
+    for (;;) {
+      try {
+        q_.run_until(until);
+        break;
+      } catch (const std::runtime_error&) {
+        ++throws_;
+      }
+    }
+    EXPECT_EQ(q_.now(), std::max(before, until));
+    ASSERT_EQ(q_.pending(), pending_.size());
+    if (!pending_.empty()) {
+      ASSERT_GT(pending_.begin()->first, until);
+    }
+  }
+
   void schedule(Ns at) {
     const std::size_t id = log_.size();
     const auto tag = static_cast<Component>(rng_.next() % kComponentCount);
     log_.push_back({at, id, tag});
+    pending_.emplace(at, id);
     if (rng_.next() % 3 == 0) {
       // Boxed: a std::function is not trivially copyable.
       q_.schedule_at(at, tag, std::function<void()>([this, id] { fire(id); }));
     } else {
       q_.schedule_at(at, tag, [this, id] { fire(id); });
     }
+    max_pending_ = std::max(max_pending_, q_.pending());
   }
 
   void fire(std::size_t id) {
     EXPECT_EQ(q_.now(), log_[id].at);
+    EXPECT_LE(q_.now(), until_);
+    ASSERT_FALSE(pending_.empty());
+    EXPECT_EQ(pending_.begin()->second, id);
+    pending_.erase({log_[id].at, id});
     fired_.push_back(id);
-    if (log_.size() >= 4000) return;
-    const int children = static_cast<int>(rng_.next() % 3);
-    for (int c = 0; c < children; ++c) {
-      schedule(q_.now() + static_cast<Ns>(rng_.next() % 8));
+    if (log_.size() < mix_.budget) {
+      const auto children = static_cast<int>(
+          rng_.next() % static_cast<std::uint64_t>(mix_.max_children + 1));
+      for (int c = 0; c < children; ++c) schedule(q_.now() + delay());
+    }
+    if (mix_.throw_one_in > 0 &&
+        rng_.next() % static_cast<std::uint64_t>(mix_.throw_one_in) == 0) {
+      throw std::runtime_error("callback failed");
     }
   }
 
   EventQueue q_;
   Lcg rng_;
+  Mix mix_;
   std::vector<Entry> log_;
+  std::set<std::pair<Ns, std::size_t>> pending_;  ///< the reference
   std::vector<std::size_t> fired_;
+  Ns until_ = 0;
+  std::size_t max_pending_ = 0;
+  std::size_t throws_ = 0;
 };
 
 TEST(EventQueue, MatchesStableSortReferenceOrder) {
+  // Times from a narrow range: most events tie with others, and fired
+  // events schedule children, some at the same nanosecond.
+  Mix mix;
+  mix.near = 1;
   for (const std::uint64_t seed : {1ULL, 7ULL, 97ULL, 2025ULL}) {
-    Differential d(seed);
+    Differential d(seed, mix);
     d.run();
     d.check();
   }
+}
+
+TEST(EventQueue, OracleManyEventsTiedAtOneNanosecond) {
+  Mix mix;
+  mix.tie = 6;
+  mix.near = 1;
+  mix.initial = 50;
+  mix.max_children = 3;
+  for (const std::uint64_t seed : {3ULL, 11ULL, 4242ULL}) {
+    Differential d(seed, mix);
+    d.run();
+    d.check();
+  }
+}
+
+TEST(EventQueue, OracleDelaysAroundTheHorizonAndFarFuture) {
+  Mix mix;
+  mix.near = 2;
+  mix.horizon = 4;
+  mix.wide = 2;
+  mix.far = 1;
+  mix.step = 2 * EventQueue::kHorizon;
+  for (const std::uint64_t seed : {5ULL, 13ULL, 777ULL}) {
+    Differential d(seed, mix);
+    d.run();
+    d.check();
+  }
+}
+
+TEST(EventQueue, OracleExternalSchedulingBetweenRunUntilCalls) {
+  // Small steps put many run_until boundaries between events, and
+  // outside callers schedule at the boundary itself and across the
+  // horizon.
+  Mix mix;
+  mix.tie = 2;
+  mix.near = 2;
+  mix.horizon = 2;
+  mix.wide = 1;
+  mix.externals = 2;
+  mix.step = 3;
+  mix.max_children = 1;
+  for (const std::uint64_t seed : {17ULL, 19ULL, 2024ULL}) {
+    Differential d(seed, mix);
+    d.run();
+    d.check();
+  }
+}
+
+TEST(EventQueue, OracleThrowingCallablesLeaveTheOrderIntact) {
+  Mix mix;
+  mix.tie = 1;
+  mix.near = 2;
+  mix.horizon = 1;
+  mix.wide = 1;
+  mix.throw_one_in = 7;
+  for (const std::uint64_t seed : {23ULL, 29ULL}) {
+    Differential d(seed, mix);
+    d.run();
+    d.check();
+    EXPECT_GT(d.throws(), 0u);
+  }
+}
+
+TEST(EventQueue, OracleDeepPendingCount) {
+  // Far deeper than the 651 events record_replay ever has pending, and
+  // deeper than the wheel has slots.
+  Mix mix;
+  mix.near = 1;
+  mix.horizon = 1;
+  mix.wide = 4;
+  mix.far = 1;
+  mix.initial = 20000;
+  mix.budget = 40000;
+  mix.step = EventQueue::kHorizon;
+  Differential d(31, mix);
+  d.run();
+  d.check();
+  EXPECT_GT(d.max_pending(), 20000u);
 }
 
 TEST(EventQueue, InlineAndBoxedCallablesRunWithTheirCaptures) {
@@ -265,7 +436,10 @@ TEST(EventQueue, BoxedCallableFreedWhenQueueDiesWithItPending) {
     EventQueue q;
     q.schedule_at(5, [token] { ++*token; });
     q.schedule_at(9, Component::kLink, [token] { ++*token; });
-    EXPECT_EQ(token.use_count(), 3);
+    q.schedule_at(9, [token] { ++*token; });
+    // Beyond the wheel's horizon: pending in the overflow heap.
+    q.schedule_at(10 * EventQueue::kHorizon, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 5);
   }
   EXPECT_EQ(*token, 0);
   EXPECT_EQ(token.use_count(), 1);

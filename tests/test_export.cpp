@@ -42,14 +42,6 @@ TEST_F(ExportTest, HistogramCsvHasHeaderAndAllBins) {
   EXPECT_NE(csv.find("0.5"), std::string::npos);  // two values, two bins
 }
 
-TEST_F(ExportTest, SeriesCsvRoundTripsValues) {
-  write_series_csv({1.5, -2.25, 0.0}, path);
-  const std::string csv = slurp();
-  EXPECT_NE(csv.find("0,1.5"), std::string::npos);
-  EXPECT_NE(csv.find("1,-2.25"), std::string::npos);
-  EXPECT_NE(csv.find("2,0"), std::string::npos);
-}
-
 TEST_F(ExportTest, MetricsCsvRows) {
   core::ConsistencyMetrics m;
   m.uniqueness = 1e-4;
@@ -65,7 +57,7 @@ TEST_F(ExportTest, MetricsCsvRows) {
 }
 
 TEST_F(ExportTest, UnwritablePathThrows) {
-  EXPECT_THROW(write_series_csv({1.0}, "/nonexistent-dir/x.csv"), Error);
+  EXPECT_THROW(write_metrics_csv({}, "/nonexistent-dir/x.csv"), Error);
 }
 
 }  // namespace

@@ -42,6 +42,54 @@ TEST_F(NicFixture, TxBurstGoesThroughDmaAndWire) {
   EXPECT_EQ(sink.deliveries[1].wire_time, 1300 + 224);
 }
 
+TEST_F(NicFixture, DmaPullsAWholeBurstInOneEvent) {
+  PhysNic nic(queue, quiet(), Rng(11), egress);
+  Vf& vf = nic.add_vf(pktio::mac_for_node(1));
+  pktio::Mbuf* burst[5];
+  for (std::uint64_t i = 0; i < 5; ++i) burst[i] = make_frame(pool, 1400, i);
+  queue.run_until(1000);
+  EXPECT_EQ(vf.backend_tx(burst, 5), 5);
+  queue.run();
+  EXPECT_EQ(queue.ledger()[static_cast<std::size_t>(sim::Component::kNicTx)],
+            1u);
+  ASSERT_EQ(sink.deliveries.size(), 5u);
+  // In order, back to back from the pull at 1000+300: frame i's last bit
+  // leaves at pull + (i + 1) * 112 ns.
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(sink.deliveries[i].payload_token, i);
+    EXPECT_EQ(sink.deliveries[i].wire_time,
+              1300 + 112 * static_cast<Ns>(i + 1));
+  }
+}
+
+TEST_F(NicFixture, PartialAcceptanceLeavesTheRestWithTheCaller) {
+  NicConfig cfg = quiet();
+  cfg.tx_queue_pkts = 3;
+  PhysNic nic(queue, cfg, Rng(12), egress);
+  Vf& vf = nic.add_vf(pktio::mac_for_node(1));
+  pktio::Mbuf* burst[5];
+  for (std::uint64_t i = 0; i < 5; ++i) burst[i] = make_frame(pool, 1400, i);
+  EXPECT_EQ(vf.backend_tx(burst, 5), 3);
+  EXPECT_EQ(nic.tx_descriptors_free(), 0u);
+  queue.run();
+  EXPECT_EQ(queue.ledger()[static_cast<std::size_t>(sim::Component::kNicTx)],
+            1u);
+  ASSERT_EQ(sink.deliveries.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(sink.deliveries[i].payload_token, i);
+  }
+  // The refused frames are still the caller's, untouched.
+  EXPECT_EQ(pool.in_use(), 2u);
+  EXPECT_EQ(burst[3]->refcnt, 1u);
+  EXPECT_EQ(burst[4]->frame.payload_token, 4u);
+  // A retry sends them after the first three.
+  EXPECT_EQ(vf.backend_tx(burst + 3, 2), 2);
+  queue.run();
+  ASSERT_EQ(sink.deliveries.size(), 5u);
+  EXPECT_EQ(sink.deliveries[4].payload_token, 4u);
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
 TEST_F(NicFixture, DmaPullIsFifoAcrossBursts) {
   NicConfig cfg = quiet();
   cfg.dma_pull_jitter_sigma_ns = 200.0;  // heavy jitter

@@ -93,6 +93,22 @@ TEST_F(NoiseFixture, SurvivesPoolExhaustion) {
   EXPECT_GT(noise.frames_emitted(), 0u);
 }
 
+TEST_F(NoiseFixture, ReleasesTheFramesTheNicRefuses) {
+  // Four descriptors against 32-frame bursts: most of every burst is
+  // refused, and the refused frames go back to the noise pool.
+  NicConfig cfg = quiet();
+  cfg.tx_queue_pkts = 4;
+  PhysNic nic(queue, cfg, Rng(11), egress);
+  Vf& vf = nic.add_vf(pktio::mac_for_node(5));
+  NoiseSource noise(queue, vf, pool, noise_flow(), NoiseConfig{}, Rng(12));
+  noise.run(0, microseconds(200));
+  queue.run();
+  EXPECT_GT(noise.frames_emitted(), 0u);
+  EXPECT_EQ(sink.deliveries.size(), noise.frames_emitted());
+  EXPECT_EQ(noise.alloc_failures(), 0u);
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
 TEST_F(NoiseFixture, FramesCarryNoiseAddressing) {
   PhysNic nic(queue, quiet(), Rng(9), egress);
   Vf& vf = nic.add_vf(pktio::mac_for_node(5));

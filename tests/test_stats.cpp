@@ -1,6 +1,7 @@
 #include "analysis/stats.hpp"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,9 +12,18 @@
 namespace choir::analysis {
 namespace {
 
+/// The shared summary over plain doubles.
+SummaryStats summarize_doubles(const std::vector<double>& values) {
+  const stats::Summary s =
+      stats::summarize(std::span<const double>(values), [](double v) {
+        return v;
+      });
+  return SummaryStats{s.count, s.mean, s.stddev, s.min, s.max};
+}
+
 TEST(Stats, SummarizeBasics) {
   const std::vector<double> v{1, 2, 3, 4, 5};
-  const SummaryStats s = summarize(v);
+  const SummaryStats s = summarize_doubles(v);
   EXPECT_EQ(s.count, 5u);
   EXPECT_DOUBLE_EQ(s.mean, 3.0);
   EXPECT_NEAR(s.stddev, std::sqrt(2.0), 1e-12);
@@ -22,14 +32,14 @@ TEST(Stats, SummarizeBasics) {
 }
 
 TEST(Stats, SummarizeEmpty) {
-  const SummaryStats s = summarize(std::vector<double>{});
+  const SummaryStats s = summarize_doubles({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.mean, 0.0);
 }
 
 TEST(Stats, SummarizeSingleValue) {
   const std::vector<double> v{42.0};
-  const SummaryStats s = summarize(v);
+  const SummaryStats s = summarize_doubles(v);
   EXPECT_DOUBLE_EQ(s.mean, 42.0);
   EXPECT_DOUBLE_EQ(s.stddev, 0.0);
   EXPECT_DOUBLE_EQ(s.min, 42.0);
@@ -91,14 +101,6 @@ TEST(Stats, PercentileValidation) {
   EXPECT_THROW(percentile({}, 50), Error);
   EXPECT_THROW(percentile({1.0}, 101), Error);
   EXPECT_THROW(percentile({1.0}, -1), Error);
-}
-
-TEST(Stats, FractionWithin) {
-  const std::vector<double> v{-15, -5, 0, 5, 15};
-  EXPECT_DOUBLE_EQ(fraction_within(v, 10.0), 0.6);
-  EXPECT_DOUBLE_EQ(fraction_within(v, 100.0), 1.0);
-  EXPECT_DOUBLE_EQ(fraction_within(v, 1.0), 0.2);
-  EXPECT_DOUBLE_EQ(fraction_within(std::vector<double>{}, 1.0), 1.0);
 }
 
 }  // namespace

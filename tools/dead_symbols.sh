@@ -26,15 +26,12 @@
 #  - Symbols perfbench pins: trace::MappedCapture's move operations.
 #    perfbench/ is built on its own (not by this script) and moves
 #    captures, so their removal would break it.
-#  - The next ROADMAP deletion group, the tested helpers:
-#    monitor::rates_of, analysis::summarize(span of double),
-#    analysis::fraction_within and analysis::write_series_csv.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-dead}"
 
-KEEP='^choir::(sim::EventQueue::run\(|json::write(\[abi:cxx11\])?\(|fault::FaultInjector::attached_points\(|core::lis_length\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\)|monitor::rates_of\(|analysis::(summarize\(std::span<double const|fraction_within\(|write_series_csv\())'
+KEEP='^choir::(sim::EventQueue::run\(|json::write(\[abi:cxx11\])?\(|fault::FaultInjector::attached_points\(|core::lis_length\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\))'
 
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections" \
