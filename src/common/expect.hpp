@@ -3,7 +3,8 @@
 // CHOIR_EXPECT throws choir::Error on violation. Simulation code uses it
 // for conditions that indicate misuse of an API or a broken invariant;
 // hot paths that must not branch use CHOIR_ASSUME_DBG, which compiles out
-// in release builds.
+// in release builds. Decoders of external files use CHOIR_CHECK_FORMAT,
+// which throws the recoverable choir::FormatError instead.
 #pragma once
 
 #include <stdexcept>
@@ -41,6 +42,15 @@ namespace detail {
 #define CHOIR_EXPECT(cond, msg)                                     \
   do {                                                              \
     if (!(cond)) ::choir::detail::fail(#cond, __FILE__, __LINE__, (msg)); \
+  } while (0)
+
+/// Loader-side validation: throws FormatError carrying exactly `msg` (no
+/// file:line prefix) when `cond` is false. `msg` is evaluated only on
+/// failure, so a per-record check can name its record at no cost when the
+/// record is well formed.
+#define CHOIR_CHECK_FORMAT(cond, msg)                          \
+  do {                                                         \
+    if (!(cond)) [[unlikely]] throw ::choir::FormatError(msg); \
   } while (0)
 
 #ifdef NDEBUG

@@ -44,8 +44,14 @@ void longest_increasing_subsequence(std::span<const std::uint32_t> values,
 
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t v = values[i];
-    const std::size_t pile = lower_bound_pos(scratch.tail_vals.data(),
-                                             scratch.tail_vals.size(), v);
+    // A value above every pile tail starts a new pile. lower_bound_pos
+    // returns tail_vals.size() exactly then, so skipping the search
+    // changes no output, and an in-order run costs O(1) per value.
+    const std::size_t piles = scratch.tail_vals.size();
+    const std::size_t pile =
+        piles == 0 || scratch.tail_vals.back() < v
+            ? piles
+            : lower_bound_pos(scratch.tail_vals.data(), piles, v);
     scratch.parent[i] =
         pile > 0 ? scratch.tail_pos[pile - 1] : UINT32_MAX;
     if (pile == scratch.tail_vals.size()) {

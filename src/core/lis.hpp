@@ -10,7 +10,9 @@
 // search never indirects through positions back into the input — one
 // cache-resident array instead of a dependent load per probe) and
 // `tail_pos` the matching input position used for parent links. The
-// search itself is the branchless halving lower_bound.
+// search itself is the branchless halving lower_bound, skipped when the
+// value extends the longest pile — the common case on a near-ordered
+// replay, which then costs O(n) rather than O(n log n).
 #pragma once
 
 #include <cstdint>

@@ -23,12 +23,6 @@ T take(std::ifstream& in) {
   in.read(reinterpret_cast<char*>(&value), sizeof(value));
   return value;
 }
-
-/// Loader-side validation throws FormatError (recoverable bad input),
-/// in contrast to CHOIR_EXPECT (API misuse).
-void check_format(bool ok, const std::string& what) {
-  if (!ok) throw FormatError(what);
-}
 }  // namespace
 
 std::uint8_t payload_filler_byte(std::uint64_t token, std::uint32_t i) {
@@ -84,15 +78,16 @@ void write_pcap(const Capture& capture, const std::string& path,
 
 Capture read_pcap(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  check_format(in.good(), "cannot open pcap file: " + path);
+  CHOIR_CHECK_FORMAT(in.good(), "cannot open pcap file: " + path);
 
   const auto magic = take<std::uint32_t>(in);
-  check_format(!in.fail(), "truncated pcap global header: " + path);
+  CHOIR_CHECK_FORMAT(!in.fail(), "truncated pcap global header: " + path);
   bool nanosecond = false;
   if (magic == 0xa1b23c4d) {
     nanosecond = true;
   } else {
-    check_format(magic == 0xa1b2c3d4, "not a little-endian pcap: " + path);
+    CHOIR_CHECK_FORMAT(magic == 0xa1b2c3d4,
+                       "not a little-endian pcap: " + path);
   }
   take<std::uint16_t>(in);  // version major
   take<std::uint16_t>(in);  // version minor
@@ -100,9 +95,11 @@ Capture read_pcap(const std::string& path) {
   take<std::uint32_t>(in);  // sigfigs
   const auto snaplen = take<std::uint32_t>(in);
   const auto linktype = take<std::uint32_t>(in);
-  check_format(in.good(), "truncated pcap global header: " + path);
-  check_format(linktype == 1, "only LINKTYPE_ETHERNET pcaps are supported");
-  check_format(snaplen > 0 && snaplen <= (1u << 24), "implausible snaplen");
+  CHOIR_CHECK_FORMAT(in.good(), "truncated pcap global header: " + path);
+  CHOIR_CHECK_FORMAT(linktype == 1,
+                     "only LINKTYPE_ETHERNET pcaps are supported");
+  CHOIR_CHECK_FORMAT(snaplen > 0 && snaplen <= (1u << 24),
+                     "implausible snaplen");
 
   Capture capture(path);
   std::vector<std::uint8_t> bytes;
@@ -112,15 +109,16 @@ Capture read_pcap(const std::string& path) {
     const auto frac = take<std::uint32_t>(in);
     const auto incl = take<std::uint32_t>(in);
     const auto orig = take<std::uint32_t>(in);
-    check_format(in.good(), "truncated pcap record header: " + path);
-    check_format(incl <= snaplen && incl <= orig,
-                 "malformed pcap record lengths: " + path);
+    CHOIR_CHECK_FORMAT(in.good(), "truncated pcap record header: " + path);
+    CHOIR_CHECK_FORMAT(incl <= snaplen && incl <= orig,
+                       "malformed pcap record lengths: " + path);
     bytes.resize(incl);
     in.read(reinterpret_cast<char*>(bytes.data()),
             static_cast<std::streamsize>(incl));
-    check_format(in.good() || in.eof(), "truncated pcap packet: " + path);
-    check_format(static_cast<std::uint32_t>(in.gcount()) == incl,
-                 "truncated pcap packet: " + path);
+    CHOIR_CHECK_FORMAT(in.good() || in.eof(),
+                       "truncated pcap packet: " + path);
+    CHOIR_CHECK_FORMAT(static_cast<std::uint32_t>(in.gcount()) == incl,
+                       "truncated pcap packet: " + path);
 
     CaptureRecord record;
     record.timestamp = static_cast<Ns>(sec) * kNsPerSec +

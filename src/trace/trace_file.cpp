@@ -1,5 +1,6 @@
 #include "trace/trace_file.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -20,26 +21,20 @@ namespace choir::trace {
 namespace {
 constexpr char kMagic[8] = {'C', 'H', 'O', 'I', 'R', 'T', 'R', 'C'};
 
+/// memcpy-based field write and read: the 87-byte record stride leaves
+/// every multi-byte field unaligned somewhere, and a cast-and-deref would
+/// be UB there; memcpy compiles to a single store or load on x86-64/ARM64.
+/// Host little-endian assumed for this research codebase.
 template <typename T>
-void put(std::ofstream& out, T value) {
-  // Host little-endian assumed for this research codebase (x86-64/ARM64).
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+void put_at(std::uint8_t* p, T value) {
+  std::memcpy(p, &value, sizeof(value));
 }
 
-/// memcpy-based field read: the 87-byte record stride leaves every
-/// multi-byte field unaligned somewhere, and a cast-and-deref would be
-/// UB there; memcpy compiles to the same single load on x86-64/ARM64.
 template <typename T>
 T get_at(const std::uint8_t* p) {
   T value{};
   std::memcpy(&value, p, sizeof(value));
   return value;
-}
-
-/// Loader-side validation: malformed input is a FormatError the caller
-/// can recover from, never an invariant failure and never a wild read.
-void check_format(bool ok, const std::string& what) {
-  if (!ok) throw FormatError(what);
 }
 
 /// Frames above this are not representable on any link the simulator
@@ -55,24 +50,43 @@ constexpr std::size_t kOffHeader = 15;
 constexpr std::size_t kOffTrailer = kOffHeader + pktio::kMaxHeaderBytes;
 constexpr std::size_t kOffPayloadToken = kOffTrailer + pktio::kTrailerBytes;
 static_assert(kOffPayloadToken + 8 == kTraceRecordBytes);
+
+/// The record encoder: the inverse of MappedCapture::record, through the
+/// same offsets. Every byte of the record is written.
+void encode_record(const CaptureRecord& r, std::uint8_t* p) {
+  put_at<std::int64_t>(p + kOffTimestamp, r.timestamp);
+  put_at<std::uint32_t>(p + kOffWireLen, r.wire_len);
+  put_at<std::uint16_t>(p + kOffHeaderLen, r.header_len);
+  put_at<std::uint8_t>(p + kOffHasTrailer, r.has_trailer ? 1 : 0);
+  std::memcpy(p + kOffHeader, r.header.data(), r.header.size());
+  std::memcpy(p + kOffTrailer, r.trailer.data(), r.trailer.size());
+  put_at<std::uint64_t>(p + kOffPayloadToken, r.payload_token);
+}
+
+/// Records encoded per write() call (about 350 KB per chunk).
+constexpr std::size_t kWriteChunkRecords = 4096;
 }  // namespace
 
 void write_trace(const Capture& capture, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   CHOIR_EXPECT(out.good(), "cannot open trace file for writing: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(out, kTraceVersion);
-  put<std::uint64_t>(out, capture.size());
-  for (const CaptureRecord& r : capture.records()) {
-    put<std::int64_t>(out, r.timestamp);
-    put<std::uint32_t>(out, r.wire_len);
-    put<std::uint16_t>(out, r.header_len);
-    put<std::uint8_t>(out, r.has_trailer ? 1 : 0);
-    out.write(reinterpret_cast<const char*>(r.header.data()),
-              static_cast<std::streamsize>(r.header.size()));
-    out.write(reinterpret_cast<const char*>(r.trailer.data()),
-              static_cast<std::streamsize>(r.trailer.size()));
-    put<std::uint64_t>(out, r.payload_token);
+  std::uint8_t header[kTraceHeaderBytes];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  put_at<std::uint32_t>(header + 8, kTraceVersion);
+  put_at<std::uint64_t>(header + 12, capture.size());
+  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+
+  const std::vector<CaptureRecord>& records = capture.records();
+  std::vector<std::uint8_t> chunk(
+      std::min(records.size(), kWriteChunkRecords) * kTraceRecordBytes);
+  for (std::size_t begin = 0; begin < records.size();
+       begin += kWriteChunkRecords) {
+    const std::size_t n = std::min(records.size() - begin, kWriteChunkRecords);
+    for (std::size_t k = 0; k < n; ++k) {
+      encode_record(records[begin + k], chunk.data() + k * kTraceRecordBytes);
+    }
+    out.write(reinterpret_cast<const char*>(chunk.data()),
+              static_cast<std::streamsize>(n * kTraceRecordBytes));
   }
   CHOIR_EXPECT(out.good(), "write failed for trace file: " + path);
 }
@@ -88,7 +102,7 @@ namespace {
 /// unavailable or fails).
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  check_format(in.good(), "cannot open trace file: " + path);
+  CHOIR_CHECK_FORMAT(in.good(), "cannot open trace file: " + path);
   const std::streamoff end = in.seekg(0, std::ios::end).tellg();
   std::vector<std::uint8_t> bytes(end > 0 ? static_cast<std::size_t>(end) : 0);
   in.seekg(0);
@@ -107,7 +121,7 @@ void MappedCapture::load() {
   std::size_t len = 0;
 #if CHOIR_TRACE_HAVE_MMAP
   const int fd = ::open(path_.c_str(), O_RDONLY);
-  check_format(fd >= 0, "cannot open trace file: " + path_);
+  CHOIR_CHECK_FORMAT(fd >= 0, "cannot open trace file: " + path_);
   struct stat st{};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
@@ -132,32 +146,34 @@ void MappedCapture::load() {
     len = owned_.size();
   }
   try {
-    check_format(len >= 8 && std::memcmp(bytes_, kMagic, 8) == 0,
-                 "bad trace magic: " + path_);
-    check_format(len >= 12, "truncated trace header: " + path_);
+    CHOIR_CHECK_FORMAT(len >= 8 && std::memcmp(bytes_, kMagic, 8) == 0,
+                       "bad trace magic: " + path_);
+    CHOIR_CHECK_FORMAT(len >= 12, "truncated trace header: " + path_);
     const auto version = get_at<std::uint32_t>(bytes_ + 8);
-    check_format(version == kTraceVersion,
-                 "unsupported trace version " + std::to_string(version) +
-                     ": " + path_);
-    check_format(len >= kTraceHeaderBytes, "truncated trace header: " + path_);
+    CHOIR_CHECK_FORMAT(version == kTraceVersion,
+                       "unsupported trace version " + std::to_string(version) +
+                           ": " + path_);
+    CHOIR_CHECK_FORMAT(len >= kTraceHeaderBytes,
+                       "truncated trace header: " + path_);
     // Validate the declared count against the actual file size before
     // trusting it for any offset or allocation.
     count_ = get_at<std::uint64_t>(bytes_ + 12);
-    check_format(count_ <= (len - kTraceHeaderBytes) / kTraceRecordBytes,
-                 "trace record count exceeds file size: " + path_);
+    CHOIR_CHECK_FORMAT(count_ <= (len - kTraceHeaderBytes) / kTraceRecordBytes,
+                       "trace record count exceeds file size: " + path_);
     // Validate every record's sanity fields up front (one pass over two
     // fields per record) so the random-access accessors can stay
-    // check-free on the hot path.
+    // check-free on the hot path. The messages are built only on failure.
     for (std::uint64_t i = 0; i < count_; ++i) {
       const std::uint8_t* r = record_ptr(i);
       const auto header_len = get_at<std::uint16_t>(r + kOffHeaderLen);
       const auto wire_len = get_at<std::uint32_t>(r + kOffWireLen);
-      check_format(header_len <= pktio::kMaxHeaderBytes,
-                   "trace record " + std::to_string(i) +
-                       " header_len exceeds maximum: " + path_);
-      check_format(wire_len <= kMaxPlausibleWireLen && wire_len >= header_len,
-                   "trace record " + std::to_string(i) +
-                       " has implausible wire_len: " + path_);
+      CHOIR_CHECK_FORMAT(header_len <= pktio::kMaxHeaderBytes,
+                         "trace record " + std::to_string(i) +
+                             " header_len exceeds maximum: " + path_);
+      CHOIR_CHECK_FORMAT(
+          wire_len <= kMaxPlausibleWireLen && wire_len >= header_len,
+          "trace record " + std::to_string(i) +
+              " has implausible wire_len: " + path_);
     }
   } catch (...) {
     unmap();

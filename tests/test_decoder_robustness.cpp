@@ -3,6 +3,7 @@
 // be mis-accepted as valid protocol messages at any meaningful rate.
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,17 @@ struct FileFuzz : ::testing::Test {
   static void append(std::string& bytes, T value) {
     bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
   }
+
+  /// `load` must throw FormatError whose what() is exactly `expected`.
+  template <typename Fn>
+  static void expect_format_error(Fn load, const std::string& expected) {
+    try {
+      load();
+      ADD_FAILURE() << "no FormatError; expected: " << expected;
+    } catch (const FormatError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
 };
 
 TEST_F(FileFuzz, TraceReaderThrowsNeverCrashes) {
@@ -141,38 +153,38 @@ TEST_F(FileFuzz, TraceReaderThrowsTypedFormatError) {
 }
 
 TEST_F(FileFuzz, TraceReaderRejectsImplausibleRecordFields) {
-  // A structurally valid file whose record declares header_len beyond
-  // the fixed header array: typed rejection, no overread.
+  // A structurally valid 10-record file whose record 7 declares
+  // header_len beyond the fixed header array: typed rejection naming the
+  // record, no overread.
   trace::Capture cap("fields");
   pktio::Frame frame;
   frame.wire_len = 300;
   frame.header_len = pktio::kEthIpv4UdpLen;
-  cap.append(trace::CaptureRecord::from_frame(frame, 1));
+  for (int i = 0; i < 10; ++i) {
+    cap.append(trace::CaptureRecord::from_frame(frame, 1 + i));
+  }
   trace::write_trace(cap, path);
 
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)), {});
+  const std::string valid((std::istreambuf_iterator<char>(in)), {});
   in.close();
-  // Record layout after the 20-byte file header: i64 timestamp,
-  // u32 wire_len, u16 header_len.
-  const std::size_t header_len_off = 20 + 8 + 4;
-  bytes[header_len_off] = '\xff';
-  bytes[header_len_off + 1] = '\xff';
+  // Record layout after the file header: i64 timestamp, u32 wire_len,
+  // u16 header_len.
+  const std::size_t record7 =
+      trace::kTraceHeaderBytes + 7 * trace::kTraceRecordBytes;
+  std::string bytes = valid;
+  bytes[record7 + 8 + 4] = '\xff';
+  bytes[record7 + 8 + 4 + 1] = '\xff';
   write_bytes(bytes);
-  EXPECT_THROW(trace::read_trace(path), FormatError);
+  expect_format_error([&] { trace::read_trace(path); },
+                      "trace record 7 header_len exceeds maximum: " + path);
 
   // wire_len smaller than header_len is likewise implausible.
-  trace::write_trace(cap, path);
-  std::ifstream in2(path, std::ios::binary);
-  std::string bytes2((std::istreambuf_iterator<char>(in2)), {});
-  in2.close();
-  const std::size_t wire_len_off = 20 + 8;
-  bytes2[wire_len_off] = 0;
-  bytes2[wire_len_off + 1] = 0;
-  bytes2[wire_len_off + 2] = 0;
-  bytes2[wire_len_off + 3] = 0;
-  write_bytes(bytes2);
-  EXPECT_THROW(trace::read_trace(path), FormatError);
+  bytes = valid;
+  for (std::size_t k = 0; k < 4; ++k) bytes[record7 + 8 + k] = 0;
+  write_bytes(bytes);
+  expect_format_error([&] { trace::read_trace(path); },
+                      "trace record 7 has implausible wire_len: " + path);
 }
 
 TEST_F(FileFuzz, PcapReaderThrowsTypedFormatError) {
@@ -207,14 +219,30 @@ TEST_F(FileFuzz, PcapReaderThrowsTypedFormatError) {
   write_bytes(global_header(0, 1));
   EXPECT_THROW(trace::read_pcap(path), FormatError);
 
-  // Record claiming more captured bytes than the snaplen allows.
-  std::string bad_record = global_header(128, 1);
-  append<std::uint32_t>(bad_record, 0);    // sec
-  append<std::uint32_t>(bad_record, 0);    // frac
-  append<std::uint32_t>(bad_record, 256);  // incl > snaplen
-  append<std::uint32_t>(bad_record, 256);  // orig
-  write_bytes(bad_record);
-  EXPECT_THROW(trace::read_pcap(path), FormatError);
+  // A record header cut off after its timestamp.
+  std::string truncated_record = global_header(128, 1);
+  append<std::uint32_t>(truncated_record, 0);  // sec
+  append<std::uint32_t>(truncated_record, 0);  // frac
+  write_bytes(truncated_record);
+  expect_format_error([&] { trace::read_pcap(path); },
+                      "truncated pcap record header: " + path);
+
+  // Records claiming more captured bytes than the snaplen allows, or
+  // than the original frame held.
+  struct Lengths {
+    std::uint32_t incl, orig;
+  };
+  for (const Lengths l : {Lengths{256, 256}, Lengths{64, 60}}) {
+    std::string bad_record = global_header(128, 1);
+    append<std::uint32_t>(bad_record, 0);  // sec
+    append<std::uint32_t>(bad_record, 0);  // frac
+    append<std::uint32_t>(bad_record, l.incl);
+    append<std::uint32_t>(bad_record, l.orig);
+    bad_record.append(l.incl, '\0');
+    write_bytes(bad_record);
+    expect_format_error([&] { trace::read_pcap(path); },
+                        "malformed pcap record lengths: " + path);
+  }
 
   // Record header promising more packet bytes than the file holds.
   std::string short_packet = global_header(2048, 1);

@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,101 @@ Capture sample_capture(std::size_t n) {
     cap.append(CaptureRecord::from_frame(frame, static_cast<Ns>(i) * 280));
   }
   return cap;
+}
+
+/// The file bytes write_trace produced before records were encoded in
+/// chunks, transcribed field by field from the original stream writer.
+std::string golden_trace_bytes(const Capture& capture) {
+  std::string bytes;
+  auto put = [&bytes](const auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  bytes.append("CHOIRTRC", 8);
+  put(std::uint32_t{kTraceVersion});
+  put(std::uint64_t{capture.size()});
+  for (const CaptureRecord& r : capture.records()) {
+    put(std::int64_t{r.timestamp});
+    put(std::uint32_t{r.wire_len});
+    put(std::uint16_t{r.header_len});
+    put(static_cast<std::uint8_t>(r.has_trailer ? 1 : 0));
+    bytes.append(reinterpret_cast<const char*>(r.header.data()),
+                 r.header.size());
+    bytes.append(reinterpret_cast<const char*>(r.trailer.data()),
+                 r.trailer.size());
+    put(std::uint64_t{r.payload_token});
+  }
+  return bytes;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), {});
+}
+
+/// Records that vary every field: trailers on every other record,
+/// header_len cycling up to kMaxHeaderBytes, negative timestamps.
+Capture varied_capture(std::size_t n) {
+  Capture cap("varied");
+  for (std::size_t i = 0; i < n; ++i) {
+    pktio::Frame frame;
+    frame.wire_len = static_cast<std::uint32_t>(64 + (i * 37) % 9000);
+    frame.header_len =
+        static_cast<std::uint16_t>(i % (pktio::kMaxHeaderBytes + 1));
+    for (std::size_t b = 0; b < frame.header.size(); ++b) {
+      frame.header[b] = static_cast<std::uint8_t>(i * 7 + b);
+    }
+    frame.payload_token = 0x9E3779B97F4A7C15ULL * (i + 1);
+    if (i % 2 == 0) stamp(frame, Tag{3, static_cast<std::uint32_t>(i % 5), i});
+    const Ns ts = (static_cast<Ns>(i) - static_cast<Ns>(n / 2)) * 1013;
+    cap.append(CaptureRecord::from_frame(frame, ts));
+  }
+  return cap;
+}
+
+TEST_F(TraceFileTest, WriterBytesMatchGoldenTranscription) {
+  for (const std::size_t n : {0u, 1u, 4095u, 4096u, 4097u}) {
+    SCOPED_TRACE(n);
+    const Capture cap = varied_capture(n);
+    write_trace(cap, path);
+    EXPECT_EQ(file_bytes(path), golden_trace_bytes(cap));
+
+    const Capture back = MappedCapture(path).materialize();
+    ASSERT_EQ(back.size(), cap.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(back[i].timestamp, cap[i].timestamp);
+      EXPECT_EQ(back[i].wire_len, cap[i].wire_len);
+      EXPECT_EQ(back[i].header_len, cap[i].header_len);
+      EXPECT_EQ(back[i].header, cap[i].header);
+      EXPECT_EQ(back[i].has_trailer, cap[i].has_trailer);
+      EXPECT_EQ(back[i].trailer, cap[i].trailer);
+      EXPECT_EQ(back[i].payload_token, cap[i].payload_token);
+    }
+  }
+}
+
+TEST_F(TraceFileTest, WriterCoversEdgeFields) {
+  // The extremes the varied capture does not pin individually.
+  Capture cap("edges");
+  pktio::Frame frame;
+  frame.wire_len = 9000;
+  frame.header_len = pktio::kMaxHeaderBytes;
+  frame.header.fill(0xAB);
+  frame.payload_token = ~0ULL;
+  stamp(frame, Tag{1, 2, 3});
+  cap.append(CaptureRecord::from_frame(frame, -1));
+  frame.has_trailer = false;
+  frame.trailer.fill(0);
+  frame.header_len = 0;
+  cap.append(CaptureRecord::from_frame(frame, INT64_MIN));
+  cap.append(CaptureRecord::from_frame(frame, INT64_MAX));
+  write_trace(cap, path);
+  EXPECT_EQ(file_bytes(path), golden_trace_bytes(cap));
+  const MappedCapture mapped(path);
+  ASSERT_EQ(mapped.size(), 3u);
+  EXPECT_EQ(mapped.record(0).header_len, pktio::kMaxHeaderBytes);
+  EXPECT_TRUE(mapped.record(0).has_trailer);
+  EXPECT_EQ(mapped.timestamp(1), INT64_MIN);
+  EXPECT_EQ(mapped.timestamp(2), INT64_MAX);
 }
 
 TEST_F(TraceFileTest, RoundTripPreservesRecords) {
