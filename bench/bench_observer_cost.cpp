@@ -4,22 +4,26 @@
 // Telemetry, the span profiler, the series sampler, the streaming
 // monitor and the group flight recorder are all pure observers: enabling
 // one draws no randomness the simulation uses and changes no decision,
-// so a seeded run must be bit-identical with it on or off. This bench
-// runs one seeded 3-node replay group (the configuration with the most
-// producers: coordinator, every member, PTP) with each observer alone
-// and with none, and checks:
+// so a seeded run must be bit-identical with it on or off. The per-flow
+// evaluation plane (flows on: multi-flow addressing, recorder
+// classification, per-flow κ) is measured the same way, as the `flows`
+// row. This bench runs one seeded 3-node replay group (the configuration
+// with the most producers: coordinator, every member, PTP) with each
+// observer alone and with none, and checks:
 //
 //   1. Bit identity: each observer's run matches the observer-off run
-//      (mean metrics, recorded packets, capture sizes, beacon count).
+//      (mean metrics, recorded packets, capture sizes, beacon count);
+//      for `flows`, the flows-on run's simulated counters match
+//      flows-off.
 //   2. Artifact determinism: the flight recorder's merged artifacts and
 //      the series artifacts are byte-identical at eval_jobs 1 and 4.
 //   3. Simulated recorder throughput perturbation (0% by construction),
 //      gated by --check.
 //
-// It reports each observer's host cost in ns per captured packet over
-// the observer-off run of the same repetition, as report-only
-// statistical verdicts (no baseline is committed: host time is machine
-// dependent).
+// It reports each observer's (and the flow plane's) host cost in ns per
+// captured packet over the observer-off run of the same repetition, as
+// report-only statistical verdicts (no baseline is committed: host time
+// is machine dependent).
 //
 // Usage: bench_observer_cost [--check PCT] [--packets N] [--reps R]
 //   --check PCT  exit non-zero when any observer perturbs simulated
@@ -46,7 +50,7 @@ namespace {
 using namespace choir;
 
 const char* const kObservers[] = {"telemetry", "profile", "series", "monitor",
-                                  "obs"};
+                                  "obs",       "flows"};
 
 /// `off` with exactly one observer on (profile and series ride a
 /// telemetry session, as they do on the command line).
@@ -59,6 +63,8 @@ testbed::ExperimentConfig with_observer(testbed::ExperimentConfig config,
   config.monitor.enabled = name == "monitor";
   config.monitor.window_packets = 2048;
   config.obs.enabled = name == "obs";
+  config.flow.enabled = name == "flows";
+  config.flow.flows = 256;
   return config;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/flat_index.hpp"
@@ -67,6 +68,16 @@ class Trial {
 
   void push_back(TrialPacket p) { packets_.push_back(p); }
   void reserve(std::size_t n) { packets_.reserve(n); }
+
+  /// Drop every packet but keep the storage, so a trial reused as a
+  /// buffer refills without allocating once its capacity suffices.
+  void clear() { packets_.clear(); }
+
+  /// Replace the packets with a copy of `packets`, reusing the storage
+  /// like clear().
+  void assign(std::span<const TrialPacket> packets) {
+    packets_.assign(packets.begin(), packets.end());
+  }
 
   std::size_t size() const { return packets_.size(); }
   bool empty() const { return packets_.empty(); }

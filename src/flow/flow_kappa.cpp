@@ -20,9 +20,8 @@ constexpr std::size_t kFlowsPerTask = 1024;
 void compare_into(const core::Trial& a, std::span<const FlowId> ids_a,
                   const core::Trial& b, std::span<const FlowId> ids_b,
                   std::size_t flow_count, int jobs, FlowSetComparison* out) {
-  const DemuxOptions demux_options{.rebase = true};
-  DemuxResult da = demux_trial(a, ids_a, flow_count, demux_options);
-  DemuxResult db = demux_trial(b, ids_b, flow_count, demux_options);
+  const DemuxResult da = demux_trial(a, ids_a, flow_count);
+  const DemuxResult db = demux_trial(b, ids_b, flow_count);
   out->unclassified_a = da.unclassified;
   out->unclassified_b = db.unclassified;
 
@@ -31,22 +30,25 @@ void compare_into(const core::Trial& a, std::span<const FlowId> ids_a,
   const std::size_t chunks =
       (flow_count + kFlowsPerTask - 1) / kFlowsPerTask;
   parallel_for_indexed(jobs, chunks, [&](std::size_t c) {
-    // One comparison arena per chunk: buffers amortize across the up to
-    // kFlowsPerTask flows a task compares (results are scratch-invariant,
-    // so sharding stays byte-deterministic at any job count).
+    // One comparison arena and one pair of flow trials per chunk: their
+    // buffers amortize across the up to kFlowsPerTask flows a task
+    // compares (results are scratch-invariant, so sharding stays
+    // byte-deterministic at any job count).
     core::CompareScratch scratch;
+    core::Trial ta;
+    core::Trial tb;
     const std::size_t lo = c * kFlowsPerTask;
     const std::size_t hi = std::min(flow_count, lo + kFlowsPerTask);
     for (std::size_t f = lo; f < hi; ++f) {
       FlowComparison& fc = out->flows[f];
       fc.id = static_cast<FlowId>(f);
-      const core::Trial& ta = da.trials[f];
-      const core::Trial& tb = db.trials[f];
-      fc.packets_a = static_cast<std::uint32_t>(ta.size());
-      fc.packets_b = static_cast<std::uint32_t>(tb.size());
-      fc.in_a = !ta.empty();
-      fc.in_b = !tb.empty();
+      fc.packets_a = static_cast<std::uint32_t>(da.flow(fc.id).size());
+      fc.packets_b = static_cast<std::uint32_t>(db.flow(fc.id).size());
+      fc.in_a = fc.packets_a > 0;
+      fc.in_b = fc.packets_b > 0;
       if (fc.matched()) {
+        da.load_rebased(a, fc.id, ta);
+        db.load_rebased(b, fc.id, tb);
         fc.metrics = core::compare_trials(ta, tb, options, scratch).metrics;
       } else if (fc.in_a || fc.in_b) {
         // One-sided flow: Eq. 5 against an empty trial (see header).

@@ -1,10 +1,11 @@
 #include "monitor/stream_monitor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "common/expect.hpp"
+#include "monitor/top_k.hpp"
 #include "telemetry/span_profiler.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -51,6 +52,8 @@ void StreamMonitor::begin_stream(const std::string& name) {
   stream_lis_.clear();
   if (reference_set_) std::fill(fenwick_.begin(), fenwick_.end(), 0u);
   stream_matched_ = 0;
+  match_high_ = 0;
+  ref_hint_ = 0;
   running_abs_latency_ns_ = 0.0;
   running_abs_iat_ns_ = 0.0;
   running_footrule_ = 0.0;
@@ -75,7 +78,10 @@ std::uint64_t StreamMonitor::fenwick_prefix(std::size_t index_a) const {
 void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
                             flow::FlowId flow) {
   CHOIR_EXPECT(stream_open_, "observe() requires an open stream");
-  const IdTable::Hit hit = id_table_.observe(raw_id);
+  const IdTable::Hit hit =
+      ref_hint_ < reference_.size() && reference_[ref_hint_].id == raw_id
+          ? id_table_.observe_reference(static_cast<std::uint32_t>(ref_hint_))
+          : id_table_.observe(raw_id);
   const core::PacketId id =
       hit.occurrence > 0 ? core::occurrence_id(raw_id, hit.occurrence)
                          : raw_id;
@@ -117,10 +123,13 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
     // Insertion-rank footrule: rank among matched-so-far, by B arrival
     // vs by reference position. An O(log n) running proxy for Eq. 2.
     const auto rank_b = static_cast<double>(stream_matched_ - 1);
-    const auto rank_a = static_cast<double>(fenwick_prefix(j));
+    const auto rank_a = static_cast<double>(
+        j >= match_high_ ? stream_matched_ - 1 : fenwick_prefix(j));
     running_footrule_ += rank_a >= rank_b ? rank_a - rank_b : rank_b - rank_a;
     fenwick_add(j);
     stream_lis_.append(j);
+    match_high_ = std::max<std::size_t>(match_high_, j + 1);
+    ref_hint_ = j + 1;
   }
 
   if (stream_packets_.size() - window_begin_ >= config_.window_packets) {
@@ -156,14 +165,23 @@ void StreamMonitor::update_running() {
   running_ = r;
 }
 
-core::Trial StreamMonitor::slice_trial(
-    const std::vector<core::TrialPacket>& packets, std::size_t begin,
-    std::size_t end) const {
-  core::Trial slice(std::vector<core::TrialPacket>(packets.begin() + begin,
-                                                   packets.begin() + end));
-  slice.rebase_to_zero();
-  return slice;
+namespace {
+
+/// Load packets [begin, end) into `out`, rebased to the slice's first
+/// packet; reuses `out`'s storage.
+void load_slice(std::span<const core::TrialPacket> packets, std::size_t begin,
+                std::size_t end, core::Trial& out) {
+  out.assign(packets.subspan(begin, end - begin));
+  out.rebase_to_zero();
 }
+
+/// flows[begin, end) as a span.
+std::span<const flow::FlowId> flow_slice(const std::vector<flow::FlowId>& flows,
+                                         std::size_t begin, std::size_t end) {
+  return std::span<const flow::FlowId>(flows).subspan(begin, end - begin);
+}
+
+}  // namespace
 
 void StreamMonitor::close_window() {
   const std::size_t b_begin = window_begin_;
@@ -173,14 +191,14 @@ void StreamMonitor::close_window() {
 
   const std::size_t a_begin = std::min(b_begin, reference_.size());
   const std::size_t a_end = std::min(b_end, reference_.size());
-  const core::Trial wa = slice_trial(reference_.packets(), a_begin, a_end);
-  const core::Trial wb = slice_trial(stream_packets_, b_begin, b_end);
+  load_slice(reference_.packets(), a_begin, a_end, slice_a_);
+  load_slice(stream_packets_, b_begin, b_end, slice_b_);
 
   core::ComparisonOptions options;
   options.collect_series = true;
   options.collect_alignment = config_.top_k > 0;
   const core::ComparisonResult cmp =
-      core::compare_trials(wa, wb, options, compare_scratch_);
+      core::compare_trials(slice_a_, slice_b_, options, compare_scratch_);
 
   WindowRecord window;
   window.stream = stream_ordinal_;
@@ -211,14 +229,10 @@ void StreamMonitor::close_window() {
                   stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_end),
                   [](flow::FlowId f) { return f != flow::kNoFlow; });
   if (window_has_flows) {
-    const std::vector<flow::FlowId> fa(
-        reference_flows_.begin() + static_cast<std::ptrdiff_t>(a_begin),
-        reference_flows_.begin() + static_cast<std::ptrdiff_t>(a_end));
-    const std::vector<flow::FlowId> fb(
-        stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_begin),
-        stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_end));
     const flow::FlowSetComparison flows = flow::compare_flows_by_id(
-        wa, fa, wb, fb, flow_ids_high_, /*jobs=*/1);
+        slice_a_, flow_slice(reference_flows_, a_begin, a_end), slice_b_,
+        flow_slice(stream_flows_, b_begin, b_end), flow_ids_high_,
+        /*jobs=*/1);
     window.has_flows = true;
     window.flow_aggregate = flows.aggregate;
   }
@@ -257,11 +271,11 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
   const std::size_t a_size = window.a_end - window.a_begin;
 
   // Per-local-position match lookup (window-local B index -> match slot).
-  std::vector<std::int32_t> match_of_b(b_size, -1);
-  std::vector<char> matched_a(a_size, 0);
+  match_of_b_.assign(b_size, -1);
+  matched_a_.assign(a_size, 0);
   for (std::size_t i = 0; i < alignment.matches.size(); ++i) {
-    match_of_b[alignment.matches[i].index_b] = static_cast<std::int32_t>(i);
-    matched_a[alignment.matches[i].index_a] = 1;
+    match_of_b_[alignment.matches[i].index_b] = static_cast<std::int32_t>(i);
+    matched_a_[alignment.matches[i].index_a] = 1;
   }
 
   const auto emit = [&](DivergenceRecord record) {
@@ -271,22 +285,16 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
     divergence_.push_back(std::move(record));
   };
 
-  // Moved: largest |rank displacement| first; stable on B position.
-  std::vector<const core::Move*> moves;
-  moves.reserve(alignment.moves.size());
+  // Moved: largest |rank displacement| first (top_k.hpp orders).
+  std::vector<const core::Move*>& moves = top_moves_;
+  moves.clear();
   for (const core::Move& mv : alignment.moves) {
     if (mv.displacement != 0) moves.push_back(&mv);
   }
-  std::stable_sort(moves.begin(), moves.end(),
-                   [](const core::Move* x, const core::Move* y) {
-                     const auto ax = x->displacement < 0 ? -x->displacement
-                                                         : x->displacement;
-                     const auto ay = y->displacement < 0 ? -y->displacement
-                                                         : y->displacement;
-                     if (ax != ay) return ax > ay;
-                     return x->index_b < y->index_b;
-                   });
-  if (moves.size() > config_.top_k) moves.resize(config_.top_k);
+  keep_top(moves, config_.top_k,
+           [](const core::Move* x, const core::Move* y) {
+             return move_before(*x, *y);
+           });
   for (const core::Move* mv : moves) {
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kMoved;
@@ -295,7 +303,7 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
     r.index_a = static_cast<std::int64_t>(window.a_begin + mv->index_a);
     r.index_b = static_cast<std::int64_t>(global_b);
     r.move = mv->displacement;
-    const std::int32_t slot = match_of_b[mv->index_b];
+    const std::int32_t slot = match_of_b_[mv->index_b];
     if (slot >= 0) {
       r.latency_delta_ns =
           cmp.series.latency_delta_ns[static_cast<std::size_t>(slot)];
@@ -305,20 +313,16 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
   }
 
   // Latency straddle: matched packets with the largest |l_B - l_A|.
-  std::vector<std::uint32_t> by_latency;
-  by_latency.reserve(alignment.matches.size());
+  const std::vector<double>& delta = cmp.series.latency_delta_ns;
+  std::vector<std::uint32_t>& by_latency = top_latency_;
+  by_latency.clear();
   for (std::uint32_t i = 0; i < alignment.matches.size(); ++i) {
-    if (cmp.series.latency_delta_ns[i] != 0.0) by_latency.push_back(i);
+    if (delta[i] != 0.0) by_latency.push_back(i);
   }
-  std::stable_sort(by_latency.begin(), by_latency.end(),
-                   [&](std::uint32_t x, std::uint32_t y) {
-                     const double ax = std::abs(cmp.series.latency_delta_ns[x]);
-                     const double ay = std::abs(cmp.series.latency_delta_ns[y]);
-                     if (ax != ay) return ax > ay;
-                     return alignment.matches[x].index_b <
-                            alignment.matches[y].index_b;
-                   });
-  if (by_latency.size() > config_.top_k) by_latency.resize(config_.top_k);
+  keep_top(by_latency, config_.top_k, [&](std::uint32_t x, std::uint32_t y) {
+    return latency_before(delta[x], alignment.matches[x].index_b, delta[y],
+                          alignment.matches[y].index_b);
+  });
   for (const std::uint32_t i : by_latency) {
     const core::MatchedPacket& match = alignment.matches[i];
     DivergenceRecord r;
@@ -338,7 +342,7 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
   // bug (see docs/MONITOR.md).
   std::size_t emitted = 0;
   for (std::size_t j = 0; j < a_size && emitted < config_.top_k; ++j) {
-    if (matched_a[j]) continue;
+    if (matched_a_[j]) continue;
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kMissing;
     const std::size_t global_a = window.a_begin + j;
@@ -352,7 +356,7 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
   // Extra: in this window but not in the paired reference slice.
   emitted = 0;
   for (std::size_t k = 0; k < b_size && emitted < config_.top_k; ++k) {
-    if (match_of_b[k] >= 0) continue;
+    if (match_of_b_[k] >= 0) continue;
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kExtra;
     const std::size_t global_b = window.b_begin + k;
@@ -389,8 +393,8 @@ void StreamMonitor::close_stream() {
   result.name = stream_name_;
   result.packets = stream_packets_.size();
   result.windows = window_index_;
-  const core::Trial full =
-      slice_trial(stream_packets_, 0, stream_packets_.size());
+  core::Trial full;  // once per stream: not worth keeping alive
+  load_slice(stream_packets_, 0, stream_packets_.size(), full);
   const core::ComparisonResult cmp = core::compare_trials(
       reference_, full, core::ComparisonOptions{}, compare_scratch_);
   result.metrics = cmp.metrics;
@@ -436,6 +440,10 @@ void StreamMonitor::close_stream() {
   ++stream_ordinal_;
   stream_packets_.clear();
   stream_flows_.clear();
+  // The finale grew the arena to the whole stream; windows need only a
+  // window's worth, so hand the rest back instead of holding it until
+  // the next finale.
+  compare_scratch_ = core::CompareScratch{};
 }
 
 }  // namespace choir::monitor

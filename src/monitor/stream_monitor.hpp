@@ -84,10 +84,14 @@ class IdTable {
   Hit observe(core::PacketId raw) {
     const core::PacketIdIndex::Inserted hit = index_.insert(raw);
     if (hit.fresh) counts_.emplace_back();
-    Count& count = counts_[hit.id];
-    if (count.epoch != epoch_) count = Count{0, epoch_};
-    return Hit{to_ref(hit.id), count.value++};
+    return claim(hit.id);
   }
+
+  /// observe() for a raw id the caller has already found at reference
+  /// position `ref_index` (the id there compared equal). Reference ids
+  /// are their own dense ids, so this is exactly what the probe would
+  /// return, without the probe.
+  Hit observe_reference(std::uint32_t ref_index) { return claim(ref_index); }
 
   /// Read-only lookup (used for occurrence-tagged duplicate ids).
   std::uint32_t ref_index_of(core::PacketId id) const {
@@ -101,6 +105,12 @@ class IdTable {
     std::uint64_t value = 0;
     std::uint32_t epoch = 0;
   };
+
+  Hit claim(std::uint32_t id) {
+    Count& count = counts_[id];
+    if (count.epoch != epoch_) count = Count{0, epoch_};
+    return Hit{to_ref(id), count.value++};
+  }
 
   std::uint32_t to_ref(std::uint32_t id) const {
     return id < reference_size_ ? id : kNoRef;
@@ -247,8 +257,6 @@ class StreamMonitor {
   void close_window();
   void close_stream();
   void update_running();
-  core::Trial slice_trial(const std::vector<core::TrialPacket>& packets,
-                          std::size_t begin, std::size_t end) const;
   void attribute_window(const core::ComparisonResult& cmp,
                         const WindowRecord& window);
 
@@ -284,14 +292,29 @@ class StreamMonitor {
   IncrementalLis stream_lis_;
   std::vector<std::uint32_t> fenwick_;
   std::size_t stream_matched_ = 0;
+  // One past the largest reference position matched so far (0: none). A
+  // match at or beyond it outranks every earlier match, so its Fenwick
+  // prefix is stream_matched_ - 1 without a tree walk.
+  std::size_t match_high_ = 0;
+  // Reference position after the last match: in-order streams find their
+  // next packet there, which saves the id table's hash probe.
+  std::size_t ref_hint_ = 0;
   double running_abs_latency_ns_ = 0.0;
   double running_abs_iat_ns_ = 0.0;
   double running_footrule_ = 0.0;
   RunningEstimate running_;
 
   // Comparison arena for window closes and the stream finale; one
-  // scratch serves every compare.
+  // scratch serves every compare. The slice trials and attribution
+  // buffers are reused across windows too, so a warm monitor closes
+  // windows without growing them.
   core::CompareScratch compare_scratch_;
+  core::Trial slice_a_;
+  core::Trial slice_b_;
+  std::vector<std::int32_t> match_of_b_;
+  std::vector<char> matched_a_;
+  std::vector<const core::Move*> top_moves_;
+  std::vector<std::uint32_t> top_latency_;
 
   // Outputs.
   std::vector<WindowRecord> windows_;

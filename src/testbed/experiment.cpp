@@ -721,13 +721,30 @@ void collect_counters(Topology& t, ExperimentResult& result) {
   result.switch_queue_drops = t.sw->queue_drops();
 }
 
-/// Compare each run B..E against run A. compare_trials is a pure function
-/// of the immutable captures and every worker writes its own index-
-/// addressed slot, so the result is bit-identical at any job count (and
-/// inline when the experiment already runs on a suite-level pool worker).
-void compare_runs(const ExperimentConfig& config, const core::Trial& trial_a,
+/// Per-flow evaluation of run A: classify it once (sharded fan-out); each
+/// per-run task below classifies its own run and matches flows by key.
+trace::FlowClassification classify_run_a(
+    const Topology& t, const std::vector<trace::Capture>& captures,
+    ExperimentResult& result) {
+  trace::FlowClassification cls_a = trace::classify_capture_sharded(
+      captures[0], t.flow_shards, t.config.eval_jobs);
+  result.flow_count = cls_a.table.size();
+  result.flow_unclassified = t.daemon->flow_unclassified();
+  result.flow_comparisons.resize(captures.size() - 1);
+  return cls_a;
+}
+
+/// Compare each run B..E against run A: the Section-3 comparison and,
+/// when `cls_a` is set, the per-flow one, from one trial per run.
+/// compare_trials and compare_flows are pure functions of the immutable
+/// captures and every worker writes its own index-addressed slots, so
+/// the result is bit-identical at any job count (and inline when the
+/// experiment already runs on a suite-level pool worker).
+void compare_runs(const Topology& t, const core::Trial& trial_a,
+                  const trace::FlowClassification* cls_a,
                   const std::vector<trace::Capture>& captures,
                   telemetry::SpanProfiler* profiler, ExperimentResult& result) {
+  const ExperimentConfig& config = t.config;
   // Run A's ids are indexed once and shared read-only by every
   // comparison instead of rebuilding a hash map per comparison.
   const core::ReferenceIndex ref_index(trial_a);
@@ -746,37 +763,23 @@ void compare_runs(const ExperimentConfig& config, const core::Trial& trial_a,
     std::optional<telemetry::ScopedProfiler> task_prof;
     if (!eval_profiles.empty()) task_prof.emplace(&eval_profiles[i]);
     const core::Trial trial_b = rebased_trial(captures[i + 1]);
-    core::CompareScratch scratch;
-    scratch.shared_ref = &ref_index;
-    result.comparisons[i] =
-        core::compare_trials(trial_a, trial_b, options, scratch);
+    {
+      // Scoped so the κ arena is freed before the flow stage allocates:
+      // a task's peak is its larger stage, not their sum.
+      core::CompareScratch scratch;
+      scratch.shared_ref = &ref_index;
+      result.comparisons[i] =
+          core::compare_trials(trial_a, trial_b, options, scratch);
+    }
+    if (cls_a == nullptr) return;
+    const trace::FlowClassification cls_b =
+        trace::classify_capture_sharded(captures[i + 1], t.flow_shards, 1);
+    result.flow_comparisons[i] =
+        flow::compare_flows(trial_a, cls_a->table, cls_a->per_packet, trial_b,
+                            cls_b.table, cls_b.per_packet, /*jobs=*/1);
   });
   for (const auto& ep : eval_profiles) profiler->merge_from(ep);
   result.mean = mean_metrics(result.comparisons);
-}
-
-/// Per-flow evaluation: classify run A once (sharded fan-out), then each
-/// comparison classifies its own run and matches flows by key. Pure
-/// functions of the immutable captures, so bit-identical at any job
-/// count (nested fan-out degrades to inline on pool workers as usual).
-void compare_run_flows(const Topology& t, const core::Trial& trial_a,
-                       const std::vector<trace::Capture>& captures,
-                       ExperimentResult& result) {
-  telemetry::ProfileSpan prof_flows("experiment.flow_eval");
-  const int jobs = t.config.eval_jobs;
-  const trace::FlowClassification cls_a =
-      trace::classify_capture_sharded(captures[0], t.flow_shards, jobs);
-  result.flow_count = cls_a.table.size();
-  result.flow_unclassified = t.daemon->flow_unclassified();
-  result.flow_comparisons.resize(captures.size() - 1);
-  parallel_for_indexed(jobs, captures.size() - 1, [&](std::size_t i) {
-    const trace::FlowClassification cls_b =
-        trace::classify_capture_sharded(captures[i + 1], t.flow_shards, 1);
-    const core::Trial trial_b = rebased_trial(captures[i + 1]);
-    result.flow_comparisons[i] =
-        flow::compare_flows(trial_a, cls_a.table, cls_a.per_packet, trial_b,
-                            cls_b.table, cls_b.per_packet, /*jobs=*/1);
-  });
 }
 
 /// Every observer of one run, opened in a fixed order before any
@@ -950,9 +953,19 @@ ExperimentResult evaluate(Topology& t, std::vector<trace::Capture>& captures,
   for (const auto& c : captures) result.capture_sizes.push_back(c.size());
 
   const core::Trial trial_a = rebased_trial(captures[0]);
-  compare_runs(t.config, trial_a, captures, observers.profiler.get(), result);
+  {
+    // With flows on, each run's per-flow comparison shares its task and
+    // its trial with the Section-3 one, so one span covers both.
+    std::optional<telemetry::ProfileSpan> prof_flows;
+    std::optional<trace::FlowClassification> cls_a;
+    if (t.config.flow.enabled) {
+      prof_flows.emplace("experiment.flow_eval");
+      cls_a = classify_run_a(t, captures, result);
+    }
+    compare_runs(t, trial_a, cls_a ? &*cls_a : nullptr, captures,
+                 observers.profiler.get(), result);
+  }
   observers.record_kappa_rounds(sched, result);
-  if (t.config.flow.enabled) compare_run_flows(t, trial_a, captures, result);
   if (t.config.keep_captures) result.captures = std::move(captures);
   return result;
 }

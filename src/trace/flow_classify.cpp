@@ -45,35 +45,41 @@ FlowClassification classify_capture_sharded(const Capture& capture,
                                             int shards, int jobs) {
   if (shards <= 1) return classify_capture(capture);
 
-  // Each worker owns one shard: it scans the whole capture but touches
-  // only the keys hashing to its shard, so tables and the (disjoint)
-  // per-packet slots it writes are thread-private. Unclassified records
-  // are counted once, by shard 0.
+  // One parse per record: its key and owning shard, computed once. Each
+  // worker then classifies only the records of its own shard, in arrival
+  // order, so tables and the (disjoint) per-packet slots it writes are
+  // thread-private; the slots hold shard-local ids until the remap.
+  constexpr std::uint32_t kUnclassified = 0xFFFFFFFFu;
+  const std::size_t n = capture.size();
   flow::FlowShardSet set(shards);
-  std::vector<flow::FlowId> local(capture.size(), flow::kNoFlow);
-  std::vector<std::uint64_t> unclassified(
-      static_cast<std::size_t>(shards), 0);
-  parallel_for_indexed(jobs, static_cast<std::size_t>(shards),
-                       [&](std::size_t s) {
-    flow::FlowTable& table = set.shard(static_cast<int>(s));
-    flow::FlowKey key;
-    for (std::size_t i = 0; i < capture.size(); ++i) {
-      const CaptureRecord& record = capture[i];
-      if (!key_of_record(record, &key)) {
-        if (s == 0) ++unclassified[0];
+  FlowClassification out;
+  out.per_packet.assign(n, flow::kNoFlow);
+  std::vector<std::uint32_t> shard_of(n, kUnclassified);
+  {
+    std::vector<flow::FlowKey> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!key_of_record(capture[i], &keys[i])) {
+        ++out.unclassified;
         continue;
       }
-      if (set.shard_of(key) != static_cast<int>(s)) continue;
-      local[i] = table.classify(key, record.wire_len, record.timestamp, i);
+      shard_of[i] = static_cast<std::uint32_t>(set.shard_of(keys[i]));
     }
-  });
+    parallel_for_indexed(jobs, static_cast<std::size_t>(shards),
+                         [&](std::size_t s) {
+      flow::FlowTable& table = set.shard(static_cast<int>(s));
+      for (std::size_t i = 0; i < n; ++i) {
+        if (shard_of[i] != s) continue;
+        const CaptureRecord& record = capture[i];
+        out.per_packet[i] =
+            table.classify(keys[i], record.wire_len, record.timestamp, i);
+      }
+    });
+  }
 
   // Renumber shard-local ids into global first-arrival order — the exact
   // ids the sequential classifier assigns.
   const std::vector<flow::GlobalFlow> global = flow::merged_flows(set);
-  FlowClassification out;
   out.table.reserve(global.size());
-  out.unclassified = unclassified[0];
   // global id of (shard, local id):
   std::vector<std::vector<flow::FlowId>> remap(
       static_cast<std::size_t>(shards));
@@ -89,16 +95,9 @@ FlowClassification classify_capture_sharded(const Capture& capture,
     out.table.merge_entry(gf.key, gf.stats);
     remap[static_cast<std::size_t>(gf.shard)][gf.local_id] = gid++;
   }
-  out.per_packet.assign(capture.size(), flow::kNoFlow);
-  for (std::size_t i = 0; i < capture.size(); ++i) {
-    if (local[i] == flow::kNoFlow) continue;
-    // Which shard classified packet i is re-derivable from the record,
-    // but the local id alone is ambiguous across shards; recover the
-    // shard from the key hash.
-    flow::FlowKey key;
-    key_of_record(capture[i], &key);
-    out.per_packet[i] =
-        remap[static_cast<std::size_t>(set.shard_of(key))][local[i]];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shard_of[i] == kUnclassified) continue;
+    out.per_packet[i] = remap[shard_of[i]][out.per_packet[i]];
   }
   return out;
 }

@@ -7,9 +7,9 @@
 // present. Records without a parseable UDP stack classify as kNoFlow.
 //
 // classify_capture() is the sequential reference; the sharded variant
-// fans the same work across the task pool by flow shard — each worker
-// scans the capture but classifies only the keys its shards own, so no
-// table is shared — and then renumbers the shard-local ids into the
+// parses each record once (key and owning shard), fans the shards across
+// the task pool — each worker classifies only its own shard's records, so
+// no table is shared — and then renumbers the shard-local ids into the
 // global first-arrival order. The results are guaranteed identical (the
 // unit tests diff them), which is what lets the 100k-flow bench keep its
 // byte-identity gate at any --jobs value.

@@ -1,14 +1,17 @@
-// Machine-independent work gate: heap allocations made by loading and
-// writing a trace must not grow with the record count. This binary
-// replaces the global operator new to count allocations, so it is kept
-// apart from every other test executable.
+// Machine-independent work gates: heap allocations made by loading and
+// writing a trace must not grow with the record count, and per-flow κ
+// must not allocate per flow. This binary replaces the global operator
+// new to count allocations, so it is kept apart from every other test
+// executable.
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flow/flow_kappa.hpp"
 #include "trace/trace_file.hpp"
 
 namespace {
@@ -74,6 +77,31 @@ TEST_F(AllocCounts, TraceLoadIsIndependentOfRecordCount) {
 
 TEST_F(AllocCounts, TraceWriteIsIndependentOfRecordCount) {
   EXPECT_EQ(write_allocations(path, 1024), write_allocations(path, 16384));
+}
+
+/// Heap allocations made by compare_flows_by_id over `flows` flows of
+/// two packets each, interleaved as a many-flow capture is.
+std::size_t flow_compare_allocations(std::size_t flows) {
+  core::Trial a;
+  core::Trial b;
+  std::vector<flow::FlowId> ids;
+  for (std::uint64_t i = 0; i < 2 * flows; ++i) {
+    a.push_back({core::PacketId{1, i}, static_cast<Ns>(i) * 100});
+    b.push_back({core::PacketId{1, i}, static_cast<Ns>(i) * 100 + 7});
+    ids.push_back(static_cast<flow::FlowId>(i % flows));
+  }
+  const std::size_t before = g_allocations;
+  const flow::FlowSetComparison cmp =
+      flow::compare_flows_by_id(a, ids, b, ids, flows, /*jobs=*/1);
+  const std::size_t made = g_allocations - before;
+  EXPECT_EQ(cmp.aggregate.matched, flows);
+  return made;
+}
+
+TEST_F(AllocCounts, FlowCompareAllocatesFewerThanOncePerFlow) {
+  // One Trial per flow and side would make at least 2 * 4096 = 8192.
+  constexpr std::size_t kFlows = 4096;
+  EXPECT_LT(flow_compare_allocations(kFlows), kFlows);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// demux_trial: the counting-sort split of a trial into per-flow trials.
-// Order preservation, empty-flow slots, kNoFlow accounting, and the
-// rebase option are each load-bearing for the per-flow κ path.
+// demux_trial: the counting-sort split of a trial by flow (one array of
+// trial positions, one offset per flow). Order preservation, empty-flow
+// slots, kNoFlow accounting, and the rebased per-flow load are each
+// load-bearing for the per-flow κ path.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -22,36 +23,45 @@ TEST(FlowDemux, SplitsByIdPreservingArrivalOrder) {
   const std::vector<FlowId> ids = {0, 1, 0, 2, 0};
 
   const DemuxResult result = demux_trial(trial, ids, /*flow_count=*/3);
-  ASSERT_EQ(result.trials.size(), 3u);
+  ASSERT_EQ(result.flows(), 3u);
   EXPECT_EQ(result.unclassified, 0u);
+  EXPECT_EQ(result.offsets, (std::vector<std::size_t>{0, 3, 4, 5}));
 
-  ASSERT_EQ(result.trials[0].size(), 3u);
-  EXPECT_EQ(result.trials[0][0].id.lo, 0u);
-  EXPECT_EQ(result.trials[0][1].id.lo, 2u);
-  EXPECT_EQ(result.trials[0][2].id.lo, 4u);
-  EXPECT_EQ(result.trials[0][0].time, 100);
-  EXPECT_EQ(result.trials[0][2].time, 140);
+  EXPECT_EQ(result.positions, (std::vector<std::uint32_t>{0, 2, 4, 1, 3}));
 
-  ASSERT_EQ(result.trials[1].size(), 1u);
-  EXPECT_EQ(result.trials[1][0].id.lo, 1u);
-  ASSERT_EQ(result.trials[2].size(), 1u);
-  EXPECT_EQ(result.trials[2][0].id.lo, 3u);
+  core::Trial f0;
+  result.load_rebased(trial, 0, f0);
+  ASSERT_EQ(f0.size(), 3u);
+  EXPECT_EQ(f0[0].id.lo, 0u);
+  EXPECT_EQ(f0[1].id.lo, 2u);
+  EXPECT_EQ(f0[2].id.lo, 4u);
+  EXPECT_EQ(f0[0].time, 0);   // rebased: 100 - 100
+  EXPECT_EQ(f0[2].time, 40);  // 140 - 100
+
+  ASSERT_EQ(result.flow(1).size(), 1u);
+  EXPECT_EQ(result.flow(1)[0], 1u);
+  ASSERT_EQ(result.flow(2).size(), 1u);
+  EXPECT_EQ(result.flow(2)[0], 3u);
 }
 
 TEST(FlowDemux, EmptyFlowsYieldEmptyTrials) {
   // Demuxing run B against run A's (larger) id space: ids A saw but B
-  // did not must come back as empty trials, not be skipped.
+  // did not must come back as empty runs, not be skipped.
   core::Trial trial({packet(0, 10), packet(1, 20)});
   const std::vector<FlowId> ids = {4, 4};
   const DemuxResult result = demux_trial(trial, ids, /*flow_count=*/6);
-  ASSERT_EQ(result.trials.size(), 6u);
-  for (std::size_t f = 0; f < 6; ++f) {
+  ASSERT_EQ(result.flows(), 6u);
+  for (FlowId f = 0; f < 6; ++f) {
     if (f == 4) {
-      EXPECT_EQ(result.trials[f].size(), 2u);
+      EXPECT_EQ(result.flow(f).size(), 2u);
     } else {
-      EXPECT_TRUE(result.trials[f].empty());
+      EXPECT_TRUE(result.flow(f).empty());
     }
   }
+  // A loaded empty flow is an empty trial, whatever the trial held.
+  core::Trial reused({packet(9, 90)});
+  result.load_rebased(trial, 5, reused);
+  EXPECT_TRUE(reused.empty());
 }
 
 TEST(FlowDemux, CountsAndDropsUnclassifiedPackets) {
@@ -59,22 +69,31 @@ TEST(FlowDemux, CountsAndDropsUnclassifiedPackets) {
   const std::vector<FlowId> ids = {kNoFlow, 0, kNoFlow};
   const DemuxResult result = demux_trial(trial, ids, /*flow_count=*/1);
   EXPECT_EQ(result.unclassified, 2u);
-  ASSERT_EQ(result.trials.size(), 1u);
-  ASSERT_EQ(result.trials[0].size(), 1u);
-  EXPECT_EQ(result.trials[0][0].id.lo, 1u);
+  ASSERT_EQ(result.flows(), 1u);
+  ASSERT_EQ(result.positions.size(), 1u);
+  ASSERT_EQ(result.flow(0).size(), 1u);
+  EXPECT_EQ(result.flow(0)[0], 1u);
 }
 
 TEST(FlowDemux, RebasePutsEachFlowOnItsOwnTimebase) {
   core::Trial trial({packet(0, 1000), packet(1, 1500), packet(2, 1700),
                      packet(3, 2500)});
   const std::vector<FlowId> ids = {0, 1, 0, 1};
-  const DemuxResult result =
-      demux_trial(trial, ids, /*flow_count=*/2, {.rebase = true});
-  ASSERT_EQ(result.trials[0].size(), 2u);
-  EXPECT_EQ(result.trials[0].first_time(), 0);
-  EXPECT_EQ(result.trials[0][1].time, 700);  // 1700 - 1000
-  EXPECT_EQ(result.trials[1].first_time(), 0);
-  EXPECT_EQ(result.trials[1][1].time, 1000);  // 2500 - 1500
+  const DemuxResult result = demux_trial(trial, ids, /*flow_count=*/2);
+  // load_rebased moves each flow onto its own timebase, reusing one
+  // trial for both flows; the demuxed trial keeps its raw times.
+  core::Trial t;
+  result.load_rebased(trial, 0, t);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.first_time(), 0);
+  EXPECT_EQ(t[1].time, 700);  // 1700 - 1000
+  EXPECT_EQ(t[1].id.lo, 2u);
+  result.load_rebased(trial, 1, t);
+  EXPECT_EQ(trial[1].time, 1500);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.first_time(), 0);
+  EXPECT_EQ(t[1].time, 1000);  // 2500 - 1500
+  EXPECT_EQ(t[1].id.lo, 3u);
 }
 
 TEST(FlowDemux, IsAPureFunctionOfItsInputs) {
@@ -89,14 +108,8 @@ TEST(FlowDemux, IsAPureFunctionOfItsInputs) {
   const core::Trial trial(std::move(packets));
   const DemuxResult x = demux_trial(trial, ids, 37);
   const DemuxResult y = demux_trial(trial, ids, 37);
-  ASSERT_EQ(x.trials.size(), y.trials.size());
-  for (std::size_t f = 0; f < x.trials.size(); ++f) {
-    ASSERT_EQ(x.trials[f].size(), y.trials[f].size());
-    for (std::size_t i = 0; i < x.trials[f].size(); ++i) {
-      EXPECT_EQ(x.trials[f][i].id, y.trials[f][i].id);
-      EXPECT_EQ(x.trials[f][i].time, y.trials[f][i].time);
-    }
-  }
+  EXPECT_EQ(x.offsets, y.offsets);
+  EXPECT_EQ(x.positions, y.positions);
 }
 
 }  // namespace
