@@ -1,12 +1,12 @@
 // Shared harness for the bench binaries.
 //
-// bench_paper reproduces the paper's tables and figures: each artifact
-// runs its environment presets end to end (record -> N replays ->
-// captures -> Section 3 metrics) and prints the same rows/series the
-// paper reports. Scale defaults to a reduced, shape-preserving packet
-// count; set CHOIR_FULL=1 or CHOIR_SCALE=<n> for more (see
-// testbed/scale.hpp).
-// Besides the text output, every binary can emit a machine-readable
+// bench_paper reproduces the paper's tables and figures, and its other
+// rows produce the suite and sweep artifacts: each row runs its
+// experiments end to end (record -> N replays -> captures -> Section 3
+// metrics) and prints them. Scale defaults to a reduced,
+// shape-preserving packet count; set CHOIR_FULL=1 or CHOIR_SCALE=<n> for
+// more (see testbed/scale.hpp); suite, flow and group rows pin theirs.
+// Besides the text output, a binary can emit a machine-readable
 // BENCH_<name>.json (see docs/BENCHMARKS.md): pass `--json PATH` or set
 // CHOIR_BENCH_JSON=<dir>. The JSON is byte-deterministic at a fixed
 // seed/scale; host-time fields are only included with
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "analysis/bench_report.hpp"
-#include "testbed/bench_suite.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/presets.hpp"
 
@@ -51,9 +50,33 @@ bool flag_from_args(const char* flag, int* argc, char** argv);
 /// Run several independent experiment configurations, fanned across a
 /// task pool (`jobs` as in choirctl: 0 = auto, 1 = sequential). Results
 /// land in config order regardless of completion order, so every report
-/// built from them is byte-identical at any job count.
+/// built from them is byte-identical at any job count. `task_seconds`,
+/// when non-null, receives the summed host wall time of the
+/// experiments (each worker charged its own clock).
 std::vector<testbed::ExperimentResult> run_configs(
-    const std::vector<testbed::ExperimentConfig>& configs, int jobs = 0);
+    const std::vector<testbed::ExperimentConfig>& configs, int jobs = 0,
+    double* task_seconds = nullptr);
+
+/// The host-throughput repetition flags: `--reps N` (default
+/// `default_reps`), `--stats-baseline FILE` (a STATS_*.json to gate
+/// against) and `--stats-out FILE` (write the medians as a baseline).
+struct HostStats {
+  int reps = 1;
+  std::string baseline;
+  std::string out;
+  /// A single run with no baseline and no output file judges nothing.
+  bool judged() const {
+    return reps > 1 || !baseline.empty() || !out.empty();
+  }
+};
+HostStats host_stats_from_args(int default_reps, int* argc, char** argv);
+
+/// Judge a host-time sample PASTRAMI-style (docs/BENCHMARKS.md): print
+/// the verdicts, gated against `stats.baseline` medians when set, and
+/// write `stats.out` when set. Returns the exit status: 0, or 1 on a
+/// regression or an unreadable baseline.
+int judge_host_sample(const analysis::StatSample& sample,
+                      const HostStats& stats);
 
 /// Machine-readable twin of a bench binary's text output.
 ///
@@ -70,6 +93,12 @@ class Reporter {
   Reporter(const std::string& name, int* argc, char** argv);
 
   bool enabled() const { return !path_.empty(); }
+
+  /// Give the report a suite header: a "suite" key, the pinned
+  /// `packets` as its scale (CHOIR_SCALE / CHOIR_FULL are not stamped),
+  /// no host section, and the event ledger (`events.<component>`,
+  /// `events.total`) as counters of every case added afterwards.
+  void pin_suite(std::uint64_t packets);
 
   /// Record a custom configuration's run. `case_name` overrides the
   /// preset name when one environment appears in several cases.
@@ -92,6 +121,7 @@ class Reporter {
  private:
   analysis::BenchReport report_;
   std::string path_;
+  bool ledger_ = false;    ///< add the event ledger to each case
   double start_ms_ = 0.0;  ///< host clock at construction (host gate only)
 };
 

@@ -1,41 +1,24 @@
-// Ablation of the compound score itself (the paper's Sections 8.2/10
-// future work): how do the environment rankings and separations change
-// under the proposed kappa refinements?
-//
-//  - linear: Eq. 5 exactly. The paper observes that I (range ~0.5)
-//    linearly overpowers L (range ~1e-4) and that the noisy run's drops
-//    (U ~ 2e-4) "had very little impact" on the score.
-//  - presence-sensitive: sqrt scaling on U and O, so any drops or
-//    reordering at all visibly dent the score.
-//  - range-equalized: inverse-range weights, letting L and U move the
-//    score as much as I does across their observed ranges.
-//
-// `--kernel` switches the binary into a raw κ-kernel throughput probe
-// instead: single-core compare_trials repetitions over synthetic trials
-// with a reused CompareScratch and shared ReferenceIndex, judged with
-// the PASTRAMI-style statistical verdicts (docs/BENCHMARKS.md). This is
-// the committed-baseline CI gate for the comparison kernel's speed; it
-// never writes BENCH_*.json, so the deterministic artifacts are
-// untouched by it.
+// Raw κ-kernel throughput probe: single-core compare_trials repetitions
+// over synthetic trials with a reused CompareScratch and shared
+// ReferenceIndex, judged with the PASTRAMI-style statistical verdicts
+// (docs/BENCHMARKS.md). This is the committed-baseline CI gate for the
+// comparison kernel's speed; it never writes BENCH_*.json. (The κ
+// scaling ablation over the environments is `bench_paper
+// kappa_scaling`.)
 //
 //   bench_kappa_scaling --kernel [--packets N] [--reps R]
 //                       [--stats-baseline FILE] [--stats-out FILE]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "analysis/bench_report.hpp"
-#include "analysis/report.hpp"
 #include "bench_common.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "core/compare_scratch.hpp"
 #include "core/metrics.hpp"
-#include "core/weighted_kappa.hpp"
-#include "testbed/scale.hpp"
 
 namespace {
 
@@ -59,16 +42,10 @@ choir::core::Trial random_trial(choir::Rng& rng, std::size_t n,
   return core::Trial(std::move(pkts));
 }
 
-int run_kernel(int* argc, char** argv) {
+int run_kernel(std::size_t n, const choir::bench::HostStats& stats) {
   using namespace choir;
   using clock = std::chrono::steady_clock;
-  const auto n = static_cast<std::size_t>(
-      bench::u64_from_args("--packets", 1ull << 16, argc, argv));
-  const int reps = std::max(1, bench::int_from_args("--reps", 5, argc, argv));
-  const std::string baseline_path =
-      bench::str_from_args("--stats-baseline", "", argc, argv);
-  const std::string out_path =
-      bench::str_from_args("--stats-out", "", argc, argv);
+  const int reps = stats.reps;
 
   // Dual-replayer-shaped work: jittered timestamps plus n/8 neighbor
   // swaps keep the LIS partition nontrivial without drowning it.
@@ -121,96 +98,24 @@ int run_kernel(int* argc, char** argv) {
       n, iters, reps,
       kappa_sink / static_cast<double>(1 + std::size_t(reps) * iters));
 
-  std::vector<std::pair<std::string, double>> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in.good()) {
-      std::fprintf(stderr, "cannot open stats baseline '%s'\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    baseline = analysis::parse_stat_baseline(buf.str());
-  }
-  const analysis::StatResult verdicts =
-      analysis::statistical_verdicts({sample}, baseline);
-  std::fputs(analysis::render_stat_verdicts(verdicts).c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path, std::ios::binary);
-    out << analysis::stat_baseline_to_json(verdicts);
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return verdicts.ok() ? 0 : 1;
+  return bench::judge_host_sample(sample, stats);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace choir;
-  if (bench::flag_from_args("--kernel", &argc, argv)) {
-    return run_kernel(&argc, argv);
+  const bool kernel = bench::flag_from_args("--kernel", &argc, argv);
+  const auto packets = static_cast<std::size_t>(
+      bench::u64_from_args("--packets", 1ull << 16, &argc, argv));
+  const bench::HostStats stats = bench::host_stats_from_args(5, &argc, argv);
+  if (!kernel || argc > 1) {
+    std::fprintf(stderr,
+                 "usage: bench_kappa_scaling --kernel [--packets N] "
+                 "[--reps R]\n"
+                 "                           [--stats-baseline FILE] "
+                 "[--stats-out FILE]\n");
+    return 2;
   }
-  bench::Reporter reporter("kappa_scaling", &argc, argv);
-  const int jobs = bench::jobs_from_args(&argc, argv);
-  analysis::TextTable table({"Environment", "kappa (Eq.5)",
-                             "presence-sensitive", "range-equalized"});
-  // One independent experiment per environment; fan them across workers
-  // and post-process in preset order (output independent of --jobs).
-  const auto presets = testbed::all_presets();
-  std::vector<testbed::ExperimentConfig> configs;
-  configs.reserve(presets.size());
-  std::uint64_t seed = 4242;
-  for (const auto& preset : presets) {
-    testbed::ExperimentConfig cfg;
-    cfg.env = preset;
-    cfg.packets = testbed::scale_from_env() / 2;
-    cfg.runs = 5;
-    cfg.seed = seed++;
-    cfg.collect_series = false;
-    configs.push_back(std::move(cfg));
-  }
-  const auto results = bench::run_configs(configs, jobs);
-  for (std::size_t p = 0; p < presets.size(); ++p) {
-    const auto& preset = presets[p];
-    const auto& result = results[p];
-
-    auto mean_scaled = [&](const core::KappaScaling& scaling) {
-      double sum = 0;
-      for (const auto& c : result.comparisons) {
-        sum += core::scaled_kappa(c.metrics, scaling);
-      }
-      return sum / static_cast<double>(result.comparisons.size());
-    };
-    const double linear_v = mean_scaled(core::KappaScaling::linear());
-    const double presence_v =
-        mean_scaled(core::KappaScaling::presence_sensitive());
-    const double equalized_v =
-        mean_scaled(core::KappaScaling::range_equalized());
-    reporter.add_metric("scaling." + preset.name + ".linear", linear_v);
-    reporter.add_metric("scaling." + preset.name + ".presence", presence_v);
-    reporter.add_metric("scaling." + preset.name + ".equalized", equalized_v);
-    char linear[16], presence[16], equalized[16];
-    std::snprintf(linear, sizeof(linear), "%.4f", linear_v);
-    std::snprintf(presence, sizeof(presence), "%.4f", presence_v);
-    std::snprintf(equalized, sizeof(equalized), "%.4f", equalized_v);
-    table.add_row({preset.name, linear, presence, equalized});
-    std::fprintf(stderr, "done: %s\n", preset.name.c_str());
-  }
-  reporter.finish();
-  std::printf("=== kappa scaling ablation (Section 8.2 / 10 future work) "
-              "===\n%s", table.str().c_str());
-  std::printf(
-      "\nReading: the environment ranking is stable across scalings (a "
-      "desirable\nproperty). The presence-sensitive sqrt(U)/sqrt(O) "
-      "scaling moves a score only\nwhere reordering or drops actually "
-      "occurred (the dual-replayer row; noisy\nrows when a run dropped "
-      "packets) — and even then the Euclidean combination\nstays "
-      "I-dominated, quantifying the paper's observation that a "
-      "component\nwhose range is 1e-1 linearly overpowers the others. "
-      "The range-equalized\ncolumn shows the flip side: inverse-range "
-      "weights compress the score's\ndynamic range, so weighting alone "
-      "cannot fix the imbalance — supporting the\npaper's hunch that a "
-      "refined kappa needs non-linear scaling, not just weights.\n");
-  return 0;
+  return run_kernel(packets, stats);
 }

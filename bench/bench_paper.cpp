@@ -1,18 +1,27 @@
-// The paper's evaluation, one row per artifact: Figs. 4-10, Tables 1-2
-// and the Section 9 ablation.
+// Every BENCH_*.json artifact, one row each: the paper's Figs. 4-10,
+// Tables 1-2 and Section 9 ablation, the pinned-scale suites CI gates,
+// and the flow, group, chaos and κ-scaling sweeps.
 //
-//   bench_paper <id> [--jobs N] [--json PATH]
+//   bench_paper <id> [--jobs N] [--json PATH] [--reps N]
+//                    [--stats-baseline FILE] [--stats-out FILE]
 //
-// Each row names its report id (the BENCH_<id>.json name), the DESIGN.md
-// §4 experiment ids it reproduces, the experiments it runs and the
-// function that prints them in the paper's layout. The row's experiments
-// fan across a task pool (`--jobs`, 0 = auto); stdout and the JSON are
-// byte-identical at any job count. Scale follows CHOIR_SCALE /
-// CHOIR_FULL (testbed/scale.hpp). With no id, or an unknown one, the ids
-// are listed and the exit status is 2.
+// Each row names its report id (the BENCH_<id>.json name), what it
+// reproduces (DESIGN.md §4 experiment ids for the paper's artifacts),
+// the experiments it runs and the function that prints them. The row's
+// experiments fan across a task pool (`--jobs`, 0 = auto); stdout and
+// the JSON are byte-identical at any job count. Paper rows and sweeps
+// scale with CHOIR_SCALE / CHOIR_FULL (testbed/scale.hpp); suite, flow
+// and group rows pin their scale so their committed baselines compare on
+// any machine. `--reps N` runs the row N times and judges the host
+// throughput `host.<id>.pps_per_core` (recorded packets per second of
+// summed experiment wall time) against `--stats-baseline`. With no id,
+// an unknown one or a stray argument, the usage and ids are printed and
+// the exit status is 2.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,14 +30,19 @@
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench_common.hpp"
+#include "common/expect.hpp"
+#include "core/weighted_kappa.hpp"
+#include "fault/chaos.hpp"
 #include "testbed/scale.hpp"
+#include "trace/flow_classify.hpp"
 
 namespace {
 
 using namespace choir;
 
 /// One experiment of an artifact: its configuration, its BENCH case name
-/// (empty = the environment's name) and the heading its render prints.
+/// (empty = the environment's name) and the heading its render prints
+/// (group_scaling: the prefix of its metrics).
 struct Case {
   testbed::ExperimentConfig config;
   std::string name;
@@ -39,11 +53,20 @@ using Results = std::vector<testbed::ExperimentResult>;
 using Render = void (*)(const std::vector<Case>&, const Results&,
                         bench::Reporter&);
 
+/// What the JSON holds besides the render's metrics.
+enum class Report {
+  kCases,    ///< env-stamped scale header, one entry per case
+  kSuite,    ///< suite header pinned at the cases' packet count, cases
+             ///< with the event ledger, never a host section
+  kMetrics,  ///< env-stamped scale header, the render's metrics only
+};
+
 struct Artifact {
-  const char* id;       ///< report id; the JSON is BENCH_<id>.json
-  const char* exp_ids;  ///< DESIGN.md §4 experiment ids
+  const char* id;     ///< report id; the JSON is BENCH_<id>.json
+  const char* about;  ///< DESIGN.md §4 experiment ids, or what it measures
   std::vector<Case> cases;
   Render render;
+  Report report = Report::kCases;
 };
 
 /// A paper environment run: five runs (A plus B-E) at the env-selected
@@ -218,15 +241,23 @@ void render_table1(const std::vector<Case>& cases, const Results& results,
       "positions; whole bursts move together.\n");
 }
 
-/// Table 2: mean metrics per environment, with the paper's values.
-void render_table2(const std::vector<Case>& cases, const Results& results,
-                   bench::Reporter&) {
+/// Mean metrics per case, under the first case's title (Table 2, suites).
+void render_means(const std::vector<Case>& cases, const Results& results,
+                  bench::Reporter&) {
   analysis::TextTable table({"Environment", "U", "O", "I", "L", "kappa"});
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    table.add_row(table2_row(cases[i].config.env.name, results[i]));
+    const std::string& name =
+        cases[i].name.empty() ? cases[i].config.env.name : cases[i].name;
+    table.add_row(table2_row(name, results[i]));
   }
-  std::printf("=== Table 2 — mean Section 3 metrics per environment ===\n");
+  std::printf("=== %s ===\n", cases[0].title.c_str());
   std::printf("%s", table.str().c_str());
+}
+
+/// Table 2: mean metrics per environment, with the paper's values.
+void render_table2(const std::vector<Case>& cases, const Results& results,
+                   bench::Reporter& reporter) {
+  render_means(cases, results, reporter);
   std::printf(
       "\nPaper reference (full scale):\n"
       "| Local Single-Replayer       | 0       | 0      | 0.0294 | 4.27e-06 | 0.9853 |\n"
@@ -320,14 +351,431 @@ std::vector<Case> table2_cases() {
   std::vector<Case> cases;
   std::uint64_t seed = 2025;
   for (auto& preset : testbed::all_presets()) {
-    cases.push_back(paper_case(std::move(preset), {}, seed++));
+    cases.push_back(paper_case(
+        std::move(preset),
+        "Table 2 — mean Section 3 metrics per environment", seed++));
   }
   return cases;
 }
 
+// --- Pinned-scale suites ------------------------------------------------
+
+/// A suite experiment: packets and seed pinned, independent of
+/// CHOIR_SCALE / CHOIR_FULL, so the committed baseline compares on any
+/// machine.
+testbed::ExperimentConfig suite_config(testbed::EnvironmentPreset preset,
+                                       std::uint64_t packets, int runs,
+                                       std::uint64_t seed) {
+  testbed::ExperimentConfig cfg;
+  cfg.env = std::move(preset);
+  cfg.packets = packets;
+  cfg.runs = runs;
+  cfg.seed = seed;
+  cfg.collect_series = true;  // iat_within_10ns needs the delta series
+  cfg.keep_captures = false;
+  return cfg;
+}
+
+/// quick: the two environments the paper leads with, small enough for a
+/// CI gate.
+std::vector<Case> quick_cases() {
+  std::vector<Case> cases;
+  std::uint64_t seed = 2025;
+  for (auto preset : {testbed::local_single(), testbed::local_dual()}) {
+    cases.push_back({suite_config(std::move(preset), 20'000, 3, seed++), {},
+                     "Suite quick — local single + dual replayer"});
+  }
+  return cases;
+}
+
+/// engines: the Section 9 engines on local single at a fixed scale.
+std::vector<Case> engines_cases() {
+  std::vector<Case> cases;
+  for (const auto engine : kAblationEngines) {
+    auto cfg = suite_config(testbed::local_single(), 16'000, 3, 99);
+    cfg.engine = engine;
+    std::string name = cfg.env.name + "+" + testbed::engine_tag(engine);
+    cases.push_back({std::move(cfg), std::move(name),
+                     "Suite engines — replay engines on local single"});
+  }
+  return cases;
+}
+
+/// environments: every Table 2 environment at a reduced, shape-preserving
+/// scale.
+std::vector<Case> environments_cases() {
+  std::vector<Case> cases;
+  std::uint64_t seed = 2025;
+  for (auto& preset : testbed::all_presets()) {
+    cases.push_back({suite_config(std::move(preset), 40'000, 5, seed++), {},
+                     "Suite environments — every Table 2 environment"});
+  }
+  return cases;
+}
+
+// --- Flow scaling -------------------------------------------------------
+
+/// One local-single experiment fanned over 100k synthetic flows; every
+/// capture is classified back into per-flow trials.
+Case flow_scaling_case() {
+  testbed::ExperimentConfig cfg;
+  cfg.env = testbed::local_single();
+  cfg.packets = 300'000;
+  cfg.runs = 3;
+  cfg.seed = 2025;
+  cfg.collect_series = true;  // iat_within_10ns in the case rows
+  cfg.keep_captures = true;   // the classifier self-check in the render
+  cfg.flow.enabled = true;
+  cfg.flow.flows = 100'000;
+  cfg.flow.shards = 16;
+  return {std::move(cfg), "flow_scaling", {}};
+}
+
+/// The cross-flow κ aggregates (tail-oriented, see docs/FLOWS.md) and the
+/// worst flows. The per-run aggregates are case counters
+/// (flow.B.kappa_p50, ...); the cross-run summary goes under "metrics".
+/// The sharded classifier, at the row's job count, must reproduce the
+/// sequential one on run A's capture packet for packet.
+void render_flow_scaling(const std::vector<Case>& cases,
+                         const Results& results, bench::Reporter& reporter) {
+  const testbed::ExperimentConfig& cfg = cases[0].config;
+  const testbed::ExperimentResult& result = results[0];
+  std::printf("flow-scaling: %s, %llu flows, %llu packets/trial, %d runs\n",
+              cfg.env.name.c_str(),
+              static_cast<unsigned long long>(cfg.flow.flows),
+              static_cast<unsigned long long>(cfg.packets), cfg.runs);
+  const auto sequential = trace::classify_capture(result.captures[0]);
+  const auto sharded = trace::classify_capture_sharded(
+      result.captures[0], cfg.flow.shards, cfg.eval_jobs);
+  CHOIR_EXPECT(sequential.per_packet == sharded.per_packet &&
+                   sequential.table.size() == sharded.table.size(),
+               "sharded flow classification diverged from the sequential "
+               "classifier");
+
+  std::printf("classified %zu flows in run A (%llu frames unclassified)\n",
+              result.flow_count,
+              static_cast<unsigned long long>(result.flow_unclassified));
+  std::printf("%s",
+              analysis::render_flow_aggregates(result.flow_comparisons)
+                  .c_str());
+  std::printf("-- worst flows (run B vs A) --\n%s",
+              analysis::render_worst_flows(result.flow_comparisons.front(), 5)
+                  .c_str());
+
+  reporter.add_metric("flows.requested", static_cast<double>(cfg.flow.flows));
+  reporter.add_metric("flows.classified",
+                      static_cast<double>(result.flow_count));
+  reporter.add_metric("flows.unclassified",
+                      static_cast<double>(result.flow_unclassified));
+  double worst = 1.0, p50 = 0.0, p90 = 0.0, p99 = 0.0, weighted = 0.0;
+  for (const auto& fc : result.flow_comparisons) {
+    worst = std::min(worst, fc.aggregate.worst);
+    p50 += fc.aggregate.p50;
+    p90 += fc.aggregate.p90;
+    p99 += fc.aggregate.p99;
+    weighted += fc.aggregate.weighted_mean;
+  }
+  const auto n = static_cast<double>(result.flow_comparisons.size());
+  reporter.add_metric("kappa.worst", worst);
+  reporter.add_metric("kappa.p50", p50 / n);
+  reporter.add_metric("kappa.p90", p90 / n);
+  reporter.add_metric("kappa.p99", p99 / n);
+  reporter.add_metric("kappa.weighted", weighted / n);
+}
+
+// --- Group scaling ------------------------------------------------------
+
+/// The experiment's replay schedule (same constants as run_experiment),
+/// so the chaos cases can aim fault windows at one run's replay phase.
+struct Schedule {
+  Ns trial = 0;
+  Ns arm = 0;
+  Ns wall_start0 = 0;
+  Ns spacing = 0;
+  Ns wall_start(int r) const { return wall_start0 + r * spacing; }
+};
+
+Schedule schedule_for(const testbed::ExperimentConfig& cfg) {
+  const testbed::EnvironmentPreset& env = cfg.env;
+  Schedule s;
+  s.trial = static_cast<Ns>(mean_iat_ns(env.frame_bytes, env.rate) *
+                            static_cast<double>(cfg.packets));
+  s.arm = std::max<Ns>(milliseconds(5),
+                       static_cast<Ns>(6.0 * env.replayer_sync_sigma_ns));
+  const Ns record_end = milliseconds(10) + s.trial + milliseconds(5);
+  s.wall_start0 = record_end + milliseconds(30) + s.arm;
+  s.spacing = s.trial + 2 * s.arm + milliseconds(40);
+  return s;
+}
+
+/// The full replay-group protocol (coordinator node, barrier start,
+/// beacons, straggler machinery) over `nodes` replay nodes on a quiet
+/// local testbed, 8192 packets per trial.
+testbed::ExperimentConfig group_config(int nodes, int runs) {
+  testbed::ExperimentConfig cfg;
+  cfg.env = testbed::local_single();
+  cfg.env.replayers = nodes;
+  // Pin the sync model so the curve measures the protocol, not the
+  // preset's sync-jitter default.
+  cfg.env.replayer_sync_fraction_of_run = 0.0;
+  cfg.env.replayer_sync_sigma_ns = 25.0;
+  cfg.packets = 8192;
+  cfg.runs = runs;
+  cfg.seed = 2025;
+  cfg.collect_series = true;  // iat_within_10ns in the case rows
+  cfg.flow.enabled = true;
+  cfg.flow.flows = 256;
+  cfg.flow.shards = 8;
+  cfg.group.enabled = true;
+  // Tight health cadence: trials here are single-digit milliseconds.
+  cfg.group.config.beacon_interval = microseconds(100);
+  cfg.group.config.check_interval = microseconds(250);
+  cfg.group.config.straggle_threshold = microseconds(400);
+  cfg.group.config.resync_slack = microseconds(50);
+  cfg.group.config.resync_retry = microseconds(500);
+  return cfg;
+}
+
+/// κ versus node count N = 1..16 (every extra node adds one more shard
+/// boundary the barrier has to line up), then three chaos cases that
+/// exercise resync and eviction at fixed N. Titles are metric prefixes.
+std::vector<Case> group_scaling_cases() {
+  std::vector<Case> cases;
+  for (int n = 1; n <= 16; ++n) {
+    const std::string nodes = std::to_string(n);
+    cases.push_back(
+        {group_config(n, 3), "group_n" + nodes, "quiet.n" + nodes});
+  }
+  // A mid-replay stall on one node of four: straggle, resync to the
+  // group horizon, finish with the group.
+  auto stall = group_config(4, 2);
+  const Schedule s = schedule_for(stall);
+  stall.env.faults = fault::group_node_stall_plan(
+      1, s.wall_start(1) + s.trial / 4, s.trial / 3);
+  cases.push_back({std::move(stall), "chaos_stall_n4", "chaos.stall_n4"});
+  // A lossy control path to one node of eight, covered by the sequenced
+  // retry/backoff channel.
+  auto loss = group_config(8, 2);
+  loss.env.control_retry.max_attempts = 6;
+  loss.env.control_retry.initial_backoff = microseconds(100);
+  loss.env.control_retry.multiplier = 2.0;
+  loss.env.control_retry.timeout = milliseconds(4);
+  loss.env.faults = fault::group_control_loss_plan(1, 0, seconds(10), 0.5);
+  cases.push_back({std::move(loss), "chaos_ctl_loss_n8", "chaos.ctl_loss_n8"});
+  // One degraded clock of four: the barrier keeps firing but its sampled
+  // residual blows up on the faulted node.
+  auto clock = group_config(4, 2);
+  clock.env.faults =
+      fault::group_clock_degrade_plan(1, 0, seconds(10), 1000.0);
+  cases.push_back({std::move(clock), "chaos_clock_n4", "chaos.clock_n4"});
+  return cases;
+}
+
+void render_group_scaling(const std::vector<Case>& cases,
+                          const Results& results, bench::Reporter& reporter) {
+  std::size_t quiet = 0;
+  while (quiet < cases.size() && cases[quiet].title.rfind("quiet.", 0) == 0) {
+    ++quiet;
+  }
+  std::printf("group-scaling: %llu packets/trial, %d runs, N=1..%zu\n",
+              static_cast<unsigned long long>(cases[0].config.packets),
+              cases[0].config.runs, quiet);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& g = results[i].group_stats;
+    const std::string& prefix = cases[i].title;
+    reporter.add_metric(prefix + ".kappa", results[i].mean.kappa);
+    reporter.add_metric(prefix + ".rounds_completed",
+                        static_cast<double>(g.rounds_completed));
+    reporter.add_metric(prefix + ".rounds_degraded",
+                        static_cast<double>(g.rounds_degraded));
+    reporter.add_metric(prefix + ".beacons_rx",
+                        static_cast<double>(g.beacons_rx));
+    reporter.add_metric(prefix + ".stragglers",
+                        static_cast<double>(g.stragglers_detected));
+    reporter.add_metric(prefix + ".resyncs",
+                        static_cast<double>(g.resyncs_sent));
+    reporter.add_metric(prefix + ".evictions",
+                        static_cast<double>(g.evictions));
+    reporter.add_metric(prefix + ".barrier_worst_residual_ns",
+                        g.barrier_worst_residual_ns);
+    std::printf(
+        "  %-17s N=%-2d kappa %.4f  beacons %llu  resyncs %llu  "
+        "evictions %llu  ctl retries %llu  barrier worst %.0f ns\n",
+        cases[i].name.c_str(), cases[i].config.env.replayers,
+        results[i].mean.kappa, static_cast<unsigned long long>(g.beacons_rx),
+        static_cast<unsigned long long>(g.resyncs_sent),
+        static_cast<unsigned long long>(g.evictions),
+        static_cast<unsigned long long>(results[i].control_retries),
+        g.barrier_worst_residual_ns);
+  }
+}
+
+// --- Chaos sweep --------------------------------------------------------
+
+constexpr double kChaosIntensities[] = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
+constexpr std::uint64_t kChaosSeeds[] = {2025, 2026, 2027};
+constexpr std::size_t kChaosSeedCount = std::size(kChaosSeeds);
+
+/// Local single under the shipped chaos plan at increasing intensity,
+/// three seeds per intensity so the trend, not one seed's packet lottery,
+/// is what the table shows.
+std::vector<Case> chaos_sweep_cases() {
+  std::vector<Case> cases;
+  for (const double intensity : kChaosIntensities) {
+    for (const std::uint64_t seed : kChaosSeeds) {
+      testbed::ExperimentConfig cfg;
+      cfg.env = testbed::chaos_single(intensity);
+      cfg.packets = testbed::scale_from_env() / 2;
+      cfg.runs = 3;
+      cfg.seed = seed;
+      cfg.collect_series = false;
+      cases.push_back({std::move(cfg), {}, {}});
+    }
+  }
+  return cases;
+}
+
+/// κ erosion per intensity, averaged over the seeds, with the per-layer
+/// fault audit trail.
+void render_chaos_sweep(const std::vector<Case>& cases,
+                        const Results& results, bench::Reporter& reporter) {
+  analysis::TextTable table({"Intensity", "kappa", "U", "O", "I", "link",
+                             "nic", "mempool", "ctl retries"});
+  std::printf("=== chaos sweep: kappa vs fault intensity ===\n");
+  std::printf("environment: chaos-single (local single + chaos plan), "
+              "%llu packets x 3 runs x %zu seeds per row\n\n",
+              static_cast<unsigned long long>(cases[0].config.packets),
+              kChaosSeedCount);
+  std::size_t cell = 0;
+  for (const double intensity : kChaosIntensities) {
+    double kappa = 0, u = 0, o = 0, i_metric = 0;
+    std::uint64_t link = 0, nic = 0, mem = 0, retries = 0;
+    for (std::size_t s = 0; s < kChaosSeedCount; ++s) {
+      const auto& r = results[cell++];
+      kappa += r.mean.kappa;
+      u += r.mean.uniqueness;
+      o += r.mean.ordering;
+      i_metric += r.mean.iat;
+      const auto& fs = r.fault_stats;
+      link += fs.link_down_drops + fs.frames_dropped + fs.frames_corrupted +
+              fs.frames_duplicated + fs.frames_reordered;
+      nic += fs.rx_stalled_polls + fs.tx_stalled_bursts + fs.bursts_truncated;
+      mem += fs.allocs_denied;
+      retries += r.control_retries;
+    }
+    const auto n = static_cast<double>(kChaosSeedCount);
+    char key[16];
+    std::snprintf(key, sizeof(key), "%.2f", intensity);
+    const std::string prefix = std::string("intensity.") + key + ".";
+    reporter.add_metric(prefix + "kappa", kappa / n);
+    reporter.add_metric(prefix + "U", u / n);
+    reporter.add_metric(prefix + "O", o / n);
+    reporter.add_metric(prefix + "I", i_metric / n);
+    reporter.add_metric(prefix + "link_faults", static_cast<double>(link));
+    reporter.add_metric(prefix + "nic_faults", static_cast<double>(nic));
+    reporter.add_metric(prefix + "mempool_denied", static_cast<double>(mem));
+    reporter.add_metric(prefix + "control_retries",
+                        static_cast<double>(retries));
+    char col[9][24];
+    std::snprintf(col[0], sizeof(col[0]), "%.2f", intensity);
+    std::snprintf(col[1], sizeof(col[1]), "%.4f", kappa / n);
+    std::snprintf(col[2], sizeof(col[2]), "%.2e", u / n);
+    std::snprintf(col[3], sizeof(col[3]), "%.2e", o / n);
+    std::snprintf(col[4], sizeof(col[4]), "%.4f", i_metric / n);
+    std::snprintf(col[5], sizeof(col[5]), "%llu",
+                  static_cast<unsigned long long>(link));
+    std::snprintf(col[6], sizeof(col[6]), "%llu",
+                  static_cast<unsigned long long>(nic));
+    std::snprintf(col[7], sizeof(col[7]), "%llu",
+                  static_cast<unsigned long long>(mem));
+    std::snprintf(col[8], sizeof(col[8]), "%llu",
+                  static_cast<unsigned long long>(retries));
+    table.add_row({col[0], col[1], col[2], col[3], col[4], col[5], col[6],
+                   col[7], col[8]});
+  }
+  std::printf("%s", table.str().c_str());
+  std::printf(
+      "\nReading: kappa decreases monotonically with intensity. Per-frame "
+      "link faults\n(drops, corruption, duplication, reordering) hit each "
+      "replay differently and\ndrive U and O off zero; NIC stalls and "
+      "burst truncation add replay-side IAT\nnoise; mempool windows thin "
+      "the recording identically for every run (graceful\ntruncation, no "
+      "kappa cost). Every fault is counted, none is fatal.\n");
+}
+
+// --- κ scaling ----------------------------------------------------------
+
+/// Every environment at half the scale, five runs, seeds 4242 upward.
+std::vector<Case> kappa_scaling_cases() {
+  std::vector<Case> cases;
+  std::uint64_t seed = 4242;
+  for (auto& preset : testbed::all_presets()) {
+    testbed::ExperimentConfig cfg;
+    cfg.env = std::move(preset);
+    cfg.packets = testbed::scale_from_env() / 2;
+    cfg.runs = 5;
+    cfg.seed = seed++;
+    cfg.collect_series = false;
+    cases.push_back({std::move(cfg), {}, {}});
+  }
+  return cases;
+}
+
+/// The environments' mean κ under Eq. 5 and the two proposed
+/// refinements (core/weighted_kappa.hpp):
+///  - linear: Eq. 5 exactly. The paper observes that I (range ~0.5)
+///    linearly overpowers L (range ~1e-4) and that the noisy run's drops
+///    (U ~ 2e-4) "had very little impact" on the score.
+///  - presence-sensitive: sqrt scaling on U and O, so any drops or
+///    reordering at all visibly dent the score.
+///  - range-equalized: inverse-range weights, letting L and U move the
+///    score as much as I does across their observed ranges.
+void render_kappa_scaling(const std::vector<Case>& cases,
+                          const Results& results, bench::Reporter& reporter) {
+  analysis::TextTable table({"Environment", "kappa (Eq.5)",
+                             "presence-sensitive", "range-equalized"});
+  for (std::size_t p = 0; p < cases.size(); ++p) {
+    const std::string& env = cases[p].config.env.name;
+    auto mean_scaled = [&](const core::KappaScaling& scaling) {
+      double sum = 0;
+      for (const auto& c : results[p].comparisons) {
+        sum += core::scaled_kappa(c.metrics, scaling);
+      }
+      return sum / static_cast<double>(results[p].comparisons.size());
+    };
+    const double linear_v = mean_scaled(core::KappaScaling::linear());
+    const double presence_v =
+        mean_scaled(core::KappaScaling::presence_sensitive());
+    const double equalized_v =
+        mean_scaled(core::KappaScaling::range_equalized());
+    reporter.add_metric("scaling." + env + ".linear", linear_v);
+    reporter.add_metric("scaling." + env + ".presence", presence_v);
+    reporter.add_metric("scaling." + env + ".equalized", equalized_v);
+    char linear[16], presence[16], equalized[16];
+    std::snprintf(linear, sizeof(linear), "%.4f", linear_v);
+    std::snprintf(presence, sizeof(presence), "%.4f", presence_v);
+    std::snprintf(equalized, sizeof(equalized), "%.4f", equalized_v);
+    table.add_row({env, linear, presence, equalized});
+  }
+  std::printf("=== kappa scaling ablation (Section 8.2 / 10 future work) "
+              "===\n%s", table.str().c_str());
+  std::printf(
+      "\nReading: the environment ranking is stable across scalings (a "
+      "desirable\nproperty). The presence-sensitive sqrt(U)/sqrt(O) "
+      "scaling moves a score only\nwhere reordering or drops actually "
+      "occurred (the dual-replayer row; noisy\nrows when a run dropped "
+      "packets) — and even then the Euclidean combination\nstays "
+      "I-dominated, quantifying the paper's observation that a "
+      "component\nwhose range is 1e-1 linearly overpowers the others. "
+      "The range-equalized\ncolumn shows the flip side: inverse-range "
+      "weights compress the score's\ndynamic range, so weighting alone "
+      "cannot fix the imbalance — supporting the\npaper's hunch that a "
+      "refined kappa needs non-linear scaling, not just weights.\n");
+}
+
 // --- The table ----------------------------------------------------------
 
-std::vector<Artifact> paper_artifacts() {
+std::vector<Artifact> all_artifacts() {
   using namespace testbed;
   return {
       // Figure 4 (a, b) + Section 6.1 in-text metrics: local testbed,
@@ -409,15 +857,40 @@ std::vector<Artifact> paper_artifacts() {
       //    collapses — while Choir degrades gracefully;
       //  - OS-timer pacing is far less consistent everywhere.
       {"ablation", "§9", ablation_cases(), render_ablation},
+      // Pinned-scale suites with committed baselines (quick, engines)
+      // that CI gates byte for byte.
+      {"quick", "suite: local single + dual, 20k packets (CI gate)",
+       quick_cases(), render_means, Report::kSuite},
+      {"engines", "suite: replay engines on local single, 16k packets",
+       engines_cases(), render_means, Report::kSuite},
+      {"environments", "suite: every Table 2 environment, 40k packets",
+       environments_cases(), render_means, Report::kSuite},
+      // The flow subsystem at many-flow scale: 100k flows, 300k packets
+      // per trial (pinned).
+      {"flow_scaling", "per-flow kappa percentiles over 100k flows",
+       {flow_scaling_case()}, render_flow_scaling},
+      // Replay-group consistency versus node count, plus chaos cases
+      // (pinned).
+      {"group_scaling", "group kappa vs node count, quiet + chaos",
+       group_scaling_cases(), render_group_scaling},
+      // Consistency under deterministic fault injection.
+      {"chaos_sweep", "kappa vs chaos intensity (EXPERIMENTS.md)",
+       chaos_sweep_cases(), render_chaos_sweep, Report::kMetrics},
+      // Ablation of the compound score itself (Sections 8.2 / 10 future
+      // work): rankings and separations under proposed refinements.
+      {"kappa_scaling", "kappa refinements per environment (§8.2, §10)",
+       kappa_scaling_cases(), render_kappa_scaling, Report::kMetrics},
   };
 }
 
 int usage(const std::vector<Artifact>& artifacts) {
   std::fprintf(stderr,
-               "usage: bench_paper <id> [--jobs N] [--json PATH]\n"
-               "ids (DESIGN.md §4 experiments):\n");
+               "usage: bench_paper <id> [--jobs N] [--json PATH] [--reps N]\n"
+               "                        [--stats-baseline FILE] "
+               "[--stats-out FILE]\n"
+               "ids:\n");
   for (const auto& a : artifacts) {
-    std::fprintf(stderr, "  %-9s %s\n", a.id, a.exp_ids);
+    std::fprintf(stderr, "  %-14s %s\n", a.id, a.about);
   }
   return 2;
 }
@@ -425,7 +898,7 @@ int usage(const std::vector<Artifact>& artifacts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<Artifact> artifacts = paper_artifacts();
+  const std::vector<Artifact> artifacts = all_artifacts();
   const Artifact* artifact = nullptr;
   if (argc >= 2) {
     for (const auto& a : artifacts) {
@@ -436,13 +909,47 @@ int main(int argc, char** argv) {
 
   bench::Reporter reporter(artifact->id, &argc, argv);
   const int jobs = bench::jobs_from_args(&argc, argv);
-  std::vector<testbed::ExperimentConfig> configs;
-  for (const auto& c : artifact->cases) configs.push_back(c.config);
-  const Results results = bench::run_configs(configs, jobs);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    reporter.add_case(configs[i], results[i], artifact->cases[i].name);
+  const bench::HostStats stats = bench::host_stats_from_args(1, &argc, argv);
+  if (argc > 2) {
+    std::fprintf(stderr, "bench_paper: unexpected argument '%s'\n", argv[2]);
+    return usage(artifacts);
   }
-  artifact->render(artifact->cases, results, reporter);
-  reporter.finish();
-  return 0;
+  if (artifact->report == Report::kSuite) {
+    reporter.pin_suite(artifact->cases[0].config.packets);
+  }
+
+  std::vector<Case> cases = artifact->cases;
+  std::vector<testbed::ExperimentConfig> configs;
+  for (auto& c : cases) {
+    c.config.eval_jobs = jobs;
+    configs.push_back(c.config);
+  }
+  try {
+    // Every repetition reruns the whole row; the results (and so stdout
+    // and the JSON) are the same each time, only the host time differs.
+    analysis::StatSample sample;
+    sample.path = std::string("host.") + artifact->id + ".pps_per_core";
+    Results results;
+    for (int r = 0; r < stats.reps; ++r) {
+      results.clear();
+      double task_seconds = 0.0;
+      results = bench::run_configs(configs, jobs, &task_seconds);
+      std::uint64_t packets = 0;
+      for (const auto& result : results) packets += result.recorded_packets;
+      sample.values.push_back(
+          task_seconds > 0.0 ? static_cast<double>(packets) / task_seconds
+                             : 0.0);
+    }
+    if (artifact->report != Report::kMetrics) {
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        reporter.add_case(cases[i].config, results[i], cases[i].name);
+      }
+    }
+    artifact->render(cases, results, reporter);
+    reporter.finish();
+    return stats.judged() ? bench::judge_host_sample(sample, stats) : 0;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_paper: %s\n", error.what());
+    return 1;
+  }
 }

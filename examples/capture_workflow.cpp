@@ -4,8 +4,12 @@
 // This is how results move between machines (dpdkcap writes captures on
 // the testbed; analysis happens wherever).
 //
-// Build & run:  ./build/examples/capture_workflow [output-dir]
+// Build & run:  ./build/examples/capture_workflow <output-dir>
+// (the directory is created if missing). Exits 1 when an offline κ
+// differs from the online one, or when a file cannot be written or read.
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <string>
 
 #include "testbed/experiment.hpp"
@@ -14,8 +18,10 @@
 
 using namespace choir;
 
-int main(int argc, char** argv) {
-  const std::string dir = argc > 1 ? argv[1] : "/tmp";
+namespace {
+
+int run(const std::string& dir) {
+  std::filesystem::create_directories(dir);
 
   testbed::ExperimentConfig cfg;
   cfg.env = testbed::local_single();
@@ -37,6 +43,7 @@ int main(int argc, char** argv) {
   }
 
   // Offline analysis: reload and recompute kappa from files alone.
+  bool identical = true;
   const auto trial_a = testbed::rebased_trial(trace::read_trace(traces[0]));
   for (std::size_t r = 1; r < traces.size(); ++r) {
     const auto trial_b =
@@ -46,6 +53,22 @@ int main(int argc, char** argv) {
     std::printf("run %zu: offline kappa %.6f, online kappa %.6f (%s)\n", r,
                 offline.metrics.kappa, online,
                 offline.metrics.kappa == online ? "identical" : "DIFFER");
+    identical = identical && offline.metrics.kappa == online;
   }
-  return 0;
+  return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: capture_workflow <output-dir>\n");
+    return 2;
+  }
+  try {
+    return run(argv[1]);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "capture_workflow: %s\n", error.what());
+    return 1;
+  }
 }

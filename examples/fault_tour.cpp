@@ -9,6 +9,7 @@
 //     same schedule a user would load from a file.
 //
 // Build & run:  ./build/examples/fault_tour
+// (exits 1 unless the plan's text form round-trips)
 #include <cstdio>
 
 #include "fault/chaos.hpp"
@@ -77,7 +78,10 @@ int main() {
       "# drop 10% on the generator link for 5 ms, then stall the NIC\n"
       "link_drop target=link.gen0 start=1ms duration=5ms p=0.1\n"
       "nic_rx_stall target=nic.repl0-in start=8ms duration=300us\n");
-  std::printf("\nparsed %zu-event plan, canonical form:\n%s", plan.size(),
-              plan.to_text().c_str());
-  return 0;
+  const std::string text = plan.to_text();
+  const bool round_trips = fault::FaultPlan::parse(text).to_text() == text;
+  std::printf("\nparsed %zu-event plan, canonical form (%s):\n%s",
+              plan.size(), round_trips ? "round-trips" : "MISMATCH - bug!",
+              text.c_str());
+  return round_trips ? 0 : 1;
 }

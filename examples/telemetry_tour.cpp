@@ -9,6 +9,7 @@
 //     way a new component would bind and use them.
 //
 // Build & run:  ./build/examples/telemetry_tour
+// (exits 1 unless the two runs are bit-identical)
 #include <cstdio>
 
 #include "telemetry/telemetry.hpp"
@@ -34,10 +35,10 @@ int main() {
   // --- 1: zero perturbation -------------------------------------------
   const auto off = testbed::run_experiment(config(false));
   const auto on = testbed::run_experiment(config(true));
+  const bool identical = off.mean.kappa == on.mean.kappa;
   std::printf("mean kappa, telemetry off: %.10f\n", off.mean.kappa);
   std::printf("mean kappa, telemetry on:  %.10f  (%s)\n", on.mean.kappa,
-              off.mean.kappa == on.mean.kappa ? "bit-identical"
-                                              : "MISMATCH - bug!");
+              identical ? "bit-identical" : "MISMATCH - bug!");
 
   // --- 2: what the instrumented pipeline saw --------------------------
   const auto snapshot = on.telemetry_registry->snapshot(0);
@@ -90,5 +91,5 @@ int main() {
                   registry.counter("demo.sent").value()),
               static_cast<long long>(s.p50), static_cast<long long>(s.p90),
               static_cast<long long>(s.max), tracer.events().size());
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "common/expect.hpp"
@@ -350,6 +352,51 @@ std::string render_compare(const CompareResult& result) {
                 ok_count, result.regressions, result.added);
   out += line;
   return out;
+}
+
+int compare_bench_dirs(const std::string& baseline_dir,
+                       const std::string& current_dir, double tolerance_pct,
+                       std::string* out_text) {
+  namespace fs = std::filesystem;
+  CHOIR_EXPECT(fs::is_directory(baseline_dir),
+               "baseline directory not found: " + baseline_dir);
+  CompareOptions options;
+  if (tolerance_pct >= 0.0) options.sim_tolerance_pct = tolerance_pct;
+
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(baseline_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) == 0 && entry.path().extension() == ".json") {
+      files.push_back(name);
+    }
+  }
+  std::sort(files.begin(), files.end());
+  CHOIR_EXPECT(!files.empty(),
+               "no BENCH_*.json files in baseline: " + baseline_dir);
+
+  auto read_report = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    CHOIR_EXPECT(in.good(), "cannot open: " + path.string());
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return json::parse(buf.str());
+  };
+  int regressions = 0;
+  for (const std::string& file : files) {
+    const fs::path current_path = fs::path(current_dir) / file;
+    *out_text += "== " + file + " ==\n";
+    if (!fs::exists(current_path)) {
+      *out_text += "  MISSING: no current result for this baseline\n";
+      ++regressions;
+      continue;
+    }
+    const auto result =
+        compare_reports(read_report(fs::path(baseline_dir) / file),
+                        read_report(current_path), options);
+    *out_text += render_compare(result);
+    regressions += static_cast<int>(result.regressions);
+  }
+  return regressions;
 }
 
 // --- Statistical (multi-repetition) verdicts ----------------------------

@@ -164,6 +164,15 @@ CompareResult compare_reports(const json::Value& baseline,
 /// Render a human-readable diff table (regressions first).
 std::string render_compare(const CompareResult& result);
 
+/// Compare every BENCH_*.json present in `baseline_dir` against its
+/// namesake in `current_dir` (a missing file counts as a regression).
+/// Appends a human-readable account to *out_text and returns the total
+/// regression count (0 == gate passes). `tolerance_pct` overrides the
+/// simulated-metric band when >= 0.
+int compare_bench_dirs(const std::string& baseline_dir,
+                       const std::string& current_dir, double tolerance_pct,
+                       std::string* out_text);
+
 // --- Statistical (multi-repetition) verdicts ----------------------------
 //
 // PASTRAMI-style treatment of host-time metrics (PAPERS.md): a single

@@ -12,7 +12,6 @@
 #include "analysis/bench_report.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
-#include "testbed/bench_suite.hpp"
 
 namespace {
 
@@ -260,7 +259,7 @@ TEST_F(BenchDirs, IdenticalDirectoriesPass) {
   write(base_, "BENCH_unit.json", small_report());
   write(cur_, "BENCH_unit.json", small_report());
   std::string text;
-  EXPECT_EQ(testbed::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
+  EXPECT_EQ(analysis::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
                                         &text),
             0);
 }
@@ -272,14 +271,14 @@ TEST_F(BenchDirs, PerturbedBaselineTripsGate) {
   write(base_, "BENCH_unit.json", perturbed);
   write(cur_, "BENCH_unit.json", small_report());
   std::string text;
-  EXPECT_GT(testbed::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
+  EXPECT_GT(analysis::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
                                         &text),
             0);
   EXPECT_NE(text.find("REGRESSED"), std::string::npos);
   // The explicit tolerance override must clear it (0.5 -> 0.979 is a
   // ~96% move relative to the baseline).
   std::string loose_text;
-  EXPECT_EQ(testbed::compare_bench_dirs(base_.string(), cur_.string(), 100.0,
+  EXPECT_EQ(analysis::compare_bench_dirs(base_.string(), cur_.string(), 100.0,
                                         &loose_text),
             0);
 }
@@ -287,40 +286,10 @@ TEST_F(BenchDirs, PerturbedBaselineTripsGate) {
 TEST_F(BenchDirs, MissingCurrentFileIsARegression) {
   write(base_, "BENCH_unit.json", small_report());
   std::string text;
-  EXPECT_GT(testbed::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
+  EXPECT_GT(analysis::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
                                         &text),
             0);
   EXPECT_NE(text.find("BENCH_unit.json"), std::string::npos);
-}
-
-TEST(BenchSuite, SuiteOutputIsByteDeterministic) {
-  const fs::path a = fs::temp_directory_path() /
-                     ("choir_suite_a_" + std::to_string(::getpid()));
-  const fs::path b = fs::temp_directory_path() /
-                     ("choir_suite_b_" + std::to_string(::getpid()));
-  const auto wrote_a = testbed::run_bench_suite("quick", a.string());
-  const auto wrote_b = testbed::run_bench_suite("quick", b.string());
-  ASSERT_EQ(wrote_a, wrote_b);
-  ASSERT_FALSE(wrote_a.empty());
-  for (const auto& name : wrote_a) {
-    std::ifstream fa(a / name, std::ios::binary);
-    std::ifstream fb(b / name, std::ios::binary);
-    const std::string sa((std::istreambuf_iterator<char>(fa)),
-                         std::istreambuf_iterator<char>());
-    const std::string sb((std::istreambuf_iterator<char>(fb)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_EQ(sa, sb) << name;
-    EXPECT_FALSE(sa.empty()) << name;
-  }
-  std::string text;
-  EXPECT_EQ(testbed::compare_bench_dirs(a.string(), b.string(), -1.0, &text),
-            0);
-  fs::remove_all(a);
-  fs::remove_all(b);
-}
-
-TEST(BenchSuite, UnknownSuiteThrows) {
-  EXPECT_THROW(testbed::run_bench_suite("nope", "/tmp"), Error);
 }
 
 // ---- Statistical (PASTRAMI-style) verdicts -----------------------------
@@ -428,16 +397,6 @@ TEST(StatVerdicts, RenderListsRegressionsFirst) {
   ASSERT_NE(stable, std::string::npos);
   EXPECT_LT(regressed, stable);
   EXPECT_NE(text.find("1 regressed"), std::string::npos);
-}
-
-TEST(BenchSuite, TimingCarriesRecordedPackets) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("choir_suite_t_" + std::to_string(::getpid()));
-  testbed::SuiteTiming timing;
-  testbed::run_bench_suite("quick", dir.string(), 1, &timing);
-  EXPECT_GT(timing.recorded_packets, 0u);
-  EXPECT_GT(timing.packets_per_sec_per_core(), 0.0);
-  fs::remove_all(dir);
 }
 
 }  // namespace

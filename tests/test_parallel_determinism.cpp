@@ -1,43 +1,21 @@
-// The parallel execution layer's acceptance oracle: everything the
-// repo publishes — BENCH_*.json suites, per-experiment comparisons,
-// telemetry artifacts — must be byte/bit-identical whether it was
-// produced sequentially or fanned across task-pool workers. These tests
-// pass explicit job counts (the host may have a single core; the pool
-// still interleaves via preemption) and compare against both the
-// sequential path and the committed baselines.
+// The parallel execution layer's acceptance oracle: per-experiment
+// comparisons and telemetry artifacts must be bit-identical whether they
+// were produced sequentially or fanned across task-pool workers. These
+// tests pass explicit job counts (the host may have a single core; the
+// pool still interleaves via preemption) and compare against the
+// sequential path. The BENCH_*.json artifacts get the same check from
+// the BenchPaper.<id> ctests (--jobs 1 vs 4, and the committed
+// baselines).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/task_pool.hpp"
-#include "testbed/bench_suite.hpp"
 #include "testbed/experiment.hpp"
 
 namespace choir::testbed {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string read_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-fs::path fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::temp_directory_path() / ("choir-par-" + tag +
-                                   std::to_string(::getpid()));
-  fs::remove_all(dir);
-  return dir;
-}
 
 void expect_bitwise_equal(const ExperimentResult& a,
                           const ExperimentResult& b) {
@@ -62,33 +40,6 @@ void expect_bitwise_equal(const ExperimentResult& a,
     EXPECT_EQ(ca.series.move_distance, cb.series.move_distance);
   }
   EXPECT_EQ(a.mean.kappa, b.mean.kappa);
-}
-
-TEST(ParallelDeterminism, SuiteBytesIndependentOfJobCount) {
-  // The CI gate in executable form: quick and engines at --jobs 1 and
-  // --jobs 4 must produce the same bytes, and those bytes must match
-  // the committed baselines (CHOIR_SOURCE_DIR is stamped by CMake).
-  const fs::path seq_dir = fresh_dir("seq");
-  const fs::path par_dir = fresh_dir("par");
-  for (const std::string suite : {"quick", "engines"}) {
-    SuiteTiming timing;
-    run_bench_suite(suite, seq_dir.string(), /*jobs=*/1);
-    run_bench_suite(suite, par_dir.string(), /*jobs=*/4, &timing);
-    const std::string file = "BENCH_" + suite + ".json";
-    const std::string seq = read_bytes(seq_dir / file);
-    const std::string par = read_bytes(par_dir / file);
-    ASSERT_FALSE(seq.empty());
-    EXPECT_EQ(seq, par) << file << " differs between --jobs 1 and 4";
-    const fs::path baseline =
-        fs::path(CHOIR_SOURCE_DIR) / "bench" / "baselines" / file;
-    EXPECT_EQ(par, read_bytes(baseline))
-        << file << " diverged from the committed baseline";
-    // Host-side timing is reported, never written into the JSON.
-    EXPECT_GT(timing.wall_ms, 0.0);
-    EXPECT_GE(timing.tasks_ms, timing.wall_ms * 0.5);
-  }
-  fs::remove_all(seq_dir);
-  fs::remove_all(par_dir);
 }
 
 TEST(ParallelDeterminism, EvalJobsBitIdentical) {

@@ -28,9 +28,8 @@
 //   compare <a.trc> <b.trc>   compute the Section 3 metrics offline
 //   partition <trace> <n> <dir>  split a trace into n per-node sub-traces
 //                             (flow-sharded, timelines rebased to 0)
-//   bench                     list benchmark suites
-//   bench <suite> [opts]      run a suite, write BENCH_*.json artifacts
-//   bench --compare A B       diff two BENCH_*.json directories
+//   bench --compare A B       diff two BENCH_*.json directories (the
+//                             artifacts come from `bench_paper <id>`)
 //
 // Options:
 //   --packets N    packets per trial (default: CHOIR_SCALE or 120000)
@@ -76,9 +75,8 @@
 //                  each scheduling component (the event ledger)
 //   --jobs N       worker threads (0 = auto: CHOIR_JOBS, else hardware
 //                  concurrency; 1 = sequential). Results are
-//                  byte-identical at any setting; `bench <suite> --jobs`
-//                  fans whole experiments out, `run`/`stats`/... use it
-//                  for the parallel metric evaluation.
+//                  byte-identical at any setting; `run`/`stats`/... use
+//                  it for the parallel metric evaluation.
 //
 // Environment names accept every preset from `list` plus chaos-<f>
 // (e.g. chaos-0.50) for the parametric chaos sweep presets.
@@ -95,6 +93,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/bench_report.hpp"
 #include "analysis/export.hpp"
 #include "analysis/histogram.hpp"
 #include "analysis/postmortem.hpp"
@@ -104,7 +103,6 @@
 #include "core/weighted_kappa.hpp"
 #include "fault/chaos.hpp"
 #include "obs/postmortem.hpp"
-#include "testbed/bench_suite.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/scale.hpp"
 #include "trace/partition.hpp"
@@ -141,19 +139,9 @@ int usage() {
       "                                (.trc native or .pcap files)\n"
       "  partition <trace> <n> <dir>   flow-shard a trace into n rebased\n"
       "                                per-node .trc sub-traces\n"
-      "  bench                         list benchmark suites\n"
-      "  bench <suite> [--out DIR] [--jobs N] [--compare BASELINE]\n"
-      "                [--tolerance PCT] [--reps N]\n"
-      "                [--stats-baseline FILE] [--stats-out FILE]\n"
-      "                                run a suite, write BENCH_*.json;\n"
-      "                                with --compare, gate against the\n"
-      "                                baseline dir (exit 1 on regression);\n"
-      "                                with --reps, repeat N times and\n"
-      "                                print statistical verdicts for the\n"
-      "                                host.* throughput metrics (gated\n"
-      "                                against --stats-baseline medians)\n"
       "  bench --compare A B [--tolerance PCT]\n"
       "                                diff two BENCH_*.json directories\n"
+      "                                (exit 1 on regression)\n"
       "options: --packets N  --runs N  --seed N  --csv DIR  --engine "
       "choir|sleep|busywait|gapfill  --telemetry DIR\n"
       "         --monitor DIR  --window-packets N  --top-k N  --windows  "
@@ -1018,126 +1006,24 @@ int cmd_partition(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// `bench` — the machine-readable benchmark harness front end.
-///
-///   bench                                  list suites
-///   bench <suite> [--out DIR]              run, write BENCH_*.json
-///                 [--compare BASELINE]     ... then gate against BASELINE
-///                 [--tolerance PCT]        sim-metric band override
-///   bench --compare A B [--tolerance PCT]  diff two artifact directories
-///
-/// Exits 0 when every compared metric is inside its band, 1 when any
-/// simulated metric regressed (host.* metrics are report-only).
+/// `bench --compare A B [--tolerance PCT]` — the BENCH_*.json gate:
+/// diff every report in baseline directory A against its namesake in B
+/// (`bench_paper <id> --json` writes them). Exits 0 when every compared
+/// metric is inside its band, 1 when any simulated metric regressed
+/// (host.* metrics are report-only).
 int cmd_bench(const std::vector<std::string>& args) {
-  if (args.size() < 3) {
-    std::printf("suites:\n");
-    for (const auto& suite : testbed::bench_suites()) {
-      std::printf("  %-14s %s\n", suite.name.c_str(),
-                  suite.description.c_str());
-    }
-    return 0;
-  }
-  std::string suite;
-  std::string out_dir = "bench_out";
-  std::vector<std::string> compare_dirs;
   double tolerance_pct = -1.0;
-  int jobs = 0;
-  int reps = 1;
-  std::string stats_baseline;
-  std::string stats_out;
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--out" && i + 1 < args.size()) {
-      out_dir = args[++i];
-    } else if (arg == "--jobs" && i + 1 < args.size()) {
-      jobs = std::atoi(args[++i].c_str());
-    } else if (arg == "--reps" && i + 1 < args.size()) {
-      reps = std::atoi(args[++i].c_str());
-    } else if (arg == "--stats-baseline" && i + 1 < args.size()) {
-      stats_baseline = args[++i];
-    } else if (arg == "--stats-out" && i + 1 < args.size()) {
-      stats_out = args[++i];
-    } else if (arg == "--compare" && i + 1 < args.size()) {
-      compare_dirs.push_back(args[++i]);
-      // The pure-diff form takes the current dir as a second operand.
-      if (suite.empty() && i + 1 < args.size() && args[i + 1][0] != '-') {
-        compare_dirs.push_back(args[++i]);
-      }
-    } else if (arg == "--tolerance" && i + 1 < args.size()) {
-      tolerance_pct = std::strtod(args[++i].c_str(), nullptr);
-    } else if (!arg.empty() && arg[0] != '-' && suite.empty()) {
-      suite = arg;
-    } else {
-      return usage();
-    }
+  if (args.size() == 7 && args[5] == "--tolerance") {
+    tolerance_pct = std::strtod(args[6].c_str(), nullptr);
+  } else if (args.size() != 5) {
+    return usage();
   }
-  if (suite.empty() && compare_dirs.size() != 2) return usage();
-  if (!suite.empty() && compare_dirs.size() > 1) return usage();
-
-  int exit_code = 0;
-  if (!suite.empty()) {
-    // Multi-repetition mode (PASTRAMI-style, docs/BENCHMARKS.md): run
-    // the whole suite `reps` times, sample the host throughput of each
-    // repetition, and judge the sampled distribution — spread first,
-    // then the median against the baseline medians. The BENCH_*.json
-    // artifacts are deterministic, so re-running just rewrites the same
-    // bytes; only the host-side samples differ per repetition.
-    const int repetitions = std::max(1, reps);
-    std::vector<double> pps_per_core;
-    std::vector<std::string> written;
-    for (int r = 0; r < repetitions; ++r) {
-      testbed::SuiteTiming timing;
-      written = testbed::run_bench_suite(suite, out_dir, jobs, &timing);
-      pps_per_core.push_back(timing.packets_per_sec_per_core());
-      // Host wall-clock is nondeterministic, so the timing line stays
-      // off unless explicitly requested — keeps default output (and
-      // anything scraping it) identical across machines and job counts.
-      const char* host_time = std::getenv("CHOIR_BENCH_HOST_TIME");
-      if (host_time != nullptr && std::strcmp(host_time, "1") == 0) {
-        std::printf(
-            "suite %s: wall %.0f ms, tasks %.0f ms, speedup %.2fx at %d "
-            "jobs\n",
-            suite.c_str(), timing.wall_ms, timing.tasks_ms, timing.speedup(),
-            timing.jobs);
-      }
-    }
-    for (const auto& name : written) {
-      std::printf("wrote %s/%s\n", out_dir.c_str(), name.c_str());
-    }
-    if (repetitions > 1 || !stats_baseline.empty() || !stats_out.empty()) {
-      analysis::StatSample sample;
-      sample.path = "host." + suite + ".pps_per_core";
-      sample.values = pps_per_core;
-      std::vector<std::pair<std::string, double>> baseline;
-      if (!stats_baseline.empty()) {
-        std::ifstream in(stats_baseline, std::ios::binary);
-        if (!in.good()) {
-          std::fprintf(stderr, "choirctl: cannot open stats baseline '%s'\n",
-                       stats_baseline.c_str());
-          return 1;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        baseline = analysis::parse_stat_baseline(buf.str());
-      }
-      const analysis::StatResult verdicts =
-          analysis::statistical_verdicts({sample}, baseline);
-      std::fputs(analysis::render_stat_verdicts(verdicts).c_str(), stdout);
-      if (!stats_out.empty()) {
-        std::ofstream out(stats_out, std::ios::binary);
-        out << analysis::stat_baseline_to_json(verdicts);
-        std::printf("wrote %s\n", stats_out.c_str());
-      }
-      if (!verdicts.ok()) exit_code = 1;
-    }
-    if (compare_dirs.empty()) return exit_code;
-    compare_dirs.push_back(out_dir);  // baseline, current
-  }
+  if (args[2] != "--compare") return usage();
   std::string text;
-  const int regressions = testbed::compare_bench_dirs(
-      compare_dirs[0], compare_dirs[1], tolerance_pct, &text);
+  const int regressions =
+      analysis::compare_bench_dirs(args[3], args[4], tolerance_pct, &text);
   std::fputs(text.c_str(), stdout);
-  return regressions > 0 ? 1 : exit_code;
+  return regressions > 0 ? 1 : 0;
 }
 
 }  // namespace
