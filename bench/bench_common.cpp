@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/task_pool.hpp"
+#include "common/write_file.hpp"
 #include "testbed/scale.hpp"
 
 namespace choir::bench {
@@ -169,12 +170,6 @@ int int_from_args(const char* flag, int fallback, int* argc, char** argv) {
   return value != nullptr ? std::atoi(value) : fallback;
 }
 
-double double_from_args(const char* flag, double fallback, int* argc,
-                        char** argv) {
-  const char* value = take_flag_value(flag, argc, argv);
-  return value != nullptr ? std::strtod(value, nullptr) : fallback;
-}
-
 std::string str_from_args(const char* flag, const std::string& fallback,
                           int* argc, char** argv) {
   const char* value = take_flag_value(flag, argc, argv);
@@ -241,8 +236,7 @@ int judge_host_sample(const analysis::StatSample& sample,
       analysis::statistical_verdicts({sample}, baseline);
   std::fputs(analysis::render_stat_verdicts(verdicts).c_str(), stdout);
   if (!stats.out.empty()) {
-    std::ofstream out(stats.out, std::ios::binary);
-    out << analysis::stat_baseline_to_json(verdicts);
+    write_file(stats.out, analysis::stat_baseline_to_json(verdicts));
     std::printf("wrote %s\n", stats.out.c_str());
   }
   return verdicts.ok() ? 0 : 1;
@@ -323,7 +317,7 @@ std::string Reporter::finish() {
   if (report_.include_host) {
     report_.host.wall_ms = host_now_ms() - start_ms_;
   }
-  analysis::write_json(report_, path_);
+  write_file(path_, analysis::to_json(report_));
   std::fprintf(stderr, "wrote %s\n", path_.c_str());
   return path_;
 }

@@ -39,8 +39,6 @@ int jobs_from_args(int* argc, char** argv);
 std::uint64_t u64_from_args(const char* flag, std::uint64_t fallback,
                             int* argc, char** argv);
 int int_from_args(const char* flag, int fallback, int* argc, char** argv);
-double double_from_args(const char* flag, double fallback, int* argc,
-                        char** argv);
 std::string str_from_args(const char* flag, const std::string& fallback,
                           int* argc, char** argv);
 

@@ -117,5 +117,10 @@ int main(int argc, char** argv) {
                  "[--stats-out FILE]\n");
     return 2;
   }
-  return run_kernel(packets, stats);
+  try {
+    return run_kernel(packets, stats);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_kappa_scaling: %s\n", error.what());
+    return 1;
+  }
 }

@@ -1,8 +1,8 @@
 // bench_observer_cost — what each observer costs, and proof that it
 // perturbs nothing.
 //
-// Telemetry, the span profiler, the series sampler, the streaming
-// monitor and the group flight recorder are all pure observers: enabling
+// Telemetry (with its sampler), the span profiler, the streaming monitor
+// and the group flight recorder are all pure observers: enabling
 // one draws no randomness the simulation uses and changes no decision,
 // so a seeded run must be bit-identical with it on or off. The per-flow
 // evaluation plane (flows on: multi-flow addressing, recorder
@@ -14,24 +14,19 @@
 //   1. Bit identity: each observer's run matches the observer-off run
 //      (mean metrics, recorded packets, capture sizes, beacon count);
 //      for `flows`, the flows-on run's simulated counters match
-//      flows-off.
+//      flows-off. Equal capture sizes also mean equal simulated
+//      recorder throughput, so no separate perturbation check exists.
 //   2. Artifact determinism: the flight recorder's merged artifacts and
 //      the series artifacts are byte-identical at eval_jobs 1 and 4.
-//   3. Simulated recorder throughput perturbation (0% by construction),
-//      gated by --check.
 //
 // It reports each observer's (and the flow plane's) host cost in ns per
 // captured packet over the observer-off run of the same repetition, as
 // report-only statistical verdicts (no baseline is committed: host time
 // is machine dependent).
 //
-// Usage: bench_observer_cost [--check PCT] [--packets N] [--reps R]
-//   --check PCT  exit non-zero when any observer perturbs simulated
-//                throughput by more than PCT percent (CI: --check 2).
-//                Bit-identity and artifact failures always exit 1.
-#include <algorithm>
+// Usage: bench_observer_cost [--packets N] [--reps R]
+// Exits 1 on a bit-identity or artifact failure.
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -49,17 +44,15 @@ namespace {
 
 using namespace choir;
 
-const char* const kObservers[] = {"telemetry", "profile", "series", "monitor",
-                                  "obs",       "flows"};
+const char* const kObservers[] = {"telemetry", "profile", "monitor", "obs",
+                                  "flows"};
 
-/// `off` with exactly one observer on (profile and series ride a
-/// telemetry session, as they do on the command line).
+/// `off` with exactly one observer on (the profiler opens a telemetry
+/// session of its own).
 testbed::ExperimentConfig with_observer(testbed::ExperimentConfig config,
                                         const std::string& name) {
-  config.telemetry.enabled =
-      name == "telemetry" || name == "profile" || name == "series";
+  config.telemetry.enabled = name == "telemetry";
   config.telemetry.profile = name == "profile";
-  if (name == "series") config.telemetry.series_interval = milliseconds(1);
   config.monitor.enabled = name == "monitor";
   config.monitor.window_packets = 2048;
   config.obs.enabled = name == "obs";
@@ -83,15 +76,6 @@ std::uint64_t captured(const testbed::ExperimentResult& result) {
   return n;
 }
 
-/// Recorder throughput on the simulated timeline: packets per simulated
-/// second across all captured runs.
-double sim_pps(const testbed::ExperimentResult& result, int runs) {
-  const double seconds =
-      to_seconds(result.trial_duration) * static_cast<double>(runs);
-  return seconds > 0.0 ? static_cast<double>(captured(result)) / seconds
-                       : 0.0;
-}
-
 bool identical(const testbed::ExperimentResult& a,
                const testbed::ExperimentResult& b) {
   return std::memcmp(&a.mean, &b.mean, sizeof(a.mean)) == 0 &&
@@ -112,15 +96,12 @@ std::string artifacts_of(const testbed::ExperimentResult& result) {
 
 int main(int argc, char** argv) {
   bench::Reporter reporter("observer_cost", &argc, argv);
-  const double check_pct =
-      bench::double_from_args("--check", -1.0, &argc, argv);
   const std::uint64_t packets = bench::u64_from_args(
       "--packets", testbed::scale_from_env() / 4, &argc, argv);
   const int reps = bench::int_from_args("--reps", 5, &argc, argv);
   if (argc > 1) {
     std::fprintf(stderr,
-                 "usage: bench_observer_cost [--check PCT] [--packets N] "
-                 "[--reps R]\n");
+                 "usage: bench_observer_cost [--packets N] [--reps R]\n");
     return 2;
   }
 
@@ -160,23 +141,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double pps_off = sim_pps(r_off, off.runs);
-  double worst_pct = 0.0;
   bool all_identical = true;
-  reporter.add_metric("sim_pps_off", pps_off);
   reporter.add_metric("mean_kappa", r_off.mean.kappa);
   for (std::size_t k = 0; k < kCount; ++k) {
-    const double pps_on = sim_pps(r_on[k], off.runs);
-    const double pct =
-        pps_off > 0.0 ? 100.0 * std::abs(pps_on - pps_off) / pps_off : 0.0;
     const bool same = identical(r_off, r_on[k]);
-    worst_pct = std::max(worst_pct, pct);
     all_identical = all_identical && same;
-    std::printf("  %-9s bit-identical: %-3s  throughput perturbation %.4f%%\n",
-                kObservers[k], same ? "yes" : "NO", pct);
-    const std::string key = kObservers[k];
-    reporter.add_metric(key + ".sim_pps", pps_on);
-    reporter.add_metric(key + ".bit_identical", same ? 1.0 : 0.0);
+    std::printf("  %-9s bit-identical: %s\n", kObservers[k],
+                same ? "yes" : "NO");
+    reporter.add_metric(std::string(kObservers[k]) + ".bit_identical",
+                        same ? 1.0 : 0.0);
   }
 
   // Artifact determinism across evaluation job counts.
@@ -193,7 +166,6 @@ int main(int argc, char** argv) {
   const bool artifacts_identical = artifacts_of(r_seq) == artifacts_of(r_par);
   std::printf("  obs + series artifacts byte-identical across jobs 1/4: %s\n",
               artifacts_identical ? "yes" : "NO");
-  reporter.add_metric("perturbation_pct", worst_pct);
   reporter.add_metric("artifacts_identical", artifacts_identical ? 1.0 : 0.0);
 
   // Host cost: report-only verdicts (no baseline), lower is better.
@@ -214,13 +186,6 @@ int main(int argc, char** argv) {
   if (!artifacts_identical) {
     std::fprintf(stderr,
                  "FAIL: obs/series artifacts differ across --jobs values\n");
-    return 1;
-  }
-  if (check_pct >= 0.0 && worst_pct > check_pct) {
-    std::fprintf(stderr,
-                 "FAIL: throughput perturbation %.4f%% exceeds %.2f%% "
-                 "threshold\n",
-                 worst_pct, check_pct);
     return 1;
   }
   return 0;

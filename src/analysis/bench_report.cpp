@@ -239,14 +239,6 @@ std::string to_json(const BenchReport& report) {
   return w.str() + "\n";
 }
 
-void write_json(const BenchReport& report, const std::string& path) {
-  const std::string body = to_json(report);  // serialize before opening
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CHOIR_EXPECT(out.good(), "cannot open for writing: " + path);
-  out << body;
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
-}
-
 std::vector<std::pair<std::string, double>> flatten_metrics(
     const json::Value& report) {
   std::vector<std::pair<std::string, double>> out;

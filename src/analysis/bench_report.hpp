@@ -111,7 +111,6 @@ struct BenchReport {
 /// Serialize the report (deterministic; see header comment). Throws
 /// choir::Error on NaN/inf anywhere in the numeric payload.
 std::string to_json(const BenchReport& report);
-void write_json(const BenchReport& report, const std::string& path);
 
 // --- Comparison ---------------------------------------------------------
 

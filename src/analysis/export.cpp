@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 
-#include "common/expect.hpp"
 #include "common/json.hpp"
 
 namespace choir::analysis {
 
 namespace {
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  CHOIR_EXPECT(out.good(), "cannot open for writing: " + path);
-  return out;
-}
-
 std::string edge_repr(double edge) {
   if (std::isinf(edge)) return edge < 0 ? "-inf" : "inf";
   char buf[32];
@@ -25,33 +18,31 @@ std::string edge_repr(double edge) {
 }
 }  // namespace
 
-void write_histogram_csv(const DeltaHistogram& histogram,
-                         const std::string& path) {
-  std::ofstream out = open_out(path);
+std::string render_histogram_csv(const DeltaHistogram& histogram) {
+  std::ostringstream out;
   out << "bin_lo_ns,bin_hi_ns,count,fraction\n";
   for (std::size_t i = 0; i < histogram.bins().size(); ++i) {
     const auto& bin = histogram.bins()[i];
     out << edge_repr(bin.lo) << ',' << edge_repr(bin.hi) << ',' << bin.count
         << ',' << histogram.fraction(i) << '\n';
   }
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
+  return out.str();
 }
 
-void write_metrics_csv(const std::vector<MetricsRow>& rows,
-                       const std::string& path) {
-  std::ofstream out = open_out(path);
+std::string render_metrics_csv(const std::vector<MetricsRow>& rows) {
+  std::ostringstream out;
   out << "label,U,O,I,L,kappa\n";
   for (const MetricsRow& row : rows) {
     out << row.label << ',' << row.metrics.uniqueness << ','
         << row.metrics.ordering << ',' << row.metrics.iat << ','
         << row.metrics.latency << ',' << row.metrics.kappa << '\n';
   }
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
+  return out.str();
 }
 
-void write_snapshots_jsonl(const std::vector<telemetry::Snapshot>& snapshots,
-                           const std::string& path) {
-  std::ofstream out = open_out(path);
+std::string render_snapshots_jsonl(
+    const std::vector<telemetry::Snapshot>& snapshots) {
+  std::ostringstream out;
   for (const telemetry::Snapshot& s : snapshots) {
     out << "{\"t_ns\":" << s.at << ",\"counters\":{";
     bool first = true;
@@ -69,24 +60,19 @@ void write_snapshots_jsonl(const std::vector<telemetry::Snapshot>& snapshots,
     }
     out << "}}\n";
   }
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
+  return out.str();
 }
 
-void write_histogram_summaries_csv(const telemetry::Registry& registry,
-                                   const std::string& path) {
-  std::ofstream out = open_out(path);
+std::string render_histogram_summaries_csv(
+    const telemetry::Registry& registry) {
+  std::ostringstream out;
   out << "name,count,min_ns,mean_ns,p50_ns,p90_ns,p99_ns,max_ns\n";
   for (const auto& [name, histogram] : registry.histograms()) {
     const auto s = histogram.summary();
     out << name << ',' << s.count << ',' << s.min << ',' << s.mean << ','
         << s.p50 << ',' << s.p90 << ',' << s.p99 << ',' << s.max << '\n';
   }
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
-}
-
-void write_chrome_trace(const telemetry::Tracer& tracer,
-                        const std::string& path) {
-  tracer.write_chrome_json(path);
+  return out.str();
 }
 
 std::string render_series_jsonl(const telemetry::SeriesSampler& sampler) {
@@ -106,13 +92,6 @@ std::string render_series_jsonl(const telemetry::SeriesSampler& sampler) {
     out += "]}\n";
   }
   return out;
-}
-
-void write_series_jsonl(const telemetry::SeriesSampler& sampler,
-                        const std::string& path) {
-  std::ofstream out = open_out(path);
-  out << render_series_jsonl(sampler);
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
 }
 
 namespace {
@@ -141,13 +120,6 @@ std::string render_prometheus_text(const telemetry::SeriesSampler& sampler) {
     out += prom + ' ' + json::number_repr(entry.series.back().value) + '\n';
   }
   return out;
-}
-
-void write_prometheus_text(const telemetry::SeriesSampler& sampler,
-                           const std::string& path) {
-  std::ofstream out = open_out(path);
-  out << render_prometheus_text(sampler);
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
 }
 
 std::string render_series_top(const telemetry::SeriesSampler& sampler,

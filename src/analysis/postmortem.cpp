@@ -1,12 +1,10 @@
 #include "analysis/postmortem.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "common/expect.hpp"
 #include "common/json.hpp"
 
 namespace choir::analysis {
@@ -122,16 +120,6 @@ std::string render_postmortem_json(const obs::FlightLog& log,
   w.boolean(report.kappa_gate_failed);
   w.end_object();
   return w.str() + "\n";
-}
-
-void write_postmortem_json(const obs::FlightLog& log,
-                           const obs::GroupTimeline& timeline,
-                           const obs::PostmortemReport& report,
-                           const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CHOIR_EXPECT(out.good(), "cannot open for writing: " + path);
-  out << render_postmortem_json(log, timeline, report);
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
 }
 
 }  // namespace choir::analysis

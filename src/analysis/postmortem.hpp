@@ -23,9 +23,4 @@ std::string render_postmortem_json(const obs::FlightLog& log,
                                    const obs::GroupTimeline& timeline,
                                    const obs::PostmortemReport& report);
 
-void write_postmortem_json(const obs::FlightLog& log,
-                           const obs::GroupTimeline& timeline,
-                           const obs::PostmortemReport& report,
-                           const std::string& path);
-
 }  // namespace choir::analysis

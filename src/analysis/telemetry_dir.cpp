@@ -15,7 +15,8 @@ struct Artifact {
   const char* what;
 };
 
-// Every artifact any run mode can leave behind, grouped by subsystem.
+// Every artifact any run mode can leave behind in its one artifact
+// directory, grouped by subsystem.
 constexpr Artifact kArtifacts[] = {
     {"counters.jsonl", "sampled registry snapshots"},
     {"histograms.csv", "latency histogram percentiles"},
@@ -25,6 +26,9 @@ constexpr Artifact kArtifacts[] = {
     {"windows.csv", "monitor windows"},
     {"divergence.jsonl", "monitor divergence records"},
     {"profile.csv", "host-time span profile"},
+    {"group_trace.json", "group flight-log Chrome trace"},
+    {"events.jsonl", "merged group timeline"},
+    {"postmortem.json", "postmortem root-cause report"},
 };
 
 std::size_t count_lines(const fs::path& path) {

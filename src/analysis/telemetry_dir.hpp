@@ -28,8 +28,9 @@ struct TelemetryDirSummary {
 
 /// Summarize the artifacts a previous run wrote into `dir`
 /// (counters.jsonl, histograms.csv, trace.json, series.jsonl,
-/// metrics.prom, windows.csv, divergence.jsonl, profile.csv). Pure
-/// function of the directory contents.
+/// metrics.prom, windows.csv, divergence.jsonl, profile.csv,
+/// group_trace.json, events.jsonl, postmortem.json). Pure function of
+/// the directory contents.
 TelemetryDirSummary summarize_telemetry_dir(const std::string& dir);
 
 }  // namespace choir::analysis

@@ -2,10 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <ostream>
-
-#include "common/expect.hpp"
 
 namespace choir::monitor {
 
@@ -26,35 +22,21 @@ void append_line(std::string& out, const DivergenceRecord& r) {
   out += buf;
 }
 
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream out(path);
-  CHOIR_EXPECT(out.good(), "cannot open " + path);
+}  // namespace
+
+std::string render_divergence_jsonl(const StreamMonitor& monitor) {
+  std::string out;
+  for (const DivergenceRecord& r : monitor.divergence()) append_line(out, r);
   return out;
 }
 
-}  // namespace
-
-void write_divergence_jsonl(const StreamMonitor& monitor, std::ostream& out) {
-  std::string buffer;
-  for (const DivergenceRecord& r : monitor.divergence()) {
-    buffer.clear();
-    append_line(buffer, r);
-    out << buffer;
-  }
-}
-
-void write_divergence_jsonl(const StreamMonitor& monitor,
-                            const std::string& path) {
-  auto out = open_or_throw(path);
-  write_divergence_jsonl(monitor, out);
-}
-
-void write_windows_csv(const StreamMonitor& monitor, std::ostream& out) {
+std::string render_windows_csv(const StreamMonitor& monitor) {
   // Flow columns are vacuous (0 flows, κ = 1) for windows whose feed
   // carried no flow ids, keeping one fixed schema either way.
-  out << "stream,window,b_begin,b_end,a_begin,a_end,common,moved,missing,"
-         "extra,lcs,U,O,L,I,kappa,kappa_running,"
-         "flows,flow_kappa_worst,flow_kappa_p50,flow_kappa_p999\n";
+  std::string out =
+      "stream,window,b_begin,b_end,a_begin,a_end,common,moved,missing,"
+      "extra,lcs,U,O,L,I,kappa,kappa_running,"
+      "flows,flow_kappa_worst,flow_kappa_p50,flow_kappa_p999\n";
   char buf[640];
   for (const WindowRecord& w : monitor.windows()) {
     const std::size_t flows = w.has_flows ? w.flow_aggregate.flows : 0;
@@ -70,13 +52,9 @@ void write_windows_csv(const StreamMonitor& monitor, std::ostream& out) {
                   w.lcs_length, w.metrics.uniqueness, w.metrics.ordering,
                   w.metrics.latency, w.metrics.iat, w.metrics.kappa,
                   w.kappa_running, flows, fworst, fp50, fp999);
-    out << buf;
+    out += buf;
   }
-}
-
-void write_windows_csv(const StreamMonitor& monitor, const std::string& path) {
-  auto out = open_or_throw(path);
-  write_windows_csv(monitor, out);
+  return out;
 }
 
 std::string render_window_table(const StreamMonitor& monitor) {

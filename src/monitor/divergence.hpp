@@ -9,7 +9,6 @@
 // byte.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "monitor/stream_monitor.hpp"
@@ -21,15 +20,12 @@ namespace choir::monitor {
 ///  "id_lo":"0x..","index_a":N,"index_b":N,"move":N,
 ///  "latency_delta_ns":X,"t_ns":N}
 /// index_a / index_b are -1 when not applicable (extra / missing).
-void write_divergence_jsonl(const StreamMonitor& monitor, std::ostream& out);
-void write_divergence_jsonl(const StreamMonitor& monitor,
-                            const std::string& path);
+std::string render_divergence_jsonl(const StreamMonitor& monitor);
 
 /// Per-window rows:
 /// stream,window,b_begin,b_end,a_begin,a_end,common,moved,missing,extra,
 /// lcs,U,O,L,I,kappa,kappa_running
-void write_windows_csv(const StreamMonitor& monitor, std::ostream& out);
-void write_windows_csv(const StreamMonitor& monitor, const std::string& path);
+std::string render_windows_csv(const StreamMonitor& monitor);
 
 /// Fixed-width per-window table for terminal output.
 std::string render_window_table(const StreamMonitor& monitor);

@@ -1,12 +1,10 @@
 #include "obs/group_trace.hpp"
 
-#include <fstream>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/chrome_trace.hpp"
-#include "common/expect.hpp"
 #include "common/json.hpp"
 #include "fault/fault_plan.hpp"
 
@@ -236,25 +234,6 @@ std::string render_events_jsonl(const FlightLog& log,
     out += '\n';
   }
   return out;
-}
-
-namespace {
-void write_text(const std::string& text, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CHOIR_EXPECT(out.good(), "cannot open for writing: " + path);
-  out << text;
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
-}
-}  // namespace
-
-void write_group_trace(const FlightLog& log, const GroupTimeline& timeline,
-                       const std::string& path) {
-  write_text(render_group_trace(log, timeline), path);
-}
-
-void write_events_jsonl(const FlightLog& log, const GroupTimeline& timeline,
-                        const std::string& path) {
-  write_text(render_events_jsonl(log, timeline), path);
 }
 
 }  // namespace choir::obs

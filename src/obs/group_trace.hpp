@@ -28,9 +28,4 @@ std::string render_group_trace(const FlightLog& log,
 std::string render_events_jsonl(const FlightLog& log,
                                 const GroupTimeline& timeline);
 
-void write_group_trace(const FlightLog& log, const GroupTimeline& timeline,
-                       const std::string& path);
-void write_events_jsonl(const FlightLog& log, const GroupTimeline& timeline,
-                        const std::string& path);
-
 }  // namespace choir::obs

@@ -1,13 +1,14 @@
-// Samplers: periodic registry observation on the simulation timeline.
+// The sampler: periodic registry observation on the simulation timeline.
 //
-// Both samplers run as self-rescheduling events on the sim::EventQueue.
-// A tick only *reads* simulation state — it draws no randomness and
-// mutates nothing the simulation observes — so enabling sampling cannot
-// reorder a seeded run; it merely interleaves pure-observer events
-// between the real ones (bench_observer_cost gates this).
+// SeriesSampler runs as one self-rescheduling event on the
+// sim::EventQueue. A tick only *reads* simulation state — it draws no
+// randomness and mutates nothing the simulation observes — so enabling
+// sampling cannot reorder a seeded run; it merely interleaves
+// pure-observer events between the real ones (bench_observer_cost
+// checks this). Each tick does two things:
 //
-//  - Sampler keeps whole-registry Snapshots (the counters.jsonl export).
-//  - SeriesSampler keeps one fixed-capacity ring of (t, value) points
+//  - keeps a whole-registry Snapshot (the counters.jsonl export);
+//  - pushes one point onto a fixed-capacity ring of (t, value) points
 //    *per metric*: every counter, every gauge, and the count plus
 //    p50/p90/p99/p99.9 of every latency histogram. Rings overwrite
 //    their oldest point once full, so a soak of any length holds a
@@ -27,39 +28,6 @@
 #include "telemetry/registry.hpp"
 
 namespace choir::telemetry {
-
-class Sampler {
- public:
-  Sampler(sim::EventQueue& queue, const Registry& registry, Ns period)
-      : queue_(queue), registry_(registry), period_(period) {}
-
-  /// Begin sampling; the first snapshot lands one period from now.
-  void start() {
-    if (running_) return;
-    running_ = true;
-    queue_.schedule_in(period_, sim::Component::kSampler, [this] { tick(); });
-  }
-
-  void stop() { running_ = false; }
-
-  /// Take a snapshot immediately (used for the final post-run sample).
-  void sample_now() { samples_.push_back(registry_.snapshot(queue_.now())); }
-
-  const std::vector<Snapshot>& samples() const { return samples_; }
-
- private:
-  void tick() {
-    if (!running_) return;
-    sample_now();
-    queue_.schedule_in(period_, sim::Component::kSampler, [this] { tick(); });
-  }
-
-  sim::EventQueue& queue_;
-  const Registry& registry_;
-  Ns period_;
-  bool running_ = false;
-  std::vector<Snapshot> samples_;
-};
 
 /// One sampled point of a metric series.
 struct SeriesPoint {
@@ -121,12 +89,12 @@ enum class SeriesKind { kCounter, kGauge, kPercentile };
 const char* to_string(SeriesKind kind);
 
 struct SeriesConfig {
-  Ns interval = milliseconds(5);  ///< sim-time cadence between samples
+  Ns interval = milliseconds(5);  ///< sim-time cadence between samples (> 0)
   std::size_t capacity = 4096;    ///< ring capacity per metric
 };
 
-/// Per-metric ring-buffer series sampled from a Registry on a sim-time
-/// cadence. See the header comment for the determinism contract.
+/// Registry snapshots plus per-metric ring-buffer series, sampled on a
+/// sim-time cadence. See the header comment for the determinism contract.
 class SeriesSampler {
  public:
   struct Entry {
@@ -134,13 +102,15 @@ class SeriesSampler {
     MetricSeries series;
   };
 
+  /// Throws choir::Error unless config.interval > 0.
   SeriesSampler(sim::EventQueue& queue, const Registry& registry,
                 SeriesConfig config);
 
   /// Begin sampling; the first sample lands one interval from now.
   void start();
 
-  /// Sample every instrument immediately (the final post-run point).
+  /// Snapshot the registry and sample every instrument immediately (the
+  /// final post-run point).
   void sample_now();
 
   /// Called with the sim time after each completed sample — the hook
@@ -151,7 +121,10 @@ class SeriesSampler {
   /// starts its series at the first tick that saw it.
   const std::map<std::string, Entry>& entries() const { return entries_; }
 
-  std::uint64_t samples_taken() const { return samples_taken_; }
+  /// One whole-registry snapshot per sample, oldest first.
+  const std::vector<Snapshot>& snapshots() const { return snapshots_; }
+
+  std::uint64_t samples_taken() const { return snapshots_.size(); }
   Ns interval() const { return config_.interval; }
   const SeriesConfig& config() const { return config_; }
 
@@ -163,9 +136,9 @@ class SeriesSampler {
   const Registry& registry_;
   SeriesConfig config_;
   bool running_ = false;
-  std::uint64_t samples_taken_ = 0;
   std::function<void(Ns)> sink_;
   std::map<std::string, Entry> entries_;
+  std::vector<Snapshot> snapshots_;
 };
 
 }  // namespace choir::telemetry

@@ -1,5 +1,7 @@
 #include "telemetry/sampler.hpp"
 
+#include "common/expect.hpp"
+
 namespace choir::telemetry {
 
 const char* to_string(SeriesKind kind) {
@@ -16,7 +18,10 @@ const char* to_string(SeriesKind kind) {
 
 SeriesSampler::SeriesSampler(sim::EventQueue& queue, const Registry& registry,
                              SeriesConfig config)
-    : queue_(queue), registry_(registry), config_(config) {}
+    : queue_(queue), registry_(registry), config_(config) {
+  // A zero interval would reschedule the tick at the same instant forever.
+  CHOIR_EXPECT(config_.interval > 0, "series interval must be positive");
+}
 
 void SeriesSampler::start() {
   if (running_) return;
@@ -38,6 +43,7 @@ void SeriesSampler::push(const std::string& name, SeriesKind kind, Ns t,
 
 void SeriesSampler::sample_now() {
   const Ns now = queue_.now();
+  snapshots_.push_back(registry_.snapshot(now));
   for (const auto& [name, counter] : registry_.counters()) {
     push(name, SeriesKind::kCounter, now,
          static_cast<double>(counter.value()));
@@ -57,7 +63,6 @@ void SeriesSampler::sample_now() {
     push(name + ".p999", SeriesKind::kPercentile, now,
          static_cast<double>(histogram.percentile(99.9)));
   }
-  ++samples_taken_;
   if (sink_) sink_(now);
 }
 

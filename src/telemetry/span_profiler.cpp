@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <ostream>
-#include <sstream>
 
 #include "common/expect.hpp"
 #include "telemetry/tracer.hpp"
@@ -125,20 +122,17 @@ std::string SpanProfiler::render_table() const {
   return out;
 }
 
-void SpanProfiler::write_csv(std::ostream& out) const {
-  out << "name,count,total_ns,self_ns,mean_ns,max_ns\n";
+std::string SpanProfiler::render_csv() const {
+  std::string out = "name,count,total_ns,self_ns,mean_ns,max_ns\n";
   for (const auto& [name, agg] : aggregates_) {
     const std::uint64_t mean =
         agg.count > 0 ? agg.total_ns / agg.count : 0;
-    out << name << ',' << agg.count << ',' << agg.total_ns << ','
-        << agg.self_ns() << ',' << mean << ',' << agg.max_ns << '\n';
+    out += name + ',' + std::to_string(agg.count) + ',' +
+           std::to_string(agg.total_ns) + ',' + std::to_string(agg.self_ns()) +
+           ',' + std::to_string(mean) + ',' + std::to_string(agg.max_ns) +
+           '\n';
   }
-}
-
-void SpanProfiler::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  CHOIR_EXPECT(out.good(), "cannot open " + path);
-  write_csv(out);
+  return out;
 }
 
 void SpanProfiler::export_to_tracer(Tracer& tracer) const {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -85,8 +84,7 @@ class SpanProfiler {
 
   /// CSV: name,count,total_ns,self_ns,mean_ns,max_ns (sorted by name so
   /// the column set — though not the values — is deterministic).
-  void write_csv(std::ostream& out) const;
-  void write_csv(const std::string& path) const;
+  std::string render_csv() const;
 
   /// Emit every retained span onto a "profiler (host ns)" tracer track.
   void export_to_tracer(Tracer& tracer) const;

@@ -1,10 +1,6 @@
 #include "telemetry/tracer.hpp"
 
-#include <fstream>
-#include <ostream>
-
 #include "common/chrome_trace.hpp"
-#include "common/expect.hpp"
 #include "common/json.hpp"
 
 namespace choir::telemetry {
@@ -36,7 +32,7 @@ void Tracer::push(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
-void Tracer::write_chrome_json(std::ostream& out) const {
+std::string Tracer::render_chrome_json() const {
   ChromeTraceWriter w(/*display_ns=*/true);
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
     w.event("thread_name", nullptr, "M")
@@ -56,14 +52,7 @@ void Tracer::write_chrome_json(std::ostream& out) const {
     }
     if (!e.args_json.empty()) w.args(e.args_json);
   }
-  out << w.finish();
-}
-
-void Tracer::write_chrome_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  CHOIR_EXPECT(out.good(), "cannot open for writing: " + path);
-  write_chrome_json(out);
-  CHOIR_EXPECT(out.good(), "write failed: " + path);
+  return w.finish();
 }
 
 }  // namespace choir::telemetry

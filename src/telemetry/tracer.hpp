@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,9 +53,8 @@ class Tracer {
   const std::vector<std::string>& tracks() const { return tracks_; }
   std::uint64_t dropped() const { return dropped_; }
 
-  /// Write the Trace Event Format JSON document.
-  void write_chrome_json(std::ostream& out) const;
-  void write_chrome_json(const std::string& path) const;
+  /// The Trace Event Format JSON document (trace.json).
+  std::string render_chrome_json() const;
 
   /// The tracer installed by the innermost live ScopedTelemetry, or
   /// nullptr when telemetry is disabled.

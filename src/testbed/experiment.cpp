@@ -11,10 +11,12 @@
 #include "choir/middlebox.hpp"
 #include "common/expect.hpp"
 #include "common/task_pool.hpp"
+#include "common/write_file.hpp"
 #include "core/compare_scratch.hpp"
 #include "fault/injector.hpp"
 #include "gen/generator.hpp"
 #include "gen/multi_flow.hpp"
+#include "monitor/divergence.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "net/noise.hpp"
@@ -25,7 +27,6 @@
 #include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ptp.hpp"
-#include "telemetry/sampler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/flow_classify.hpp"
 #include "trace/recorder.hpp"
@@ -64,8 +65,6 @@ std::optional<ReplayEngine> parse_engine(std::string_view tag) {
 
 namespace {
 
-/// Registry snapshot period on the simulated timeline (counters.jsonl).
-constexpr Ns kSamplePeriod = milliseconds(5);
 /// Events each node's flight ring holds before overwriting the oldest.
 constexpr std::size_t kFlightRingEvents = 4096;
 
@@ -281,7 +280,7 @@ std::size_t add_ptp_slave(Topology& t, sim::NodeClock& clock,
   return t.ptp->add_slave(&clock.system, sigma);
 }
 
-void add_recorder(Topology& t, Rng& root) {
+void add_recorder(Topology& t, Rng& root, monitor::StreamMonitor* monitor) {
   t.rec = make_port(t.queue, t.config.env.recorder_nic, "recorder",
                     root.split(0x524543));
   t.rec_vf = &t.rec.nic->add_vf(pktio::mac_for_node(kRecorder));
@@ -291,7 +290,7 @@ void add_recorder(Topology& t, Rng& root) {
                                         : 0;
   t.daemon = std::make_unique<trace::CaptureDaemon>(
       t.queue, *t.rec_vf, net::PollLoopConfig{}, root.split(0x444d),
-      "recorder", t.flow_shards);
+      "recorder", t.flow_shards, monitor);
   t.rec_port_in = t.sw->add_port();
   t.sw->egress_link(t.rec_port_in).connect(*t.rec.nic);
 }
@@ -547,6 +546,7 @@ void wire_flight_log(Topology& t, obs::FlightLog& log) {
 /// split order and the event tie order both depend on it).
 std::unique_ptr<Topology> build_topology(const ExperimentConfig& config,
                                          sim::EventQueue& queue, Rng& root,
+                                         monitor::StreamMonitor* monitor,
                                          obs::FlightLog* log) {
   const EnvironmentPreset& env = config.env;
   const bool group_on = config.group.enabled;
@@ -560,7 +560,7 @@ std::unique_ptr<Topology> build_topology(const ExperimentConfig& config,
   add_ptp_slave(*t, t->rec_clock, 0);
   t->sw = std::make_unique<net::Switch>(queue, env.switch_config,
                                         root.split(0x5357));
-  add_recorder(*t, root);
+  add_recorder(*t, root, monitor);
   if (group_on) add_coordinator(*t, root, log);
 
   const double sync_sigma = replay_schedule(config).sync_sigma_ns;
@@ -784,12 +784,12 @@ void compare_runs(const Topology& t, const core::Trial& trial_a,
 
 /// Every observer of one run, opened in a fixed order before any
 /// component is built so each layer binds its handles at construction
-/// (the capture daemon binds its monitor feed then). All are strictly
+/// (the capture daemon takes the monitor then). All are strictly
 /// observers: a seeded run is bit-identical with any of them on or off,
 /// and with one off its hook pointers stay null.
 struct Observers {
   explicit Observers(const ExperimentConfig& c) : config(c) {
-    if (config.telemetry.enabled) {
+    if (config.telemetry.enabled || config.telemetry.profile) {
       registry = std::make_shared<telemetry::Registry>();
       tracer = std::make_shared<telemetry::Tracer>();
       telemetry_session.emplace(registry.get(), tracer.get());
@@ -806,7 +806,6 @@ struct Observers {
       mcfg.window_packets = config.monitor.window_packets;
       mcfg.top_k = config.monitor.top_k;
       stream_monitor = std::make_shared<monitor::StreamMonitor>(mcfg);
-      monitor_session.emplace(stream_monitor.get());
     }
     if (config.obs.enabled) {
       // One ring per participating node plus the merger's side tables.
@@ -815,13 +814,10 @@ struct Observers {
     }
   }
 
-  /// Start the simulated-time samplers: first on the queue, so their
-  /// ticks sort ahead of every component event at the same instant.
+  /// Start the simulated-time sampler: first on the queue, so its ticks
+  /// sort ahead of every component event at the same instant.
   void start_sampling(sim::EventQueue& queue) {
-    if (!config.telemetry.enabled) return;
-    sampler.emplace(queue, *registry, kSamplePeriod);
-    sampler->start();
-    if (config.telemetry.series_interval <= 0) return;
+    if (registry == nullptr) return;
     telemetry::SeriesConfig series_cfg;
     series_cfg.interval = config.telemetry.series_interval;
     series_cfg.capacity = config.telemetry.series_capacity;
@@ -869,63 +865,58 @@ struct Observers {
     }
   }
 
-  /// Hand every observer to `result` and write the requested artifacts.
+  /// Hand every observer to `result` and write the artifacts.
   void finish(ExperimentResult& result) {
-    namespace fs = std::filesystem;
     if (stream_monitor != nullptr) {
       stream_monitor->finalize();
       result.monitor = stream_monitor;
-      if (const std::string& dir = config.monitor.dir; !dir.empty()) {
-        fs::create_directories(dir);
-        monitor::write_divergence_jsonl(*stream_monitor,
-                                        dir + "/divergence.jsonl");
-        monitor::write_windows_csv(*stream_monitor, dir + "/windows.csv");
-      }
     }
-    const std::string& tdir = config.telemetry.dir;
     if (profiler != nullptr) {
       result.profile = profiler;
       // Host-time spans ride a dedicated tracer track; only opted-in runs
       // carry them, so default trace.json artifacts stay byte-identical.
       profiler->export_to_tracer(*tracer);
-      if (!tdir.empty()) {
-        fs::create_directories(tdir);
-        profiler->write_csv(tdir + "/profile.csv");
-      }
     }
-    if (config.telemetry.enabled) {
-      sampler->sample_now();  // final snapshot at end_of_world
-      if (series != nullptr) {
-        series->sample_now();  // close every series at end_of_world
-        result.telemetry_series = series;
-      }
-      result.telemetry_samples = sampler->samples();
+    if (series != nullptr) {
+      series->sample_now();  // close every series at end_of_world
+      result.telemetry_series = series;
+      result.telemetry_samples = series->snapshots();
       result.telemetry_registry = registry;
       result.telemetry_trace = tracer;
-      if (!tdir.empty()) {
-        fs::create_directories(tdir);
-        analysis::write_snapshots_jsonl(result.telemetry_samples,
-                                        tdir + "/counters.jsonl");
-        analysis::write_histogram_summaries_csv(*registry,
-                                                tdir + "/histograms.csv");
-        analysis::write_chrome_trace(*tracer, tdir + "/trace.json");
-        if (series != nullptr) {
-          // Pure functions of the simulated timeline, so byte-identical
-          // at any --jobs (the CI cmp gate relies on this).
-          analysis::write_series_jsonl(*series, tdir + "/series.jsonl");
-          analysis::write_prometheus_text(*series, tdir + "/metrics.prom");
-        }
-      }
+    }
+    result.flight_log = flight_log;
+    if (!config.artifact_dir.empty()) write_artifacts(result);
+  }
+
+  /// Every enabled observer's files, into the run's one directory. All
+  /// but profile.csv are pure functions of the simulated timeline, so
+  /// byte-identical at any --jobs (the CI cmp gates rely on this).
+  void write_artifacts(ExperimentResult& result) const {
+    const std::string& dir = config.artifact_dir;
+    std::filesystem::create_directories(dir);
+    const auto put = [&](const char* name, const std::string& bytes) {
+      write_file(dir + "/" + name, bytes);
+      result.artifacts.emplace_back(name);
+    };
+    if (stream_monitor != nullptr) {
+      put("divergence.jsonl",
+          monitor::render_divergence_jsonl(*stream_monitor));
+      put("windows.csv", monitor::render_windows_csv(*stream_monitor));
+    }
+    if (profiler != nullptr) put("profile.csv", profiler->render_csv());
+    if (series != nullptr) {
+      put("counters.jsonl",
+          analysis::render_snapshots_jsonl(series->snapshots()));
+      put("histograms.csv",
+          analysis::render_histogram_summaries_csv(*registry));
+      put("trace.json", tracer->render_chrome_json());
+      put("series.jsonl", analysis::render_series_jsonl(*series));
+      put("metrics.prom", analysis::render_prometheus_text(*series));
     }
     if (flight_log != nullptr) {
-      result.flight_log = flight_log;
-      if (const std::string& dir = config.obs.dir; !dir.empty()) {
-        fs::create_directories(dir);
-        const obs::GroupTimeline timeline = obs::merge_timeline(*flight_log);
-        obs::write_group_trace(*flight_log, timeline,
-                               dir + "/group_trace.json");
-        obs::write_events_jsonl(*flight_log, timeline, dir + "/events.jsonl");
-      }
+      const obs::GroupTimeline timeline = obs::merge_timeline(*flight_log);
+      put("group_trace.json", obs::render_group_trace(*flight_log, timeline));
+      put("events.jsonl", obs::render_events_jsonl(*flight_log, timeline));
     }
   }
 
@@ -936,9 +927,7 @@ struct Observers {
   std::shared_ptr<telemetry::SpanProfiler> profiler;
   std::optional<telemetry::ScopedProfiler> profiler_session;
   std::shared_ptr<monitor::StreamMonitor> stream_monitor;
-  std::optional<monitor::ScopedMonitor> monitor_session;
   std::shared_ptr<obs::FlightLog> flight_log;
-  std::optional<telemetry::Sampler> sampler;
   std::shared_ptr<telemetry::SeriesSampler> series;
 };
 
@@ -1033,6 +1022,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   CHOIR_EXPECT(!group_on || config.engine == ReplayEngine::kChoir,
                "the replay group protocol drives the Choir engine only");
   CHOIR_EXPECT(config.runs >= 2, "need at least two runs to compare");
+  CHOIR_EXPECT(config.packets >= 1, "need at least one packet per trial");
 
   Observers observers(config);
   // Experiment phase spans (no-ops unless a profiler is installed).
@@ -1042,7 +1032,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   Rng root(config.seed * 0x9e3779b97f4a7c15ULL + 0x43484f4952ULL);
   observers.start_sampling(queue);
   const std::unique_ptr<Topology> topology =
-      build_topology(config, queue, root, observers.flight_log.get());
+      build_topology(config, queue, root, observers.stream_monitor.get(),
+                     observers.flight_log.get());
 
   // Every schedule instant comes from the shared timetable so offline
   // tools (choirctl postmortem) see the exact same rounds.

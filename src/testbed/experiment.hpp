@@ -17,7 +17,7 @@
 #include "core/metrics.hpp"
 #include "fault/injector.hpp"
 #include "flow/flow_kappa.hpp"
-#include "monitor/monitor.hpp"
+#include "monitor/stream_monitor.hpp"
 #include "obs/flight_log.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/registry.hpp"
@@ -49,19 +49,16 @@ std::optional<ReplayEngine> parse_engine(std::string_view tag);
 
 /// Observability for a run. Telemetry is zero-perturbation: with the
 /// same seed, every metric of the run is bit-identical whether it is
-/// enabled or not (enforced by the determinism regression test).
+/// enabled or not (enforced by the determinism regression test). Its
+/// artifacts (ExperimentConfig::artifact_dir): counters.jsonl (registry
+/// snapshots), histograms.csv (percentiles), trace.json (Chrome/Perfetto
+/// trace), series.jsonl and metrics.prom (docs/SERIES.md).
 struct TelemetryOptions {
   bool enabled = false;
-  /// When non-empty, run_experiment writes artifacts into this directory
-  /// (created if missing): counters.jsonl (sampled time series),
-  /// trace.json (Chrome/Perfetto trace), histograms.csv (percentiles).
-  std::string dir;
-  /// Per-metric ring-buffer series sampling (docs/SERIES.md): every
-  /// counter, gauge, and histogram-percentile set sampled into a
-  /// fixed-capacity ring on this sim-time cadence. 0 disables the
-  /// series sampler; when a dir is given, enables `series.jsonl` and
-  /// `metrics.prom` artifacts (byte-identical at any --jobs).
-  Ns series_interval = 0;
+  /// Sim-time cadence of the one sampler (must be > 0): each tick keeps
+  /// a registry snapshot and samples every counter, gauge and
+  /// histogram-percentile set into its fixed-capacity ring series.
+  Ns series_interval = milliseconds(5);
   /// Ring capacity per metric series.
   std::size_t series_capacity = 4096;
   /// Host-side observer invoked after every completed series sample —
@@ -73,19 +70,16 @@ struct TelemetryOptions {
   /// pacing, κ compute, monitor windows). Off by default because host
   /// timestamps are nondeterministic, which would break byte-identical
   /// artifacts; the simulation itself stays bit-identical either way.
-  /// Effective only when `enabled` is set. Adds `profile.csv` and a
-  /// "profiler (host ns)" track to `trace.json` when a dir is given.
+  /// Turns the telemetry session on by itself. Adds `profile.csv` and a
+  /// "profiler (host ns)" track to `trace.json`.
   bool profile = false;
 };
 
 /// Streaming consistency monitoring for a run (see docs/MONITOR.md).
 /// Like telemetry, strictly an observer: a seeded run is bit-identical
-/// with the monitor on or off.
+/// with the monitor on or off. Artifacts: divergence.jsonl, windows.csv.
 struct MonitorOptions {
   bool enabled = false;
-  /// When non-empty, run_experiment writes `divergence.jsonl` and
-  /// `windows.csv` into this directory (created if missing).
-  std::string dir;
   /// Packets of each monitored stream per κ window.
   std::size_t window_packets = 8192;
   /// Attribution entries per window per kind; 0 disables attribution.
@@ -115,13 +109,11 @@ struct FlowOptions {
 /// the PTP servo, and the fault layer; after the run the rings merge
 /// into one causally ordered group timeline. Strictly an observer: a
 /// seeded run's metrics and captures are bit-identical with recording
-/// on or off (enforced by the obs determinism test).
+/// on or off (enforced by the obs determinism test). Artifacts:
+/// group_trace.json (Chrome trace with causal flow arrows) and
+/// events.jsonl (the merged timeline, one JSON object per event).
 struct ObsOptions {
   bool enabled = false;
-  /// When non-empty, run_experiment writes `group_trace.json` (Chrome
-  /// trace with causal flow arrows) and `events.jsonl` (the merged
-  /// timeline, one JSON object per event) into this directory.
-  std::string dir;
   /// Record round-affine events only every Nth replay round (<= 1:
   /// every round). Round-less events (fault activations, PTP syncs,
   /// record-phase commands) always record.
@@ -175,6 +167,10 @@ struct ExperimentConfig {
   FlowOptions flow;
   GroupOptions group;
   ObsOptions obs;
+  /// When non-empty, run_experiment creates this directory (if missing)
+  /// and writes the artifacts of every enabled observer into it; their
+  /// file names never collide. Empty: observers run, nothing is written.
+  std::string artifact_dir;
 };
 
 /// The experiment's replay timetable — a pure function of the config,
@@ -231,12 +227,12 @@ struct ExperimentResult {
   app::GroupStats group_stats;
   std::vector<app::GroupMemberStatus> group_members;
 
-  // Telemetry artifacts; populated iff config.telemetry.enabled.
+  // Telemetry artifacts; populated iff telemetry is on
+  // (config.telemetry.enabled or .profile).
   std::shared_ptr<telemetry::Registry> telemetry_registry;
   std::shared_ptr<telemetry::Tracer> telemetry_trace;
   std::vector<telemetry::Snapshot> telemetry_samples;
-  /// Per-metric ring-buffer series; populated iff
-  /// config.telemetry.series_interval > 0 (docs/SERIES.md).
+  /// Per-metric ring-buffer series (docs/SERIES.md).
   std::shared_ptr<telemetry::SeriesSampler> telemetry_series;
 
   // Per-flow evaluation; populated iff config.flow.enabled. One entry
@@ -253,6 +249,8 @@ struct ExperimentResult {
   std::shared_ptr<obs::FlightLog> flight_log;
   /// Host-time span profile; populated iff config.telemetry.profile.
   std::shared_ptr<telemetry::SpanProfiler> profile;
+  /// Files written into config.artifact_dir, in write order.
+  std::vector<std::string> artifacts;
 };
 
 /// Run one full experiment. Deterministic in (config, seed).

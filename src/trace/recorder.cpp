@@ -9,7 +9,7 @@ namespace choir::trace {
 void CaptureDaemon::arm(Ns from, Ns until, Capture* out) {
   // The monitor's stream boundary rides the existing arm event: no new
   // queue insertions, so event sequence numbers — and with them the
-  // seeded run — are untouched whether a monitor is installed or not.
+  // seeded run — are untouched whether a monitor is attached or not.
   queue_.schedule_at(from, sim::Component::kRecorder, [this, out] {
     active_ = out;
     if (monitor_ != nullptr) monitor_->begin_stream(out->name());

@@ -13,7 +13,7 @@
 
 #include "common/rng.hpp"
 #include "flow/flow_table.hpp"
-#include "monitor/monitor.hpp"
+#include "monitor/stream_monitor.hpp"
 #include "net/poll_loop.hpp"
 #include "pktio/ethdev.hpp"
 #include "sim/event_queue.hpp"
@@ -30,9 +30,12 @@ class CaptureDaemon {
   /// `flow.<shard>.{packets,bytes,flows}` counters are maintained, and
   /// the monitor feed carries the flow id. Strictly an observer: one
   /// predictable branch when off, and never any effect on the sim.
+  /// A non-null `monitor` is fed every captured packet of every armed
+  /// window.
   CaptureDaemon(sim::EventQueue& queue, net::Vf& vf,
                 net::PollLoopConfig poll = {}, Rng rng = Rng{0xCAFE},
-                const std::string& label = "recorder", int flow_shards = 0)
+                const std::string& label = "recorder", int flow_shards = 0,
+                monitor::StreamMonitor* monitor = nullptr)
       : queue_(queue),
         dev_(label, vf),
         loop_(queue, vf, poll, rng, label),
@@ -40,7 +43,7 @@ class CaptureDaemon {
         tm_discarded_(telemetry::counter(label + ".discarded")),
         tm_drain_batch_pkts_(telemetry::histogram(label + ".drain_batch_pkts")),
         tm_track_(telemetry::track(label)),
-        monitor_(monitor::current()),
+        monitor_(monitor),
         flow_shards_(flow_shards) {
     for (int s = 0; s < flow_shards_; ++s) {
       const std::string prefix = "flow." + std::to_string(s) + ".";
@@ -79,9 +82,9 @@ class CaptureDaemon {
   telemetry::CounterHandle tm_discarded_;
   telemetry::HistogramHandle tm_drain_batch_pkts_;
   std::uint32_t tm_track_ = 0;
-  /// Streaming monitor feed, bound at construction (telemetry hook
-  /// style): null when no monitor session is installed, in which case
-  /// the per-packet feed is a single predictable branch.
+  /// Streaming monitor feed, bound at construction: null when the run
+  /// has no monitor, in which case the per-packet feed is a single
+  /// predictable branch.
   monitor::StreamMonitor* monitor_;
 
   // In-path flow classification (off unless flow_shards_ > 0). The table

@@ -29,7 +29,7 @@ ExperimentConfig sweep_config(double intensity, std::uint64_t seed = 11) {
     cfg.monitor.enabled = true;
     cfg.monitor.window_packets = 512;
     if (const char* dir = std::getenv("CHOIR_MONITOR_DIR")) {
-      cfg.monitor.dir = std::string(dir) + "/chaos-i" +
+      cfg.artifact_dir = std::string(dir) + "/chaos-i" +
                         std::to_string(intensity).substr(0, 4) + "-s" +
                         std::to_string(seed);
     }

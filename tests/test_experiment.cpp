@@ -133,6 +133,16 @@ TEST(Experiment, RejectsSillyConfigs) {
   EXPECT_THROW(run_experiment(small(env)), Error);
 }
 
+TEST(Experiment, RejectsZeroPacketTrials) {
+  // Two empty trials compare as perfectly consistent (kappa = 1), which
+  // would report a run that replayed nothing as a flawless one.
+  ExperimentConfig cfg = small(local_single());
+  cfg.packets = 0;
+  EXPECT_THROW(run_experiment(cfg), Error);
+  cfg.packets = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
 TEST(Experiment, ControlPlaneDrivesEverything) {
   const auto result = run_experiment(small(local_single(), 1000));
   ASSERT_EQ(result.middlebox_stats.size(), 1u);

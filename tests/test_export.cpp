@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/expect.hpp"
+#include "common/write_file.hpp"
 
 namespace choir::analysis {
 namespace {
@@ -32,7 +33,7 @@ TEST_F(ExportTest, HistogramCsvHasHeaderAndAllBins) {
   DeltaHistogram h({10, 100});
   h.add(5);
   h.add(-50);
-  write_histogram_csv(h, path);
+  write_file(path, render_histogram_csv(h));
   const std::string csv = slurp();
   EXPECT_NE(csv.find("bin_lo_ns,bin_hi_ns,count,fraction"),
             std::string::npos);
@@ -49,7 +50,7 @@ TEST_F(ExportTest, MetricsCsvRows) {
   m.iat = 0.5;
   m.latency = 3e-5;
   m.kappa = 0.75;
-  write_metrics_csv({{"fabric-noisy", m}}, path);
+  write_file(path, render_metrics_csv({{"fabric-noisy", m}}));
   const std::string csv = slurp();
   EXPECT_NE(csv.find("label,U,O,I,L,kappa"), std::string::npos);
   EXPECT_NE(csv.find("fabric-noisy,0.0001,0.02,0.5,3e-05,0.75"),
@@ -57,7 +58,19 @@ TEST_F(ExportTest, MetricsCsvRows) {
 }
 
 TEST_F(ExportTest, UnwritablePathThrows) {
-  EXPECT_THROW(write_metrics_csv({}, "/nonexistent-dir/x.csv"), Error);
+  EXPECT_THROW(write_file("/nonexistent-dir/x.csv", render_metrics_csv({})),
+               Error);
+}
+
+TEST(WriteFile, FullDeviceThrows) {
+  // /dev/full opens fine and refuses every byte: the failure only shows
+  // once the buffered bytes are flushed, and it must not pass silently.
+  try {
+    write_file("/dev/full", std::string(100, 'x'));
+    FAIL() << "write_file to /dev/full did not throw";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos);
+  }
 }
 
 }  // namespace

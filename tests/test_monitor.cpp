@@ -6,12 +6,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "core/lis.hpp"
 #include "core/metrics.hpp"
-#include "monitor/monitor.hpp"
+#include "monitor/divergence.hpp"
+#include "monitor/stream_monitor.hpp"
 
 namespace choir::monitor {
 namespace {
@@ -469,13 +469,11 @@ TEST(Divergence, SerializationIsByteDeterministic) {
     feed(mon, a, "reference");
     feed(mon, b, "run");
     mon.finalize();
-    std::ostringstream jsonl, csv;
-    write_divergence_jsonl(mon, jsonl);
-    write_windows_csv(mon, csv);
-    const std::string combined = jsonl.str() + "\n--\n" + csv.str();
+    const std::string jsonl = render_divergence_jsonl(mon);
+    const std::string combined = jsonl + "\n--\n" + render_windows_csv(mon);
     if (round == 0) {
       first = combined;
-      EXPECT_FALSE(jsonl.str().empty());
+      EXPECT_FALSE(jsonl.empty());
     } else {
       EXPECT_EQ(combined, first);
     }
@@ -487,9 +485,7 @@ TEST(Divergence, JsonlSchemaFields) {
   feed(mon, cbr_trial(4, 100), "reference");
   feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}), "run");
   mon.finalize();
-  std::ostringstream out;
-  write_divergence_jsonl(mon, out);
-  const std::string text = out.str();
+  const std::string text = render_divergence_jsonl(mon);
   EXPECT_NE(text.find("\"stream\":\"run\""), std::string::npos);
   EXPECT_NE(text.find("\"kind\":\"moved\""), std::string::npos);
   EXPECT_NE(text.find("\"id_lo\""), std::string::npos);

@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string>
 
-#include "monitor/monitor.hpp"
+#include "monitor/divergence.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/presets.hpp"
 
@@ -95,7 +95,7 @@ TEST(MonitorExperiment, DivergenceArtifactsAreByteDeterministic) {
   std::string csv[2];
   for (int round = 0; round < 2; ++round) {
     const fs::path dir = base / ("run" + std::to_string(round));
-    config.monitor.dir = dir.string();
+    config.artifact_dir = dir.string();
     (void)run_experiment(config);
     ASSERT_TRUE(fs::exists(dir / "divergence.jsonl")) << dir;
     ASSERT_TRUE(fs::exists(dir / "windows.csv")) << dir;

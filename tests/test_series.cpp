@@ -181,8 +181,9 @@ TEST(SeriesDeterminism, ArtifactBytesIndependentOfJobs) {
 }
 
 TEST(SeriesDeterminism, SamplerOnOffIsBitIdentical) {
+  // The sampler runs whenever telemetry is on, so "off" is telemetry off.
   testbed::ExperimentConfig off = series_config(1);
-  off.telemetry.series_interval = 0;
+  off.telemetry.enabled = false;
   const auto r_off = testbed::run_experiment(off);
   const auto r_on = testbed::run_experiment(series_config(1));
   EXPECT_EQ(r_off.telemetry_series, nullptr);
@@ -252,6 +253,21 @@ TEST_F(TelemetryDirTest, NonEmptyArtifactsAreOk) {
   EXPECT_EQ(summary.artifacts_nonempty, 3u);
   EXPECT_NE(summary.text.find("series.jsonl"), std::string::npos);
   EXPECT_NE(summary.text.find("metrics.prom"), std::string::npos);
+}
+
+TEST_F(TelemetryDirTest, ObsOnlyArtifactsAreOk) {
+  // What `choirctl postmortem --obs DIR` leaves: no telemetry files, but
+  // the directory is a complete artifact directory all the same.
+  touch("group_trace.json", "{\"traceEvents\":[]}\n");
+  touch("events.jsonl", "{\"seq\":0}\n{\"seq\":1}\n");
+  touch("postmortem.json", "{\"outcomes\":[]}\n");
+  const auto summary = analysis::summarize_telemetry_dir(dir_.string());
+  EXPECT_EQ(summary.status, analysis::TelemetryDirStatus::kOk);
+  EXPECT_EQ(summary.artifacts_present, 3u);
+  EXPECT_EQ(summary.artifacts_nonempty, 3u);
+  EXPECT_NE(summary.text.find("group_trace.json"), std::string::npos);
+  EXPECT_NE(summary.text.find("events.jsonl"), std::string::npos);
+  EXPECT_NE(summary.text.find("postmortem.json"), std::string::npos);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "common/expect.hpp"
@@ -119,9 +118,7 @@ TEST(SpanProfiler, RendersTableAndCsv) {
   const std::string table = p.render_table();
   EXPECT_NE(table.find("replay.pace"), std::string::npos);
   EXPECT_NE(table.find("record.drain"), std::string::npos);
-  std::ostringstream csv;
-  p.write_csv(csv);
-  const std::string text = csv.str();
+  const std::string text = p.render_csv();
   EXPECT_NE(text.find("name,count,total_ns,self_ns"), std::string::npos);
   EXPECT_NE(text.find("record.drain,1,500,500"), std::string::npos);
 }
@@ -137,9 +134,8 @@ TEST(SpanProfiler, ExportsSpansToTracerTrack) {
     if (track.find("profiler") != std::string::npos) found_track = true;
   }
   EXPECT_TRUE(found_track);
-  std::ostringstream out;
-  tracer.write_chrome_json(out);
-  EXPECT_NE(out.str().find("kappa.compute"), std::string::npos);
+  EXPECT_NE(tracer.render_chrome_json().find("kappa.compute"),
+            std::string::npos);
 }
 
 TEST(SpanProfiler, MergeFromFoldsWorkerAggregates) {

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "sim/event_queue.hpp"
@@ -228,9 +227,7 @@ TEST(Tracer, ChromeJsonIsWellFormed) {
   tracer.instant("wake \"quoted\"\r\n", Ns{2001}, mb);
   tracer.span("replay", Ns{7000}, Ns{9123}, mb,
               "{\"bursts\":3}");
-  std::ostringstream out;
-  tracer.write_chrome_json(out);
-  const std::string text = out.str();
+  const std::string text = tracer.render_chrome_json();
   expect_well_formed_json(text);
   EXPECT_NE(text.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
@@ -260,9 +257,7 @@ TEST(Tracer, DropsPastTheEventCap) {
   }
   EXPECT_EQ(tracer.events().size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);
-  std::ostringstream out;
-  tracer.write_chrome_json(out);
-  expect_well_formed_json(out.str());
+  expect_well_formed_json(tracer.render_chrome_json());
 }
 
 // ---- Sampler -----------------------------------------------------------
@@ -271,28 +266,35 @@ TEST(Sampler, SamplesPeriodicallyOnSimTime) {
   sim::EventQueue queue;
   Registry registry;
   Counter& c = registry.counter("ticks");
-  Sampler sampler(queue, registry, milliseconds(1));
+  SeriesConfig cfg;
+  cfg.interval = milliseconds(1);
+  SeriesSampler sampler(queue, registry, cfg);
   sampler.start();
   // A mutation mid-way; later snapshots must observe it.
   queue.schedule_at(microseconds(2500), [&c] { c.add(7); });
   queue.run_until(milliseconds(4) + microseconds(500));
   sampler.sample_now();
 
-  ASSERT_EQ(sampler.samples().size(), 5u);  // 1,2,3,4ms + final
-  EXPECT_EQ(sampler.samples()[0].at, milliseconds(1));
-  EXPECT_EQ(sampler.samples()[3].at, milliseconds(4));
-  EXPECT_EQ(sampler.samples()[1].counters[0].second, 0u);  // t=2ms
-  EXPECT_EQ(sampler.samples()[2].counters[0].second, 7u);  // t=3ms
+  const std::vector<Snapshot>& snapshots = sampler.snapshots();
+  ASSERT_EQ(snapshots.size(), 5u);  // 1,2,3,4ms + final
+  EXPECT_EQ(snapshots[0].at, milliseconds(1));
+  EXPECT_EQ(snapshots[3].at, milliseconds(4));
+  EXPECT_EQ(snapshots[1].counters[0].second, 0u);  // t=2ms
+  EXPECT_EQ(snapshots[2].counters[0].second, 7u);  // t=3ms
+  // The same tick feeds the series: one point per snapshot.
+  EXPECT_EQ(sampler.entries().at("ticks").series.size(), snapshots.size());
 }
 
-TEST(Sampler, StopHaltsRescheduling) {
+TEST(Sampler, RejectsNonPositiveInterval) {
+  // A zero interval would reschedule its tick at the same instant
+  // forever; the sampler refuses it up front.
   sim::EventQueue queue;
   Registry registry;
-  Sampler sampler(queue, registry, milliseconds(1));
-  sampler.start();
-  queue.schedule_at(microseconds(1500), [&sampler] { sampler.stop(); });
-  queue.run_until(milliseconds(10));
-  EXPECT_EQ(sampler.samples().size(), 1u);
+  SeriesConfig cfg;
+  cfg.interval = 0;
+  EXPECT_THROW(SeriesSampler(queue, registry, cfg), Error);
+  cfg.interval = -milliseconds(1);
+  EXPECT_THROW(SeriesSampler(queue, registry, cfg), Error);
 }
 
 // ---- Session / handles -------------------------------------------------

@@ -20,7 +20,7 @@ ExperimentConfig small(bool telemetry, const std::string& dir = {}) {
   cfg.runs = 3;
   cfg.seed = 7;
   cfg.telemetry.enabled = telemetry;
-  cfg.telemetry.dir = dir;
+  cfg.artifact_dir = dir;
   return cfg;
 }
 

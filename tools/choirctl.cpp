@@ -22,9 +22,9 @@
 //                             totals through the drift detector and
 //                             print the drift verdict (--drift-gate
 //                             exits 1 on a drifting series)
-//   export <env> <dir> [opts] run with telemetry + series and write the
-//                             full artifact set, including series.jsonl
-//                             and the Prometheus text exposition
+//   export <env> <dir> [opts] run with telemetry and write its full
+//                             artifact set into <dir>, the sampling
+//                             cadence derived from the run length
 //   compare <a.trc> <b.trc>   compute the Section 3 metrics offline
 //   partition <trace> <n> <dir>  split a trace into n per-node sub-traces
 //                             (flow-sharded, timelines rebased to 0)
@@ -37,11 +37,13 @@
 //   --seed N       experiment seed (default 1)
 //   --engine E     choir | sleep | busywait | gapfill (default choir)
 //   --telemetry D  collect telemetry and write counters.jsonl,
-//                  histograms.csv and trace.json into directory D
-//   --series-interval MS  sample every metric into its ring-buffer
-//                  series every MS simulated milliseconds (fractional
-//                  ok); adds series.jsonl + metrics.prom to --telemetry
-//                  artifacts. top/export default to ~64 samples/run
+//                  histograms.csv, trace.json, series.jsonl and
+//                  metrics.prom into directory D
+//   --series-interval MS  sampler cadence in simulated milliseconds
+//                  (> 0, fractional ok; default 5): each tick keeps a
+//                  registry snapshot and samples every metric into its
+//                  ring-buffer series. top/export default to ~64
+//                  samples/run
 //   --series-capacity N   ring capacity per metric series (default 4096)
 //   --rounds N     (soak) independent rounds to run (default 6)
 //   --drift-gate   (soak) exit 1 when any series is drifting
@@ -63,6 +65,10 @@
 //   --obs D        record per-node flight rings and write
 //                  group_trace.json + events.jsonl into directory D
 //                  (postmortem also writes postmortem.json there)
+//                  A run has one artifact directory: --telemetry,
+//                  --monitor, --obs (and export's <dir>) all name it,
+//                  and every enabled observer writes its files there.
+//                  Two different directories are a usage error.
 //   --trace-sample N  ring-log round-affine events only every Nth round
 //                  (keeps flight recording cheap at bench scale)
 //   --chaos P      (postmortem) inject a group failure preset aimed at
@@ -70,9 +76,10 @@
 //   --chaos-node I (postmortem) replayer index the preset targets (def 1)
 //   --kappa-gate X (postmortem) flag rounds with kappa below X; exits 1
 //                  when any round fails the gate
-//   --profile      host-time span profiling (profile.csv, trace track);
-//                  also prints fired events per recorded packet for
-//                  each scheduling component (the event ledger)
+//   --profile      host-time span profiling (profile.csv, trace track;
+//                  turns telemetry on); also prints fired events per
+//                  recorded packet for each scheduling component (the
+//                  event ledger)
 //   --jobs N       worker threads (0 = auto: CHOIR_JOBS, else hardware
 //                  concurrency; 1 = sequential). Results are
 //                  byte-identical at any setting; `run`/`stats`/... use
@@ -87,9 +94,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -99,6 +104,8 @@
 #include "analysis/postmortem.hpp"
 #include "analysis/report.hpp"
 #include "analysis/telemetry_dir.hpp"
+#include "common/write_file.hpp"
+#include "monitor/divergence.hpp"
 #include "monitor/drift.hpp"
 #include "core/weighted_kappa.hpp"
 #include "fault/chaos.hpp"
@@ -181,14 +188,13 @@ struct Options {
   std::uint64_t seed = 1;
   testbed::ReplayEngine engine = testbed::ReplayEngine::kChoir;
   std::string csv_dir;        ///< when set, write CSV artifacts there
-  std::string telemetry_dir;  ///< when set, collect + export telemetry
+  std::string artifact_dir;   ///< when set, every observer writes there
   bool telemetry = false;
   bool monitor = false;       ///< streaming monitor on
-  std::string monitor_dir;    ///< when set, write monitor artifacts there
   std::size_t window_packets = 8192;
   std::size_t top_k = 16;
   bool windows = false;       ///< stats: print per-window monitor rows
-  double series_interval_ms = 0.0;  ///< series cadence (sim ms; 0 = off)
+  double series_interval_ms = 0.0;  ///< sampler cadence (ms; 0 = default)
   std::size_t series_capacity = 4096;  ///< ring capacity per series
   bool series_auto = false;   ///< top/export: derive a default cadence
   int rounds = 6;             ///< soak: independent rounds
@@ -202,13 +208,20 @@ struct Options {
   bool group = false;         ///< replay-group protocol (coordinator node)
   int nodes = 0;              ///< replay-node count (0 = preset default)
   bool obs = false;           ///< per-node flight recording on
-  std::string obs_dir;        ///< when set, write obs artifacts there
   int trace_sample = 1;       ///< round sampling for the flight rings
   std::string chaos;          ///< postmortem: failure preset name
   int chaos_node = 1;         ///< postmortem: targeted replayer index
   double kappa_gate = -1.0;   ///< postmortem: per-round kappa gate
   bool ok = true;
 };
+
+/// Point the run's one artifact directory at `dir`; false when an
+/// earlier flag already named a different one.
+bool set_artifact_dir(Options& opt, const std::string& dir) {
+  if (!opt.artifact_dir.empty() && opt.artifact_dir != dir) return false;
+  opt.artifact_dir = dir;
+  return true;
+}
 
 Options parse_options(const std::vector<std::string>& args,
                       std::size_t from) {
@@ -258,10 +271,10 @@ Options parse_options(const std::vector<std::string>& args,
       opt.csv_dir = value;
     } else if (key == "--telemetry") {
       opt.telemetry = true;
-      opt.telemetry_dir = value;
+      opt.ok = set_artifact_dir(opt, value) && opt.ok;
     } else if (key == "--monitor") {
       opt.monitor = true;
-      opt.monitor_dir = value;
+      opt.ok = set_artifact_dir(opt, value) && opt.ok;
     } else if (key == "--window-packets") {
       opt.window_packets = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "--top-k") {
@@ -270,6 +283,8 @@ Options parse_options(const std::vector<std::string>& args,
       opt.jobs = std::atoi(value.c_str());
     } else if (key == "--series-interval") {
       opt.series_interval_ms = std::strtod(value.c_str(), nullptr);
+      // The sampler needs a cadence of at least one simulated ns.
+      if (!(opt.series_interval_ms * 1e6 >= 1.0)) opt.ok = false;
     } else if (key == "--series-capacity") {
       opt.series_capacity = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "--rounds") {
@@ -285,7 +300,7 @@ Options parse_options(const std::vector<std::string>& args,
       opt.flow_id = std::atoll(value.c_str());
     } else if (key == "--obs") {
       opt.obs = true;
-      opt.obs_dir = value;
+      opt.ok = set_artifact_dir(opt, value) && opt.ok;
     } else if (key == "--trace-sample") {
       opt.obs = true;
       opt.trace_sample = std::atoi(value.c_str());
@@ -324,10 +339,8 @@ testbed::ExperimentConfig make_config(const testbed::EnvironmentPreset& env,
   cfg.seed = opt.seed;
   cfg.engine = opt.engine;
   cfg.keep_captures = keep_captures;
-  // --profile implies a telemetry session (the profiler exports through
-  // the tracer and telemetry artifact directory).
-  cfg.telemetry.enabled = opt.telemetry || opt.profile;
-  cfg.telemetry.dir = opt.telemetry_dir;
+  cfg.artifact_dir = opt.artifact_dir;
+  cfg.telemetry.enabled = opt.telemetry;
   cfg.telemetry.profile = opt.profile;
   if (opt.series_interval_ms > 0.0) {
     cfg.telemetry.series_interval =
@@ -340,7 +353,6 @@ testbed::ExperimentConfig make_config(const testbed::EnvironmentPreset& env,
   }
   cfg.telemetry.series_capacity = opt.series_capacity;
   cfg.monitor.enabled = opt.monitor;
-  cfg.monitor.dir = opt.monitor_dir;
   cfg.monitor.window_packets = opt.window_packets;
   cfg.monitor.top_k = opt.top_k;
   cfg.eval_jobs = opt.jobs;
@@ -350,9 +362,21 @@ testbed::ExperimentConfig make_config(const testbed::EnvironmentPreset& env,
   if (opt.nodes > 0) cfg.env.replayers = opt.nodes;
   cfg.group.enabled = opt.group;
   cfg.obs.enabled = opt.obs;
-  cfg.obs.dir = opt.obs_dir;
   cfg.obs.sample_every = opt.trace_sample;
   return cfg;
+}
+
+/// The "wrote DIR/{...}" line naming every file a run wrote into its
+/// artifact directory (plus any the command wrote there itself).
+void print_artifacts(const std::string& dir,
+                     std::vector<std::string> names) {
+  if (dir.empty() || names.empty()) return;
+  std::string list;
+  for (const std::string& name : names) {
+    if (!list.empty()) list += ',';
+    list += name;
+  }
+  std::printf("wrote %s/{%s}\n", dir.c_str(), list.c_str());
 }
 
 testbed::ExperimentResult run_with(const testbed::EnvironmentPreset& env,
@@ -525,17 +549,18 @@ int cmd_run(const std::vector<std::string>& args, bool figures) {
   }
   if (!opt.csv_dir.empty()) {
     const std::string base = opt.csv_dir + "/" + env.name;
-    analysis::write_histogram_csv(iat, base + "-iat.csv");
-    analysis::write_histogram_csv(lat, base + "-latency.csv");
+    write_file(base + "-iat.csv", analysis::render_histogram_csv(iat));
+    write_file(base + "-latency.csv", analysis::render_histogram_csv(lat));
     std::vector<analysis::MetricsRow> rows;
     char run = 'B';
     for (const auto& c : result.comparisons) {
       rows.push_back({std::string("run-") + run++, c.metrics});
     }
     rows.push_back({"mean", result.mean});
-    analysis::write_metrics_csv(rows, base + "-metrics.csv");
+    write_file(base + "-metrics.csv", analysis::render_metrics_csv(rows));
     std::printf("wrote %s-{iat,latency,metrics}.csv\n", base.c_str());
   }
+  print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
 }
 
@@ -634,10 +659,7 @@ int cmd_stats(const std::vector<std::string>& args) {
   }
   print_monitor(result, opt.windows, 0);
   print_profile(result);
-  if (!opt.telemetry_dir.empty()) {
-    std::printf("wrote %s/{counters.jsonl,histograms.csv,trace.json}\n",
-                opt.telemetry_dir.c_str());
-  }
+  print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
 }
 
@@ -654,10 +676,7 @@ int cmd_monitor(const std::vector<std::string>& args) {
               opt.runs, result.mean.kappa);
   print_monitor(result, /*window_rows=*/true, /*divergence_limit=*/10);
   print_profile(result);
-  if (!opt.monitor_dir.empty()) {
-    std::printf("wrote %s/{divergence.jsonl,windows.csv}\n",
-                opt.monitor_dir.c_str());
-  }
+  print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
 }
 
@@ -685,6 +704,7 @@ int cmd_flows(const std::vector<std::string>& args) {
                   flow_summary.c_str());
     }
   }
+  print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
 }
 
@@ -723,8 +743,8 @@ int cmd_postmortem(const std::vector<std::string>& args) {
   cfg.group.config.resync_slack = microseconds(50);
   cfg.group.config.resync_retry = microseconds(500);
   cfg.obs.enabled = true;
-  cfg.obs.dir = opt.obs_dir;
   cfg.obs.sample_every = opt.trace_sample;
+  cfg.artifact_dir = opt.artifact_dir;
 
   const testbed::ReplaySchedule sched = testbed::replay_schedule(cfg);
   const int target = opt.chaos_node;
@@ -770,11 +790,13 @@ int cmd_postmortem(const std::vector<std::string>& args) {
       analysis::render_postmortem(*result.flight_log, timeline, report)
           .c_str(),
       stdout);
-  if (!opt.obs_dir.empty()) {
-    analysis::write_postmortem_json(*result.flight_log, timeline, report,
-                                    opt.obs_dir + "/postmortem.json");
-    std::printf("wrote %s/{group_trace.json,events.jsonl,postmortem.json}\n",
-                opt.obs_dir.c_str());
+  if (!opt.artifact_dir.empty()) {
+    write_file(opt.artifact_dir + "/postmortem.json",
+               analysis::render_postmortem_json(*result.flight_log, timeline,
+                                                report));
+    std::vector<std::string> names = result.artifacts;
+    names.emplace_back("postmortem.json");
+    print_artifacts(opt.artifact_dir, std::move(names));
   }
   return report.kappa_gate_failed ? 1 : 0;
 }
@@ -817,6 +839,7 @@ int cmd_top(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(series.samples_taken()),
               series.entries().size(),
               analysis::render_series_top(series).c_str());
+  print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
 }
 
@@ -888,16 +911,15 @@ int cmd_soak(const std::vector<std::string>& args) {
   return opt.drift_gate && report.drifting() ? 1 : 0;
 }
 
-/// `export <env> <dir>`: one-stop artifact export — telemetry plus the
-/// series plane (series.jsonl and the Prometheus text exposition). The
+/// `export <env> <dir>`: one-stop artifact export — the telemetry
+/// artifacts with the sampler cadence derived from the run length. The
 /// bytes written are deterministic in (seed, scale) at any --jobs.
 int cmd_export(const std::vector<std::string>& args) {
   testbed::EnvironmentPreset env;
   if (args.size() < 4 || !find_preset(args[2], &env)) return usage();
   Options opt = parse_options(args, 4);
-  if (!opt.ok) return usage();
+  if (!opt.ok || !set_artifact_dir(opt, args[3])) return usage();
   opt.telemetry = true;
-  opt.telemetry_dir = args[3];
   opt.series_auto = true;
   const auto result = run_with(env, opt, false);
   const telemetry::SeriesSampler& series = *result.telemetry_series;
@@ -909,9 +931,7 @@ int cmd_export(const std::vector<std::string>& args) {
               series.entries().size(),
               static_cast<unsigned long long>(series.samples_taken()),
               static_cast<double>(series.interval()) / 1e6);
-  std::printf("wrote %s/{counters.jsonl,histograms.csv,trace.json,"
-              "series.jsonl,metrics.prom}\n",
-              opt.telemetry_dir.c_str());
+  print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
 }
 
