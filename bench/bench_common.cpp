@@ -1,15 +1,10 @@
 #include "bench_common.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <thread>
 
 #include "common/task_pool.hpp"
 #include "common/write_file.hpp"
@@ -18,11 +13,6 @@
 namespace choir::bench {
 
 namespace {
-
-bool host_time_enabled() {
-  const char* v = std::getenv("CHOIR_BENCH_HOST_TIME");
-  return v != nullptr && std::strcmp(v, "1") == 0;
-}
 
 double host_now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -43,6 +33,23 @@ const char* take_flag_value(const char* flag, int* argc, char** argv) {
     }
   }
   return nullptr;
+}
+
+/// The one checked parser behind u64_from_args and int_from_args.
+template <typename T>
+T count_from_args(const char* flag, T fallback, T min, int* argc,
+                  char** argv) {
+  const char* value = take_flag_value(flag, argc, argv);
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  T parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < min) {
+    throw UsageError(std::string("bad value '") + value + "' for " + flag +
+                     " (a whole number >= " + std::to_string(min) +
+                     " expected)");
+  }
+  return parsed;
 }
 
 /// One finished experiment as a report case. Pulls only
@@ -141,33 +148,14 @@ analysis::BenchReport make_bench_report(const std::string& name) {
 
 }  // namespace
 
-std::string json_path_from_args(const std::string& name, int* argc,
-                                char** argv) {
-  std::string path;
-  if (const char* value = take_flag_value("--json", argc, argv)) {
-    path = value;
-  }
-  if (path.empty()) {
-    if (const char* dir = std::getenv("CHOIR_BENCH_JSON")) {
-      path = std::string(dir) + "/BENCH_" + name + ".json";
-    }
-  }
-  return path;
-}
-
-int jobs_from_args(int* argc, char** argv) {
-  return int_from_args("--jobs", 0, argc, argv);
-}
-
 std::uint64_t u64_from_args(const char* flag, std::uint64_t fallback,
-                            int* argc, char** argv) {
-  const char* value = take_flag_value(flag, argc, argv);
-  return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
+                            std::uint64_t min, int* argc, char** argv) {
+  return count_from_args(flag, fallback, min, argc, argv);
 }
 
-int int_from_args(const char* flag, int fallback, int* argc, char** argv) {
-  const char* value = take_flag_value(flag, argc, argv);
-  return value != nullptr ? std::atoi(value) : fallback;
+int int_from_args(const char* flag, int fallback, int min, int* argc,
+                  char** argv) {
+  return count_from_args(flag, fallback, min, argc, argv);
 }
 
 std::string str_from_args(const char* flag, const std::string& fallback,
@@ -210,60 +198,15 @@ std::vector<testbed::ExperimentResult> run_configs(
   return results;
 }
 
-HostStats host_stats_from_args(int default_reps, int* argc, char** argv) {
-  HostStats stats;
-  stats.reps = std::max(1, int_from_args("--reps", default_reps, argc, argv));
-  stats.baseline = str_from_args("--stats-baseline", "", argc, argv);
-  stats.out = str_from_args("--stats-out", "", argc, argv);
-  return stats;
-}
-
-int judge_host_sample(const analysis::StatSample& sample,
-                      const HostStats& stats) {
-  std::vector<std::pair<std::string, double>> baseline;
-  if (!stats.baseline.empty()) {
-    std::ifstream in(stats.baseline, std::ios::binary);
-    if (!in.good()) {
-      std::fprintf(stderr, "cannot open stats baseline '%s'\n",
-                   stats.baseline.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    baseline = analysis::parse_stat_baseline(buf.str());
-  }
-  const analysis::StatResult verdicts =
-      analysis::statistical_verdicts({sample}, baseline);
-  std::fputs(analysis::render_stat_verdicts(verdicts).c_str(), stdout);
-  if (!stats.out.empty()) {
-    write_file(stats.out, analysis::stat_baseline_to_json(verdicts));
-    std::printf("wrote %s\n", stats.out.c_str());
-  }
-  return verdicts.ok() ? 0 : 1;
-}
-
 Reporter::Reporter(const std::string& name, int* argc, char** argv)
     : report_(make_bench_report(name)),
-      path_(json_path_from_args(name, argc, argv)) {
-  report_.include_host = host_time_enabled();
-  if (report_.include_host) {
-    start_ms_ = host_now_ms();
-    char hostname[256] = "unknown";
-    gethostname(hostname, sizeof(hostname) - 1);
-    report_.host.hostname = hostname;
-#if defined(__VERSION__)
-    report_.host.compiler = __VERSION__;
-#endif
-    report_.host.hardware_threads = std::thread::hardware_concurrency();
-  }
-}
+      path_(str_from_args("--json", "", argc, argv)) {}
 
 void Reporter::pin_suite(std::uint64_t packets) {
   report_.suite = report_.name;
   report_.scale_packets = packets;
   report_.choir_full = false;
   report_.has_choir_scale = false;
-  report_.include_host = false;
   ledger_ = true;
 }
 
@@ -283,40 +226,14 @@ void Reporter::add_case(const testbed::ExperimentConfig& config,
     }
     c.counters.emplace_back("events.total", static_cast<double>(total));
   }
-  if (report_.include_host && result.profile != nullptr) {
-    const std::string& env = report_.cases.back().env;
-    const double packets =
-        result.recorded_packets > 0
-            ? static_cast<double>(result.recorded_packets)
-            : 1.0;
-    for (const auto& entry : result.profile->summary()) {
-      analysis::BenchStage stage;
-      stage.name = env + "." + entry.name;
-      stage.count = entry.agg.count;
-      stage.total_ns = entry.agg.total_ns;
-      stage.self_ns = entry.agg.self_ns();
-      stage.self_ns_per_packet =
-          static_cast<double>(entry.agg.self_ns()) / packets;
-      report_.host.stages.push_back(std::move(stage));
-    }
-  }
 }
 
 void Reporter::add_metric(const std::string& path, double value) {
   report_.metrics.emplace_back(path, value);
 }
 
-void Reporter::add_host_metric(const std::string& path, double value) {
-  if (report_.include_host) {
-    report_.metrics.emplace_back("host." + path, value);
-  }
-}
-
 std::string Reporter::finish() {
   if (path_.empty()) return {};
-  if (report_.include_host) {
-    report_.host.wall_ms = host_now_ms() - start_ms_;
-  }
   write_file(path_, analysis::to_json(report_));
   std::fprintf(stderr, "wrote %s\n", path_.c_str());
   return path_;

@@ -6,15 +6,14 @@
 // metrics) and prints them. Scale defaults to a reduced,
 // shape-preserving packet count; set CHOIR_FULL=1 or CHOIR_SCALE=<n> for
 // more (see testbed/scale.hpp); suite, flow and group rows pin theirs.
-// Besides the text output, a binary can emit a machine-readable
-// BENCH_<name>.json (see docs/BENCHMARKS.md): pass `--json PATH` or set
-// CHOIR_BENCH_JSON=<dir>. The JSON is byte-deterministic at a fixed
-// seed/scale; host-time fields are only included with
-// CHOIR_BENCH_HOST_TIME=1 (they are nondeterministic by nature).
+// Besides the text output, a row can emit a machine-readable
+// BENCH_<name>.json (see docs/BENCHMARKS.md) with `--json PATH`. The JSON
+// is byte-deterministic at a fixed seed/scale and holds no host time.
 #pragma once
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/bench_report.hpp"
@@ -23,22 +22,20 @@
 
 namespace choir::bench {
 
-/// Resolve (and strip, so later arg parsers never see it) a `--json
-/// PATH` flag; falls back to CHOIR_BENCH_JSON=<dir>, which maps to
-/// <dir>/BENCH_<name>.json. Empty string means JSON output is off.
-std::string json_path_from_args(const std::string& name, int* argc,
-                                char** argv);
+/// A malformed command line: the binary prints its usage and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-/// Resolve (and strip) a `--jobs N` flag. Returns 0 (auto: CHOIR_JOBS,
-/// else hardware concurrency — see choir::resolve_jobs) when absent.
-int jobs_from_args(int* argc, char** argv);
-
-/// Typed `<flag> VALUE` helpers, shared by every bench binary instead
-/// of hand-rolled strcmp scans. Each resolves the flag, strips it (and
-/// its value) from argv, and returns `fallback` when absent.
+/// Typed `<flag> VALUE` helpers, shared by every bench binary. Each
+/// resolves the flag, strips it (and its value) from argv, and returns
+/// `fallback` when absent. A count must be a whole decimal number of at
+/// least `min` that fits its type: anything else (not a number, a sign,
+/// trailing junk, out of range) throws UsageError naming the flag.
 std::uint64_t u64_from_args(const char* flag, std::uint64_t fallback,
-                            int* argc, char** argv);
-int int_from_args(const char* flag, int fallback, int* argc, char** argv);
+                            std::uint64_t min, int* argc, char** argv);
+int int_from_args(const char* flag, int fallback, int min, int* argc,
+                  char** argv);
 std::string str_from_args(const char* flag, const std::string& fallback,
                           int* argc, char** argv);
 
@@ -55,27 +52,6 @@ std::vector<testbed::ExperimentResult> run_configs(
     const std::vector<testbed::ExperimentConfig>& configs, int jobs = 0,
     double* task_seconds = nullptr);
 
-/// The host-throughput repetition flags: `--reps N` (default
-/// `default_reps`), `--stats-baseline FILE` (a STATS_*.json to gate
-/// against) and `--stats-out FILE` (write the medians as a baseline).
-struct HostStats {
-  int reps = 1;
-  std::string baseline;
-  std::string out;
-  /// A single run with no baseline and no output file judges nothing.
-  bool judged() const {
-    return reps > 1 || !baseline.empty() || !out.empty();
-  }
-};
-HostStats host_stats_from_args(int default_reps, int* argc, char** argv);
-
-/// Judge a host-time sample PASTRAMI-style (docs/BENCHMARKS.md): print
-/// the verdicts, gated against `stats.baseline` medians when set, and
-/// write `stats.out` when set. Returns the exit status: 0, or 1 on a
-/// regression or an unreadable baseline.
-int judge_host_sample(const analysis::StatSample& sample,
-                      const HostStats& stats);
-
 /// Machine-readable twin of a bench binary's text output.
 ///
 ///   bench::Reporter reporter("fig4", &argc, argv);
@@ -83,9 +59,9 @@ int judge_host_sample(const analysis::StatSample& sample,
 ///   reporter.add_case(config, result);
 ///   reporter.finish();
 ///
-/// finish() writes BENCH_<name>.json when `--json` / CHOIR_BENCH_JSON
-/// selected a destination, and is a no-op otherwise — a bench binary
-/// never changes behaviour just because JSON output is off.
+/// The constructor strips `--json PATH`; finish() writes the report
+/// there, and is a no-op without the flag — a bench binary never changes
+/// behaviour just because JSON output is off.
 class Reporter {
  public:
   Reporter(const std::string& name, int* argc, char** argv);
@@ -93,8 +69,8 @@ class Reporter {
   bool enabled() const { return !path_.empty(); }
 
   /// Give the report a suite header: a "suite" key, the pinned
-  /// `packets` as its scale (CHOIR_SCALE / CHOIR_FULL are not stamped),
-  /// no host section, and the event ledger (`events.<component>`,
+  /// `packets` as its scale (CHOIR_SCALE / CHOIR_FULL are not stamped)
+  /// and the event ledger (`events.<component>`,
   /// `events.total`) as counters of every case added afterwards.
   void pin_suite(std::uint64_t packets);
 
@@ -107,20 +83,13 @@ class Reporter {
   /// Record a free-form deterministic scalar under "metrics".
   void add_metric(const std::string& path, double value);
 
-  /// Record a host-time scalar (under "metrics" with a host. prefix,
-  /// which the comparator treats as report-only). Dropped entirely
-  /// unless CHOIR_BENCH_HOST_TIME=1, keeping default output
-  /// byte-deterministic.
-  void add_host_metric(const std::string& path, double value);
-
   /// Write the report; returns the path written ("" when disabled).
   std::string finish();
 
  private:
   analysis::BenchReport report_;
   std::string path_;
-  bool ledger_ = false;    ///< add the event ledger to each case
-  double start_ms_ = 0.0;  ///< host clock at construction (host gate only)
+  bool ledger_ = false;  ///< add the event ledger to each case
 };
 
 }  // namespace choir::bench

@@ -149,8 +149,4 @@ BENCHMARK(BM_CompareTrialsWithSeries)->Range(1 << 12, 1 << 20);
 
 }  // namespace
 
-#include "bench_micro_json.hpp"
-
-int main(int argc, char** argv) {
-  return choir::bench::micro_benchmark_main("metrics", argc, argv);
-}
+BENCHMARK_MAIN();

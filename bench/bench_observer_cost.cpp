@@ -21,11 +21,12 @@
 //
 // It reports each observer's (and the flow plane's) host cost in ns per
 // captured packet over the observer-off run of the same repetition, as
-// report-only statistical verdicts (no baseline is committed: host time
-// is machine dependent).
+// p25/p50/p75 with a stable/UNSTABLE spread label. Host time is machine
+// dependent and never gates; the exit status is the whole verdict.
 //
 // Usage: bench_observer_cost [--packets N] [--reps R]
-// Exits 1 on a bit-identity or artifact failure.
+// Exits 1 on a bit-identity or artifact failure, 2 on a malformed
+// command line.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -95,11 +96,18 @@ std::string artifacts_of(const testbed::ExperimentResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter reporter("observer_cost", &argc, argv);
-  const std::uint64_t packets = bench::u64_from_args(
-      "--packets", testbed::scale_from_env() / 4, &argc, argv);
-  const int reps = bench::int_from_args("--reps", 5, &argc, argv);
-  if (argc > 1) {
+  std::uint64_t packets = 0;
+  int reps = 0;
+  bool bad_count = false;
+  try {
+    packets = bench::u64_from_args("--packets", testbed::scale_from_env() / 4,
+                                   1, &argc, argv);
+    reps = bench::int_from_args("--reps", 5, 1, &argc, argv);
+  } catch (const bench::UsageError& error) {
+    std::fprintf(stderr, "bench_observer_cost: %s\n", error.what());
+    bad_count = true;
+  }
+  if (bad_count || argc > 1) {
     std::fprintf(stderr,
                  "usage: bench_observer_cost [--packets N] [--reps R]\n");
     return 2;
@@ -142,14 +150,11 @@ int main(int argc, char** argv) {
   }
 
   bool all_identical = true;
-  reporter.add_metric("mean_kappa", r_off.mean.kappa);
   for (std::size_t k = 0; k < kCount; ++k) {
     const bool same = identical(r_off, r_on[k]);
     all_identical = all_identical && same;
     std::printf("  %-9s bit-identical: %s\n", kObservers[k],
                 same ? "yes" : "NO");
-    reporter.add_metric(std::string(kObservers[k]) + ".bit_identical",
-                        same ? 1.0 : 0.0);
   }
 
   // Artifact determinism across evaluation job counts.
@@ -166,18 +171,12 @@ int main(int argc, char** argv) {
   const bool artifacts_identical = artifacts_of(r_seq) == artifacts_of(r_par);
   std::printf("  obs + series artifacts byte-identical across jobs 1/4: %s\n",
               artifacts_identical ? "yes" : "NO");
-  reporter.add_metric("artifacts_identical", artifacts_identical ? 1.0 : 0.0);
 
-  // Host cost: report-only verdicts (no baseline), lower is better.
-  analysis::StatOptions options;
-  options.higher_is_better = false;
-  const analysis::StatResult verdicts =
-      analysis::statistical_verdicts(samples, {}, options);
-  std::fputs(analysis::render_stat_verdicts(verdicts).c_str(), stdout);
-  for (const analysis::StatVerdict& v : verdicts.verdicts) {
-    reporter.add_host_metric(v.path.substr(5), v.median);
-  }
-  reporter.finish();
+  // Host cost: report-only quartiles and spread labels.
+  std::fputs(
+      analysis::render_stat_verdicts(analysis::statistical_verdicts(samples))
+          .c_str(),
+      stdout);
 
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: an observer perturbed the simulation\n");

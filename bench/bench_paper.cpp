@@ -3,7 +3,6 @@
 // and the flow, group, chaos and κ-scaling sweeps.
 //
 //   bench_paper <id> [--jobs N] [--json PATH] [--reps N]
-//                    [--stats-baseline FILE] [--stats-out FILE]
 //
 // Each row names its report id (the BENCH_<id>.json name), what it
 // reproduces (DESIGN.md §4 experiment ids for the paper's artifacts),
@@ -12,10 +11,11 @@
 // the JSON are byte-identical at any job count. Paper rows and sweeps
 // scale with CHOIR_SCALE / CHOIR_FULL (testbed/scale.hpp); suite, flow
 // and group rows pin their scale so their committed baselines compare on
-// any machine. `--reps N` runs the row N times and judges the host
+// any machine. `--reps N` runs the row N times and reports the host
 // throughput `host.<id>.pps_per_core` (recorded packets per second of
-// summed experiment wall time) against `--stats-baseline`. With no id,
-// an unknown one or a stray argument, the usage and ids are printed and
+// summed experiment wall time) as p25/p50/p75 with a stable/UNSTABLE
+// spread label; it never fails the run. With no id, an unknown one, a
+// stray argument or a malformed count, the usage and ids are printed and
 // the exit status is 2.
 #include <algorithm>
 #include <cmath>
@@ -886,8 +886,6 @@ std::vector<Artifact> all_artifacts() {
 int usage(const std::vector<Artifact>& artifacts) {
   std::fprintf(stderr,
                "usage: bench_paper <id> [--jobs N] [--json PATH] [--reps N]\n"
-               "                        [--stats-baseline FILE] "
-               "[--stats-out FILE]\n"
                "ids:\n");
   for (const auto& a : artifacts) {
     std::fprintf(stderr, "  %-14s %s\n", a.id, a.about);
@@ -908,8 +906,15 @@ int main(int argc, char** argv) {
   if (artifact == nullptr) return usage(artifacts);
 
   bench::Reporter reporter(artifact->id, &argc, argv);
-  const int jobs = bench::jobs_from_args(&argc, argv);
-  const bench::HostStats stats = bench::host_stats_from_args(1, &argc, argv);
+  int jobs = 0;
+  int reps = 1;
+  try {
+    jobs = bench::int_from_args("--jobs", 0, 0, &argc, argv);
+    reps = bench::int_from_args("--reps", 1, 1, &argc, argv);
+  } catch (const bench::UsageError& error) {
+    std::fprintf(stderr, "bench_paper: %s\n", error.what());
+    return usage(artifacts);
+  }
   if (argc > 2) {
     std::fprintf(stderr, "bench_paper: unexpected argument '%s'\n", argv[2]);
     return usage(artifacts);
@@ -930,7 +935,7 @@ int main(int argc, char** argv) {
     analysis::StatSample sample;
     sample.path = std::string("host.") + artifact->id + ".pps_per_core";
     Results results;
-    for (int r = 0; r < stats.reps; ++r) {
+    for (int r = 0; r < reps; ++r) {
       results.clear();
       double task_seconds = 0.0;
       results = bench::run_configs(configs, jobs, &task_seconds);
@@ -947,7 +952,13 @@ int main(int argc, char** argv) {
     }
     artifact->render(cases, results, reporter);
     reporter.finish();
-    return stats.judged() ? bench::judge_host_sample(sample, stats) : 0;
+    if (reps > 1) {
+      std::fputs(analysis::render_stat_verdicts(
+                     analysis::statistical_verdicts({sample}))
+                     .c_str(),
+                 stdout);
+    }
+    return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "bench_paper: %s\n", error.what());
     return 1;

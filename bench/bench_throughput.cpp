@@ -212,8 +212,4 @@ BENCHMARK(BM_ForwardingBurstCap)
 
 }  // namespace
 
-#include "bench_micro_json.hpp"
-
-int main(int argc, char** argv) {
-  return choir::bench::micro_benchmark_main("throughput", argc, argv);
-}
+BENCHMARK_MAIN();

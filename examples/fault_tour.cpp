@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "fault/chaos.hpp"
+#include "fault_plan_text.hpp"
 #include "testbed/experiment.hpp"
 
 using namespace choir;
@@ -74,12 +75,13 @@ int main() {
   }
 
   // --- 3: the declarative plan format ---------------------------------
-  const fault::FaultPlan plan = fault::FaultPlan::parse(
+  const fault::FaultPlan plan = fault::parse_plan(
       "# drop 10% on the generator link for 5 ms, then stall the NIC\n"
       "link_drop target=link.gen0 start=1ms duration=5ms p=0.1\n"
       "nic_rx_stall target=nic.repl0-in start=8ms duration=300us\n");
-  const std::string text = plan.to_text();
-  const bool round_trips = fault::FaultPlan::parse(text).to_text() == text;
+  const std::string text = fault::plan_to_text(plan);
+  const bool round_trips =
+      fault::plan_to_text(fault::parse_plan(text)) == text;
   std::printf("\nparsed %zu-event plan, canonical form (%s):\n%s",
               plan.size(), round_trips ? "round-trips" : "MISMATCH - bug!",
               text.c_str());

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "analysis/stats.hpp"
-#include "core/reordering.hpp"
+#include "reordering.hpp"
 #include "testbed/experiment.hpp"
 
 using namespace choir;

@@ -102,37 +102,7 @@ void write_case(json::Writer& w, const BenchCase& c) {
   w.end_object();  // case
 }
 
-void write_host(json::Writer& w, const BenchHost& h) {
-  w.begin_object();
-  w.key("hostname");
-  w.string(h.hostname);
-  w.key("compiler");
-  w.string(h.compiler);
-  w.key("hardware_threads");
-  w.number(static_cast<std::uint64_t>(h.hardware_threads));
-  w.key("wall_ms");
-  w.number(h.wall_ms);
-  w.key("stages");
-  w.begin_array();
-  for (const auto& s : h.stages) {
-    w.begin_object();
-    w.key("name");
-    w.string(s.name);
-    w.key("count");
-    w.number(s.count);
-    w.key("total_ns");
-    w.number(s.total_ns);
-    w.key("self_ns");
-    w.number(s.self_ns);
-    w.key("self_ns_per_packet");
-    w.number(s.self_ns_per_packet);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-/// Path element for a flattened metric. Arrays of objects are keyed by
+/// Path element for a flattened leaf. Arrays of objects are keyed by
 /// their "env"/"label"/"name" member when present so paths stay stable
 /// as rows are appended; bare arrays fall back to indices.
 std::string element_key(const json::Value& element, std::size_t index) {
@@ -147,10 +117,10 @@ std::string element_key(const json::Value& element, std::size_t index) {
 }
 
 void flatten_into(const json::Value& v, const std::string& prefix,
-                  std::vector<std::pair<std::string, double>>& out) {
+                  std::vector<std::pair<std::string, std::string>>& out) {
   switch (v.kind) {
     case json::Value::Kind::kNumber:
-      out.emplace_back(prefix, v.number_value);
+      out.emplace_back(prefix, v.number_text);
       break;
     case json::Value::Kind::kObject:
       for (const auto& [name, member] : v.object) {
@@ -164,32 +134,9 @@ void flatten_into(const json::Value& v, const std::string& prefix,
       }
       break;
     default:
-      break;  // strings/bools/nulls are identity, not metrics
+      out.emplace_back(prefix, json::write(v));
+      break;
   }
-}
-
-bool is_host_path(const std::string& path) {
-  // The "host" section flattens to host.*; free-form host scalars under
-  // "metrics" carry a host. segment (metrics.host.wall_ms). Either way,
-  // a host component anywhere marks the metric report-only.
-  return path.rfind("host.", 0) == 0 ||
-         path.find(".host.") != std::string::npos;
-}
-
-const char* status_name(DiffStatus s) {
-  switch (s) {
-    case DiffStatus::kOk:
-      return "ok";
-    case DiffStatus::kRegressed:
-      return "REGRESSED";
-    case DiffStatus::kMissing:
-      return "MISSING";
-    case DiffStatus::kAdded:
-      return "new";
-    case DiffStatus::kHostOnly:
-      return "host";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -231,72 +178,46 @@ std::string to_json(const BenchReport& report) {
     }
     w.end_object();
   }
-  if (report.include_host) {
-    w.key("host");
-    write_host(w, report.host);
-  }
   w.end_object();
   return w.str() + "\n";
 }
 
-std::vector<std::pair<std::string, double>> flatten_metrics(
+std::vector<std::pair<std::string, std::string>> flatten_leaves(
     const json::Value& report) {
-  std::vector<std::pair<std::string, double>> out;
+  std::vector<std::pair<std::string, std::string>> out;
   flatten_into(report, "", out);
   return out;
 }
 
 CompareResult compare_reports(const json::Value& baseline,
-                              const json::Value& current,
-                              const CompareOptions& options) {
-  const auto base_metrics = flatten_metrics(baseline);
-  const auto cur_metrics = flatten_metrics(current);
-  std::map<std::string, double> cur_by_path(cur_metrics.begin(),
-                                            cur_metrics.end());
-
+                              const json::Value& current) {
+  std::map<std::string, std::string> cur_by_path;
+  for (auto& [path, text] : flatten_leaves(current)) {
+    cur_by_path.emplace(std::move(path), std::move(text));
+  }
   CompareResult result;
-  // Baseline drives the comparison set, in baseline file order.
-  for (const auto& [path, base_value] : base_metrics) {
-    MetricDiff d;
-    d.path = path;
-    d.baseline = base_value;
-    const auto it = cur_by_path.find(path);
+  for (auto& [path, text] : flatten_leaves(baseline)) {
+    LeafDiff d;
+    d.path = std::move(path);
+    d.baseline = std::move(text);
+    const auto it = cur_by_path.find(d.path);
     if (it == cur_by_path.end()) {
-      // A metric that existed in the baseline vanished: the bench lost
-      // coverage (or renamed a field without refreshing baselines).
-      // Host metrics get a pass — they are only present when the
-      // baseline was captured with CHOIR_BENCH_HOST_TIME=1.
-      d.status = is_host_path(path) ? DiffStatus::kHostOnly
-                                    : DiffStatus::kMissing;
-      if (d.status == DiffStatus::kMissing) ++result.regressions;
-      result.diffs.push_back(std::move(d));
-      continue;
-    }
-    d.current = it->second;
-    cur_by_path.erase(it);
-    const double abs_delta = std::abs(d.current - d.baseline);
-    const double denom = std::max(std::abs(d.baseline), 1e-300);
-    d.delta_pct = 100.0 * abs_delta / denom;
-    if (is_host_path(path)) {
-      d.status = DiffStatus::kHostOnly;
+      d.status = DiffStatus::kMissing;
+      ++result.missing;
     } else {
-      const double band = std::max(
-          options.near_zero_abs,
-          std::abs(d.baseline) * options.sim_tolerance_pct / 100.0);
-      if (abs_delta <= band) {
-        d.status = DiffStatus::kOk;
-      } else {
-        d.status = DiffStatus::kRegressed;
-        ++result.regressions;
+      d.current = std::move(it->second);
+      cur_by_path.erase(it);
+      if (d.current != d.baseline) {
+        d.status = DiffStatus::kChanged;
+        ++result.changed;
       }
     }
     result.diffs.push_back(std::move(d));
   }
-  // Whatever remains in `current` is new coverage: report, never fail.
-  for (const auto& [path, value] : cur_by_path) {
-    MetricDiff d;
+  for (auto& [path, text] : cur_by_path) {
+    LeafDiff d;
     d.path = path;
-    d.current = value;
+    d.current = std::move(text);
     d.status = DiffStatus::kAdded;
     ++result.added;
     result.diffs.push_back(std::move(d));
@@ -306,54 +227,35 @@ CompareResult compare_reports(const json::Value& baseline,
 
 std::string render_compare(const CompareResult& result) {
   std::string out;
-  char line[512];
-  auto emit = [&](const MetricDiff& d) {
-    if (d.status == DiffStatus::kMissing) {
-      std::snprintf(line, sizeof(line), "  %-10s %-52s baseline=%.6g\n",
-                    status_name(d.status), d.path.c_str(), d.baseline);
-    } else if (d.status == DiffStatus::kAdded) {
-      std::snprintf(line, sizeof(line), "  %-10s %-52s current=%.6g\n",
-                    status_name(d.status), d.path.c_str(), d.current);
-    } else {
-      std::snprintf(line, sizeof(line),
-                    "  %-10s %-52s base=%.6g cur=%.6g (%.4f%%)\n",
-                    status_name(d.status), d.path.c_str(), d.baseline,
-                    d.current, d.delta_pct);
+  for (const DiffStatus status :
+       {DiffStatus::kChanged, DiffStatus::kMissing, DiffStatus::kAdded}) {
+    for (const LeafDiff& d : result.diffs) {
+      if (d.status != status) continue;
+      if (status == DiffStatus::kChanged) {
+        out += "  changed  " + d.path + "  " + d.baseline + " -> " +
+               d.current + "\n";
+      } else if (status == DiffStatus::kMissing) {
+        out += "  missing  " + d.path + "  was " + d.baseline + "\n";
+      } else {
+        out += "  added    " + d.path + "  " + d.current + "\n";
+      }
     }
-    out += line;
-  };
-  // Regressions first so the verdict is at the top of the log; then new
-  // metrics, then host-only deltas. In-tolerance rows are summarized.
-  std::size_t ok_count = 0;
-  for (const auto& d : result.diffs) {
-    if (d.status == DiffStatus::kRegressed || d.status == DiffStatus::kMissing)
-      emit(d);
   }
-  for (const auto& d : result.diffs) {
-    if (d.status == DiffStatus::kAdded) emit(d);
-  }
-  for (const auto& d : result.diffs) {
-    if (d.status == DiffStatus::kHostOnly) emit(d);
-  }
-  for (const auto& d : result.diffs) {
-    if (d.status == DiffStatus::kOk) ++ok_count;
-  }
-  std::snprintf(line, sizeof(line),
-                "  %zu metric(s) within tolerance, %zu regression(s), %zu "
-                "new\n",
-                ok_count, result.regressions, result.added);
-  out += line;
+  const std::size_t same = result.diffs.size() - result.changed -
+                           result.missing - result.added;
+  out += "  " + std::to_string(same) + " leaves identical, " +
+         std::to_string(result.changed) + " changed, " +
+         std::to_string(result.missing) + " missing, " +
+         std::to_string(result.added) + " added\n";
   return out;
 }
 
 int compare_bench_dirs(const std::string& baseline_dir,
-                       const std::string& current_dir, double tolerance_pct,
+                       const std::string& current_dir,
                        std::string* out_text) {
   namespace fs = std::filesystem;
   CHOIR_EXPECT(fs::is_directory(baseline_dir),
                "baseline directory not found: " + baseline_dir);
-  CompareOptions options;
-  if (tolerance_pct >= 0.0) options.sim_tolerance_pct = tolerance_pct;
 
   std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(baseline_dir)) {
@@ -373,49 +275,31 @@ int compare_bench_dirs(const std::string& baseline_dir,
     buf << in.rdbuf();
     return json::parse(buf.str());
   };
-  int regressions = 0;
+  int failing = 0;
   for (const std::string& file : files) {
     const fs::path current_path = fs::path(current_dir) / file;
     *out_text += "== " + file + " ==\n";
     if (!fs::exists(current_path)) {
       *out_text += "  MISSING: no current result for this baseline\n";
-      ++regressions;
+      ++failing;
       continue;
     }
-    const auto result =
-        compare_reports(read_report(fs::path(baseline_dir) / file),
-                        read_report(current_path), options);
+    const auto result = compare_reports(
+        read_report(fs::path(baseline_dir) / file), read_report(current_path));
     *out_text += render_compare(result);
-    regressions += static_cast<int>(result.regressions);
+    if (!result.ok()) ++failing;
   }
-  return regressions;
+  return failing;
 }
 
-// --- Statistical (multi-repetition) verdicts ----------------------------
+// --- Host-time repetitions ---------------------------------------------
 
 const char* to_string(StatStatus status) {
-  switch (status) {
-    case StatStatus::kStable:
-      return "stable";
-    case StatStatus::kUnstable:
-      return "UNSTABLE";
-    case StatStatus::kRegressed:
-      return "REGRESSED";
-    case StatStatus::kImproved:
-      return "improved";
-    case StatStatus::kNoBaseline:
-      return "no-baseline";
-  }
-  return "unknown";
+  return status == StatStatus::kStable ? "stable" : "UNSTABLE";
 }
 
-StatResult statistical_verdicts(
-    const std::vector<StatSample>& samples,
-    const std::vector<std::pair<std::string, double>>& baseline,
-    const StatOptions& options) {
-  std::map<std::string, double> base;
-  for (const auto& [path, median] : baseline) base[path] = median;
-
+StatResult statistical_verdicts(const std::vector<StatSample>& samples,
+                                const StatOptions& options) {
   StatResult result;
   for (const StatSample& sample : samples) {
     StatVerdict v;
@@ -430,33 +314,11 @@ StatResult statistical_verdicts(
       const double denom = std::max(std::abs(v.median), 1e-12);
       v.spread_pct = 100.0 * (v.p75 - v.p25) / denom;
     }
-    const auto it = base.find(sample.path);
-    v.has_baseline = it != base.end();
-    if (v.has_baseline) {
-      v.baseline_median = it->second;
-      const double denom = std::max(std::abs(v.baseline_median), 1e-12);
-      v.delta_pct = 100.0 * (v.median - v.baseline_median) / denom;
-    }
-
-    // Verdict ladder: too few reps or too much spread -> kUnstable
-    // (never gated — an untrustworthy number cannot prove a
-    // regression); then the median-vs-baseline band.
     if (v.reps < options.min_reps || v.spread_pct > options.spread_gate_pct) {
       v.status = StatStatus::kUnstable;
       ++result.unstable;
-    } else if (!v.has_baseline) {
-      v.status = StatStatus::kNoBaseline;
     } else {
-      const double worse =
-          options.higher_is_better ? -v.delta_pct : v.delta_pct;
-      if (worse > options.regress_pct) {
-        v.status = StatStatus::kRegressed;
-        ++result.regressions;
-      } else if (-worse > options.regress_pct) {
-        v.status = StatStatus::kImproved;
-      } else {
-        v.status = StatStatus::kStable;
-      }
+      v.status = StatStatus::kStable;
     }
     result.verdicts.push_back(std::move(v));
   }
@@ -466,68 +328,18 @@ StatResult statistical_verdicts(
 std::string render_stat_verdicts(const StatResult& result) {
   std::string out;
   char line[320];
-  const auto emit = [&](const StatVerdict& v) {
-    if (v.has_baseline) {
-      std::snprintf(line, sizeof(line),
-                    "  %-11s %-44s %2zu reps  p25/p50/p75 %.4g/%.4g/%.4g  "
-                    "spread %5.1f%%  vs baseline %.4g (%+.1f%%)\n",
-                    to_string(v.status), v.path.c_str(), v.reps, v.p25,
-                    v.median, v.p75, v.spread_pct, v.baseline_median,
-                    v.delta_pct);
-    } else {
-      std::snprintf(line, sizeof(line),
-                    "  %-11s %-44s %2zu reps  p25/p50/p75 %.4g/%.4g/%.4g  "
-                    "spread %5.1f%%\n",
-                    to_string(v.status), v.path.c_str(), v.reps, v.p25,
-                    v.median, v.p75, v.spread_pct);
-    }
+  for (const StatVerdict& v : result.verdicts) {
+    std::snprintf(line, sizeof(line),
+                  "  %-11s %-44s %2zu reps  p25/p50/p75 %.4g/%.4g/%.4g  "
+                  "spread %5.1f%%\n",
+                  to_string(v.status), v.path.c_str(), v.reps, v.p25,
+                  v.median, v.p75, v.spread_pct);
     out += line;
-  };
-  for (const StatVerdict& v : result.verdicts) {
-    if (v.status == StatStatus::kRegressed) emit(v);
-  }
-  for (const StatVerdict& v : result.verdicts) {
-    if (v.status != StatStatus::kRegressed) emit(v);
   }
   std::snprintf(line, sizeof(line),
-                "  statistical verdicts: %zu metric(s), %zu regressed, %zu "
-                "unstable\n",
-                result.verdicts.size(), result.regressions, result.unstable);
+                "  statistical verdicts: %zu metric(s), %zu unstable\n",
+                result.verdicts.size(), result.unstable);
   out += line;
-  return out;
-}
-
-std::string stat_baseline_to_json(const StatResult& result) {
-  // Medians only, sorted by path — the file a future run gates against.
-  std::map<std::string, double> medians;
-  for (const StatVerdict& v : result.verdicts) medians[v.path] = v.median;
-  json::Writer w;
-  w.begin_object();
-  w.key("schema");
-  w.number(1.0);
-  w.key("medians");
-  w.begin_object();
-  for (const auto& [path, median] : medians) {
-    w.key(path);
-    w.number(median);
-  }
-  w.end_object();
-  w.end_object();
-  return w.str() + "\n";
-}
-
-std::vector<std::pair<std::string, double>> parse_stat_baseline(
-    const std::string& text) {
-  const json::Value parsed = json::parse(text);
-  std::vector<std::pair<std::string, double>> out;
-  const json::Value* medians = parsed.find("medians");
-  CHOIR_EXPECT(medians != nullptr && medians->is_object(),
-               "stat baseline lacks a medians object");
-  for (const auto& [path, value] : medians->object) {
-    CHOIR_EXPECT(value.is_number(),
-                 "stat baseline median is not a number: " + path);
-    out.emplace_back(path, value.number_value);
-  }
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Machine-readable bench results: the BENCH_<name>.json schema, its
-// byte-deterministic writer, and the tolerance-band comparator behind
+// byte-deterministic writer, and the exact leaf diff behind
 // `choirctl bench --compare`.
 //
 // Schema (docs/BENCHMARKS.md documents it for consumers):
@@ -22,15 +22,13 @@
 //        "counters": {"name": value, ...}},   // optional, sorted names
 //       ...
 //     ],
-//     "metrics": {"flat.dotted.path": value, ...},  // optional extras
-//     "host": {...}                   // ONLY with CHOIR_BENCH_HOST_TIME=1
+//     "metrics": {"flat.dotted.path": value, ...}   // optional extras
 //   }
 //
 // Byte determinism is the contract: fixed key order, %.17g doubles,
-// NaN/inf rejected at write time. Everything under "host" is
-// nondeterministic host timing and is therefore (a) omitted by default
-// so two same-seed runs produce identical bytes, and (b) never gated by
-// the comparator — host metrics are report-only.
+// NaN/inf rejected at write time. Nothing host-timed is ever written, so
+// the committed bytes are the whole gate; the leaf diff only explains a
+// byte mismatch.
 #pragma once
 
 #include <cstdint>
@@ -74,25 +72,6 @@ struct BenchCase {
   std::vector<std::pair<std::string, double>> counters;
 };
 
-/// Per-stage host-time attribution (span-profiler derived).
-struct BenchStage {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t self_ns = 0;
-  double self_ns_per_packet = 0.0;
-};
-
-/// Host section: everything here is nondeterministic and only written
-/// when `include_host` is set (CHOIR_BENCH_HOST_TIME=1).
-struct BenchHost {
-  std::string hostname;
-  std::string compiler;
-  unsigned hardware_threads = 0;
-  double wall_ms = 0.0;
-  std::vector<BenchStage> stages;
-};
-
 struct BenchReport {
   std::string name;
   std::string suite;
@@ -104,8 +83,6 @@ struct BenchReport {
   /// Free-form deterministic metrics (micro-bench counters etc.),
   /// written in insertion order under "metrics".
   std::vector<std::pair<std::string, double>> metrics;
-  bool include_host = false;
-  BenchHost host;
 };
 
 /// Serialize the report (deterministic; see header comment). Throws
@@ -114,74 +91,58 @@ std::string to_json(const BenchReport& report);
 
 // --- Comparison ---------------------------------------------------------
 
-/// Flatten every numeric leaf of a parsed report into dotted paths:
-/// cases are keyed by env name (`case.local-single.sim.mean.kappa`),
-/// run rows by label, counters by counter name. "host.*" paths flatten
-/// too — the comparator classifies them as report-only.
-std::vector<std::pair<std::string, double>> flatten_metrics(
+/// Flatten every scalar leaf of a parsed report into a dotted path and
+/// its text as written: cases are keyed by env name
+/// (`cases.local-single.sim.mean.kappa`), run rows by label, counters by
+/// counter name. Numbers keep their token, so a change in the last
+/// printed digit is a changed leaf; strings, bools and nulls appear as
+/// JSON text.
+std::vector<std::pair<std::string, std::string>> flatten_leaves(
     const json::Value& report);
 
 enum class DiffStatus {
-  kOk,          ///< within tolerance
-  kRegressed,   ///< sim metric outside its tolerance band
-  kMissing,     ///< in baseline, absent from current (fails the gate)
-  kAdded,       ///< new in current (reported, never fails)
-  kHostOnly,    ///< host-time metric; differences are report-only
+  kSame,     ///< identical text in both reports
+  kChanged,  ///< present in both with different text (fails)
+  kMissing,  ///< in baseline, absent from current (fails)
+  kAdded,    ///< new in current (reported, never fails)
 };
 
-struct MetricDiff {
+struct LeafDiff {
   std::string path;
-  double baseline = 0.0;
-  double current = 0.0;
-  double delta_pct = 0.0;  ///< 100 * |cur - base| / max(|base|, eps)
-  DiffStatus status = DiffStatus::kOk;
-};
-
-struct CompareOptions {
-  /// Relative tolerance (percent) for simulated metrics. The simulation
-  /// is deterministic in (seed, scale); the band only absorbs
-  /// libm/compiler variation across hosts, so it is tight by default.
-  double sim_tolerance_pct = 0.1;
-  /// Absolute slack for metrics whose baseline is ~0 (U and O are
-  /// exactly 0 in clean environments; a relative band is meaningless).
-  double near_zero_abs = 1e-9;
+  std::string baseline;  ///< empty when added
+  std::string current;   ///< empty when missing
+  DiffStatus status = DiffStatus::kSame;
 };
 
 struct CompareResult {
-  std::vector<MetricDiff> diffs;  ///< every compared path, stable order
-  std::size_t regressions = 0;    ///< kRegressed + kMissing
+  std::vector<LeafDiff> diffs;  ///< every leaf, baseline order then added
+  std::size_t changed = 0;
+  std::size_t missing = 0;
   std::size_t added = 0;
-  bool ok() const { return regressions == 0; }
+  bool ok() const { return changed == 0 && missing == 0; }
 };
 
-/// Compare two parsed reports (same schema). Baseline drives the metric
-/// set; see DiffStatus for the verdict taxonomy.
+/// Diff two parsed reports leaf by leaf. The baseline drives the order.
 CompareResult compare_reports(const json::Value& baseline,
-                              const json::Value& current,
-                              const CompareOptions& options = {});
+                              const json::Value& current);
 
-/// Render a human-readable diff table (regressions first).
+/// Render the changed, missing and added leaves, then a one-line count.
 std::string render_compare(const CompareResult& result);
 
-/// Compare every BENCH_*.json present in `baseline_dir` against its
-/// namesake in `current_dir` (a missing file counts as a regression).
-/// Appends a human-readable account to *out_text and returns the total
-/// regression count (0 == gate passes). `tolerance_pct` overrides the
-/// simulated-metric band when >= 0.
+/// Diff every BENCH_*.json in `baseline_dir` against its namesake in
+/// `current_dir` (a missing file fails). Appends the account to
+/// *out_text and returns the number of failing files (0 == identical
+/// leaves everywhere).
 int compare_bench_dirs(const std::string& baseline_dir,
-                       const std::string& current_dir, double tolerance_pct,
-                       std::string* out_text);
+                       const std::string& current_dir, std::string* out_text);
 
-// --- Statistical (multi-repetition) verdicts ----------------------------
+// --- Host-time repetitions ---------------------------------------------
 //
-// PASTRAMI-style treatment of host-time metrics (PAPERS.md): a single
-// host-time number from a software router is meaningless; only the
-// distribution over repetitions is. The statistical comparator
-// therefore takes N samples per metric, checks the p25/p75 spread
-// first (an unstable metric can never regress — it cannot be trusted
-// either way, and the verdict says so), and gates the *median* against
-// a baseline median with a percentile band. This is what promotes
-// selected `host.*` throughput metrics from report-only to gated.
+// PASTRAMI-style reporting of host time (PAPERS.md): a single host-time
+// number from a software router says nothing; only the distribution over
+// repetitions does. `--reps N` samples a metric N times and prints its
+// p25/p50/p75 with a spread label. It never gates: host time depends on
+// the machine, and the committed bytes are the gate.
 
 /// One metric's repetition samples.
 struct StatSample {
@@ -190,27 +151,19 @@ struct StatSample {
 };
 
 enum class StatStatus {
-  kStable,        ///< spread inside the gate, median inside the band
-  kUnstable,      ///< spread too wide (or too few reps) — not gateable
-  kRegressed,     ///< stable and median outside the band, the bad way
-  kImproved,      ///< stable and median outside the band, the good way
-  kNoBaseline,    ///< stable, but nothing to gate against (report-only)
+  kStable,    ///< enough reps and a spread inside the gate
+  kUnstable,  ///< too few reps or too wide a spread to trust
 };
 
 const char* to_string(StatStatus status);
 
 struct StatOptions {
-  std::size_t min_reps = 5;      ///< fewer samples -> kUnstable
+  std::size_t min_reps = 5;  ///< fewer samples -> kUnstable
   /// Instability gate: 100 * (p75 - p25) / |median| above this is
   /// kUnstable. PASTRAMI's observation is that run-to-run spread, not
   /// the mean, is the first-class result; 20% is a loose default for
-  /// shared CI hosts.
+  /// shared hosts.
   double spread_gate_pct = 20.0;
-  /// Regression band around the baseline median (percent).
-  double regress_pct = 10.0;
-  /// Throughput semantics: a lower median regresses. Clear it for
-  /// latency-style metrics where higher is worse.
-  bool higher_is_better = true;
 };
 
 struct StatVerdict {
@@ -219,34 +172,20 @@ struct StatVerdict {
   double p25 = 0.0;
   double median = 0.0;
   double p75 = 0.0;
-  double spread_pct = 0.0;      ///< 100 * (p75 - p25) / |median|
-  bool has_baseline = false;
-  double baseline_median = 0.0;
-  double delta_pct = 0.0;       ///< 100 * (median - baseline) / |baseline|
+  double spread_pct = 0.0;  ///< 100 * (p75 - p25) / |median|
   StatStatus status = StatStatus::kUnstable;
 };
 
 struct StatResult {
   std::vector<StatVerdict> verdicts;  ///< sample order
-  std::size_t regressions = 0;        ///< kRegressed count
   std::size_t unstable = 0;
-  bool ok() const { return regressions == 0; }
 };
 
-/// Judge each sampled metric against `baseline` medians (path -> median;
-/// may be empty: every verdict is then kUnstable or kNoBaseline).
-StatResult statistical_verdicts(
-    const std::vector<StatSample>& samples,
-    const std::vector<std::pair<std::string, double>>& baseline,
-    const StatOptions& options = {});
+/// Quartiles and spread label of each sampled metric.
+StatResult statistical_verdicts(const std::vector<StatSample>& samples,
+                                const StatOptions& options = {});
 
-/// Render a fixed-width verdict table, regressions first.
+/// Render a fixed-width verdict table in sample order.
 std::string render_stat_verdicts(const StatResult& result);
-
-/// Serialize medians as a baseline file (deterministic ordering), and
-/// parse one back. Schema: {"schema":1,"medians":{"path":value,...}}.
-std::string stat_baseline_to_json(const StatResult& result);
-std::vector<std::pair<std::string, double>> parse_stat_baseline(
-    const std::string& text);
 
 }  // namespace choir::analysis

@@ -312,6 +312,7 @@ class Parser {
     Value v;
     v.kind = Value::Kind::kNumber;
     v.number_value = parsed;
+    v.number_text = token;
     return v;
   }
 

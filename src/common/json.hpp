@@ -77,6 +77,7 @@ class Value {
   Kind kind = Kind::kNull;
   bool bool_value = false;
   double number_value = 0.0;
+  std::string number_text;  ///< a number's token exactly as written
   std::string string_value;
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;

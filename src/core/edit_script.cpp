@@ -43,13 +43,6 @@ double off_lcs_displacement(std::span<const std::uint32_t> sequence,
 
 }  // namespace
 
-Alignment align_trials(const Trial& a, const Trial& b) {
-  CompareScratch scratch;
-  Alignment out;
-  align_trials(a, b, scratch, &out);
-  return out;
-}
-
 void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
                   Alignment* out) {
   telemetry::ProfileSpan prof("kappa.align");

@@ -58,15 +58,12 @@ struct Alignment {
 
 struct CompareScratch;
 
-/// Align trial B against trial A. Packet ids must be unique within each
-/// trial (call Trial::make_occurrences_unique() first if needed); throws
-/// choir::Error otherwise.
-Alignment align_trials(const Trial& a, const Trial& b);
-
-/// Arena variant: flat-table id matching with every buffer (including
-/// *out's vectors, which are cleared but keep capacity) reused across
-/// calls. Identical output to the allocating overload; zero heap
-/// allocations once the scratch is warm.
+/// Align trial B against trial A into *out. Packet ids must be unique
+/// within each trial (call Trial::make_occurrences_unique() first if
+/// needed); throws choir::Error otherwise. Flat-table id matching with
+/// every buffer (including *out's vectors, which are cleared but keep
+/// capacity) reused across calls: zero heap allocations once the scratch
+/// is warm.
 void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
                   Alignment* out);
 

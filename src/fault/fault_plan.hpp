@@ -9,16 +9,9 @@
 // decisions draw only from per-point RNG streams keyed by the point
 // name, never from wall time or attachment order.
 //
-// Plans can be built programmatically or parsed from a small text form,
-// one event per line:
-//
-//   link_drop      target=link.repl0-out start=12ms duration=5ms p=0.3
-//   link_down      target=*              start=40ms duration=2ms
-//   nic_rx_stall   target=nic.repl0-in   start=10ms duration=750us
-//   mem_pressure   target=pool.gen0      start=1ms  duration=4ms  p=1.0
-//
-// '#' starts a comment; blank lines are ignored. Durations/starts take
-// the suffixes ns, us, ms, s (bare numbers are nanoseconds).
+// Plans are built in code (fault/chaos.hpp builds the shipped ones); the
+// fault_tour example carries a one-event-per-line text form for them
+// (examples/fault_plan_text.hpp).
 #pragma once
 
 #include <cstdint>
@@ -83,14 +76,6 @@ class FaultPlan {
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
-
-  /// Parse the text form. Throws choir::FormatError with a line number
-  /// on any malformed directive; a validated plan round-trips through
-  /// to_text()/parse() unchanged.
-  static FaultPlan parse(const std::string& text);
-
-  /// Render back to the text form parse() accepts.
-  std::string to_text() const;
 
   /// Validate parameter ranges (probabilities in [0,1], non-negative
   /// windows, burst caps). Throws choir::FormatError on violation.

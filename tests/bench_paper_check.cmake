@@ -1,18 +1,14 @@
 # Runs `bench_paper <ID>` and checks the result:
 #   cmake -DBENCH_PAPER=<binary> -DID=<id> -DOUT=<dir>
-#         [-DBASELINE=<json>] [-DSCALE=<packets>]
-#         [-DEXPECT_EXIT=<rc> -DARGS=<arg;...> -DEXPECT_STDERR=<re;...>]
+#         [-DBASELINE=<json> -DCHOIRCTL=<binary>] [-DSCALE=<packets>]
 #         [-DREPS=<n>] -P bench_paper_check.cmake
 # By default the row runs at --jobs 1 and at --jobs 4: both must exit 0,
 # print the same stdout and write byte-identical reports named ID, equal
-# to BASELINE when one is given. SCALE sets CHOIR_SCALE (unset otherwise).
-# With EXPECT_EXIT, `bench_paper ID ARGS` must exit with exactly that
-# status, and its stderr must match every EXPECT_STDERR regex. With
-# REPS, `--reps REPS` must report a positive host.<ID>.pps_per_core
-# median.
+# to BASELINE when one is given; on a mismatch the failure prints
+# `choirctl bench --compare`, which names every changed leaf. SCALE sets
+# CHOIR_SCALE (unset otherwise). With REPS, `--reps REPS` must exit 0
+# and print a positive median of host.<ID>.pps_per_core.
 unset(ENV{CHOIR_FULL})
-unset(ENV{CHOIR_BENCH_JSON})
-unset(ENV{CHOIR_BENCH_HOST_TIME})
 if(DEFINED SCALE)
   set(ENV{CHOIR_SCALE} "${SCALE}")
 else()
@@ -21,32 +17,19 @@ endif()
 file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
 
-if(DEFINED EXPECT_EXIT)
-  execute_process(COMMAND "${BENCH_PAPER}" "${ID}" ${ARGS}
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc EQUAL EXPECT_EXIT)
-    message(FATAL_ERROR "bench_paper ${ID} ${ARGS}: exit ${rc}, expected ${EXPECT_EXIT}\n${err}")
-  endif()
-  foreach(re ${EXPECT_STDERR})
-    if(NOT err MATCHES "${re}")
-      message(FATAL_ERROR "bench_paper ${ID} ${ARGS}: stderr does not match '${re}'\n${err}")
-    endif()
-  endforeach()
-  return()
-endif()
-
 if(DEFINED REPS)
   execute_process(COMMAND "${BENCH_PAPER}" "${ID}" --reps ${REPS}
-                          --stats-out "${OUT}/stats.json"
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "bench_paper ${ID} --reps ${REPS}: exit ${rc}\n${err}")
   endif()
-  file(READ "${OUT}/stats.json" json)
-  string(JSON pps ERROR_VARIABLE parse_error
-         GET "${json}" medians "host.${ID}.pps_per_core")
-  if(parse_error OR NOT pps GREATER 0)
-    message(FATAL_ERROR "bench_paper ${ID}: no positive pps_per_core in ${json}")
+  # "  <label> host.<id>.pps_per_core  N reps  p25/p50/p75 a/b/c  ..."
+  set(median 0)
+  if(out MATCHES "host\\.${ID}\\.pps_per_core +${REPS} reps +p25/p50/p75 [^/]+/([^/]+)/")
+    set(median "${CMAKE_MATCH_1}")
+  endif()
+  if(NOT median GREATER 0)
+    message(FATAL_ERROR "bench_paper ${ID}: no positive pps_per_core median in\n${out}")
   endif()
   return()
 endif()
@@ -81,6 +64,12 @@ if(DEFINED BASELINE)
                           "${OUT}/jobs1.json" "${BASELINE}"
                   RESULT_VARIABLE differ)
   if(differ)
-    message(FATAL_ERROR "bench_paper ${ID}: report differs from ${BASELINE}")
+    configure_file("${BASELINE}" "${OUT}/baseline/BENCH_${ID}.json" COPYONLY)
+    configure_file("${OUT}/jobs1.json" "${OUT}/current/BENCH_${ID}.json"
+                   COPYONLY)
+    execute_process(COMMAND "${CHOIRCTL}" bench --compare "${OUT}/baseline"
+                            "${OUT}/current"
+                    OUTPUT_VARIABLE diff ERROR_VARIABLE diff)
+    message(FATAL_ERROR "bench_paper ${ID}: report differs from ${BASELINE}\n${diff}")
   endif()
 endif()

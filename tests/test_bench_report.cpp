@@ -1,6 +1,7 @@
 // Tests for the BENCH_*.json layer: byte-deterministic writer, parse
-// round-trip, NaN/inf rejection, the tolerance-band comparator, and the
-// directory-level gate behind `choirctl bench --compare`.
+// round-trip, NaN/inf rejection, the exact leaf diff and its
+// directory-level form behind `choirctl bench --compare`, the host-time
+// repetition report, and the bench binaries' checked count flags.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,8 +9,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "analysis/bench_report.hpp"
+#include "bench_common.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
 
@@ -69,13 +72,10 @@ TEST(BenchReport, ParseWriteRoundTripIsIdentity) {
   EXPECT_EQ(json::write(parsed) + "\n", text);
 }
 
-TEST(BenchReport, HostSectionOnlyWhenRequested) {
-  analysis::BenchReport report = small_report();
-  EXPECT_EQ(analysis::to_json(report).find("\"host\""), std::string::npos);
-  report.include_host = true;
-  report.host.hostname = "testhost";
-  report.host.wall_ms = 12.5;
-  EXPECT_NE(analysis::to_json(report).find("\"host\""), std::string::npos);
+TEST(BenchReport, NeverWritesHostSection) {
+  // Host time never lands in a report: the bytes are the gate.
+  EXPECT_EQ(analysis::to_json(small_report()).find("host"),
+            std::string::npos);
 }
 
 TEST(BenchReport, RejectsNanAndInf) {
@@ -89,80 +89,104 @@ TEST(BenchReport, RejectsNanAndInf) {
 
 TEST(BenchReport, FlattenKeysCasesByEnvAndRunsByLabel) {
   const json::Value v = json::parse(analysis::to_json(small_report()));
-  const auto flat = analysis::flatten_metrics(v);
-  auto has = [&](const std::string& path) {
-    for (const auto& [p, value] : flat) {
-      if (p == path) return true;
+  const auto flat = analysis::flatten_leaves(v);
+  auto text_of = [&](const std::string& path) {
+    for (const auto& [p, text] : flat) {
+      if (p == path) return text;
     }
-    return false;
+    return std::string("<absent>");
   };
-  EXPECT_TRUE(has("cases.local-single.sim.mean.kappa"));
-  EXPECT_TRUE(has("cases.local-single.sim.runs.B.iat_within_10ns"));
-  EXPECT_TRUE(has("cases.local-single.counters.recorder_imissed"));
-  EXPECT_TRUE(has("metrics.extra.flag"));
+  // Numbers keep their token as written; other scalars are JSON text.
+  EXPECT_EQ(text_of("cases.local-single.sim.mean.kappa"),
+            json::number_repr(0.979));
+  EXPECT_EQ(text_of("cases.local-single.sim.runs.B.iat_within_10ns"),
+            json::number_repr(0.998));
+  EXPECT_EQ(text_of("cases.local-single.counters.recorder_imissed"), "0");
+  EXPECT_EQ(text_of("metrics.extra.flag"), "1");
+  EXPECT_EQ(text_of("cases.local-single.env"), "\"local-single\"");
+  EXPECT_EQ(text_of("scale.choir_full"), "false");
+  EXPECT_EQ(text_of("scale.choir_scale"), "null");
 }
 
 TEST(BenchCompare, IdenticalReportsPass) {
   const json::Value v = json::parse(analysis::to_json(small_report()));
   const auto result = analysis::compare_reports(v, v);
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.regressions, 0u);
+  EXPECT_EQ(result.changed, 0u);
+  EXPECT_EQ(result.missing, 0u);
   EXPECT_EQ(result.added, 0u);
   for (const auto& diff : result.diffs) {
-    EXPECT_EQ(diff.status, analysis::DiffStatus::kOk) << diff.path;
+    EXPECT_EQ(diff.status, analysis::DiffStatus::kSame) << diff.path;
   }
 }
 
 TEST(BenchCompare, PerturbedSimMetricRegresses) {
   const json::Value base = json::parse(analysis::to_json(small_report()));
   analysis::BenchReport worse = small_report();
-  worse.cases[0].mean.kappa = 0.5;  // way outside the 0.1% band
+  worse.cases[0].mean.kappa = 0.5;
   const json::Value cur = json::parse(analysis::to_json(worse));
   const auto result = analysis::compare_reports(base, cur);
   EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.changed, 1u);
   bool found = false;
   for (const auto& diff : result.diffs) {
     if (diff.path == "cases.local-single.sim.mean.kappa") {
       found = true;
-      EXPECT_EQ(diff.status, analysis::DiffStatus::kRegressed);
+      EXPECT_EQ(diff.status, analysis::DiffStatus::kChanged);
+      EXPECT_EQ(diff.current, "0.5");
     }
   }
   EXPECT_TRUE(found);
 }
 
-TEST(BenchCompare, TinyDriftStaysInsideBand) {
+/// The one changed leaf of a diff that must have exactly one.
+std::string only_changed_path(const analysis::CompareResult& result) {
+  std::string path;
+  for (const auto& diff : result.diffs) {
+    if (diff.status == analysis::DiffStatus::kChanged) {
+      EXPECT_TRUE(path.empty()) << "second changed leaf " << diff.path;
+      path = diff.path;
+    }
+  }
+  return path;
+}
+
+TEST(BenchCompare, TinyDriftFails) {
   const json::Value base = json::parse(analysis::to_json(small_report()));
   analysis::BenchReport drift = small_report();
-  drift.cases[0].mean.kappa *= 1.0 + 1e-6;  // well inside 0.1%
-  const json::Value cur = json::parse(analysis::to_json(drift));
-  EXPECT_TRUE(analysis::compare_reports(base, cur).ok());
+  drift.cases[0].mean.kappa *= 1.0 + 1e-6;
+  const auto result = analysis::compare_reports(
+      base, json::parse(analysis::to_json(drift)));
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(only_changed_path(result), "cases.local-single.sim.mean.kappa");
 }
 
-TEST(BenchCompare, ToleranceOptionWidensBand) {
-  const json::Value base = json::parse(analysis::to_json(small_report()));
-  analysis::BenchReport worse = small_report();
-  worse.cases[0].mean.kappa = 0.9;  // ~8% off
-  const json::Value cur = json::parse(analysis::to_json(worse));
-  EXPECT_FALSE(analysis::compare_reports(base, cur).ok());
-  analysis::CompareOptions loose;
-  loose.sim_tolerance_pct = 20.0;
-  EXPECT_TRUE(analysis::compare_reports(base, cur, loose).ok());
+TEST(BenchCompare, LastDigitChangeFails) {
+  // A 17-digit token whose last digit moves may parse to the same
+  // double; the leaf diff compares the text, so it still fails.
+  const std::string text = analysis::to_json(small_report());
+  const std::string token = json::number_repr(0.998);
+  const std::size_t at = text.find(token);
+  ASSERT_NE(at, std::string::npos);
+  std::string edited = text;
+  char& last = edited[at + token.size() - 1];
+  last = last == '9' ? '8' : static_cast<char>(last + 1);
+  const auto result =
+      analysis::compare_reports(json::parse(text), json::parse(edited));
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(only_changed_path(result),
+            "cases.local-single.sim.runs.B.iat_within_10ns");
 }
 
-TEST(BenchCompare, NearZeroBaselineUsesAbsoluteSlack) {
-  // U is exactly 0 in the baseline; a relative band would reject any
-  // nonzero value. The absolute near-zero slack admits fp dust only.
+TEST(BenchCompare, NearZeroDriftFails) {
+  // U is exactly 0 in the baseline; fp dust is a change like any other.
   const json::Value base = json::parse(analysis::to_json(small_report()));
   analysis::BenchReport dust = small_report();
   dust.cases[0].mean.uniqueness = 1e-12;
-  EXPECT_TRUE(analysis::compare_reports(
-                  base, json::parse(analysis::to_json(dust)))
-                  .ok());
-  analysis::BenchReport real_u = small_report();
-  real_u.cases[0].mean.uniqueness = 0.01;
-  EXPECT_FALSE(analysis::compare_reports(
-                   base, json::parse(analysis::to_json(real_u)))
-                   .ok());
+  const auto result = analysis::compare_reports(
+      base, json::parse(analysis::to_json(dust)));
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(only_changed_path(result), "cases.local-single.sim.mean.U");
 }
 
 TEST(BenchCompare, MissingMetricFailsAddedMetricDoesNot) {
@@ -175,7 +199,8 @@ TEST(BenchCompare, MissingMetricFailsAddedMetricDoesNot) {
   const json::Value cur = json::parse(analysis::to_json(cur_report));
 
   const auto result = analysis::compare_reports(base, cur);
-  EXPECT_FALSE(result.ok());  // vanished metric == regression
+  EXPECT_FALSE(result.ok());  // vanished metric fails
+  EXPECT_EQ(result.missing, 1u);
   EXPECT_EQ(result.added, 1u);
   bool missing = false;
   bool added = false;
@@ -197,39 +222,34 @@ TEST(BenchCompare, MissingMetricFailsAddedMetricDoesNot) {
   EXPECT_EQ(forward.added, 1u);
 }
 
-TEST(BenchCompare, HostMetricsAreReportOnly) {
+TEST(BenchCompare, HostNamedMetricIsGatedLikeAnyOther) {
+  // No path is exempt: a "host." leaf that changes fails too.
   analysis::BenchReport base_report = small_report();
-  base_report.include_host = true;
-  base_report.host.hostname = "a";
-  base_report.host.wall_ms = 10.0;
+  base_report.metrics.emplace_back("host.wall_ms", 10.0);
   analysis::BenchReport cur_report = small_report();
-  cur_report.include_host = true;
-  cur_report.host.hostname = "b";
-  cur_report.host.wall_ms = 900.0;  // 90x slower: still not a regression
+  cur_report.metrics.emplace_back("host.wall_ms", 900.0);
   const auto result = analysis::compare_reports(
       json::parse(analysis::to_json(base_report)),
       json::parse(analysis::to_json(cur_report)));
-  EXPECT_TRUE(result.ok());
-  bool saw_host = false;
-  for (const auto& diff : result.diffs) {
-    if (diff.path == "host.wall_ms") {
-      saw_host = true;
-      EXPECT_EQ(diff.status, analysis::DiffStatus::kHostOnly);
-    }
-  }
-  EXPECT_TRUE(saw_host);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(only_changed_path(result), "metrics.host.wall_ms");
 }
 
 TEST(BenchCompare, RenderListsRegressionsFirst) {
   const json::Value base = json::parse(analysis::to_json(small_report()));
   analysis::BenchReport worse = small_report();
+  worse.metrics.emplace_back("metric.that.is.new", 4.0);
   worse.cases[0].mean.kappa = 0.5;
   const auto result =
       analysis::compare_reports(base, json::parse(analysis::to_json(worse)));
   const std::string text = analysis::render_compare(result);
-  EXPECT_NE(text.find("REGRESSED"), std::string::npos);
-  EXPECT_NE(text.find("cases.local-single.sim.mean.kappa"),
-            std::string::npos);
+  const auto changed = text.find("changed  cases.local-single.sim.mean.kappa");
+  const auto added = text.find("added    metrics.metric.that.is.new");
+  ASSERT_NE(changed, std::string::npos) << text;
+  ASSERT_NE(added, std::string::npos) << text;
+  EXPECT_LT(changed, added);
+  EXPECT_NE(text.find("1 changed, 0 missing, 1 added"), std::string::npos)
+      << text;
 }
 
 class BenchDirs : public ::testing::Test {
@@ -259,8 +279,7 @@ TEST_F(BenchDirs, IdenticalDirectoriesPass) {
   write(base_, "BENCH_unit.json", small_report());
   write(cur_, "BENCH_unit.json", small_report());
   std::string text;
-  EXPECT_EQ(analysis::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
-                                        &text),
+  EXPECT_EQ(analysis::compare_bench_dirs(base_.string(), cur_.string(), &text),
             0);
 }
 
@@ -271,28 +290,22 @@ TEST_F(BenchDirs, PerturbedBaselineTripsGate) {
   write(base_, "BENCH_unit.json", perturbed);
   write(cur_, "BENCH_unit.json", small_report());
   std::string text;
-  EXPECT_GT(analysis::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
-                                        &text),
+  EXPECT_GT(analysis::compare_bench_dirs(base_.string(), cur_.string(), &text),
             0);
-  EXPECT_NE(text.find("REGRESSED"), std::string::npos);
-  // The explicit tolerance override must clear it (0.5 -> 0.979 is a
-  // ~96% move relative to the baseline).
-  std::string loose_text;
-  EXPECT_EQ(analysis::compare_bench_dirs(base_.string(), cur_.string(), 100.0,
-                                        &loose_text),
-            0);
+  EXPECT_NE(text.find("changed  cases.local-single.sim.mean.kappa"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(BenchDirs, MissingCurrentFileIsARegression) {
   write(base_, "BENCH_unit.json", small_report());
   std::string text;
-  EXPECT_GT(analysis::compare_bench_dirs(base_.string(), cur_.string(), -1.0,
-                                        &text),
+  EXPECT_GT(analysis::compare_bench_dirs(base_.string(), cur_.string(), &text),
             0);
   EXPECT_NE(text.find("BENCH_unit.json"), std::string::npos);
 }
 
-// ---- Statistical (PASTRAMI-style) verdicts -----------------------------
+// ---- Host-time repetitions (PASTRAMI-style, report-only) ---------------
 
 analysis::StatSample host_sample(std::vector<double> values) {
   analysis::StatSample s;
@@ -302,101 +315,112 @@ analysis::StatSample host_sample(std::vector<double> values) {
 }
 
 TEST(StatVerdicts, StableInsideTheBand) {
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({100, 102, 98, 101, 99})},
-      {{"host.quick.pps_per_core", 100.0}});
+  const auto result =
+      analysis::statistical_verdicts({host_sample({100, 102, 98, 101, 99})});
   ASSERT_EQ(result.verdicts.size(), 1u);
   const analysis::StatVerdict& v = result.verdicts[0];
   EXPECT_EQ(v.status, analysis::StatStatus::kStable);
   EXPECT_EQ(v.reps, 5u);
+  EXPECT_DOUBLE_EQ(v.p25, 99.0);
   EXPECT_DOUBLE_EQ(v.median, 100.0);
-  EXPECT_TRUE(v.has_baseline);
-  EXPECT_TRUE(result.ok());
-}
-
-TEST(StatVerdicts, PerturbedBaselineTripsTheGate) {
-  // The samples say ~100; a baseline claiming 200 means the current
-  // build lost half its throughput — the gate must fire.
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({100, 102, 98, 101, 99})},
-      {{"host.quick.pps_per_core", 200.0}});
-  ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].status, analysis::StatStatus::kRegressed);
-  EXPECT_LT(result.verdicts[0].delta_pct, -10.0);
-  EXPECT_EQ(result.regressions, 1u);
-  EXPECT_FALSE(result.ok());
-}
-
-TEST(StatVerdicts, HigherMedianImprovesForThroughput) {
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({200, 202, 198, 201, 199})},
-      {{"host.quick.pps_per_core", 100.0}});
-  EXPECT_EQ(result.verdicts[0].status, analysis::StatStatus::kImproved);
-  EXPECT_TRUE(result.ok());
-}
-
-TEST(StatVerdicts, LowerIsWorseFlipsWithHigherIsBetterCleared) {
-  analysis::StatOptions options;
-  options.higher_is_better = false;  // latency-style metric
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({200, 202, 198, 201, 199})},
-      {{"host.quick.pps_per_core", 100.0}}, options);
-  EXPECT_EQ(result.verdicts[0].status, analysis::StatStatus::kRegressed);
+  EXPECT_DOUBLE_EQ(v.p75, 101.0);
+  EXPECT_EQ(result.unstable, 0u);
 }
 
 TEST(StatVerdicts, WideSpreadIsUnstableNeverRegressed) {
   // p25/p75 spread far past the gate: PASTRAMI's point is that this
-  // sample set cannot support any verdict — even against a baseline it
-  // would "regress" against.
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({50, 150, 60, 140, 100})},
-      {{"host.quick.pps_per_core", 200.0}});
+  // sample set cannot support any verdict.
+  const auto result =
+      analysis::statistical_verdicts({host_sample({50, 150, 60, 140, 100})});
   ASSERT_EQ(result.verdicts.size(), 1u);
   EXPECT_EQ(result.verdicts[0].status, analysis::StatStatus::kUnstable);
   EXPECT_GT(result.verdicts[0].spread_pct, 20.0);
-  EXPECT_EQ(result.regressions, 0u);
   EXPECT_EQ(result.unstable, 1u);
-  EXPECT_TRUE(result.ok());
 }
 
 TEST(StatVerdicts, TooFewRepsIsUnstable) {
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({100, 101})}, {{"host.quick.pps_per_core", 100.0}});
+  const auto result =
+      analysis::statistical_verdicts({host_sample({100, 101})});
   EXPECT_EQ(result.verdicts[0].status, analysis::StatStatus::kUnstable);
 }
 
-TEST(StatVerdicts, NoBaselineIsReportOnly) {
+TEST(StatVerdicts, RenderKeepsSampleOrderWithLabels) {
   const auto result = analysis::statistical_verdicts(
-      {host_sample({100, 102, 98, 101, 99})}, {});
-  EXPECT_EQ(result.verdicts[0].status, analysis::StatStatus::kNoBaseline);
-  EXPECT_TRUE(result.ok());
-}
-
-TEST(StatVerdicts, BaselineJsonRoundTrips) {
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({100, 102, 98, 101, 99})}, {});
-  const std::string json = analysis::stat_baseline_to_json(result);
-  const auto parsed = analysis::parse_stat_baseline(json);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].first, "host.quick.pps_per_core");
-  EXPECT_DOUBLE_EQ(parsed[0].second, 100.0);
-  // Byte determinism: serializing twice gives identical text.
-  EXPECT_EQ(json, analysis::stat_baseline_to_json(result));
-}
-
-TEST(StatVerdicts, RenderListsRegressionsFirst) {
-  const auto result = analysis::statistical_verdicts(
-      {host_sample({100, 102, 98, 101, 99}),
-       {"host.quick.other", {100, 102, 98, 101, 99}}},
-      {{"host.quick.other", 100.0},
-       {"host.quick.pps_per_core", 200.0}});
+      {host_sample({50, 150, 60, 140, 100}),
+       {"host.quick.other", {100, 102, 98, 101, 99}}});
   const std::string text = analysis::render_stat_verdicts(result);
-  const auto regressed = text.find("pps_per_core");
-  const auto stable = text.find("host.quick.other");
-  ASSERT_NE(regressed, std::string::npos);
-  ASSERT_NE(stable, std::string::npos);
-  EXPECT_LT(regressed, stable);
-  EXPECT_NE(text.find("1 regressed"), std::string::npos);
+  const auto unstable = text.find("UNSTABLE    host.quick.pps_per_core");
+  const auto stable = text.find("stable      host.quick.other");
+  ASSERT_NE(unstable, std::string::npos) << text;
+  ASSERT_NE(stable, std::string::npos) << text;
+  EXPECT_LT(unstable, stable);
+  EXPECT_NE(text.find("p25/p50/p75 99/100/101"), std::string::npos) << text;
+  EXPECT_NE(text.find("2 metric(s), 1 unstable"), std::string::npos) << text;
+}
+
+// ---- Checked count flags of the bench binaries --------------------------
+
+/// argv of `bench <args...>` for the count parsers, which strip what
+/// they parse.
+struct Args {
+  explicit Args(std::vector<std::string> words) : words_(std::move(words)) {
+    words_.insert(words_.begin(), "bench");
+    for (std::string& w : words_) argv.push_back(w.data());
+    argc = static_cast<int>(argv.size());
+  }
+  int argc = 0;
+  std::vector<char*> argv;
+
+ private:
+  std::vector<std::string> words_;
+};
+
+TEST(BenchArgs, ParsesAndStripsACount) {
+  Args packets({"--packets", "4096", "x"});
+  EXPECT_EQ(bench::u64_from_args("--packets", 7, 1, &packets.argc,
+                                 packets.argv.data()),
+            4096u);
+  EXPECT_EQ(packets.argc, 2);  // "bench x"
+  Args absent({"x"});
+  EXPECT_EQ(bench::int_from_args("--jobs", 3, 0, &absent.argc,
+                                 absent.argv.data()),
+            3);
+  EXPECT_EQ(absent.argc, 2);
+  Args zero({"--jobs", "0"});  // --jobs admits 0 (auto)
+  EXPECT_EQ(bench::int_from_args("--jobs", 1, 0, &zero.argc,
+                                 zero.argv.data()),
+            0);
+}
+
+TEST(BenchArgs, RejectsWhatIsNotACountInRange) {
+  for (const char* bad : {"abc", "12x", "", " 5", "-3", "+3", "0", "1.5"}) {
+    Args reps({"--reps", bad});
+    EXPECT_THROW(bench::int_from_args("--reps", 1, 1, &reps.argc,
+                                      reps.argv.data()),
+                 bench::UsageError)
+        << "'" << bad << "'";
+    Args packets({"--packets", bad});
+    EXPECT_THROW(bench::u64_from_args("--packets", 1, 1, &packets.argc,
+                                      packets.argv.data()),
+                 bench::UsageError)
+        << "'" << bad << "'";
+  }
+  // Parsed only: nothing here starts a worker.
+  for (const char* bad : {"-1", "99999999999"}) {
+    Args jobs({"--jobs", bad});
+    EXPECT_THROW(bench::int_from_args("--jobs", 1, 0, &jobs.argc,
+                                      jobs.argv.data()),
+                 bench::UsageError)
+        << bad;
+  }
+  Args named({"--packets", "abc"});
+  try {
+    bench::u64_from_args("--packets", 1, 1, &named.argc, named.argv.data());
+    ADD_FAILURE() << "accepted abc";
+  } catch (const bench::UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--packets"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/expect.hpp"
+#include "reordering.hpp"  // the one-shot align_trials(a, b)
 
 namespace choir::core {
 namespace {

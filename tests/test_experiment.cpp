@@ -174,12 +174,15 @@ ExperimentResult run_with_target(bool group, const std::string& target) {
   cfg.collect_series = false;
   cfg.group.enabled = group;
   const std::string layer = target.substr(0, target.find('.'));
-  const std::string kind = layer == "link"  ? "link_down"
-                           : layer == "nic" ? "nic_rx_stall"
-                           : layer == "pool" ? "mem_pressure"
-                                             : "clock_degrade";
-  cfg.env.faults = fault::FaultPlan::parse(
-      kind + " target=" + target + " start=100s duration=1ns");
+  fault::FaultEvent event;
+  event.kind = layer == "link"   ? fault::FaultKind::kLinkDown
+               : layer == "nic"  ? fault::FaultKind::kNicRxStall
+               : layer == "pool" ? fault::FaultKind::kMemPressure
+                                 : fault::FaultKind::kClockDegrade;
+  event.target = target;
+  event.start = seconds(100);
+  event.duration = 1;
+  cfg.env.faults.add(event);
   return run_experiment(cfg);
 }
 

@@ -1,4 +1,5 @@
-// FaultPlan parsing, validation, and the shipped chaos schedules.
+// FaultPlan validation, its text form (examples/fault_plan_text.hpp), and
+// the shipped chaos schedules.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "common/expect.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault_plan_text.hpp"
 
 namespace choir::fault {
 namespace {
@@ -25,7 +27,7 @@ TEST(FaultPlan, ParsesEveryKindAndRoundTrips) {
       "nic_burst_truncate target=* start=0 duration=1s burst_cap=4\n"
       "mem_pressure target=pool.gen0 start=20ms duration=1ms p=1.0\n"
       "clock_degrade target=clock.repl1 start=0 duration=2s factor=100\n";
-  const FaultPlan plan = FaultPlan::parse(text);
+  const FaultPlan plan = parse_plan(text);
   ASSERT_EQ(plan.size(), 10u);
   EXPECT_EQ(plan.events()[0].kind, FaultKind::kLinkDown);
   EXPECT_EQ(plan.events()[0].target, "link.gen0");
@@ -38,8 +40,8 @@ TEST(FaultPlan, ParsesEveryKindAndRoundTrips) {
   EXPECT_DOUBLE_EQ(plan.events()[9].factor, 100.0);
   EXPECT_EQ(layer_of(plan.events()[9].kind), FaultLayer::kClock);
 
-  // to_text() -> parse() is the identity on validated plans.
-  const FaultPlan again = FaultPlan::parse(plan.to_text());
+  // plan_to_text() -> parse_plan() is the identity on validated plans.
+  const FaultPlan again = parse_plan(plan_to_text(plan));
   ASSERT_EQ(again.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
     EXPECT_EQ(again.events()[i].kind, plan.events()[i].kind) << i;
@@ -58,16 +60,16 @@ TEST(FaultPlan, ParsesEveryKindAndRoundTrips) {
 TEST(FaultPlan, RejectsMalformedDirectives) {
   // Unknown kind, missing window, junk value, out-of-range probability:
   // all typed FormatErrors, not generic Errors or crashes.
-  EXPECT_THROW(FaultPlan::parse("frobnicate target=* start=0 duration=1ms"),
+  EXPECT_THROW(parse_plan("frobnicate target=* start=0 duration=1ms"),
                FormatError);
-  EXPECT_THROW(FaultPlan::parse("link_drop target=*"), FormatError);
-  EXPECT_THROW(FaultPlan::parse("link_drop target=* start=zap duration=1ms"),
+  EXPECT_THROW(parse_plan("link_drop target=*"), FormatError);
+  EXPECT_THROW(parse_plan("link_drop target=* start=zap duration=1ms"),
                FormatError);
   EXPECT_THROW(
-      FaultPlan::parse("link_drop target=* start=0 duration=1ms p=1.5"),
+      parse_plan("link_drop target=* start=0 duration=1ms p=1.5"),
       FormatError);
   EXPECT_THROW(
-      FaultPlan::parse("link_drop target=* start=0 duration=1ms warp=9"),
+      parse_plan("link_drop target=* start=0 duration=1ms warp=9"),
       FormatError);
 }
 
@@ -88,7 +90,7 @@ TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers) {
   };
   for (const char* line : lines) {
     try {
-      FaultPlan::parse(std::string("# plan\n") + line + "\n");
+      parse_plan(std::string("# plan\n") + line + "\n");
       ADD_FAILURE() << "accepted: " << line;
     } catch (const FormatError& e) {
       EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
@@ -96,7 +98,7 @@ TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers) {
     }
   }
   // Each time fits, but the window end start + duration does not.
-  EXPECT_THROW(FaultPlan::parse("link_drop target=* start=9e18 duration=9e18"),
+  EXPECT_THROW(parse_plan("link_drop target=* start=9e18 duration=9e18"),
                FormatError);
 
   // Plans built in code go through validate().
@@ -159,7 +161,7 @@ TEST(ChaosPlans, ScaleWithIntensityAndValidate) {
   EXPECT_NEAR(p_full, 2.0 * p_half, 1e-12);
 
   // The same intensity always builds the identical plan (pure function).
-  EXPECT_EQ(chaos_plan(0.7).to_text(), chaos_plan(0.7).to_text());
+  EXPECT_EQ(plan_to_text(chaos_plan(0.7)), plan_to_text(chaos_plan(0.7)));
 }
 
 }  // namespace

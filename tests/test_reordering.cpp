@@ -1,4 +1,4 @@
-#include "core/reordering.hpp"
+#include "reordering.hpp"
 
 #include <gtest/gtest.h>
 

@@ -146,9 +146,9 @@ int usage() {
       "                                (.trc native or .pcap files)\n"
       "  partition <trace> <n> <dir>   flow-shard a trace into n rebased\n"
       "                                per-node .trc sub-traces\n"
-      "  bench --compare A B [--tolerance PCT]\n"
-      "                                diff two BENCH_*.json directories\n"
-      "                                (exit 1 on regression)\n"
+      "  bench --compare A B           leaf diff of two BENCH_*.json\n"
+      "                                directories (exit 1 on a changed\n"
+      "                                or missing leaf)\n"
       "options: --packets N  --runs N  --seed N  --csv DIR  --engine "
       "choir|sleep|busywait|gapfill  --telemetry DIR\n"
       "         --monitor DIR  --window-packets N  --top-k N  --windows  "
@@ -1026,24 +1026,17 @@ int cmd_partition(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// `bench --compare A B [--tolerance PCT]` — the BENCH_*.json gate:
-/// diff every report in baseline directory A against its namesake in B
-/// (`bench_paper <id> --json` writes them). Exits 0 when every compared
-/// metric is inside its band, 1 when any simulated metric regressed
-/// (host.* metrics are report-only).
+/// `bench --compare A B` — explains a BENCH_*.json byte mismatch: diff
+/// every report in baseline directory A against its namesake in B
+/// (`bench_paper <id> --json` writes them) leaf by leaf. Exits 0 when
+/// every leaf is identical (added leaves are listed but pass), 1 on any
+/// changed or missing leaf or file.
 int cmd_bench(const std::vector<std::string>& args) {
-  double tolerance_pct = -1.0;
-  if (args.size() == 7 && args[5] == "--tolerance") {
-    tolerance_pct = std::strtod(args[6].c_str(), nullptr);
-  } else if (args.size() != 5) {
-    return usage();
-  }
-  if (args[2] != "--compare") return usage();
+  if (args.size() != 5 || args[2] != "--compare") return usage();
   std::string text;
-  const int regressions =
-      analysis::compare_bench_dirs(args[3], args[4], tolerance_pct, &text);
+  const int failing = analysis::compare_bench_dirs(args[3], args[4], &text);
   std::fputs(text.c_str(), stdout);
-  return regressions > 0 ? 1 : 0;
+  return failing > 0 ? 1 : 0;
 }
 
 }  // namespace

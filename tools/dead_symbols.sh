@@ -6,9 +6,10 @@
 # links every binary with --gc-sections, so a binary keeps exactly the
 # functions it can call. The report is the defined text symbols (T/W) in
 # namespace choir:: of the static libraries, minus every symbol still
-# present in a production binary (everything built from src/, bench/,
-# examples/ and tools/; test binaries do not count), minus the keep-set
-# below. What remains is code that only tests reach, or nothing does.
+# present in a production binary (everything built from src/, bench/ and
+# tools/; examples and tests do not count), minus the keep-set below.
+# What remains is code that only tests or examples reach, or nothing
+# does: move it into the example that uses it, or delete it.
 # Standard-library templates instantiated for choir types (demangled as
 # "choir::T std::f<...>(...)") are not library code and are skipped.
 #
@@ -50,7 +51,7 @@ find "$build/src" -name 'libchoir_*.a' -print0 |
   awk '$2 == "T" || $2 == "W" { $1 = ""; $2 = ""; sub(/^  /, ""); print }' |
   grep '^choir::' | grep -Ev '^choir::[^(]* std::' | sort -u >"$lib_symbols"
 
-find "$build/src" "$build/bench" "$build/examples" -type f -perm -u+x \
+find "$build/src" "$build/bench" -type f -perm -u+x \
   ! -path '*/CMakeFiles/*' -print0 |
   xargs -0 nm -C --defined-only 2>/dev/null |
   awk 'NF >= 3 { $1 = ""; $2 = ""; sub(/^  /, ""); print }' |
