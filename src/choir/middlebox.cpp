@@ -256,7 +256,7 @@ Ns Middlebox::replay_progress() const {
   if (recording_.empty()) return 0;
   const std::uint64_t first = recording_.first_tsc();
   if (replay_armed_) {
-    const std::uint64_t due = recording_.bursts()[replay_cursor_].tsc;
+    const std::uint64_t due = recording_.burst(replay_cursor_).tsc;
     return clock_.tsc.ticks_to_ns(due - first);
   }
   if (done_round_ >= 0 && done_round_ == prepared_round_) {
@@ -358,9 +358,9 @@ void Middlebox::group_resync(Ns target_offset) {
   const std::uint64_t first = recording_.first_tsc();
   std::uint64_t skipped = 0;
   while (replay_cursor_ < recording_.burst_count() &&
-         clock_.tsc.ticks_to_ns(recording_.bursts()[replay_cursor_].tsc -
+         clock_.tsc.ticks_to_ns(recording_.burst(replay_cursor_).tsc -
                                 first) < target_offset) {
-    skipped += recording_.bursts()[replay_cursor_].pkts.size();
+    skipped += recording_.burst(replay_cursor_).pkts.size();
     ++replay_cursor_;
   }
   ++replay_epoch_;
@@ -392,7 +392,7 @@ void Middlebox::group_resync(Ns target_offset) {
     return;
   }
   replay_tsc_delta_ =
-      clock_.tsc.read(queue_.now()) - recording_.bursts()[replay_cursor_].tsc;
+      clock_.tsc.read(queue_.now()) - recording_.burst(replay_cursor_).tsc;
   slip_until_ = 0;
   loop_free_at_ = queue_.now();
   replay_step();
@@ -434,7 +434,7 @@ void Middlebox::begin_replay(Ns true_start, std::uint64_t tsc_delta) {
 
 void Middlebox::replay_step() {
   telemetry::ProfileSpan prof("replay.pace");
-  const RecordedBurst& burst = recording_.bursts()[replay_cursor_];
+  const RecordedBurst burst = recording_.burst(replay_cursor_);
   const std::uint64_t target_tsc = burst.tsc + replay_tsc_delta_;
   Ns t = clock_.tsc.time_of_ticks(target_tsc);
 
@@ -493,7 +493,7 @@ void Middlebox::replay_step() {
 
 void Middlebox::emit_burst_from(std::size_t offset) {
   telemetry::ProfileSpan prof("replay.emit");
-  const RecordedBurst& b = recording_.bursts()[replay_cursor_];
+  const RecordedBurst b = recording_.burst(replay_cursor_);
   if (offset == 0) {
     const Ns pacing_error = queue_.now() - replay_target_ns_;
     tm_pacing_error_.record(pacing_error);

@@ -5,6 +5,8 @@
 // on each mbuf it stores; the forwarding path's own reference is released
 // by the NIC after transmit. Packets stay grouped as the bursts they were
 // transmitted in, each burst stamped with the transmit-time TSC read.
+// The packets sit flat in one deque and each burst is a {tsc, first,
+// count} record, so recording a burst allocates nothing per burst.
 //
 // Two capacity disciplines:
 //  - bounded (the paper's implementation): once `capacity` packets are
@@ -15,17 +17,46 @@
 //    breakpoint-style "what just happened" debugging possible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "pktio/mbuf.hpp"
 
 namespace choir::app {
 
+/// The packets of one recorded burst, in transmit order: a view into
+/// the recording, valid until that burst itself is evicted. It keeps the
+/// burst's position counted from the first packet ever held, so evicting
+/// older bursts and adding newer ones leave it pointing at its own packets.
+class BurstPackets {
+ public:
+  BurstPackets(const std::deque<pktio::Mbuf*>& held,
+               const std::uint64_t& evicted, std::uint64_t first,
+               std::size_t count)
+      : held_(&held), evicted_(&evicted), first_(first), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  pktio::Mbuf* operator[](std::size_t i) const {
+    return (*held_)[first_ - *evicted_ + i];
+  }
+  pktio::Mbuf* front() const { return (*this)[0]; }
+  pktio::Mbuf* back() const { return (*this)[count_ - 1]; }
+  auto begin() const {
+    return held_->begin() + static_cast<std::ptrdiff_t>(first_ - *evicted_);
+  }
+  auto end() const { return begin() + static_cast<std::ptrdiff_t>(count_); }
+
+ private:
+  const std::deque<pktio::Mbuf*>* held_;
+  const std::uint64_t* evicted_;  ///< the recording's evicted-packet count
+  std::uint64_t first_;           ///< held_[first_ - *evicted_] is the first
+  std::size_t count_;
+};
+
 struct RecordedBurst {
-  std::uint64_t tsc = 0;             ///< TSC at transmit of the burst
-  std::vector<pktio::Mbuf*> pkts;
+  std::uint64_t tsc = 0;  ///< TSC at transmit of the burst
+  BurstPackets pkts;
 };
 
 class Recording {
@@ -46,22 +77,18 @@ class Recording {
   /// nothing) only in bounded mode at capacity.
   bool add_burst(std::uint64_t tsc, pktio::Mbuf* const* pkts,
                  std::uint16_t n) {
-    if (packets_ + n > capacity_) {
+    if (packets_.size() + n > capacity_) {
       if (mode_ == Mode::kBounded) return false;
-      while (!bursts_.empty() && packets_ + n > capacity_) {
+      while (!bursts_.empty() && packets_.size() + n > capacity_) {
         evict_front();
       }
-      if (packets_ + n > capacity_) return false;  // burst > capacity
+      if (packets_.size() + n > capacity_) return false;  // burst > capacity
     }
-    RecordedBurst burst;
-    burst.tsc = tsc;
-    burst.pkts.reserve(n);
+    bursts_.push_back(Burst{tsc, evicted_ + packets_.size(), n});
     for (std::uint16_t i = 0; i < n; ++i) {
       pktio::Mempool::retain(pkts[i]);
-      burst.pkts.push_back(pkts[i]);
-      ++packets_;
+      packets_.push_back(pkts[i]);
     }
-    bursts_.push_back(std::move(burst));
     return true;
   }
 
@@ -70,9 +97,13 @@ class Recording {
     while (!bursts_.empty()) evict_front();
   }
 
-  const std::deque<RecordedBurst>& bursts() const { return bursts_; }
+  /// The i-th held burst, oldest first.
+  RecordedBurst burst(std::size_t i) const {
+    const Burst& b = bursts_[i];
+    return {b.tsc, BurstPackets(packets_, evicted_, b.first, b.count)};
+  }
   std::size_t burst_count() const { return bursts_.size(); }
-  std::size_t packet_count() const { return packets_; }
+  std::size_t packet_count() const { return packets_.size(); }
   bool empty() const { return bursts_.empty(); }
   std::uint64_t first_tsc() const { return bursts_.front().tsc; }
   std::uint64_t last_tsc() const { return bursts_.back().tsc; }
@@ -89,19 +120,29 @@ class Recording {
   }
 
  private:
+  /// One held burst: its transmit TSC and where its packets sit in
+  /// `packets_`, numbered from the first packet ever held.
+  struct Burst {
+    std::uint64_t tsc;
+    std::uint64_t first;  ///< packets_[first - evicted_] is its first
+    std::uint32_t count;
+  };
+
   void evict_front() {
-    RecordedBurst& burst = bursts_.front();
-    for (pktio::Mbuf* m : burst.pkts) pktio::Mempool::release(m);
-    packets_ -= burst.pkts.size();
-    evicted_ += burst.pkts.size();
+    const Burst& burst = bursts_.front();
+    for (std::uint32_t i = 0; i < burst.count; ++i) {
+      pktio::Mempool::release(packets_.front());
+      packets_.pop_front();
+    }
+    evicted_ += burst.count;
     bursts_.pop_front();
   }
 
-  std::deque<RecordedBurst> bursts_;
-  std::size_t packets_ = 0;
+  std::deque<pktio::Mbuf*> packets_;  ///< every held packet, burst order
+  std::deque<Burst> bursts_;
   std::size_t capacity_;
   Mode mode_;
-  std::uint64_t evicted_ = 0;
+  std::uint64_t evicted_ = 0;  ///< packets released from the front
 };
 
 }  // namespace choir::app

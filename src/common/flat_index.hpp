@@ -1,12 +1,13 @@
-// The library's one hash table: an insert-only map from a key to a dense
-// id assigned in first-insert order (the n-th distinct key gets id n).
+// An insert-only hash map from a key to a dense id assigned in
+// first-insert order (the n-th distinct key gets id n), or to an id the
+// caller assigns.
 //
-// Every "where is this packet id (or flow key)?" question reduces to it:
-// core::ReferenceIndex (packet id -> position in trial A), the κ kernel's
-// B-only duplicate set, the monitor's IdTable, flow::FlowTable
-// (flow key -> FlowId) and Trial::make_occurrences_unique. Callers keep
-// per-id payload in plain vectors indexed by the dense id, so the table
-// stores only keys.
+// It backs flow::FlowTable (flow key -> FlowId) and, inside
+// core::PacketIdIndex, the hi -> lane directory and the spill table.
+// Packet ids mostly do not reach it: PacketIdIndex resolves dense runs
+// of tagged ids by direct addressing and spills only what is sparse
+// (core/packet_id_index.hpp). Callers keep per-id payload in plain
+// vectors indexed by the id, so the table stores only keys.
 //
 // Layout: linear probing over one slot array (key, id and epoch stamp
 // side by side, so a probe touches one cache line), power-of-two
@@ -31,6 +32,9 @@ template <typename Key, typename Hash, typename Epoch = std::uint32_t>
 class FlatIndex {
  public:
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  /// Active slots of the smallest table: it holds kMinCapacity / 2 - 1
+  /// keys, and clear() returns to it.
+  static constexpr std::size_t kMinCapacity = 64;
 
   struct Inserted {
     std::uint32_t id;  ///< dense id of the key
@@ -39,12 +43,18 @@ class FlatIndex {
 
   /// Id of `key`, assigning the next dense id when it is new.
   Inserted insert(const Key& key) {
+    return insert(key, static_cast<std::uint32_t>(size_));
+  }
+
+  /// insert() for a table whose ids the caller numbers: a new key gets
+  /// `id` instead of the next dense id.
+  Inserted insert(const Key& key, std::uint32_t id) {
     if (2 * (size_ + 1) > capacity_) {
       rehash(capacity_ < kMinCapacity ? kMinCapacity : 2 * capacity_);
     }
     Slot& slot = slots_[probe(key)];
     if (slot.epoch == epoch_) return {slot.id, false};
-    const auto id = static_cast<std::uint32_t>(size_++);
+    ++size_;
     slot = Slot{key, id, epoch_};
     return {id, true};
   }
@@ -78,8 +88,6 @@ class FlatIndex {
   std::size_t capacity() const { return capacity_; }  ///< active slots
 
  private:
-  static constexpr std::size_t kMinCapacity = 64;
-
   struct Slot {
     Key key{};
     std::uint32_t id = kNone;

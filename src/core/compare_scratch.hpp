@@ -6,16 +6,17 @@
 //
 // Two pieces:
 //
-//  - ReferenceIndex: packet id -> index in trial A, a FlatIndex whose
-//    dense ids are exactly the positions in A (common/flat_index.hpp).
-//    It is immutable after rebuild(), so one index built over a
-//    reference trial can be shared read-only across evaluation workers
-//    (experiment.cpp builds it once for run A and reuses it for every
-//    B..E comparison).
+//  - ReferenceIndex: packet id -> index in trial A, a PacketIdIndex
+//    whose dense ids are exactly the positions in A
+//    (core/packet_id_index.hpp: direct-addressed lanes per sender plus a
+//    spill table). It is immutable after rebuild(), so one index built
+//    over a reference trial can be shared read-only across evaluation
+//    workers (experiment.cpp builds it once for run A and reuses it for
+//    every B..E comparison).
 //
 //  - CompareScratch: the per-worker mutable state — an epoch-stamped
 //    claim array that fuses trial-B duplicate detection with the match
-//    pass (one table probe plus one array write per packet), the B-only
+//    pass (one index lookup plus one array write per packet), the B-only
 //    duplicate set, the rank and LIS buffers, and a reusable Alignment.
 //    Epoch stamping makes the logical clear between comparisons O(1).
 //
@@ -33,7 +34,7 @@
 
 namespace choir::core {
 
-/// Flat index of a reference trial: packet id -> position in A.
+/// Index of a reference trial: packet id -> position in A.
 /// Read-only after rebuild(), hence shareable across threads.
 class ReferenceIndex {
  public:
@@ -43,18 +44,19 @@ class ReferenceIndex {
   explicit ReferenceIndex(const Trial& a) { rebuild(a); }
 
   /// Index `a`; throws choir::Error on duplicate packet ids and leaves
-  /// the index empty. Slot storage is reused when capacity allows;
-  /// returns true when it had to grow (allocation telemetry for the
-  /// scratch counters).
+  /// the index empty. Storage is reused when capacity allows; returns
+  /// true when it had to grow (allocation telemetry for the scratch
+  /// counters).
   bool rebuild(const Trial& a) {
+    const std::uint64_t grows = index_.grows();
     index_.clear();
-    const bool grew = index_.reserve(a.size());
+    index_.reserve(a.size());
     for (const TrialPacket& p : a.packets()) {
       const bool fresh = index_.insert(p.id).fresh;
       if (!fresh) index_.clear();
       CHOIR_EXPECT(fresh, "trial A contains duplicate packet ids");
     }
-    return grew;
+    return index_.grows() != grows;
   }
 
   /// Position of `id` in the indexed trial, kNoIndex when absent.

@@ -74,12 +74,17 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
     ++scratch.grows;
     scratch.claimed.resize(a.size());
   }
-  // The B-only set is sized for the worst case (every B packet absent
-  // from A) up front, so the scan below never rehashes mid-pass.
+  // The B-only set is hinted with the worst case (every B packet absent
+  // from A); it allocates only if B-only ids actually arrive. Its spill
+  // table is sized from the share of B-only ids that had spilled when its
+  // staging overflowed, so it can still grow mid-pass, and a warm scratch
+  // can grow again on a B whose B-only ids spill at a larger share or
+  // count than any earlier B's.
   scratch.b_only.clear();
-  if (scratch.b_only.reserve(b.size())) ++scratch.grows;
+  scratch.b_only.reserve(b.size());
+  const std::uint64_t b_only_grows = scratch.b_only.grows();
 
-  // --- Fused duplicate-check / match pass over B: one flat-table probe
+  // --- Fused duplicate-check / match pass over B: one index lookup
   // per packet, one claim write for the common (id present in A) case —
   // where the map-based path paid two hash-map operations.
   reserve_tracked(out->matches, b.size(), &scratch.grows);
@@ -101,6 +106,7 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
                    "trial B contains duplicate packet ids");
     }
   }
+  scratch.grows += scratch.b_only.grows() - b_only_grows;
   const std::uint32_t m = static_cast<std::uint32_t>(out->matches.size());
   ++scratch.comparisons;
   if (m == 0) return;

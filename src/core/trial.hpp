@@ -13,18 +13,10 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_index.hpp"
 #include "common/units.hpp"
+#include "core/packet_id_index.hpp"
 
 namespace choir::core {
-
-/// 128-bit packet identity (the evaluation trailer, minus its magic).
-struct PacketId {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-
-  friend bool operator==(const PacketId&, const PacketId&) = default;
-};
 
 /// Identity of the k-th occurrence of a repeated id (occurrence 0 is the
 /// id itself). The mix constant keeps derived ids disjoint from natural
@@ -38,20 +30,6 @@ constexpr PacketId occurrence_id(PacketId id, std::uint64_t occurrence) {
   }
   return id;
 }
-
-struct PacketIdHash {
-  std::size_t operator()(const PacketId& id) const noexcept {
-    // xor-fold with a multiplicative mix; ids are already well spread.
-    std::uint64_t x = id.hi * 0x9e3779b97f4a7c15ULL ^ id.lo;
-    x ^= x >> 31;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 29;
-    return static_cast<std::size_t>(x);
-  }
-};
-
-/// Packet id -> dense id, in first-insert order.
-using PacketIdIndex = FlatIndex<PacketId, PacketIdHash>;
 
 /// One received packet: identity plus receiver timestamp.
 struct TrialPacket {

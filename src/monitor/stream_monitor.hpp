@@ -48,9 +48,9 @@ namespace choir::monitor {
 
 /// Packet id -> reference position, fused with the per-stream occurrence
 /// counter used for duplicate tagging. The reference ids hold dense ids
-/// 0..n-1 of one FlatIndex, so the dense id *is* the reference position;
+/// 0..n-1 of one PacketIdIndex, so the dense id *is* the reference position;
 /// ids first seen on a stream get ids >= n and resolve to kNoRef. The
-/// common case — a unique packet present in the reference — is one probe.
+/// common case — a unique packet present in the reference — is one lookup.
 /// Occurrence counters sit in a per-id array, reset per stream in O(1) by
 /// an epoch stamp.
 class IdTable {
@@ -89,8 +89,8 @@ class IdTable {
 
   /// observe() for a raw id the caller has already found at reference
   /// position `ref_index` (the id there compared equal). Reference ids
-  /// are their own dense ids, so this is exactly what the probe would
-  /// return, without the probe.
+  /// are their own dense ids, so this is exactly what the lookup would
+  /// return, without the lookup.
   Hit observe_reference(std::uint32_t ref_index) { return claim(ref_index); }
 
   /// Read-only lookup (used for occurrence-tagged duplicate ids).
@@ -297,7 +297,7 @@ class StreamMonitor {
   // prefix is stream_matched_ - 1 without a tree walk.
   std::size_t match_high_ = 0;
   // Reference position after the last match: in-order streams find their
-  // next packet there, which saves the id table's hash probe.
+  // next packet there, which saves the id table's lookup.
   std::size_t ref_hint_ = 0;
   double running_abs_latency_ns_ = 0.0;
   double running_abs_iat_ns_ = 0.0;

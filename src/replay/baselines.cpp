@@ -19,7 +19,7 @@ void PacedReplayerBase::schedule_replay(Ns wall_start) {
 }
 
 void PacedReplayerBase::step() {
-  const app::RecordedBurst& burst = recording_.bursts()[cursor_];
+  const app::RecordedBurst burst = recording_.burst(cursor_);
   // Ideal time: preserve the recorded TSC spacing from the start point.
   const Ns offset = clock_.tsc.ticks_to_ns(burst.tsc - first_tsc_);
   const Ns target = true_start_ + offset;
@@ -33,7 +33,7 @@ void PacedReplayerBase::step() {
 }
 
 void PacedReplayerBase::emit_from(std::size_t offset) {
-  const app::RecordedBurst& burst = recording_.bursts()[cursor_];
+  const app::RecordedBurst burst = recording_.burst(cursor_);
   pktio::Mbuf* pkts[pktio::kMaxBurst];
   while (offset < burst.pkts.size()) {
     const auto chunk = static_cast<std::uint16_t>(

@@ -75,7 +75,7 @@ void GapFillReplayer::pump() {
       active_ = false;
       return;
     }
-    const app::RecordedBurst& burst = recording_.bursts()[burst_cursor_];
+    const app::RecordedBurst burst = recording_.burst(burst_cursor_);
     if (pkt_cursor_ == 0) {
       // Fill the inter-burst gap so serialization lands the burst head
       // exactly on its recorded offset.

@@ -1,10 +1,11 @@
 // Machine-independent work gates: heap allocations made by loading and
 // writing a trace must not grow with the record count, per-flow κ must
-// not allocate per flow, and a full experiment's allocations per
-// recorded packet stay pinned. Allocation counts are deterministic, so
+// not allocate per flow, a full experiment's allocations per recorded
+// packet stay pinned, and the bytes a reference index allocates per
+// packet stay bounded. Allocation counts and sizes are deterministic, so
 // they gate exactly where host time cannot. This binary replaces the
-// global operator new to count allocations, so it is kept apart from
-// every other test executable.
+// global operator new to count allocations and sum their bytes, so it is
+// kept apart from every other test executable.
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -13,22 +14,32 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flat_index.hpp"
+#include "common/rng.hpp"
+#include "core/compare_scratch.hpp"
 #include "flow/flow_kappa.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/presets.hpp"
+#include "trace/tag.hpp"
 #include "trace/trace_file.hpp"
 
 namespace {
 std::size_t g_allocations = 0;
+std::size_t g_bytes = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// All three stay out of line, so that g++ never pairs an inlined
+// malloc() or free() with the other operator (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
+  g_bytes += size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace choir::trace {
 namespace {
@@ -134,17 +145,58 @@ double experiment_allocations_per_packet(
 }
 
 TEST_F(AllocCounts, ExperimentAllocationsPerRecordedPacket) {
-  // Pinned at today's slope, so a change either way shows up here. It
-  // fits app::Recording::add_burst (choir/recording.hpp) heap-allocating
-  // one std::vector per recorded burst; local-dual's bursts are about
-  // half as large, so it pays twice per packet. Removing that vector is
-  // left for a later change, which re-pins these values.
-  // Measured 0.3615 and 0.7227; the band is far narrower than the 0.36
-  // per packet that one more allocation per burst adds.
+  // Pinned at today's slope, so a change either way shows up here. What
+  // is left is mostly deque blocks: app::Recording (choir/recording.hpp)
+  // holds packets flat in one deque (a block per 64 packets) and one
+  // record per burst (a block per 21 bursts); local-dual's bursts are
+  // about half as large, so it pays more per packet. Measured 0.0321 and
+  // 0.0486; the band is far narrower than the 0.3 per packet that one
+  // more allocation per burst adds.
   EXPECT_NEAR(experiment_allocations_per_packet(testbed::local_single()),
-              0.3615, 0.01);
+              0.0321, 0.005);
   EXPECT_NEAR(experiment_allocations_per_packet(testbed::local_dual()),
-              0.7227, 0.01);
+              0.0486, 0.005);
+}
+
+/// Bytes allocated by building a fresh core::ReferenceIndex over `a`.
+std::size_t reference_index_bytes(const core::Trial& a) {
+  const std::size_t before = g_bytes;
+  const core::ReferenceIndex index(a);
+  const std::size_t made = g_bytes - before;
+  EXPECT_EQ(index.size(), a.size());
+  return made;
+}
+
+constexpr std::size_t kIndexPackets = std::size_t{1} << 16;
+
+TEST_F(AllocCounts, ReferenceIndexBytesPerDenseTaggedPacket) {
+  // One replayer's tagged sequence, in order: the lane holds a 4-byte
+  // dense id per packet. A 24-byte-slot hash table at load <= 1/2 took
+  // 96 B per packet here.
+  core::Trial a;
+  for (std::uint64_t i = 0; i < kIndexPackets; ++i) {
+    a.push_back({packet_id_of(Tag{1, 0, i}), static_cast<Ns>(i)});
+  }
+  EXPECT_LE(reference_index_bytes(a), 8 * kIndexPackets);
+}
+
+TEST_F(AllocCounts, ReferenceIndexBytesForRandomIdsWithinFlatIndex) {
+  // Random 128-bit ids, one `hi` each: no lane ever opens, and the index
+  // costs no more than the hash table alone, reserved up front.
+  Rng rng(5);
+  core::Trial a;
+  for (std::size_t i = 0; i < kIndexPackets; ++i) {
+    a.push_back({core::PacketId{rng.next_u64(), rng.next_u64()},
+                 static_cast<Ns>(i)});
+  }
+  const std::size_t before = g_bytes;
+  {
+    FlatIndex<core::PacketId, core::PacketIdHash> flat;
+    flat.reserve(a.size());
+    for (const core::TrialPacket& p : a.packets()) flat.insert(p.id);
+  }
+  const std::size_t flat_bytes = g_bytes - before;
+  EXPECT_LE(reference_index_bytes(a), flat_bytes);
 }
 
 }  // namespace

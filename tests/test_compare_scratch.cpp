@@ -246,6 +246,45 @@ TEST(CompareScratch, SteadyStateDoesNotGrow) {
   EXPECT_EQ(scratch.comparisons, 11u);
 }
 
+/// `b` with `extras` ids absent from A spread through it: a dense run
+/// from a second sender when `tagged`, else random 128-bit ids.
+Trial with_extras(Rng& rng, const Trial& b, std::size_t extras, bool tagged) {
+  std::vector<TrialPacket> pkts = b.packets();
+  for (std::size_t k = 0; k < extras; ++k) {
+    const PacketId id = tagged ? PacketId{2, k}
+                               : PacketId{rng.next_u64(), rng.next_u64()};
+    const std::size_t at = rng.uniform_u64(pkts.size() + 1);
+    pkts.insert(pkts.begin() + static_cast<std::ptrdiff_t>(at),
+                TrialPacket{id, pkts.empty() ? 0 : pkts[at % pkts.size()].time});
+  }
+  return Trial(std::move(pkts));
+}
+
+TEST(CompareScratch, SteadyStateWithBOnlyIdsDoesNotGrow) {
+  // B-only ids fill the kernel's B-only set. Its spill table is sized
+  // from the share of them that spilled when its staging overflowed, so
+  // the shapes below size it differently; once the scratch has seen each
+  // shape, repeating them never grows it.
+  Rng rng(20);
+  const Trial a = random_trial(rng, 4096, 0.0, 0);
+  CompareScratch scratch;
+  std::uint64_t warm = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (const bool tagged : {true, false}) {
+      for (const std::size_t extras : {600, 300, 17}) {
+        compare_trials(a, with_extras(rng, random_trial(rng, 4096, 15.0, 64),
+                                      extras, tagged),
+                       {}, scratch);
+        if (!tagged && extras == 600) {
+          EXPECT_EQ(scratch.b_only.spilled(), 600u);
+        }
+      }
+    }
+    if (round == 0) warm = scratch.total_grows();
+  }
+  EXPECT_EQ(scratch.total_grows(), warm);
+}
+
 TEST(CompareScratch, StoredDisplacementMatchesMoveSum) {
   Rng rng(19);
   const Trial a = random_trial(rng, 800, 0.0, 0);

@@ -98,11 +98,10 @@ TEST_F(GapFillFixture, RealPacketSpacingIsSerializationExact) {
   // Filler sizing reproduces the *recorded* burst spacing (which sits on
   // the forwarding loop's poll grid) to within one minimum-filler
   // serialization time.
-  const auto& bursts = mb->recording().bursts();
-  ASSERT_EQ(bursts.size(), 50u);  // one packet per burst at this gap
+  ASSERT_EQ(rec.burst_count(), 50u);  // one packet per burst at this gap
   for (std::size_t i = 1; i < real_times.size(); ++i) {
     const double recorded_gap =
-        clock.tsc.ticks_to_ns(bursts[i].tsc - bursts[i - 1].tsc);
+        clock.tsc.ticks_to_ns(rec.burst(i).tsc - rec.burst(i - 1).tsc);
     EXPECT_NEAR(static_cast<double>(real_times[i] - real_times[i - 1]),
                 recorded_gap, 12.0);
   }

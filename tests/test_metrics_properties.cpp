@@ -123,7 +123,9 @@ TEST(MetricMonotonicity, MoreSwapsMeansLargerO) {
     const Trial b = perturb(r2, a, 0.0, swaps, 0.0);
     const double o = compare_trials(a, b).metrics.ordering;
     EXPECT_GE(o, prev);
-    if (swaps > 0) EXPECT_GT(o, 0.0);
+    if (swaps > 0) {
+      EXPECT_GT(o, 0.0);
+    }
     prev = o;
   }
 }

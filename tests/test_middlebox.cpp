@@ -101,8 +101,9 @@ TEST_F(MbFixture, StampsTagsWhileRecording) {
   queue.run();
   ASSERT_EQ(mb.recording().packet_count(), 5u);
   std::uint64_t expected_seq = 0;
-  for (const auto& burst : mb.recording().bursts()) {
-    for (const pktio::Mbuf* m : burst.pkts) {
+  const Recording& rec = mb.recording();
+  for (std::size_t b = 0; b < rec.burst_count(); ++b) {
+    for (const pktio::Mbuf* m : rec.burst(b).pkts) {
       ASSERT_TRUE(m->frame.has_trailer);
       const auto tag = trace::decode_tag(m->frame.trailer);
       ASSERT_TRUE(tag.has_value());
@@ -136,7 +137,9 @@ TEST_F(MbFixture, RecordingKeepsBurstStructure) {
   queue.run();
   ASSERT_GE(mb.recording().burst_count(), 2u);
   std::uint64_t prev_tsc = 0;
-  for (const auto& burst : mb.recording().bursts()) {
+  const Recording& rec = mb.recording();
+  for (std::size_t b = 0; b < rec.burst_count(); ++b) {
+    const RecordedBurst burst = rec.burst(b);
     EXPECT_GT(burst.tsc, prev_tsc);
     prev_tsc = burst.tsc;
     EXPECT_LE(burst.pkts.size(), std::size_t{pktio::kMaxBurst});

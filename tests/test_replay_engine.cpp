@@ -76,21 +76,21 @@ TEST_F(ReplayFixture, ReplaysEveryPacket) {
 
 TEST_F(ReplayFixture, ReproducesRecordedBurstSpacing) {
   auto mb = record(100, 2000);  // one packet per poll -> per burst
-  const auto& bursts = mb->recording().bursts();
-  ASSERT_GE(bursts.size(), 2u);
+  const app::Recording& rec = mb->recording();
+  ASSERT_GE(rec.burst_count(), 2u);
   mb->schedule_replay(clock.system.read(queue.now()) + milliseconds(1));
   queue.run();
   ASSERT_EQ(sink.deliveries.size(), 100u);
   // Compare replayed wire spacing against recorded TSC spacing, burst by
   // burst. With exact pacing they match to within a few ns of rounding.
   std::size_t i = 1;
-  for (std::size_t b = 1; b < bursts.size(); ++b) {
+  for (std::size_t b = 1; b < rec.burst_count(); ++b) {
     const double recorded_gap =
-        clock.tsc.ticks_to_ns(bursts[b].tsc - bursts[b - 1].tsc);
+        clock.tsc.ticks_to_ns(rec.burst(b).tsc - rec.burst(b - 1).tsc);
     const double replayed_gap = static_cast<double>(
         sink.deliveries[i].wire_time - sink.deliveries[i - 1].wire_time);
     EXPECT_NEAR(replayed_gap, recorded_gap, 3.0);
-    i += bursts[b].pkts.size();
+    i += rec.burst(b).pkts.size();
   }
 }
 
@@ -156,16 +156,16 @@ TEST_F(ReplayFixture, LoopCheckGranularityBoundsJitter) {
   auto mb = record(100, 2000, cfg, /*seed=*/11);
   mb->schedule_replay(clock.system.read(queue.now()) + milliseconds(1));
   queue.run();
-  const auto& bursts = mb->recording().bursts();
+  const app::Recording& rec = mb->recording();
   std::size_t i = 1;
-  for (std::size_t b = 1; b < bursts.size(); ++b) {
+  for (std::size_t b = 1; b < rec.burst_count(); ++b) {
     const double recorded_gap =
-        clock.tsc.ticks_to_ns(bursts[b].tsc - bursts[b - 1].tsc);
+        clock.tsc.ticks_to_ns(rec.burst(b).tsc - rec.burst(b - 1).tsc);
     const double replayed_gap = static_cast<double>(
         sink.deliveries[i].wire_time - sink.deliveries[i - 1].wire_time);
     // Each burst may fire up to one loop-check late.
     EXPECT_NEAR(replayed_gap, recorded_gap, 55.0);
-    i += bursts[b].pkts.size();
+    i += rec.burst(b).pkts.size();
   }
 }
 

@@ -35,8 +35,33 @@ TEST(RollingRecording, KeepsMostRecentPackets) {
   EXPECT_EQ(rec.packet_count(), 8u);
   EXPECT_EQ(rec.evicted_packets(), 12u);
   // The oldest surviving packet is number 12 (bursts 0..5 evicted).
-  EXPECT_EQ(rec.bursts().front().pkts[0]->frame.payload_token, 12u);
-  EXPECT_EQ(rec.bursts().back().pkts[1]->frame.payload_token, 19u);
+  EXPECT_EQ(rec.burst(0).pkts[0]->frame.payload_token, 12u);
+  EXPECT_EQ(rec.burst(rec.burst_count() - 1).pkts[1]->frame.payload_token,
+            19u);
+}
+
+TEST(RollingRecording, BurstViewSurvivesOlderEvictions) {
+  // A view of the newest burst keeps reading its own packets while
+  // newer bursts evict the older ones from the front.
+  pktio::Mempool pool(64);
+  Recording rec(6, Recording::Mode::kRolling);
+  const auto add = [&](std::uint64_t token) {
+    pktio::Mbuf* pkts[2] = {pool.alloc(), pool.alloc()};
+    pkts[0]->frame.payload_token = token;
+    pkts[1]->frame.payload_token = token + 1;
+    EXPECT_TRUE(rec.add_burst(token, pkts, 2));
+    pktio::Mempool::release(pkts[0]);
+    pktio::Mempool::release(pkts[1]);
+  };
+  add(0);
+  add(2);
+  const RecordedBurst view = rec.burst(1);  // tokens 2, 3
+  add(4);
+  add(6);  // evicts tokens 0, 1
+  ASSERT_EQ(rec.evicted_packets(), 2u);
+  EXPECT_EQ(view.pkts.front()->frame.payload_token, 2u);
+  EXPECT_EQ(view.pkts[1]->frame.payload_token, 3u);
+  EXPECT_EQ(*view.pkts.begin(), view.pkts.front());
 }
 
 TEST(RollingRecording, EvictionReleasesBuffers) {
@@ -125,7 +150,8 @@ TEST_F(BreakpointFixture, RollingMiddleboxNeverOverflows) {
   EXPECT_EQ(mb.stats().record_overflow, 0u);
   EXPECT_LE(mb.recording().packet_count(), 50u);
   // The window holds the most recent traffic.
-  const auto& last_burst = mb.recording().bursts().back();
+  const Recording& rec = mb.recording();
+  const RecordedBurst last_burst = rec.burst(rec.burst_count() - 1);
   EXPECT_EQ(last_burst.pkts.back()->frame.payload_token, 499u);
 }
 
@@ -147,12 +173,13 @@ TEST_F(BreakpointFixture, BreakpointFreezesBacktrace) {
   EXPECT_FALSE(mb.breakpoint_armed());
   // The recording ends at (or within a burst of) the trigger and holds
   // the traffic leading up to it.
-  const auto& bursts = mb.recording().bursts();
-  const std::uint64_t last = bursts.back().pkts.back()->frame.payload_token;
+  const Recording& rec = mb.recording();
+  const std::uint64_t last =
+      rec.burst(rec.burst_count() - 1).pkts.back()->frame.payload_token;
   EXPECT_GE(last, 300u);
   EXPECT_LE(last, 310u);  // within one burst of the trigger
   const std::uint64_t first =
-      bursts.front().pkts.front()->frame.payload_token;
+      rec.burst(0).pkts.front()->frame.payload_token;
   EXPECT_GE(first, 300u - 64u);
 }
 

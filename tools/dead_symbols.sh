@@ -19,11 +19,13 @@
 # (CI fails then) or when the build fails.
 #
 # Deliberate keep-set (KEEP below), and why each entry stays:
-#  - Entry points that tests drive: sim::EventQueue::run, json::write
-#    and fault::FaultInjector::attached_points. No production binary
-#    calls them, but the tests drive or check against all three.
+#  - Entry points that tests drive: sim::EventQueue::run and
+#    fault::FaultInjector::attached_points. No production binary calls
+#    them, but the tests drive or check against both.
 #  - The oracle: core::lis_length, the brute-force LIS the incremental
 #    LIS tests check against.
+#  - A work count only tests read: core::PacketIdIndex::census, the
+#    lane share tests/test_index_census.cpp reports per workload.
 #  - Symbols perfbench pins: trace::MappedCapture's move operations.
 #    perfbench/ is built on its own (not by this script) and moves
 #    captures, so their removal would break it.
@@ -32,7 +34,7 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-dead}"
 
-KEEP='^choir::(sim::EventQueue::run\(|json::write(\[abi:cxx11\])?\(|fault::FaultInjector::attached_points\(|core::lis_length\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\))'
+KEEP='^choir::(sim::EventQueue::run\(|fault::FaultInjector::attached_points\(|core::lis_length\(|core::PacketIdIndex::census\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\))'
 
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections" \
