@@ -63,7 +63,6 @@ void Controller::attempt(const pktio::FlowAddress& flow,
       queue_.schedule_in(static_cast<Ns>(gap), sim::Component::kControl,
                          [this, flow, msg, attempt_no] {
                            ++retries_;
-                           tm_retries_.add();
                            ++dest_slot(pktio::node_for_ip(flow.dst_ip)).retries;
                            attempt(flow, msg, attempt_no + 1);
                          });
@@ -71,7 +70,6 @@ void Controller::attempt(const pktio::FlowAddress& flow,
       // The backoff window closed with attempts remaining: the command's
       // redundancy budget is exhausted without any confirmation.
       ++timeouts_;
-      tm_timeouts_.add();
       ++dest_slot(peer).timeouts;
       if (flight_ != nullptr) {
         obs::FlightEvent e =
@@ -88,7 +86,6 @@ void Controller::attempt(const pktio::FlowAddress& flow,
     // Degrade, don't abort: the command may still land via a retry, and
     // the failure is visible to the experiment through the counter.
     ++send_failures_;
-    tm_failures_.add();
     ++dest_slot(peer).send_failures;
     if (flight_ != nullptr) {
       obs::FlightEvent e = control_event(obs::EventKind::kControlSendFail,
@@ -103,7 +100,6 @@ void Controller::attempt(const pktio::FlowAddress& flow,
   if (vf_.backend_tx(burst, 1) != 1) {
     pktio::Mempool::release(m);
     ++send_failures_;
-    tm_failures_.add();
     ++dest_slot(peer).send_failures;
     if (flight_ != nullptr) {
       obs::FlightEvent e = control_event(obs::EventKind::kControlSendFail,
@@ -114,7 +110,6 @@ void Controller::attempt(const pktio::FlowAddress& flow,
     return;
   }
   ++sent_;
-  tm_sent_.add();
   ++dest_slot(peer).sent;
   if (flight_ != nullptr) {
     obs::FlightEvent e =

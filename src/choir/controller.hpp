@@ -53,12 +53,10 @@ class Controller {
   Controller(sim::EventQueue& queue, sim::NodeClock& clock, net::Vf& vf,
              pktio::Mempool& pool)
       : queue_(queue), clock_(clock), vf_(vf), pool_(pool) {
-    if (telemetry::Registry::current() != nullptr) {
-      tm_sent_ = telemetry::counter("controller.sent");
-      tm_retries_ = telemetry::counter("controller.retries");
-      tm_failures_ = telemetry::counter("controller.send_failures");
-      tm_timeouts_ = telemetry::counter("controller.timeouts");
-    }
+    exposure_.counter("controller.sent", sent_);
+    exposure_.counter("controller.retries", retries_);
+    exposure_.counter("controller.send_failures", send_failures_);
+    exposure_.counter("controller.timeouts", timeouts_);
   }
 
   void set_retry(const ControlRetryConfig& retry) { retry_ = retry; }
@@ -139,10 +137,7 @@ class Controller {
   std::uint64_t timeouts_ = 0;
   std::vector<ControlDestStats> dests_;
   obs::FlightRecorder* flight_ = nullptr;
-  telemetry::CounterHandle tm_sent_;
-  telemetry::CounterHandle tm_retries_;
-  telemetry::CounterHandle tm_failures_;
-  telemetry::CounterHandle tm_timeouts_;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::app

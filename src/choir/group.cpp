@@ -59,15 +59,15 @@ GroupCoordinator::GroupCoordinator(sim::EventQueue& queue,
       loop_(queue, vf, net::PollLoopConfig{}, rng.split(0x504f4c), "group") {
   loop_.set_handler([this] { return on_poll(); });
   if (telemetry::Registry::current() != nullptr) {
-    tm_beacons_ = telemetry::counter("group.beacons_rx");
     tm_transitions_ = telemetry::counter("group.transitions");
-    tm_stragglers_ = telemetry::counter("group.stragglers");
-    tm_resyncs_ = telemetry::counter("group.resyncs");
-    tm_evictions_ = telemetry::counter("group.evictions");
-    tm_ready_timeouts_ = telemetry::counter("group.ready_timeouts");
-    tm_rounds_ = telemetry::counter("group.rounds");
     tm_track_ = telemetry::track("group");
   }
+  exposure_.counter("group.beacons_rx", stats_.beacons_rx);
+  exposure_.counter("group.stragglers", stats_.stragglers_detected);
+  exposure_.counter("group.resyncs", stats_.resyncs_sent);
+  exposure_.counter("group.evictions", stats_.evictions);
+  exposure_.counter("group.ready_timeouts", stats_.ready_timeouts);
+  exposure_.counter("group.rounds", stats_.rounds_started);
 }
 
 std::size_t GroupCoordinator::add_member(std::uint16_t id,
@@ -154,7 +154,6 @@ void GroupCoordinator::handle_beacon(const BeaconFields& fields,
     return;
   }
   ++stats_.beacons_rx;
-  tm_beacons_.add();
   GroupMemberStatus& m = *member;
   // Edge-triggered beacon logging: heartbeats arrive every
   // beacon_interval, but only phase/round edges (and the first beacon)
@@ -248,7 +247,6 @@ void GroupCoordinator::run_prepare(int round) {
 
 void GroupCoordinator::run_barrier(int round, Ns wall_start, Ns round_end) {
   ++stats_.rounds_started;
-  tm_rounds_.add();
   round_anchor_ = queue_.now();
   for (auto& m : members_) {
     if (m.state == MemberState::kEvicted) continue;
@@ -272,7 +270,6 @@ void GroupCoordinator::run_barrier(int round, Ns wall_start, Ns round_end) {
         m.beacon_round == static_cast<std::uint16_t>(round & 0xfff);
     if (!ready) {
       ++stats_.ready_timeouts;
-      tm_ready_timeouts_.add();
       continue;
     }
     ControlMessage start{Op::kStartReplay,
@@ -307,7 +304,6 @@ void GroupCoordinator::check(int round, Ns round_end) {
     if (silence > cfg_.eviction_timeout) {
       set_state(m, MemberState::kEvicted);
       ++stats_.evictions;
-      tm_evictions_.add();
       obs::FlightEvent e{};
       e.kind = obs::EventKind::kEvict;
       e.peer = m.id;
@@ -325,7 +321,6 @@ void GroupCoordinator::check(int round, Ns round_end) {
       set_state(m, MemberState::kStraggling);
       ++m.straggles;
       ++stats_.stragglers_detected;
-      tm_stragglers_.add();
       {
         obs::FlightEvent e{};
         e.kind = obs::EventKind::kStraggle;
@@ -343,7 +338,6 @@ void GroupCoordinator::check(int round, Ns round_end) {
       ctl_.send_at(now, m.ctl_flow, resync);
       ++m.resyncs;
       ++stats_.resyncs_sent;
-      tm_resyncs_.add();
       {
         obs::FlightEvent e{};
         e.kind = obs::EventKind::kResyncCmd;
@@ -370,7 +364,6 @@ void GroupCoordinator::check(int round, Ns round_end) {
       ctl_.send_at(now, m.ctl_flow, resync);
       ++m.resyncs;
       ++stats_.resyncs_sent;
-      tm_resyncs_.add();
       {
         obs::FlightEvent e{};
         e.kind = obs::EventKind::kResyncCmd;

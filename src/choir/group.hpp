@@ -203,14 +203,9 @@ class GroupCoordinator {
   obs::FlightRecorder* flight_ = nullptr;
   obs::SpanAllocator spans_;
 
-  telemetry::CounterHandle tm_beacons_;
   telemetry::CounterHandle tm_transitions_;
-  telemetry::CounterHandle tm_stragglers_;
-  telemetry::CounterHandle tm_resyncs_;
-  telemetry::CounterHandle tm_evictions_;
-  telemetry::CounterHandle tm_ready_timeouts_;
-  telemetry::CounterHandle tm_rounds_;
   std::uint32_t tm_track_ = 0;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::app

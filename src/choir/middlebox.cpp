@@ -32,23 +32,24 @@ Middlebox::Middlebox(sim::EventQueue& queue, sim::NodeClock& clock,
   loop_.set_handler([this] { return on_poll(); });
   if (telemetry::Registry::current() != nullptr) {
     const std::string base = middlebox_label(config_) + ".";
-    tm_forwarded_ = telemetry::counter(base + "forwarded");
-    tm_recorded_ = telemetry::counter(base + "recorded");
-    tm_control_frames_ = telemetry::counter(base + "control_frames");
-    tm_forward_drops_ = telemetry::counter(base + "forward_drops");
-    tm_record_overflow_ = telemetry::counter(base + "record_overflow");
-    tm_tx_ring_retries_ = telemetry::counter(base + "tx_ring_retries");
-    tm_replayed_packets_ = telemetry::counter(base + "replayed_packets");
-    tm_replayed_bursts_ = telemetry::counter(base + "replayed_bursts");
-    tm_control_duplicates_ = telemetry::counter(base + "control_duplicates");
-    tm_replay_resyncs_ = telemetry::counter(base + "replay_resyncs");
-    tm_recordings_truncated_ =
-        telemetry::counter(base + "recordings_truncated");
-    tm_group_beacons_ = telemetry::counter(base + "group_beacons");
-    tm_group_prepares_ = telemetry::counter(base + "group_prepares");
-    tm_group_resyncs_ = telemetry::counter(base + "group_resyncs");
-    tm_group_skipped_ = telemetry::counter(base + "group_skipped_packets");
-    tm_replays_aborted_ = telemetry::counter(base + "replays_aborted");
+    exposure_.counter(base + "forwarded", stats_.forwarded);
+    exposure_.counter(base + "recorded", stats_.recorded);
+    exposure_.counter(base + "control_frames", stats_.control_frames);
+    exposure_.counter(base + "forward_drops", stats_.forward_drops);
+    exposure_.counter(base + "record_overflow", stats_.record_overflow);
+    exposure_.counter(base + "tx_ring_retries", stats_.tx_ring_retries);
+    exposure_.counter(base + "replayed_packets", stats_.replayed_packets);
+    exposure_.counter(base + "replayed_bursts", stats_.replayed_bursts);
+    exposure_.counter(base + "control_duplicates", stats_.control_duplicates);
+    exposure_.counter(base + "replay_resyncs", stats_.replay_resyncs);
+    exposure_.counter(base + "recordings_truncated",
+                      stats_.recordings_truncated);
+    exposure_.counter(base + "group_beacons", stats_.group_beacons_sent);
+    exposure_.counter(base + "group_prepares", stats_.group_prepares);
+    exposure_.counter(base + "group_resyncs", stats_.group_resyncs);
+    exposure_.counter(base + "group_skipped_packets",
+                      stats_.group_skipped_packets);
+    exposure_.counter(base + "replays_aborted", stats_.replays_aborted);
     tm_forward_latency_ = telemetry::histogram(base + "forward_latency_ns");
     tm_pacing_error_ = telemetry::histogram(base + "pacing_error_ns");
     tm_replay_slack_ = telemetry::histogram(base + "replay_slack_ns");
@@ -88,7 +89,6 @@ void Middlebox::stop_record() {
     // is surfaced, not hidden inside the overflow packet count.
     if (stats_.record_overflow > overflow_at_record_start_) {
       ++stats_.recordings_truncated;
-      tm_recordings_truncated_.add();
       if (auto* tracer = telemetry::tracer()) {
         tracer->instant("recording-truncated", queue_.now(), tm_track_);
       }
@@ -115,7 +115,6 @@ bool Middlebox::on_poll() {
   for (std::uint16_t i = 0; i < n; ++i) {
     if (const auto msg = decode_control(burst[i]->frame)) {
       ++stats_.control_frames;
-      tm_control_frames_.add();
       if (auto* tracer = telemetry::tracer()) {
         tracer->instant("control-frame", queue_.now(), tm_track_);
       }
@@ -145,8 +144,6 @@ bool Middlebox::on_poll() {
   // A forwarder with a full tx ring drops on the floor (it cannot stall
   // its rx side); the recording only ever holds what was transmitted.
   stats_.forward_drops += fwd - sent;
-  if (sent > 0) tm_forwarded_.add(sent);
-  if (sent < fwd) tm_forward_drops_.add(fwd - sent);
   if (tm_forward_latency_) {
     // Store-and-forward latency: NIC admission timestamp to transmit.
     for (std::uint16_t i = 0; i < sent; ++i) {
@@ -160,10 +157,8 @@ bool Middlebox::on_poll() {
   if (recording_active_ && sent > 0) {
     if (recording_.add_burst(tsc, burst, sent)) {
       stats_.recorded += sent;
-      tm_recorded_.add(sent);
     } else {
       stats_.record_overflow += sent;
-      tm_record_overflow_.add(sent);
     }
     // Breakpoint check after the burst is safely recorded: the matching
     // frame is the last thing in the (rolling) buffer.
@@ -188,7 +183,6 @@ void Middlebox::handle_control(const ControlMessage& msg) {
     // bypass this entirely.
     if (msg.seq <= last_ctl_seq_) {
       ++stats_.control_duplicates;
-      tm_control_duplicates_.add();
       return;
     }
     last_ctl_seq_ = msg.seq;
@@ -306,7 +300,6 @@ void Middlebox::send_beacon() {
     pktio::Mbuf* burst[1] = {m};
     if (out_dev_.tx_burst(burst, 1) == 1) {
       ++stats_.group_beacons_sent;
-      tm_group_beacons_.add();
     } else {
       pktio::Mempool::release(m);
       ++stats_.group_beacon_failures;
@@ -322,7 +315,6 @@ void Middlebox::abort_replay() {
   replay_armed_ = false;
   replay_cursor_ = 0;
   ++stats_.replays_aborted;
-  tm_replays_aborted_.add();
   if (auto* tracer = telemetry::tracer()) {
     tracer->instant("replay-aborted", queue_.now(), tm_track_);
   }
@@ -343,7 +335,6 @@ void Middlebox::group_prepare(std::int64_t round) {
   prepared_round_ = round;
   done_round_ = -1;
   ++stats_.group_prepares;
-  tm_group_prepares_.add();
   if (auto* tracer = telemetry::tracer()) {
     tracer->instant("group-prepare", queue_.now(), tm_track_);
   }
@@ -365,9 +356,7 @@ void Middlebox::group_resync(Ns target_offset) {
   }
   ++replay_epoch_;
   ++stats_.group_resyncs;
-  tm_group_resyncs_.add();
   stats_.group_skipped_packets += skipped;
-  if (skipped > 0) tm_group_skipped_.add(skipped);
   if (auto* tracer = telemetry::tracer()) {
     char args[64];
     std::snprintf(args, sizeof(args), "{\"skipped\":%llu}",
@@ -448,7 +437,6 @@ void Middlebox::replay_step() {
     replay_tsc_delta_ += clock_.tsc.ns_to_ticks(behind);
     t += behind;
     ++stats_.replay_resyncs;
-    tm_replay_resyncs_.add();
     if (auto* tracer = telemetry::tracer()) {
       tracer->instant("replay-resync", queue_.now(), tm_track_);
     }
@@ -515,7 +503,6 @@ void Middlebox::emit_burst_from(std::size_t offset) {
     }
     const std::uint16_t sent = out_dev_.tx_burst(pkts, chunk);
     stats_.replayed_packets += sent;
-    if (sent > 0) tm_replayed_packets_.add(sent);
     for (std::uint16_t i = sent; i < chunk; ++i) {
       pktio::Mempool::release(pkts[i]);
     }
@@ -525,7 +512,6 @@ void Middlebox::emit_burst_from(std::size_t offset) {
       // frees slots, then retries the remainder — nothing is dropped
       // (rte_eth_tx_burst semantics).
       ++stats_.tx_ring_retries;
-      tm_tx_ring_retries_.add();
       const std::uint64_t epoch = replay_epoch_;
       const auto retry = [this, offset, epoch] {
         if (epoch != replay_epoch_) return;  // prepare/resync superseded us
@@ -540,7 +526,6 @@ void Middlebox::emit_burst_from(std::size_t offset) {
 
 void Middlebox::finish_burst() {
   ++stats_.replayed_bursts;
-  tm_replayed_bursts_.add();
   loop_free_at_ = queue_.now() + static_cast<Ns>(config_.loop_check_ns);
   ++replay_cursor_;
   if (replay_cursor_ < recording_.burst_count()) {

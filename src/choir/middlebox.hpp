@@ -170,24 +170,10 @@ class Middlebox {
   std::uint16_t last_beacon_logged_ = 0xffff;  ///< phase<<12 | round edge
 
   MiddleboxStats stats_;
+  telemetry::Exposure exposure_;  ///< stats_ as middlebox.<id>.* counters
 
-  // Telemetry (null handles when no session is installed).
-  telemetry::CounterHandle tm_forwarded_;
-  telemetry::CounterHandle tm_recorded_;
-  telemetry::CounterHandle tm_control_frames_;
-  telemetry::CounterHandle tm_forward_drops_;
-  telemetry::CounterHandle tm_record_overflow_;
-  telemetry::CounterHandle tm_tx_ring_retries_;
-  telemetry::CounterHandle tm_replayed_packets_;
-  telemetry::CounterHandle tm_replayed_bursts_;
-  telemetry::CounterHandle tm_control_duplicates_;
-  telemetry::CounterHandle tm_replay_resyncs_;
-  telemetry::CounterHandle tm_recordings_truncated_;
-  telemetry::CounterHandle tm_group_beacons_;
-  telemetry::CounterHandle tm_group_prepares_;
-  telemetry::CounterHandle tm_group_resyncs_;
-  telemetry::CounterHandle tm_group_skipped_;
-  telemetry::CounterHandle tm_replays_aborted_;
+  // Telemetry-only instruments (null handles when no session is
+  // installed).
   telemetry::HistogramHandle tm_forward_latency_;
   telemetry::HistogramHandle tm_pacing_error_;
   telemetry::HistogramHandle tm_replay_slack_;

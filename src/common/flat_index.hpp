@@ -76,11 +76,12 @@ class FlatIndex {
     next_epoch();
   }
 
-  /// Make room for `n` keys without further rehashing. Returns true when
+  /// Make room for `n` keys without further rehashing: insert() grows
+  /// only past load 1/2, so n keys fit in 2n slots. Returns true when
   /// the slot storage had to grow (allocation telemetry for callers).
   bool reserve(std::size_t n) {
     std::size_t capacity = kMinCapacity;
-    while (capacity < 2 * (n + 1)) capacity <<= 1;
+    while (capacity < 2 * n) capacity <<= 1;
     return capacity > capacity_ && rehash(capacity);
   }
 

@@ -42,14 +42,12 @@ struct FaultInjector::LinkPoint : net::LinkFaultHook {
       switch (e->kind) {
         case FaultKind::kLinkDown:
           ++s.link_down_drops;
-          parent->tm_link_down_.add();
           parent->notify_activation(name, notified, i, e->kind,
                                     wire_departure);
           return false;
         case FaultKind::kLinkDrop:
           if (rng.chance(e->probability)) {
             ++s.frames_dropped;
-            parent->tm_dropped_.add();
             parent->notify_activation(name, notified, i, e->kind,
                                       wire_departure);
             return false;
@@ -59,7 +57,6 @@ struct FaultInjector::LinkPoint : net::LinkFaultHook {
           if (!pkt->frame.invalid_fcs && rng.chance(e->probability)) {
             pkt->frame.invalid_fcs = true;
             ++s.frames_corrupted;
-            parent->tm_corrupted_.add();
             parent->notify_activation(name, notified, i, e->kind,
                                       wire_departure);
           }
@@ -75,7 +72,6 @@ struct FaultInjector::LinkPoint : net::LinkFaultHook {
               clone->frame = pkt->frame;
               clone->port = pkt->port;
               ++s.frames_duplicated;
-              parent->tm_duplicated_.add();
               via.deliver_at(clone, wire_departure +
                                         via.config().propagation +
                                         std::max<Ns>(1, e->delay));
@@ -86,7 +82,6 @@ struct FaultInjector::LinkPoint : net::LinkFaultHook {
           if (rng.chance(e->probability)) {
             extra_delay += e->delay;
             ++s.frames_reordered;
-            parent->tm_reordered_.add();
             parent->notify_activation(name, notified, i, e->kind,
                                       wire_departure);
           }
@@ -122,10 +117,8 @@ struct FaultInjector::PortPoint : pktio::PortFaultHook {
       if (e->kind == (rx ? FaultKind::kNicRxStall : FaultKind::kNicTxStall)) {
         if (rx) {
           ++s.rx_stalled_polls;
-          parent->tm_rx_stalls_.add();
         } else {
           ++s.tx_stalled_bursts;
-          parent->tm_tx_stalls_.add();
         }
         parent->notify_activation(name, notified, i, e->kind, now);
         return 0;
@@ -137,7 +130,6 @@ struct FaultInjector::PortPoint : pktio::PortFaultHook {
     }
     if (allowed < n) {
       ++s.bursts_truncated;
-      parent->tm_truncated_.add();
       parent->notify_activation(name, notified, truncated_by,
                                 events[truncated_by]->kind, now);
     }
@@ -169,7 +161,6 @@ struct FaultInjector::PoolPoint : pktio::MempoolFaultHook {
       // p = 1 (the default) is exact exhaustion and burns no RNG draw.
       if (e->probability >= 1.0 || rng.chance(e->probability)) {
         ++parent->stats_.allocs_denied;
-        parent->tm_denied_.add();
         parent->notify_activation(name, notified, i, e->kind, now);
         return true;
       }
@@ -202,7 +193,6 @@ struct FaultInjector::ClockPoint final : sim::PtpFaultHook {
     }
     if (scale != 1.0) {
       ++parent->stats_.clock_degrades;
-      parent->tm_clock_degrades_.add();
     }
     return scale;
   }
@@ -216,18 +206,16 @@ FaultInjector::FaultInjector(sim::EventQueue& queue, FaultPlan plan, Rng rng)
       seed_(rng.split(0x4641554cULL).next_u64()),
       dup_pool_(kDuplicatePoolPkts) {
   plan_.validate();
-  if (telemetry::Registry::current() != nullptr) {
-    tm_link_down_ = telemetry::counter("fault.link_down_drops");
-    tm_dropped_ = telemetry::counter("fault.frames_dropped");
-    tm_corrupted_ = telemetry::counter("fault.frames_corrupted");
-    tm_duplicated_ = telemetry::counter("fault.frames_duplicated");
-    tm_reordered_ = telemetry::counter("fault.frames_reordered");
-    tm_rx_stalls_ = telemetry::counter("fault.rx_stalled_polls");
-    tm_tx_stalls_ = telemetry::counter("fault.tx_stalled_bursts");
-    tm_truncated_ = telemetry::counter("fault.bursts_truncated");
-    tm_denied_ = telemetry::counter("fault.allocs_denied");
-    tm_clock_degrades_ = telemetry::counter("fault.clock_degrades");
-  }
+  exposure_.counter("fault.link_down_drops", stats_.link_down_drops);
+  exposure_.counter("fault.frames_dropped", stats_.frames_dropped);
+  exposure_.counter("fault.frames_corrupted", stats_.frames_corrupted);
+  exposure_.counter("fault.frames_duplicated", stats_.frames_duplicated);
+  exposure_.counter("fault.frames_reordered", stats_.frames_reordered);
+  exposure_.counter("fault.rx_stalled_polls", stats_.rx_stalled_polls);
+  exposure_.counter("fault.tx_stalled_bursts", stats_.tx_stalled_bursts);
+  exposure_.counter("fault.bursts_truncated", stats_.bursts_truncated);
+  exposure_.counter("fault.allocs_denied", stats_.allocs_denied);
+  exposure_.counter("fault.clock_degrades", stats_.clock_degrades);
 }
 
 FaultInjector::~FaultInjector() { detach_all(); }

@@ -115,23 +115,13 @@ class FaultInjector {
   std::uint64_t seed_;
   pktio::Mempool dup_pool_;
   FaultStats stats_;
+  telemetry::Exposure exposure_;  ///< stats_ as the fault.* counters
   std::function<void(const std::string&, FaultKind, Ns)> observer_;
 
   std::vector<std::unique_ptr<LinkPoint>> links_;
   std::vector<std::unique_ptr<PortPoint>> ports_;
   std::vector<std::unique_ptr<PoolPoint>> pools_;
   std::vector<std::unique_ptr<ClockPoint>> clocks_;
-
-  telemetry::CounterHandle tm_link_down_;
-  telemetry::CounterHandle tm_dropped_;
-  telemetry::CounterHandle tm_corrupted_;
-  telemetry::CounterHandle tm_duplicated_;
-  telemetry::CounterHandle tm_reordered_;
-  telemetry::CounterHandle tm_rx_stalls_;
-  telemetry::CounterHandle tm_tx_stalls_;
-  telemetry::CounterHandle tm_truncated_;
-  telemetry::CounterHandle tm_denied_;
-  telemetry::CounterHandle tm_clock_degrades_;
 };
 
 }  // namespace choir::fault

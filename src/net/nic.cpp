@@ -58,7 +58,6 @@ void Vf::enqueue_rx(pktio::Mbuf* pkt) {
   const bool was_empty = rx_ring_.empty();
   if (!rx_ring_.enqueue(pkt)) {
     ++imissed_;
-    tm_imissed_.add();
     pktio::Mempool::release(pkt);
     return;
   }
@@ -102,7 +101,6 @@ void PhysNic::deliver(pktio::Mbuf* pkt, Ns wire_time) {
   Vf* vf = route(pkt);
   if (vf == nullptr) {
     ++rx_drops_;
-    tm_rx_drops_.add();
     pktio::Mempool::release(pkt);
     return;
   }
@@ -110,13 +108,11 @@ void PhysNic::deliver(pktio::Mbuf* pkt, Ns wire_time) {
       rx_pipeline_.admit(wire_time, pkt->frame.wire_len);
   if (!admission.accepted) {
     ++rx_drops_;
-    tm_rx_drops_.add();
     pktio::Mempool::release(pkt);
     return;
   }
   pkt->rx_timestamp = admission.timestamp;
   ++rx_delivered_;
-  tm_rx_delivered_.add();
   if (admission.release <= queue_.now()) {
     vf->enqueue_rx(pkt);
     return;

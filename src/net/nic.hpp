@@ -34,8 +34,9 @@ class Vf : public pktio::PortBackend {
      std::size_t tx_ring_pkts, bool promiscuous, const std::string& label)
       : phys_(phys), mac_(mac), rx_ring_(rx_ring_pkts),
         tx_ring_(tx_ring_pkts), promiscuous_(promiscuous),
-        tm_rx_ring_hwm_(telemetry::gauge(label + ".rx_ring_hwm")),
-        tm_imissed_(telemetry::counter(label + ".imissed")) {}
+        tm_rx_ring_hwm_(telemetry::gauge(label + ".rx_ring_hwm")) {
+    exposure_.counter(label + ".imissed", imissed_);
+  }
 
   /// DPDK-style transmit: the burst is accepted into the descriptor ring
   /// (as far as it has room — callers see partial acceptance and retry,
@@ -77,7 +78,7 @@ class Vf : public pktio::PortBackend {
   Ns last_pull_ = 0;  ///< DMA descriptor-ring FIFO ordering
   std::function<void()> rx_wakeup_;
   telemetry::GaugeHandle tm_rx_ring_hwm_;
-  telemetry::CounterHandle tm_imissed_;
+  telemetry::Exposure exposure_;
 };
 
 /// The physical function: owns the wire-side TX port and RX pipeline.
@@ -92,8 +93,8 @@ class PhysNic : public Endpoint {
         rx_pipeline_(queue, config, rng.split(0x5250)) {
     if (telemetry::Registry::current() != nullptr) {
       const std::string base = "nic." + config_.name + ".";
-      tm_rx_drops_ = telemetry::counter(base + "rx_drops");
-      tm_rx_delivered_ = telemetry::counter(base + "rx_delivered");
+      exposure_.counter(base + "rx_drops", rx_drops_);
+      exposure_.counter(base + "rx_delivered", rx_delivered_);
       tm_dma_pull_delay_ = telemetry::histogram(base + "dma_pull_delay_ns");
       tx_port_.bind_telemetry(config_.name);
     }
@@ -135,9 +136,8 @@ class PhysNic : public Endpoint {
   std::size_t dma_in_flight_ = 0;  ///< accepted, not yet pulled
   std::uint64_t rx_drops_ = 0;
   std::uint64_t rx_delivered_ = 0;
-  telemetry::CounterHandle tm_rx_drops_;
-  telemetry::CounterHandle tm_rx_delivered_;
   telemetry::HistogramHandle tm_dma_pull_delay_;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::net

@@ -35,7 +35,7 @@ class PollLoop {
     vf_.set_rx_wakeup([this] { wake(); });
     if (telemetry::Registry::current() != nullptr) {
       const std::string base = "poll." + label + ".";
-      tm_iterations_ = telemetry::counter(base + "iterations");
+      exposure_.counter(base + "iterations", iterations_);
       tm_wakeups_ = telemetry::counter(base + "wakeups");
       tm_parks_ = telemetry::counter(base + "parks");
       tm_track_ = telemetry::track(label);
@@ -84,7 +84,6 @@ class PollLoop {
     scheduled_ = false;
     if (!running_) return;
     ++iterations_;
-    tm_iterations_.add();
     const bool worked = handler_ ? handler_() : false;
     idle_streak_ = worked ? 0 : idle_streak_ + 1;
     if (idle_streak_ >= config_.idle_polls_to_park && vf_.rx_pending() == 0) {
@@ -106,10 +105,10 @@ class PollLoop {
   bool scheduled_ = false;
   int idle_streak_ = 0;
   std::uint64_t iterations_ = 0;
-  telemetry::CounterHandle tm_iterations_;
   telemetry::CounterHandle tm_wakeups_;
   telemetry::CounterHandle tm_parks_;
   std::uint32_t tm_track_ = 0;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::net

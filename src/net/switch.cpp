@@ -26,9 +26,9 @@ struct Switch::PortIngress : Endpoint {
 
 Switch::Switch(sim::EventQueue& queue, const SwitchConfig& config, Rng rng)
     : queue_(queue), config_(config), rng_(rng.split(0x5357)) {
-  tm_forwarded_ = telemetry::counter("switch.forwarded");
-  tm_unroutable_ = telemetry::counter("switch.unroutable_drops");
-  tm_fcs_drops_ = telemetry::counter("switch.fcs_drops");
+  exposure_.counter("switch.forwarded", forwarded_);
+  exposure_.counter("switch.unroutable_drops", unroutable_);
+  exposure_.counter("switch.fcs_drops", fcs_drops_);
 }
 
 Switch::~Switch() = default;
@@ -77,19 +77,16 @@ void Switch::on_frame(std::size_t in_port, pktio::Mbuf* pkt, Ns wire_time) {
   // occupying the wire — the fate MoonGen-style filler frames rely on.
   if (pkt->frame.invalid_fcs) {
     ++fcs_drops_;
-    tm_fcs_drops_.add();
     pktio::Mempool::release(pkt);
     return;
   }
   const auto out = lookup(in_port, pkt);
   if (!out) {
     ++unroutable_;
-    tm_unroutable_.add();
     pktio::Mempool::release(pkt);
     return;
   }
   ++forwarded_;
-  tm_forwarded_.add();
   double jitter = 0.0;
   if (config_.processing_jitter_sigma_ns > 0.0) {
     jitter = std::abs(rng_.normal(0.0, config_.processing_jitter_sigma_ns));

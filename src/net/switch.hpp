@@ -76,9 +76,7 @@ class Switch {
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;
   std::uint64_t fcs_drops_ = 0;
-  telemetry::CounterHandle tm_forwarded_;
-  telemetry::CounterHandle tm_unroutable_;
-  telemetry::CounterHandle tm_fcs_drops_;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::net

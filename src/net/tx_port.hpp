@@ -31,7 +31,7 @@ class TxPort {
   void bind_telemetry(const std::string& label) {
     const std::string base = "txport." + label + ".";
     tm_queue_delay_ = telemetry::histogram(base + "queue_delay_ns");
-    tm_drops_ = telemetry::counter(base + "drops");
+    exposure_.counter(base + "drops", drops_);
     tm_backlog_hwm_ = telemetry::gauge(base + "backlog_hwm");
   }
 
@@ -43,7 +43,6 @@ class TxPort {
     const Ns now = queue_.now();
     if (in_flight_ >= queue_pkts_) {
       ++drops_;
-      tm_drops_.add();
       pktio::Mempool::release(pkt);
       return false;
     }
@@ -86,8 +85,8 @@ class TxPort {
   std::uint64_t tx_frames_ = 0;
   std::uint64_t tx_bytes_ = 0;
   telemetry::HistogramHandle tm_queue_delay_;
-  telemetry::CounterHandle tm_drops_;
   telemetry::GaugeHandle tm_backlog_hwm_;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::net

@@ -20,7 +20,7 @@ Mempool::Mempool(std::size_t capacity, std::string name)
   if (!name_.empty() && telemetry::Registry::current() != nullptr) {
     const std::string base = "pool." + name_ + ".";
     tm_in_use_hwm_ = telemetry::gauge(base + "in_use_hwm");
-    tm_alloc_failures_ = telemetry::counter(base + "alloc_failures");
+    exposure_.counter(base + "alloc_failures", alloc_failures_);
   }
 }
 
@@ -28,12 +28,10 @@ Mbuf* Mempool::alloc() {
   if (fault_ != nullptr && fault_->deny_alloc()) {
     ++alloc_failures_;
     ++denied_allocs_;
-    tm_alloc_failures_.add();
     return nullptr;
   }
   if (free_.empty()) {
     ++alloc_failures_;
-    tm_alloc_failures_.add();
     return nullptr;
   }
   const std::uint32_t idx = free_.back();

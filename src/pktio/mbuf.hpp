@@ -86,7 +86,7 @@ class Mempool {
   std::uint64_t denied_allocs_ = 0;
   MempoolFaultHook* fault_ = nullptr;
   telemetry::GaugeHandle tm_in_use_hwm_;
-  telemetry::CounterHandle tm_alloc_failures_;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::pktio

@@ -44,7 +44,6 @@ void PacedReplayerBase::emit_from(std::size_t offset) {
     }
     const std::uint16_t sent = out_dev_.tx_burst(pkts, chunk);
     stats_.packets += sent;
-    if (sent > 0) tm_packets_.add(sent);
     for (std::uint16_t i = sent; i < chunk; ++i) {
       pktio::Mempool::release(pkts[i]);
     }
@@ -58,7 +57,6 @@ void PacedReplayerBase::emit_from(std::size_t offset) {
     }
   }
   ++stats_.bursts;
-  tm_bursts_.add();
   if (++cursor_ < recording_.burst_count()) {
     step();
   } else {

@@ -43,8 +43,8 @@ class PacedReplayerBase : public Replayer {
       : queue_(queue), clock_(clock), out_dev_(label + "-out", out),
         recording_(recording) {
     if (telemetry::Registry::current() != nullptr) {
-      tm_bursts_ = telemetry::counter(label + ".replayed_bursts");
-      tm_packets_ = telemetry::counter(label + ".replayed_packets");
+      exposure_.counter(label + ".replayed_bursts", stats_.bursts);
+      exposure_.counter(label + ".replayed_packets", stats_.packets);
       tm_tx_retries_ = telemetry::counter(label + ".tx_retries");
       tm_pacing_delay_ = telemetry::histogram(label + ".pacing_delay_ns");
     }
@@ -74,12 +74,11 @@ class PacedReplayerBase : public Replayer {
   std::uint64_t first_tsc_ = 0;
   Ns last_emission_ = 0;
   ReplayStats stats_;
-  telemetry::CounterHandle tm_bursts_;
-  telemetry::CounterHandle tm_packets_;
   telemetry::CounterHandle tm_tx_retries_;
   /// Emission minus ideal target: how far the pacing policy itself
   /// pushes each burst off the recorded timeline.
   telemetry::HistogramHandle tm_pacing_delay_;
+  telemetry::Exposure exposure_;
 };
 
 /// tcpreplay-style sleeping replayer.

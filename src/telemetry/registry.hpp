@@ -11,7 +11,8 @@
 // ScopedTelemetry session (telemetry.hpp), and the install is
 // thread-local, so concurrently running experiments (one per task-pool
 // worker) each bind their own registry. With no session installed all
-// instrumentation in the codebase degrades to null handles. Worker
+// instrumentation in the codebase degrades to null handles and empty
+// exposures. A registry must outlive every Exposure bound to it. Worker
 // registries can be folded into an aggregate after the join with
 // merge_from(); merging in submission order keeps the aggregate
 // deterministic.

@@ -26,6 +26,20 @@ ScopedTelemetry::~ScopedTelemetry() {
   g_tracer = prev_tracer_;
 }
 
+void Exposure::counter(const std::string& name, const std::uint64_t& count) {
+  if (g_registry == nullptr) return;
+  Counter& c = g_registry->counter(name);
+  c.exposed_.push_back(&count);
+  exposed_.emplace_back(&c, &count);
+}
+
+Exposure::~Exposure() {
+  for (const auto& [c, count] : exposed_) {
+    c->value_ += *count;
+    std::erase(c->exposed_, count);
+  }
+}
+
 CounterHandle counter(const std::string& name) {
   return g_registry != nullptr ? CounterHandle(&g_registry->counter(name))
                                : CounterHandle();

@@ -7,8 +7,10 @@
 //   telemetry::ScopedTelemetry session(&registry, &tracer);
 //   ... construct simulation components; they bind handles now ...
 //
-// Components call telemetry::counter("a.b") & co. at construction; with
-// no session installed these return null handles and every hot-path
+// Components expose the counts they keep themselves through an Exposure
+// and call telemetry::counter("a.b") & co. at construction for
+// telemetry-only instruments; with no session installed an Exposure
+// registers nothing, the calls return null handles, and every hot-path
 // operation is a single predictable branch. Telemetry is strictly an
 // observer: it draws from no RNG stream and schedules nothing that
 // mutates simulation state, so a seeded run is bit-identical with

@@ -61,10 +61,8 @@ bool CaptureDaemon::drain() {
         }
         active_->append(record);
         ++recorded_;
-        tm_recorded_.add();
       } else {
         ++discarded_;
-        tm_discarded_.add();
       }
       pktio::Mempool::release(m);
     }

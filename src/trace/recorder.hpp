@@ -39,8 +39,6 @@ class CaptureDaemon {
       : queue_(queue),
         dev_(label, vf),
         loop_(queue, vf, poll, rng, label),
-        tm_recorded_(telemetry::counter(label + ".captured")),
-        tm_discarded_(telemetry::counter(label + ".discarded")),
         tm_drain_batch_pkts_(telemetry::histogram(label + ".drain_batch_pkts")),
         tm_track_(telemetry::track(label)),
         monitor_(monitor),
@@ -51,6 +49,8 @@ class CaptureDaemon {
       tm_flow_bytes_.push_back(telemetry::counter(prefix + "bytes"));
       tm_flow_new_.push_back(telemetry::counter(prefix + "flows"));
     }
+    exposure_.counter(label + ".captured", recorded_);
+    exposure_.counter(label + ".discarded", discarded_);
     loop_.set_handler([this] { return drain(); });
     loop_.start();
   }
@@ -78,8 +78,6 @@ class CaptureDaemon {
   Capture* active_ = nullptr;
   std::uint64_t discarded_ = 0;
   std::uint64_t recorded_ = 0;
-  telemetry::CounterHandle tm_recorded_;
-  telemetry::CounterHandle tm_discarded_;
   telemetry::HistogramHandle tm_drain_batch_pkts_;
   std::uint32_t tm_track_ = 0;
   /// Streaming monitor feed, bound at construction: null when the run
@@ -95,6 +93,7 @@ class CaptureDaemon {
   std::vector<telemetry::CounterHandle> tm_flow_packets_;
   std::vector<telemetry::CounterHandle> tm_flow_bytes_;
   std::vector<telemetry::CounterHandle> tm_flow_new_;
+  telemetry::Exposure exposure_;
 };
 
 }  // namespace choir::trace

@@ -1,7 +1,8 @@
 // FlatIndex property tests against a std::unordered_map oracle: random
-// keys, keys that all collide, growth from 64 to 2^17 slots, clear()
-// across an epoch wrap, and duplicate inserts. The oracle assigns each
-// new key the next dense id, which is the whole FlatIndex contract.
+// keys, keys that all collide, growth from 64 to 2^17 slots, reserve()
+// sizing, clear() across an epoch wrap, and duplicate inserts. The
+// oracle assigns each new key the next dense id, which is the whole
+// FlatIndex contract.
 #include "common/flat_index.hpp"
 
 #include <gtest/gtest.h>
@@ -124,6 +125,19 @@ TEST(FlatIndex, DuplicateInsertKeepsFirstId) {
   EXPECT_EQ(b.id, 1u);
   EXPECT_EQ(again.id, 0u);
   EXPECT_EQ(index.size(), 2u);
+}
+
+TEST(FlatIndex, ReserveOfAPowerOfTwoTakesTwiceItsSlots) {
+  // n keys fit in 2n slots (load <= 1/2), so reserving 2^16 keys takes
+  // 2^17 slots and the 2^16 inserts that follow never rehash.
+  FlatIndex<std::uint64_t, MixHash> index;
+  EXPECT_TRUE(index.reserve(std::size_t{1} << 16));
+  EXPECT_EQ(index.capacity(), std::size_t{1} << 17);
+  for (std::uint64_t key = 0; key < (1u << 16); ++key) {
+    index.insert(key * 0x9e3779b97f4a7c15ULL);
+    ASSERT_EQ(index.capacity(), std::size_t{1} << 17) << "key " << key;
+  }
+  EXPECT_EQ(index.size(), std::size_t{1} << 16);
 }
 
 TEST(FlatIndex, ReserveGrowsStorageOnlyPastTheHighWaterMark) {

@@ -1,6 +1,7 @@
 // Unit tests for the telemetry subsystem: registry instruments, the
 // log2-bucketed latency histogram, the Chrome-tracing exporter, the
-// sampler, and the ScopedTelemetry session / null-handle machinery.
+// sampler, the ScopedTelemetry session / null-handle machinery, and the
+// Exposure of counts a component keeps itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -253,7 +254,9 @@ TEST(Tracer, TrackZeroIsExperimentAndTracksDedupe) {
 TEST(Tracer, DropsPastTheEventCap) {
   Tracer tracer(4);
   for (int i = 0; i < 10; ++i) {
-    tracer.instant("e" + std::to_string(i), Ns{i});
+    std::string name = "e";
+    name += std::to_string(i);
+    tracer.instant(name, Ns{i});
   }
   EXPECT_EQ(tracer.events().size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);
@@ -335,6 +338,57 @@ TEST(ScopedTelemetry, InstallsAndNests) {
   }
   EXPECT_EQ(Registry::current(), nullptr);
   EXPECT_EQ(outer_registry.counter("hits").value(), 2u);
+}
+
+// ---- Exposure -----------------------------------------------------------
+
+TEST(Exposure, RegistersNothingWithoutSession) {
+  ASSERT_EQ(Registry::current(), nullptr);
+  Registry registry;
+  std::uint64_t forwarded = 5;
+  {
+    Exposure exposure;
+    exposure.counter("x.forwarded", forwarded);
+    ++forwarded;
+  }
+  EXPECT_TRUE(registry.counters().empty());
+}
+
+TEST(Exposure, ReadsLiveAndExposersOfOneNameAddUp) {
+  Registry registry;
+  ScopedTelemetry session(&registry, nullptr);
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  Exposure first;
+  Exposure second;
+  first.counter("ctl.sent", a);
+  second.counter("ctl.sent", b);
+  counter("ctl.sent").add(1);  // a handle of the same name adds too
+  a = 3;
+  b = 4;
+  EXPECT_EQ(registry.counter("ctl.sent").value(), 8u);
+  ++a;
+  EXPECT_EQ(registry.counter("ctl.sent").value(), 9u);
+  EXPECT_EQ(registry.snapshot(Ns{0}).counters.at(0).second, 9u);
+}
+
+TEST(Exposure, RegistryKeepsTheFinalValueAfterTheExposerIsGone) {
+  Registry registry;
+  ScopedTelemetry session(&registry, nullptr);
+  std::uint64_t survivor = 2;
+  Exposure kept;
+  kept.counter("drops", survivor);
+  {
+    std::uint64_t drops = 0;
+    Exposure exposure;
+    exposure.counter("drops", drops);
+    exposure.counter("other", drops);
+    drops = 40;
+  }
+  EXPECT_EQ(registry.counter("drops").value(), 42u);
+  EXPECT_EQ(registry.counter("other").value(), 40u);
+  survivor = 7;  // the live exposer is still read, the folded one kept
+  EXPECT_EQ(registry.counter("drops").value(), 47u);
 }
 
 // ---- merge_from (worker-scoped sessions) -------------------------------

@@ -1,12 +1,14 @@
 // Zero-perturbation regression: a seeded experiment must be bit-identical
 // whether telemetry is enabled or not, and an enabled run must actually
 // produce the promised coverage (per-port counters, ring high-water
-// marks, latency histograms, record/replay trace spans, artifacts).
+// marks, latency histograms, record/replay trace spans, artifacts). A
+// counter a component exposes must equal the component's own count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "testbed/experiment.hpp"
 
@@ -109,6 +111,80 @@ TEST(TelemetryDeterminism, EnabledRunCoversThePipeline) {
     EXPECT_GE(result.telemetry_samples[i].at,
               result.telemetry_samples[i - 1].at);
   }
+}
+
+TEST(TelemetryDeterminism, CountersEqualTheComponentsOwnCounts) {
+  // A faulted four-node group run: every exposed counter, read from the
+  // registry after the topology is gone, equals the count the result
+  // copied from the component itself.
+  ExperimentConfig cfg;
+  cfg.env = chaos_single(0.5);
+  cfg.env.replayers = 4;
+  cfg.group.enabled = true;
+  cfg.packets = 4000;
+  cfg.runs = 3;
+  cfg.seed = 11;
+  cfg.telemetry.enabled = true;
+  const auto result = run_experiment(cfg);
+  ASSERT_NE(result.telemetry_registry, nullptr);
+  const auto& counters = result.telemetry_registry->counters();
+  const auto count = [&](const std::string& name) -> std::uint64_t {
+    const auto it = counters.find(name);
+    EXPECT_NE(it, counters.end()) << name;
+    return it == counters.end() ? ~std::uint64_t{0} : it->second.value();
+  };
+
+  ASSERT_EQ(result.middlebox_stats.size(), 4u);
+  ASSERT_EQ(result.group_members.size(), 4u);
+  for (std::size_t i = 0; i < result.middlebox_stats.size(); ++i) {
+    const app::MiddleboxStats& m = result.middlebox_stats[i];
+    const std::string base =
+        "middlebox." + std::to_string(result.group_members[i].id) + ".";
+    EXPECT_EQ(count(base + "forwarded"), m.forwarded);
+    EXPECT_EQ(count(base + "recorded"), m.recorded);
+    EXPECT_EQ(count(base + "control_frames"), m.control_frames);
+    EXPECT_EQ(count(base + "forward_drops"), m.forward_drops);
+    EXPECT_EQ(count(base + "record_overflow"), m.record_overflow);
+    EXPECT_EQ(count(base + "tx_ring_retries"), m.tx_ring_retries);
+    EXPECT_EQ(count(base + "replayed_packets"), m.replayed_packets);
+    EXPECT_EQ(count(base + "replayed_bursts"), m.replayed_bursts);
+    EXPECT_EQ(count(base + "control_duplicates"), m.control_duplicates);
+    EXPECT_EQ(count(base + "replay_resyncs"), m.replay_resyncs);
+    EXPECT_EQ(count(base + "recordings_truncated"), m.recordings_truncated);
+    EXPECT_EQ(count(base + "group_beacons"), m.group_beacons_sent);
+    EXPECT_EQ(count(base + "group_prepares"), m.group_prepares);
+    EXPECT_EQ(count(base + "group_resyncs"), m.group_resyncs);
+    EXPECT_EQ(count(base + "group_skipped_packets"), m.group_skipped_packets);
+    EXPECT_EQ(count(base + "replays_aborted"), m.replays_aborted);
+    EXPECT_GT(m.replayed_packets, 0u);
+  }
+
+  const fault::FaultStats& f = result.fault_stats;
+  EXPECT_EQ(count("fault.link_down_drops"), f.link_down_drops);
+  EXPECT_EQ(count("fault.frames_dropped"), f.frames_dropped);
+  EXPECT_EQ(count("fault.frames_corrupted"), f.frames_corrupted);
+  EXPECT_EQ(count("fault.frames_duplicated"), f.frames_duplicated);
+  EXPECT_EQ(count("fault.frames_reordered"), f.frames_reordered);
+  EXPECT_EQ(count("fault.rx_stalled_polls"), f.rx_stalled_polls);
+  EXPECT_EQ(count("fault.tx_stalled_bursts"), f.tx_stalled_bursts);
+  EXPECT_EQ(count("fault.bursts_truncated"), f.bursts_truncated);
+  EXPECT_EQ(count("fault.allocs_denied"), f.allocs_denied);
+  EXPECT_EQ(count("fault.clock_degrades"), f.clock_degrades);
+  EXPECT_GT(f.total(), 0u);
+
+  const app::GroupStats& g = result.group_stats;
+  EXPECT_EQ(count("group.beacons_rx"), g.beacons_rx);
+  EXPECT_EQ(count("group.stragglers"), g.stragglers_detected);
+  EXPECT_EQ(count("group.resyncs"), g.resyncs_sent);
+  EXPECT_EQ(count("group.evictions"), g.evictions);
+  EXPECT_EQ(count("group.ready_timeouts"), g.ready_timeouts);
+  EXPECT_EQ(count("group.rounds"), g.rounds_started);
+  EXPECT_EQ(g.rounds_started, 3u);
+
+  EXPECT_EQ(count("controller.retries"), result.control_retries);
+  EXPECT_EQ(count("controller.send_failures"), result.control_send_failures);
+  EXPECT_EQ(count("controller.timeouts"), result.control_timeouts);
+  EXPECT_GT(result.control_retries, 0u);
 }
 
 TEST(TelemetryDeterminism, WritesArtifactsWhenDirSet) {
