@@ -11,8 +11,8 @@
 // at all) every hooked component behaves exactly as before, and no RNG
 // stream used by the simulation proper is ever consumed here.
 //
-// Every injected fault is counted in FaultStats and mirrored to the
-// PR-1 telemetry registry under `fault.*` when a session is installed.
+// Every injected fault is counted in FaultStats, which the telemetry
+// registry exposes under `fault.*` when a session is installed.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,9 @@
 //
 // Instruments are get-or-create by name; names are dotted paths
 // (`port.choir-out.0.tx_packets`). Storage is a std::map so pointers to
-// instruments are stable for the registry's lifetime (handles rely on
-// this) and iteration — hence every snapshot and export — is in sorted
-// name order, keeping all artifacts deterministic.
+// instruments are stable for the registry's lifetime (handles and
+// exposures rely on this) and iteration — hence every snapshot and
+// export — is in sorted name order, keeping all artifacts deterministic.
 //
 // Each simulation is single-threaded by design; the registry follows
 // suit and uses no atomics. A registry becomes "current" only through a

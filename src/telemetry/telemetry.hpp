@@ -5,7 +5,7 @@
 //   telemetry::Registry registry;
 //   telemetry::Tracer tracer;
 //   telemetry::ScopedTelemetry session(&registry, &tracer);
-//   ... construct simulation components; they bind handles now ...
+//   ... construct simulation components; they bind instruments now ...
 //
 // Components expose the counts they keep themselves through an Exposure
 // and call telemetry::counter("a.b") & co. at construction for

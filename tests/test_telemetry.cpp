@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "sim/event_queue.hpp"
@@ -345,12 +346,12 @@ TEST(ScopedTelemetry, InstallsAndNests) {
 TEST(Exposure, RegistersNothingWithoutSession) {
   ASSERT_EQ(Registry::current(), nullptr);
   Registry registry;
-  std::uint64_t forwarded = 5;
-  {
-    Exposure exposure;
-    exposure.counter("x.forwarded", forwarded);
-    ++forwarded;
-  }
+  const std::uint64_t forwarded = 5;
+  auto exposure = std::make_unique<Exposure>();
+  exposure->counter("x.forwarded", forwarded);
+  // A session opened later sees nothing, not even the destructor's fold.
+  ScopedTelemetry session(&registry, nullptr);
+  exposure.reset();
   EXPECT_TRUE(registry.counters().empty());
 }
 
