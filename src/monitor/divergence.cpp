@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/expect.hpp"
+
 namespace choir::monitor {
 
 namespace {
@@ -79,16 +81,22 @@ std::string render_window_table(const StreamMonitor& monitor) {
   return out;
 }
 
-std::string render_stream_summary(const StreamMonitor& monitor) {
+std::string render_stream_summary(
+    const StreamMonitor& monitor,
+    std::span<const core::ComparisonResult> comparisons) {
+  CHOIR_EXPECT(monitor.streams().size() == comparisons.size(),
+               "one comparison per monitored stream");
   std::string out;
   char line[256];
   for (const StreamResult& s : monitor.streams()) {
+    const core::ComparisonResult& c = comparisons[s.ordinal];
     std::snprintf(line, sizeof(line),
                   "%-8s %zu packets, %zu windows: kappa=%.6f (U=%.2e O=%.2e "
                   "L=%.2e I=%.2e, moved=%zu missing=%zu extra=%zu)\n",
-                  s.name.c_str(), s.packets, s.windows, s.metrics.kappa,
-                  s.metrics.uniqueness, s.metrics.ordering, s.metrics.latency,
-                  s.metrics.iat, s.moved, s.missing, s.extra);
+                  s.name.c_str(), s.packets, s.windows, c.metrics.kappa,
+                  c.metrics.uniqueness, c.metrics.ordering, c.metrics.latency,
+                  c.metrics.iat, c.moved, c.size_a - c.common,
+                  c.size_b - c.common);
     out += line;
   }
   return out;
@@ -112,31 +120,6 @@ std::string render_top_divergence(const StreamMonitor& monitor,
                   static_cast<long long>(r.index_b),
                   static_cast<long long>(r.move), r.latency_delta_ns);
     out += line;
-  }
-  return out;
-}
-
-std::string render_flow_summary(const StreamMonitor& monitor) {
-  std::string out;
-  char line[256];
-  for (const StreamResult& s : monitor.streams()) {
-    if (!s.has_flows) continue;
-    const flow::FlowAggregate& a = s.flow_aggregate;
-    std::snprintf(line, sizeof(line),
-                  "%-8s %zu flows (%zu matched, %zu missing, %zu extra): "
-                  "kappa worst=%.4f p50=%.4f p90=%.4f p99=%.4f p99.9=%.4f "
-                  "weighted=%.4f\n",
-                  s.name.c_str(), a.flows, a.matched, a.only_a, a.only_b,
-                  a.worst, a.p50, a.p90, a.p99, a.p999, a.weighted_mean);
-    out += line;
-    for (const flow::FlowComparison& fc : s.worst_flows) {
-      std::snprintf(line, sizeof(line),
-                    "  flow %-6u %-40s %6u/%-6u pkts kappa=%.4f%s\n", fc.id,
-                    flow::to_string(fc.key).c_str(), fc.packets_a,
-                    fc.packets_b, fc.metrics.kappa,
-                    fc.matched() ? "" : (fc.in_a ? "  [missing]" : "  [extra]"));
-      out += line;
-    }
   }
   return out;
 }

@@ -9,8 +9,10 @@
 // byte.
 #pragma once
 
+#include <span>
 #include <string>
 
+#include "core/metrics.hpp"
 #include "monitor/stream_monitor.hpp"
 
 namespace choir::monitor {
@@ -30,15 +32,15 @@ std::string render_windows_csv(const StreamMonitor& monitor);
 /// Fixed-width per-window table for terminal output.
 std::string render_window_table(const StreamMonitor& monitor);
 
-/// Per-stream summary lines (exact Eq. 5 metrics per monitored stream).
-std::string render_stream_summary(const StreamMonitor& monitor);
+/// Per-stream summary lines: what the monitor observed of each stream,
+/// with the whole-run Eq. 5 metrics of the evaluation's comparison of
+/// the same run (`comparisons[i]` for monitored stream i).
+std::string render_stream_summary(
+    const StreamMonitor& monitor,
+    std::span<const core::ComparisonResult> comparisons);
 
 /// The most divergent packets, up to `limit` lines.
 std::string render_top_divergence(const StreamMonitor& monitor,
                                   std::size_t limit);
-
-/// Per-stream flow aggregates plus the worst flows by κ. Empty string
-/// when no stream carried a per-flow finale.
-std::string render_flow_summary(const StreamMonitor& monitor);
 
 }  // namespace choir::monitor

@@ -221,7 +221,8 @@ void StreamMonitor::close_window() {
 
   // Per-flow κ for this window: the same slice pair demuxed by flow id,
   // so every window carries its own flow-κ distribution. Inline
-  // (jobs = 1) for the same reason as the stream finale below.
+  // (jobs = 1): the monitor runs on the thread that feeds it, which may
+  // already be a task-pool worker.
   const bool window_has_flows =
       !reference_flows_.empty() && b_end <= stream_flows_.size() &&
       std::any_of(stream_flows_.begin() +
@@ -385,65 +386,10 @@ void StreamMonitor::close_stream() {
   }
   telemetry::ProfileSpan prof("monitor.finalize");
   close_window();
-
-  // Exact finale: the whole stream against the whole reference, via the
-  // offline algorithm — what `compare_trials` on saved captures reports.
-  StreamResult result;
-  result.ordinal = stream_ordinal_;
-  result.name = stream_name_;
-  result.packets = stream_packets_.size();
-  result.windows = window_index_;
-  core::Trial full;  // once per stream: not worth keeping alive
-  load_slice(stream_packets_, 0, stream_packets_.size(), full);
-  const core::ComparisonResult cmp = core::compare_trials(
-      reference_, full, core::ComparisonOptions{}, compare_scratch_);
-  result.metrics = cmp.metrics;
-  result.common = cmp.common;
-  result.moved = cmp.moved;
-  result.missing = cmp.size_a - cmp.common;
-  result.extra = cmp.size_b - cmp.common;
-
-  // Per-flow finale: exact Eq. 5 per flow over the shared (classifier)
-  // id space. Inline (jobs = 1): the monitor runs on the thread that
-  // feeds it, which may already be a task-pool worker, and the finale is
-  // a once-per-stream cost.
-  const bool stream_has_flows =
-      std::any_of(stream_flows_.begin(), stream_flows_.end(),
-                  [](flow::FlowId f) { return f != flow::kNoFlow; });
-  if (!reference_flows_.empty() && stream_has_flows) {
-    const core::Trial& a = reference_;
-    flow::FlowSetComparison flows = flow::compare_flows_by_id(
-        a, reference_flows_, full, stream_flows_, flow_ids_high_, /*jobs=*/1);
-    result.has_flows = true;
-    result.flow_count = flows.aggregate.flows;
-    result.flow_aggregate = flows.aggregate;
-    std::vector<std::size_t> order;
-    order.reserve(flows.flows.size());
-    for (std::size_t f = 0; f < flows.flows.size(); ++f) {
-      const flow::FlowComparison& fc = flows.flows[f];
-      if (fc.in_a || fc.in_b) order.push_back(f);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t x, std::size_t y) {
-                       return flows.flows[x].metrics.kappa <
-                              flows.flows[y].metrics.kappa;
-                     });
-    if (order.size() > kWorstFlowsKept) order.resize(kWorstFlowsKept);
-    result.worst_flows.reserve(order.size());
-    for (const std::size_t f : order) {
-      result.worst_flows.push_back(flows.flows[f]);
-    }
-  }
-
-  streams_.push_back(std::move(result));
+  streams_.push_back(StreamResult{stream_ordinal_, stream_name_,
+                                  stream_packets_.size(), window_index_});
   tm_streams_.add();
   ++stream_ordinal_;
-  stream_packets_.clear();
-  stream_flows_.clear();
-  // The finale grew the arena to the whole stream; windows need only a
-  // window's worth, so hand the rest back instead of holding it until
-  // the next finale.
-  compare_scratch_ = core::CompareScratch{};
 }
 
 }  // namespace choir::monitor

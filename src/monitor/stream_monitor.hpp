@@ -22,9 +22,10 @@
 //    packets by move distance and by latency straddle, plus missing and
 //    extra packets, to a per-packet record stream (divergence.hpp)
 //    exported as `divergence.jsonl`.
-//  - **Exact finale.** When a stream ends, the whole stream is compared
-//    against the reference with the offline algorithm, so the stream
-//    summary equals what `compare_trials` on the saved captures reports.
+//
+// The whole-run κ of a finished stream is not the monitor's: the
+// evaluation computes it once per run (`compare_trials` on the saved
+// captures), and render_stream_summary() reads it from there.
 //
 // The monitor is a pure observer: it draws no randomness, schedules
 // nothing, and a seeded run is bit-identical with the monitor on or off.
@@ -131,10 +132,6 @@ struct MonitorConfig {
   std::size_t top_k = 16;
 };
 
-/// Worst flows (ascending κ) kept per stream finale when the feed
-/// carries flow ids.
-inline constexpr std::size_t kWorstFlowsKept = 16;
-
 /// One closed window of a monitored stream.
 struct WindowRecord {
   std::uint32_t stream = 0;     ///< monitored-stream ordinal (0-based)
@@ -157,9 +154,8 @@ struct WindowRecord {
   double kappa_running = 1.0;
 
   /// Per-flow κ over this window's slice pair, populated iff the feed
-  /// carries flow ids: the windowed view of the per-flow finale, so the
-  /// flow-κ distribution becomes a sim-time series (one FlowAggregate
-  /// per window) instead of one end-of-stream scalar set.
+  /// carries flow ids: the flow-κ distribution as a sim-time series
+  /// (one FlowAggregate per window).
   bool has_flows = false;
   flow::FlowAggregate flow_aggregate;
 };
@@ -174,26 +170,13 @@ struct RunningEstimate {
   std::size_t lcs_length = 0;  ///< exact (incremental LIS)
 };
 
-/// Per-stream summary; metrics are the exact offline Eq. 5 values.
+/// What the monitor observed of one finished stream. Its whole-run
+/// metrics are the evaluation's comparison of the same run.
 struct StreamResult {
-  std::uint32_t ordinal = 0;
+  std::uint32_t ordinal = 0;  ///< monitored-stream ordinal (0-based)
   std::string name;
   std::size_t packets = 0;
   std::size_t windows = 0;
-  core::ConsistencyMetrics metrics;
-  std::size_t common = 0;
-  std::size_t moved = 0;
-  std::size_t missing = 0;
-  std::size_t extra = 0;
-
-  /// Per-flow finale, populated iff both the reference and this stream
-  /// were fed flow ids (the recorder's classifier feed). The exact Eq. 5
-  /// comparison runs per flow on the flow's own timebase; the aggregate
-  /// follows flow/flow_kappa.hpp conventions.
-  bool has_flows = false;
-  std::size_t flow_count = 0;  ///< id-space size at stream close
-  flow::FlowAggregate flow_aggregate;
-  std::vector<flow::FlowComparison> worst_flows;  ///< ascending κ, capped
 };
 
 /// One attributed divergent packet (a `divergence.jsonl` line).
@@ -222,18 +205,17 @@ class StreamMonitor {
   /// True once the first stream has closed and become the reference.
   bool has_reference() const { return reference_set_; }
 
-  /// Start a new stream, closing the current one (tail window, exact
-  /// finale). The first stream observed becomes the reference trial A
-  /// and emits no windows; every later stream is monitored against it.
-  /// Its timestamps are rebased to its first packet on close.
+  /// Start a new stream, closing the current one (its tail window). The
+  /// first stream observed becomes the reference trial A and emits no
+  /// windows; every later stream is monitored against it. Its
+  /// timestamps are rebased to its first packet on close.
   void begin_stream(const std::string& name);
 
   /// Observe the next packet of the current stream: raw (pre-occurrence-
   /// tagging) identity, receiver timestamp and flow id, exactly what the
   /// capture path records (flow::kNoFlow for unclassified packets). Flow
-  /// ids on the reference and at least one monitored stream enable the
-  /// per-flow finale in StreamResult. O(log n) amortized; windows close
-  /// inline.
+  /// ids on the reference and in a window enable that window's per-flow
+  /// κ. O(log n) amortized; windows close inline.
   void observe(core::PacketId raw_id, Ns timestamp, flow::FlowId flow);
 
   /// Close the current stream. Idempotent; further observes require a
@@ -304,10 +286,10 @@ class StreamMonitor {
   double running_footrule_ = 0.0;
   RunningEstimate running_;
 
-  // Comparison arena for window closes and the stream finale; one
-  // scratch serves every compare. The slice trials and attribution
-  // buffers are reused across windows too, so a warm monitor closes
-  // windows without growing them.
+  // Comparison arena for window closes: one scratch serves every
+  // compare, and it never grows past one window. The slice trials and
+  // attribution buffers are reused across windows too, so a warm monitor
+  // closes windows without growing them.
   core::CompareScratch compare_scratch_;
   core::Trial slice_a_;
   core::Trial slice_b_;

@@ -242,7 +242,8 @@ struct ExperimentResult {
   std::uint64_t flow_unclassified = 0;  ///< recorder frames w/o a flow key
 
   /// Streaming monitor (windows, running estimates, divergence records,
-  /// per-stream exact finales); populated iff config.monitor.enabled.
+  /// per-stream counts; each stream's whole-run metrics are
+  /// `comparisons`); populated iff config.monitor.enabled.
   std::shared_ptr<monitor::StreamMonitor> monitor;
   /// Per-node flight rings + clock histories; populated iff
   /// config.obs.enabled. Merge with obs::merge_timeline for analysis.

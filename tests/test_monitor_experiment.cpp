@@ -1,19 +1,28 @@
 // Integration tests for the monitor's experiment wiring: the recorder
-// feeds the monitor through the null-check hook, stream finales agree
-// with the offline comparisons, enabling the monitor does not perturb
-// the simulation, and two identical monitored runs produce byte-
-// identical divergence.jsonl artifacts (the determinism regression).
+// feeds the monitor through the null-check hook, its windows tile the
+// captured runs and match an independent transcription of Eqs. 1-5,
+// enabling the monitor does not perturb the simulation, and two
+// identical monitored runs produce byte-identical divergence.jsonl
+// artifacts (the determinism regression).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "monitor/divergence.hpp"
+#include "monitor/stream_monitor.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/presets.hpp"
+#include "trace/capture.hpp"
 
 namespace choir::testbed {
 namespace {
@@ -37,32 +46,142 @@ std::string slurp(const fs::path& path) {
   return out.str();
 }
 
-TEST(MonitorExperiment, RecorderFeedsMonitorAndFinalesMatchOffline) {
-  ExperimentConfig config = small_config();
-  config.monitor.enabled = true;
-  config.monitor.window_packets = 128;
-  const ExperimentResult result = run_experiment(config);
+/// One captured packet as Section 3 sees it: its identity made unique by
+/// occurrence (raw hi, raw lo, occurrence) and its receiver timestamp.
+struct Packet {
+  std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> id;
+  double time = 0.0;
+};
 
-  ASSERT_NE(result.monitor, nullptr);
-  const auto& mon = *result.monitor;
-  // Run 0 became the reference; runs 1..n-1 are monitored streams.
-  ASSERT_EQ(mon.streams().size(), static_cast<std::size_t>(config.runs - 1));
-  ASSERT_EQ(result.comparisons.size(),
-            static_cast<std::size_t>(config.runs - 1));
-  EXPECT_GT(mon.observed(), 0u);
-  EXPECT_FALSE(mon.windows().empty());
+/// Every record of `capture` in arrival order, occurrence-tagged over the
+/// whole run as the monitor and the evaluation both do.
+std::vector<Packet> tagged_packets(const trace::Capture& capture) {
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> seen;
+  std::vector<Packet> out;
+  for (const trace::CaptureRecord& r : capture.records()) {
+    const core::PacketId raw = r.packet_id();
+    const std::uint64_t occurrence = seen[{raw.hi, raw.lo}]++;
+    out.push_back(Packet{{raw.hi, raw.lo, occurrence},
+                         static_cast<double>(r.timestamp)});
+  }
+  return out;
+}
 
-  // The exact finale of each stream is the offline Eq. 5 on the same
-  // packets the capture path recorded.
-  for (std::size_t i = 0; i < mon.streams().size(); ++i) {
-    const auto& stream = mon.streams()[i];
-    const auto& offline = result.comparisons[i];
-    EXPECT_NEAR(stream.metrics.kappa, offline.metrics.kappa, 1e-9) << i;
-    EXPECT_NEAR(stream.metrics.uniqueness, offline.metrics.uniqueness, 1e-9);
-    EXPECT_NEAR(stream.metrics.ordering, offline.metrics.ordering, 1e-9);
-    EXPECT_NEAR(stream.metrics.latency, offline.metrics.latency, 1e-9);
-    EXPECT_NEAR(stream.metrics.iat, offline.metrics.iat, 1e-9);
-    EXPECT_EQ(stream.common, offline.common);
+/// packets[begin, end), rebased to the slice's first packet.
+std::vector<Packet> slice(const std::vector<Packet>& packets,
+                          std::size_t begin, std::size_t end) {
+  std::vector<Packet> out(packets.begin() + static_cast<std::ptrdiff_t>(begin),
+                          packets.begin() + static_cast<std::ptrdiff_t>(end));
+  for (Packet& p : out) p.time -= packets[begin].time;
+  return out;
+}
+
+struct Uli {
+  double u = 0.0;
+  double l = 0.0;
+  double i = 0.0;
+};
+
+/// Eqs. 1, 3 and 4 transcribed from the paper over trials A and B, each
+/// starting at time 0: U = 1 - 2|A∩B| / (|A| + |B|); L sums
+/// |l_A - l_B| over the common packets, over |A∩B| times the straddle
+/// max(last_B, last_A); I sums |g_A - g_B|, where g is the gap to the
+/// previous packet of the same trial (0 for the first), over the sum of
+/// the two durations. Each empty denominator reads 0.
+Uli section3_uli(const std::vector<Packet>& a, const std::vector<Packet>& b) {
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
+           std::size_t>
+      position_in_a;
+  for (std::size_t j = 0; j < a.size(); ++j) position_in_a[a[j].id] = j;
+  double common = 0.0;
+  double sum_latency = 0.0;
+  double sum_iat = 0.0;
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    const auto it = position_in_a.find(b[k].id);
+    if (it == position_in_a.end()) continue;
+    const std::size_t j = it->second;
+    common += 1.0;
+    sum_latency += std::abs(a[j].time - b[k].time);
+    const double g_a = j == 0 ? 0.0 : a[j].time - a[j - 1].time;
+    const double g_b = k == 0 ? 0.0 : b[k].time - b[k - 1].time;
+    sum_iat += std::abs(g_a - g_b);
+  }
+  const double last_a = a.empty() ? 0.0 : a.back().time;
+  const double last_b = b.empty() ? 0.0 : b.back().time;
+  Uli out;
+  const double total = static_cast<double>(a.size() + b.size());
+  out.u = total > 0.0 ? 1.0 - 2.0 * common / total : 0.0;
+  const double l_denominator = common * std::max(last_a, last_b);
+  out.l = l_denominator > 0.0 ? sum_latency / l_denominator : 0.0;
+  const double i_denominator = last_a + last_b;
+  out.i = i_denominator > 0.0 ? sum_iat / i_denominator : 0.0;
+  return out;
+}
+
+TEST(MonitorExperiment, WindowsTileCapturesAndMatchSection3) {
+  // An independent check of the recorder -> monitor feed: every window
+  // is recomputed from the saved captures by a test-local transcription
+  // of Eqs. 1, 3-5 that calls nothing in core/.
+  for (const EnvironmentPreset& env : {local_single(), chaos_single(0.3)}) {
+    ExperimentConfig config = small_config();
+    config.env = env;
+    config.keep_captures = true;
+    config.monitor.enabled = true;
+    config.monitor.window_packets = 128;
+    const ExperimentResult result = run_experiment(config);
+
+    ASSERT_NE(result.monitor, nullptr);
+    const auto& mon = *result.monitor;
+    // Run 0 became the reference; runs 1..n-1 are monitored streams.
+    ASSERT_EQ(mon.streams().size(), static_cast<std::size_t>(config.runs - 1));
+    ASSERT_EQ(result.captures.size(), static_cast<std::size_t>(config.runs));
+    const std::vector<Packet> reference = tagged_packets(result.captures[0]);
+
+    std::size_t window_count = 0;
+    bool any_divergence = false;
+    for (std::size_t i = 0; i < mon.streams().size(); ++i) {
+      SCOPED_TRACE(env.name + " stream " + std::to_string(i));
+      const std::vector<Packet> run = tagged_packets(result.captures[i + 1]);
+      ASSERT_EQ(run.size(), result.capture_sizes[i + 1]);
+      std::size_t b_next = 0;
+      std::size_t windows = 0;
+      for (const monitor::WindowRecord& w : mon.windows()) {
+        if (w.stream != i) continue;
+        // The windows tile the captured run in arrival order, each paired
+        // with the same index range of the reference, clamped to it.
+        ASSERT_EQ(w.b_begin, b_next);
+        ASSERT_GT(w.b_end, w.b_begin);
+        ASSERT_LE(w.b_end, run.size());
+        EXPECT_EQ(w.a_begin, std::min(w.b_begin, reference.size()));
+        EXPECT_EQ(w.a_end, std::min(w.b_end, reference.size()));
+        b_next = w.b_end;
+        ++windows;
+
+        const Uli want = section3_uli(slice(reference, w.a_begin, w.a_end),
+                                      slice(run, w.b_begin, w.b_end));
+        EXPECT_NEAR(w.metrics.uniqueness, want.u, 1e-12) << w.index;
+        EXPECT_NEAR(w.metrics.latency, want.l, 1e-12) << w.index;
+        EXPECT_NEAR(w.metrics.iat, want.i, 1e-12) << w.index;
+        // Eq. 5 over those values and the window's own O.
+        const double o = w.metrics.ordering;
+        const double kappa =
+            1.0 - std::sqrt(want.u * want.u + o * o + want.l * want.l +
+                            want.i * want.i) /
+                      2.0;
+        EXPECT_NEAR(w.metrics.kappa, kappa, 1e-12) << w.index;
+        any_divergence = any_divergence || want.u > 0.0;
+      }
+      EXPECT_EQ(b_next, result.capture_sizes[i + 1]);
+      EXPECT_EQ(windows, mon.streams()[i].windows);
+      EXPECT_EQ(mon.streams()[i].packets, result.capture_sizes[i + 1]);
+      window_count += windows;
+    }
+    EXPECT_EQ(window_count, mon.windows().size());
+    EXPECT_GT(window_count, mon.streams().size());  // several per stream
+    // The chaos run loses and reorders packets, so U is exercised too.
+    if (env.name != local_single().name) {
+      EXPECT_TRUE(any_divergence);
+    }
   }
 }
 

@@ -568,8 +568,9 @@ void print_monitor(const testbed::ExperimentResult& result,
                    bool window_rows, std::size_t divergence_limit) {
   if (result.monitor == nullptr) return;
   const auto& mon = *result.monitor;
-  std::printf("-- monitored streams (exact Eq. 5 vs run-0) --\n%s",
-              monitor::render_stream_summary(mon).c_str());
+  std::printf(
+      "-- monitored streams (exact Eq. 5 vs run-0) --\n%s",
+      monitor::render_stream_summary(mon, result.comparisons).c_str());
   if (window_rows) {
     std::printf("-- windows (w=%zu packets) --\n%s",
                 mon.config().window_packets,
@@ -695,14 +696,6 @@ int cmd_flows(const std::vector<std::string>& args) {
   print_flows(result, /*worst_limit=*/10);
   if (opt.flow_id >= 0 && print_flow_detail(result, opt.flow_id) != 0) {
     return 1;
-  }
-  if (result.monitor != nullptr) {
-    const std::string flow_summary =
-        monitor::render_flow_summary(*result.monitor);
-    if (!flow_summary.empty()) {
-      std::printf("-- monitored streams (per-flow) --\n%s",
-                  flow_summary.c_str());
-    }
   }
   print_artifacts(opt.artifact_dir, result.artifacts);
   return 0;
