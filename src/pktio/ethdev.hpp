@@ -59,13 +59,13 @@ class EthDev {
       : name_(std::move(name)), backend_(&backend) {
     if (telemetry::Registry::current() != nullptr) {
       const std::string base = "port." + name_ + ".";
-      tm_rx_packets_ = telemetry::counter(base + "rx_packets");
-      tm_rx_bytes_ = telemetry::counter(base + "rx_bytes");
+      exposure_.counter(base + "rx_packets", stats_.ipackets);
+      exposure_.counter(base + "rx_bytes", stats_.ibytes);
+      exposure_.counter(base + "tx_packets", stats_.opackets);
+      exposure_.counter(base + "tx_bytes", stats_.obytes);
+      exposure_.counter(base + "tx_rejected", stats_.tx_rejected);
       tm_rx_bursts_ = telemetry::counter(base + "rx_bursts");
-      tm_tx_packets_ = telemetry::counter(base + "tx_packets");
-      tm_tx_bytes_ = telemetry::counter(base + "tx_bytes");
       tm_tx_bursts_ = telemetry::counter(base + "tx_bursts");
-      tm_tx_rejected_ = telemetry::counter(base + "tx_rejected");
       tm_tx_burst_pkts_ = telemetry::histogram(base + "tx_burst_pkts");
     }
   }
@@ -81,13 +81,7 @@ class EthDev {
       ++stats_.ipackets;
       stats_.ibytes += pkts[i]->frame.wire_len;
     }
-    if (got > 0 && tm_rx_packets_) {
-      tm_rx_packets_.add(got);
-      tm_rx_bursts_.add();
-      std::uint64_t bytes = 0;
-      for (std::uint16_t i = 0; i < got; ++i) bytes += pkts[i]->frame.wire_len;
-      tm_rx_bytes_.add(bytes);
-    }
+    if (got > 0) tm_rx_bursts_.add();
     return got;
   }
 
@@ -103,20 +97,11 @@ class EthDev {
       stats_.obytes += pkts[i]->frame.wire_len;
     }
     stats_.tx_rejected += n - sent;
-    if (tm_tx_packets_) {
-      if (sent > 0) {
-        tm_tx_packets_.add(sent);
-        tm_tx_bursts_.add();
-        // Burst-size distribution: small accepted bursts under load mean
-        // the device (not the app) is the bottleneck.
-        tm_tx_burst_pkts_.record(sent);
-        std::uint64_t bytes = 0;
-        for (std::uint16_t i = 0; i < sent; ++i) {
-          bytes += pkts[i]->frame.wire_len;
-        }
-        tm_tx_bytes_.add(bytes);
-      }
-      if (sent < n) tm_tx_rejected_.add(n - sent);
+    if (sent > 0) {
+      tm_tx_bursts_.add();
+      // Burst-size distribution: small accepted bursts under load mean
+      // the device (not the app) is the bottleneck.
+      tm_tx_burst_pkts_.record(sent);
     }
     return sent;
   }
@@ -132,14 +117,11 @@ class EthDev {
   PortBackend* backend_;
   PortFaultHook* fault_ = nullptr;
   EthDevStats stats_;
-  telemetry::CounterHandle tm_rx_packets_;
-  telemetry::CounterHandle tm_rx_bytes_;
+  // Burst counts have no stats_ field, so they keep their own handles.
   telemetry::CounterHandle tm_rx_bursts_;
-  telemetry::CounterHandle tm_tx_packets_;
-  telemetry::CounterHandle tm_tx_bytes_;
   telemetry::CounterHandle tm_tx_bursts_;
-  telemetry::CounterHandle tm_tx_rejected_;
   telemetry::HistogramHandle tm_tx_burst_pkts_;
+  telemetry::Exposure exposure_;  ///< stats_ as the port.<name>.* counters
 };
 
 }  // namespace choir::pktio
