@@ -25,7 +25,9 @@ using namespace choir;
 void BM_MempoolAllocRelease(benchmark::State& state) {
   pktio::Mempool pool(4096);
   for (auto _ : state) {
-    pktio::Mbuf* m = pool.alloc();
+    // const: DoNotOptimize(const&) is input-only; the non-const overload's
+    // in/out asm constraint may rewrite m before release() reads it.
+    pktio::Mbuf* const m = pool.alloc();
     benchmark::DoNotOptimize(m);
     pktio::Mempool::release(m);
   }
