@@ -72,7 +72,9 @@ std::vector<Packet> slice(const std::vector<Packet>& packets,
                           std::size_t begin, std::size_t end) {
   std::vector<Packet> out(packets.begin() + static_cast<std::ptrdiff_t>(begin),
                           packets.begin() + static_cast<std::ptrdiff_t>(end));
-  for (Packet& p : out) p.time -= packets[begin].time;
+  if (out.empty()) return out;
+  const double t0 = out.front().time;
+  for (Packet& p : out) p.time -= t0;
   return out;
 }
 
