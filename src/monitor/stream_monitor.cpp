@@ -46,6 +46,7 @@ void StreamMonitor::begin_stream(const std::string& name) {
   stream_name_ = name;
   stream_packets_.clear();
   stream_flows_.clear();
+  stream_size_ = 0;
   id_table_.new_stream();
   window_begin_ = 0;
   window_index_ = 0;
@@ -85,7 +86,10 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
   const core::PacketId id =
       hit.occurrence > 0 ? core::occurrence_id(raw_id, hit.occurrence)
                          : raw_id;
-  const auto k = static_cast<std::uint32_t>(stream_packets_.size());
+  const std::size_t k = stream_size_++;
+  if (k == 0) stream_first_time_ = timestamp;
+  const Ns previous_time = stream_last_time_;
+  stream_last_time_ = timestamp;
   stream_packets_.push_back(core::TrialPacket{id, timestamp});
   stream_flows_.push_back(flow);
   if (flow != flow::kNoFlow && flow + 1 > flow_ids_high_) {
@@ -108,16 +112,13 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
     ++matched_total_;
     tm_matched_.add();
     const double l_a = static_cast<double>(reference_[j].time);
-    const double l_b =
-        static_cast<double>(timestamp - stream_packets_.front().time);
+    const double l_b = static_cast<double>(timestamp - stream_first_time_);
     const double g_a =
         j == 0 ? 0.0
                : static_cast<double>(reference_[j].time -
                                      reference_[j - 1].time);
     const double g_b =
-        k == 0 ? 0.0
-               : static_cast<double>(timestamp -
-                                     stream_packets_[k - 1].time);
+        k == 0 ? 0.0 : static_cast<double>(timestamp - previous_time);
     running_abs_latency_ns_ += l_a >= l_b ? l_a - l_b : l_b - l_a;
     running_abs_iat_ns_ += g_a >= g_b ? g_a - g_b : g_b - g_a;
     // Insertion-rank footrule: rank among matched-so-far, by B arrival
@@ -132,15 +133,13 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
     ref_hint_ = j + 1;
   }
 
-  if (stream_packets_.size() - window_begin_ >= config_.window_packets) {
-    close_window();
-  }
+  if (stream_packets_.size() >= config_.window_packets) close_window();
 }
 
 void StreamMonitor::update_running() {
   RunningEstimate r;
   const auto na = static_cast<double>(reference_.size());
-  const auto nb = static_cast<double>(stream_packets_.size());
+  const auto nb = static_cast<double>(stream_size_);
   const auto m = static_cast<double>(stream_matched_);
   const double total = na + nb;
   r.uniqueness = total > 0.0 ? 1.0 - 2.0 * m / total : 0.0;
@@ -148,11 +147,11 @@ void StreamMonitor::update_running() {
   r.ordering = o_denominator > 0.0
                    ? std::min(1.0, running_footrule_ / o_denominator)
                    : 0.0;
-  if (stream_matched_ > 0 && !stream_packets_.empty()) {
+  if (stream_matched_ > 0) {
     const double a_last =
         reference_.empty() ? 0.0 : static_cast<double>(reference_.last_time());
-    const double b_span = static_cast<double>(stream_packets_.back().time -
-                                              stream_packets_.front().time);
+    const double b_span =
+        static_cast<double>(stream_last_time_ - stream_first_time_);
     const double straddle = std::max(b_span, a_last);
     const double l_denominator = m * straddle;
     r.latency =
@@ -185,14 +184,14 @@ std::span<const flow::FlowId> flow_slice(const std::vector<flow::FlowId>& flows,
 
 void StreamMonitor::close_window() {
   const std::size_t b_begin = window_begin_;
-  const std::size_t b_end = stream_packets_.size();
+  const std::size_t b_end = window_begin_ + stream_packets_.size();
   if (b_end == b_begin) return;
   telemetry::ProfileSpan prof("monitor.window");
 
   const std::size_t a_begin = std::min(b_begin, reference_.size());
   const std::size_t a_end = std::min(b_end, reference_.size());
   load_slice(reference_.packets(), a_begin, a_end, slice_a_);
-  load_slice(stream_packets_, b_begin, b_end, slice_b_);
+  load_slice(stream_packets_, 0, stream_packets_.size(), slice_b_);
 
   core::ComparisonOptions options;
   options.collect_series = true;
@@ -208,8 +207,8 @@ void StreamMonitor::close_window() {
   window.b_end = b_end;
   window.a_begin = a_begin;
   window.a_end = a_end;
-  window.first_time_ns = stream_packets_[b_begin].time;
-  window.last_time_ns = stream_packets_[b_end - 1].time;
+  window.first_time_ns = stream_packets_.front().time;
+  window.last_time_ns = stream_packets_.back().time;
   window.metrics = cmp.metrics;
   window.common = cmp.common;
   window.moved = cmp.moved;
@@ -224,16 +223,13 @@ void StreamMonitor::close_window() {
   // (jobs = 1): the monitor runs on the thread that feeds it, which may
   // already be a task-pool worker.
   const bool window_has_flows =
-      !reference_flows_.empty() && b_end <= stream_flows_.size() &&
-      std::any_of(stream_flows_.begin() +
-                      static_cast<std::ptrdiff_t>(b_begin),
-                  stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_end),
+      !reference_flows_.empty() &&
+      std::any_of(stream_flows_.begin(), stream_flows_.end(),
                   [](flow::FlowId f) { return f != flow::kNoFlow; });
   if (window_has_flows) {
     const flow::FlowSetComparison flows = flow::compare_flows_by_id(
         slice_a_, flow_slice(reference_flows_, a_begin, a_end), slice_b_,
-        flow_slice(stream_flows_, b_begin, b_end), flow_ids_high_,
-        /*jobs=*/1);
+        stream_flows_, flow_ids_high_, /*jobs=*/1);
     window.has_flows = true;
     window.flow_aggregate = flows.aggregate;
   }
@@ -263,6 +259,8 @@ void StreamMonitor::close_window() {
   windows_.push_back(std::move(window));
   window_begin_ = b_end;
   ++window_index_;
+  stream_packets_.clear();
+  stream_flows_.clear();
 }
 
 void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
@@ -299,17 +297,16 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
   for (const core::Move* mv : moves) {
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kMoved;
-    const std::size_t global_b = window.b_begin + mv->index_b;
-    r.id = stream_packets_[global_b].id;
+    r.id = stream_packets_[mv->index_b].id;
     r.index_a = static_cast<std::int64_t>(window.a_begin + mv->index_a);
-    r.index_b = static_cast<std::int64_t>(global_b);
+    r.index_b = static_cast<std::int64_t>(window.b_begin + mv->index_b);
     r.move = mv->displacement;
     const std::int32_t slot = match_of_b_[mv->index_b];
     if (slot >= 0) {
       r.latency_delta_ns =
           cmp.series.latency_delta_ns[static_cast<std::size_t>(slot)];
     }
-    r.time_ns = stream_packets_[global_b].time;
+    r.time_ns = stream_packets_[mv->index_b].time;
     emit(r);
   }
 
@@ -328,12 +325,11 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
     const core::MatchedPacket& match = alignment.matches[i];
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kLatency;
-    const std::size_t global_b = window.b_begin + match.index_b;
-    r.id = stream_packets_[global_b].id;
+    r.id = stream_packets_[match.index_b].id;
     r.index_a = static_cast<std::int64_t>(window.a_begin + match.index_a);
-    r.index_b = static_cast<std::int64_t>(global_b);
+    r.index_b = static_cast<std::int64_t>(window.b_begin + match.index_b);
     r.latency_delta_ns = cmp.series.latency_delta_ns[i];
-    r.time_ns = stream_packets_[global_b].time;
+    r.time_ns = stream_packets_[match.index_b].time;
     emit(r);
   }
 
@@ -360,10 +356,9 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
     if (match_of_b_[k] >= 0) continue;
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kExtra;
-    const std::size_t global_b = window.b_begin + k;
-    r.id = stream_packets_[global_b].id;
-    r.index_b = static_cast<std::int64_t>(global_b);
-    r.time_ns = stream_packets_[global_b].time;
+    r.id = stream_packets_[k].id;
+    r.index_b = static_cast<std::int64_t>(window.b_begin + k);
+    r.time_ns = stream_packets_[k].time;
     emit(r);
     ++emitted;
   }
@@ -386,8 +381,8 @@ void StreamMonitor::close_stream() {
   }
   telemetry::ProfileSpan prof("monitor.finalize");
   close_window();
-  streams_.push_back(StreamResult{stream_ordinal_, stream_name_,
-                                  stream_packets_.size(), window_index_});
+  streams_.push_back(
+      StreamResult{stream_ordinal_, stream_name_, stream_size_, window_index_});
   tm_streams_.add();
   ++stream_ordinal_;
 }

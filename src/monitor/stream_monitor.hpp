@@ -24,8 +24,10 @@
 //    exported as `divergence.jsonl`.
 //
 // The whole-run κ of a finished stream is not the monitor's: the
-// evaluation computes it once per run (`compare_trials` on the saved
-// captures), and render_stream_summary() reads it from there.
+// evaluation computes it once per run (`compare_trials` on each run's
+// trial), and render_stream_summary() reads it from there. A monitored
+// stream keeps only its open window's packets, so the monitor holds the
+// reference plus one window.
 //
 // The monitor is a pure observer: it draws no randomness, schedules
 // nothing, and a seeded run is bit-identical with the monitor on or off.
@@ -264,8 +266,15 @@ class StreamMonitor {
   bool stream_is_reference_ = false;
   std::uint32_t stream_ordinal_ = 0;  ///< next monitored-stream ordinal
   std::string stream_name_;
-  std::vector<core::TrialPacket> stream_packets_;  ///< raw times, unique ids
+  // The open window's packets (raw times, unique ids), from stream
+  // position window_begin_ on: a window's close reads nothing before it,
+  // so a monitored stream holds one window. The reference stream holds
+  // all of its packets, which become reference_.
+  std::vector<core::TrialPacket> stream_packets_;
   std::size_t window_begin_ = 0;
+  std::size_t stream_size_ = 0;  ///< packets observed on the stream
+  Ns stream_first_time_ = 0;     ///< raw time of its first packet
+  Ns stream_last_time_ = 0;      ///< raw time of its latest packet
   std::uint64_t window_index_ = 0;
 
   // Running accumulators (see RunningEstimate). Fenwick counts are one
