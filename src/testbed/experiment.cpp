@@ -634,20 +634,24 @@ void add_replay_engines(Topology& t, Rng& root) {
   }
 }
 
+/// The capture name of run `run` ("run-0" is run A).
+std::string run_name(int run) { return "run-" + std::to_string(run); }
+
 /// Replay rounds: arm the recorder around each run, then start it with
 /// one barrier-started group round or with per-path start commands.
-std::vector<trace::Capture> schedule_rounds(Topology& t,
-                                            const ReplaySchedule& sched) {
-  const int runs = t.config.runs;
-  std::vector<trace::Capture> captures(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    trace::Capture& capture = captures[static_cast<std::size_t>(r)];
+/// Every round records into `capture`: the run loop closes each round
+/// (close_round) before the next one arms, so one buffer serves them all.
+void schedule_rounds(Topology& t, const ReplaySchedule& sched,
+                     trace::Capture& capture) {
+  // A run captures the whole trial: reserve it once so the recorder's
+  // appends never regrow (and copy) the capture mid-run. Later runs
+  // refill this buffer, or a fresh one of the same size when captures
+  // are kept.
+  capture.set_name(run_name(0));
+  capture.reserve(t.config.packets);
+  for (int r = 0; r < t.config.runs; ++r) {
     const Ns wall_start = sched.wall_start(r);
     const Ns dispatch_at = wall_start - milliseconds(20);
-    capture.set_name("run-" + std::to_string(r));
-    // Every run captures the whole trial: reserve it so the recorder's
-    // appends never regrow (and copy) the capture mid-run.
-    capture.reserve(t.config.packets);
     t.daemon->arm(wall_start - sched.arm_margin, sched.round_end(r), &capture);
     if (t.group != nullptr) {
       // The prepare fence goes out well before the readiness deadline
@@ -674,7 +678,48 @@ std::vector<trace::Capture> schedule_rounds(Topology& t,
                           });
     }
   }
-  return captures;
+}
+
+/// What the evaluation reads of the finished runs, one entry per run,
+/// filled by close_round as each capture window closes.
+struct ClosedRuns {
+  std::vector<core::Trial> trials;  ///< rebased to each run's first packet
+  std::vector<trace::FlowClassification> flows;  ///< iff flows are on
+  std::vector<std::size_t> capture_sizes;
+  std::vector<trace::Capture> captures;  ///< iff keep_captures
+};
+
+/// Close run `r` once its capture window has: reduce the capture to the
+/// run's trial (and flow classification), then hand the buffer on. A
+/// kept capture moves to the result and the next run records into a
+/// fresh reservation; otherwise the next run refills this buffer,
+/// capacity and all. Freeing and re-reserving a buffer per run would
+/// not lower the peak: the allocator keeps the freed pages resident.
+void close_round(const Topology& t, int r, trace::Capture& capture,
+                 ClosedRuns& closed) {
+  const ExperimentConfig& config = t.config;
+  telemetry::ProfileSpan prof("experiment.evaluate");
+  closed.capture_sizes.push_back(capture.size());
+  closed.trials.push_back(rebased_trial(capture));
+  if (config.flow.enabled) {
+    // The sharded classification does not depend on the job count.
+    telemetry::ProfileSpan prof_flows("experiment.flow_eval");
+    closed.flows.push_back(trace::classify_capture_sharded(
+        capture, t.flow_shards, config.eval_jobs));
+  }
+  const bool last = r + 1 == config.runs;
+  if (config.keep_captures) closed.captures.push_back(std::move(capture));
+  if (last) {
+    // Nothing records any more: free the buffer, so that the evaluation
+    // reuses its pages.
+    capture = trace::Capture();
+  } else if (config.keep_captures) {
+    capture = trace::Capture(run_name(r + 1));
+    capture.reserve(config.packets);
+  } else {
+    capture.clear();
+    capture.set_name(run_name(r + 1));
+  }
 }
 
 /// Provenance and adversity counters of the finished simulation.
@@ -721,37 +766,25 @@ void collect_counters(Topology& t, ExperimentResult& result) {
   result.switch_queue_drops = t.sw->queue_drops();
 }
 
-/// Per-flow evaluation of run A: classify it once (sharded fan-out); each
-/// per-run task below classifies its own run and matches flows by key.
-trace::FlowClassification classify_run_a(
-    const Topology& t, const std::vector<trace::Capture>& captures,
-    ExperimentResult& result) {
-  trace::FlowClassification cls_a = trace::classify_capture_sharded(
-      captures[0], t.flow_shards, t.config.eval_jobs);
-  result.flow_count = cls_a.table.size();
-  result.flow_unclassified = t.daemon->flow_unclassified();
-  result.flow_comparisons.resize(captures.size() - 1);
-  return cls_a;
-}
-
 /// Compare each run B..E against run A: the Section-3 comparison and,
-/// when `cls_a` is set, the per-flow one, from one trial per run.
-/// compare_trials and compare_flows are pure functions of the immutable
-/// captures and every worker writes its own index-addressed slots, so
+/// with flows on, the per-flow one, matching each run's flows to run A's
+/// by key. compare_trials and compare_flows are pure functions of the
+/// closed runs and every worker writes its own index-addressed slots, so
 /// the result is bit-identical at any job count (and inline when the
 /// experiment already runs on a suite-level pool worker).
-void compare_runs(const Topology& t, const core::Trial& trial_a,
-                  const trace::FlowClassification* cls_a,
-                  const std::vector<trace::Capture>& captures,
+void compare_runs(const ExperimentConfig& config, const ClosedRuns& closed,
                   telemetry::SpanProfiler* profiler, ExperimentResult& result) {
-  const ExperimentConfig& config = t.config;
+  const core::Trial& trial_a = closed.trials[0];
+  const trace::FlowClassification* cls_a =
+      config.flow.enabled ? &closed.flows[0] : nullptr;
   // Run A's ids are indexed once and shared read-only by every
   // comparison instead of rebuilding a hash map per comparison.
   const core::ReferenceIndex ref_index(trial_a);
   core::ComparisonOptions options;
   options.collect_series = config.collect_series;
-  const std::size_t n_cmp = captures.size() - 1;
+  const std::size_t n_cmp = closed.trials.size() - 1;
   result.comparisons.resize(n_cmp);
+  if (cls_a != nullptr) result.flow_comparisons.resize(n_cmp);
   // Worker threads see no installed profiler (installation is
   // thread-local), so when profiling is on each task gets its own
   // profiler, merged back in submission order after the join. Host-time
@@ -762,7 +795,7 @@ void compare_runs(const Topology& t, const core::Trial& trial_a,
   parallel_for_indexed(config.eval_jobs, n_cmp, [&](std::size_t i) {
     std::optional<telemetry::ScopedProfiler> task_prof;
     if (!eval_profiles.empty()) task_prof.emplace(&eval_profiles[i]);
-    const core::Trial trial_b = rebased_trial(captures[i + 1]);
+    const core::Trial& trial_b = closed.trials[i + 1];
     {
       // Scoped so the κ arena is freed before the flow stage allocates:
       // a task's peak is its larger stage, not their sum.
@@ -772,8 +805,7 @@ void compare_runs(const Topology& t, const core::Trial& trial_a,
           core::compare_trials(trial_a, trial_b, options, scratch);
     }
     if (cls_a == nullptr) return;
-    const trace::FlowClassification cls_b =
-        trace::classify_capture_sharded(captures[i + 1], t.flow_shards, 1);
+    const trace::FlowClassification& cls_b = closed.flows[i + 1];
     result.flow_comparisons[i] =
         flow::compare_flows(trial_a, cls_a->table, cls_a->per_packet, trial_b,
                             cls_b.table, cls_b.per_packet, /*jobs=*/1);
@@ -832,14 +864,11 @@ struct Observers {
 
   /// Experiment phases on tracer track 0. The boundaries are schedule
   /// constants, so emitting them after the run perturbs nothing.
-  void trace_phases(const ReplaySchedule& sched,
-                    const std::vector<trace::Capture>& captures) {
+  void trace_phases(const ReplaySchedule& sched) {
     if (tracer == nullptr) return;
     tracer->span("record-phase", milliseconds(1), sched.record_end, 0);
-    for (std::size_t r = 0; r < captures.size(); ++r) {
-      const int run = static_cast<int>(r);
-      tracer->span(captures[r].name(),
-                   sched.wall_start(run) - sched.arm_margin,
+    for (int run = 0; run < config.runs; ++run) {
+      tracer->span(run_name(run), sched.wall_start(run) - sched.arm_margin,
                    sched.round_end(run), 0);
     }
   }
@@ -932,30 +961,27 @@ struct Observers {
 };
 
 /// Evaluate phase: counters, the Section-3 comparisons, per-round kappa
-/// for the flight log, and the per-flow comparisons.
-ExperimentResult evaluate(Topology& t, std::vector<trace::Capture>& captures,
+/// for the flight log, and the per-flow comparisons, all from the closed
+/// runs.
+ExperimentResult evaluate(Topology& t, ClosedRuns& closed,
                           Observers& observers, const ReplaySchedule& sched) {
   ExperimentResult result;
   result.trial_duration = sched.trial_duration;
   collect_counters(t, result);
-  result.capture_sizes.reserve(captures.size());
-  for (const auto& c : captures) result.capture_sizes.push_back(c.size());
-
-  const core::Trial trial_a = rebased_trial(captures[0]);
+  result.capture_sizes = std::move(closed.capture_sizes);
   {
     // With flows on, each run's per-flow comparison shares its task and
     // its trial with the Section-3 one, so one span covers both.
     std::optional<telemetry::ProfileSpan> prof_flows;
-    std::optional<trace::FlowClassification> cls_a;
     if (t.config.flow.enabled) {
       prof_flows.emplace("experiment.flow_eval");
-      cls_a = classify_run_a(t, captures, result);
+      result.flow_count = closed.flows[0].table.size();
+      result.flow_unclassified = t.daemon->flow_unclassified();
     }
-    compare_runs(t, trial_a, cls_a ? &*cls_a : nullptr, captures,
-                 observers.profiler.get(), result);
+    compare_runs(t.config, closed, observers.profiler.get(), result);
   }
   observers.record_kappa_rounds(sched, result);
-  if (t.config.keep_captures) result.captures = std::move(captures);
+  result.captures = std::move(closed.captures);
   return result;
 }
 
@@ -1040,20 +1066,32 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const ReplaySchedule sched = replay_schedule(config);
   schedule_record(*topology, sched);
   add_replay_engines(*topology, root);
-  std::vector<trace::Capture> captures = schedule_rounds(*topology, sched);
+  trace::Capture capture;
+  schedule_rounds(*topology, sched, capture);
   const Ns end_of_world = sched.wall_start(config.runs) + milliseconds(20);
   if (topology->noise != nullptr) {
     topology->noise->run(milliseconds(2), end_of_world);
   }
   phase.reset();
+  // One queue segment per run, each closed at its round end: run_until is
+  // inclusive, so the segment ends with the run's disarm event and the
+  // next run's arm is still ahead.
+  ClosedRuns closed;
+  for (int r = 0; r < config.runs; ++r) {
+    {
+      telemetry::ProfileSpan prof_run("experiment.run");
+      queue.run_until(sched.round_end(r));
+    }
+    close_round(*topology, r, capture, closed);
+  }
   {
     telemetry::ProfileSpan prof_run("experiment.run");
     queue.run_until(end_of_world);
   }
 
   phase.emplace("experiment.evaluate");
-  observers.trace_phases(sched, captures);
-  ExperimentResult result = evaluate(*topology, captures, observers, sched);
+  observers.trace_phases(sched);
+  ExperimentResult result = evaluate(*topology, closed, observers, sched);
   phase.reset();
   observers.finish(result);
   return result;

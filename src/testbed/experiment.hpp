@@ -150,13 +150,17 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
   /// Collect per-packet delta series (needed for figures).
   bool collect_series = true;
-  /// Keep raw captures in the result (memory-heavy at full scale).
+  /// Keep every run's raw capture in the result: the only mode that
+  /// holds every capture (88 B per packet per run). Otherwise each run is
+  /// closed into its trial at its round end, the next run refills the
+  /// same capture buffer, and the buffer is freed before the evaluation.
   bool keep_captures = false;
   ReplayEngine engine = ReplayEngine::kChoir;
   /// Workers for the Section-3 metric evaluation: each run B..E is
   /// compared against run A on its own task (comparisons only read the
-  /// immutable captures). 0 = auto (CHOIR_JOBS, else hardware
-  /// concurrency); 1 = the sequential path. Results land by run index,
+  /// immutable trials the runs closed into), and with flows on each
+  /// run's classification at its round end fans out too. 0 = auto
+  /// (CHOIR_JOBS, else hardware concurrency); 1 = the sequential path. Results land by run index,
   /// so every metric — and every artifact derived from one — is
   /// bit-identical at any setting. When the experiment itself runs on a
   /// task-pool worker (a suite fanning experiments out), the evaluation

@@ -1,11 +1,15 @@
 // Machine-independent work gates: heap allocations made by loading and
 // writing a trace must not grow with the record count, per-flow κ must
 // not allocate per flow, a full experiment's allocations per recorded
-// packet stay pinned, and the bytes a reference index allocates per
-// packet stay bounded. Allocation counts and sizes are deterministic, so
-// they gate exactly where host time cannot. This binary replaces the
-// global operator new to count allocations and sum their bytes, so it is
-// kept apart from every other test executable.
+// packet stay pinned, its peak live heap grows by no more than a trial
+// per run, and the bytes a reference index allocates per packet stay
+// bounded. Allocation counts and sizes are deterministic, so they gate
+// exactly where host time cannot. This binary replaces the global
+// operator new to count allocations, sum their bytes and track the live
+// and peak heap, so it is kept apart from every other test executable.
+#include <malloc.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -26,6 +30,15 @@
 namespace {
 std::size_t g_allocations = 0;
 std::size_t g_bytes = 0;
+// Live and peak heap bytes from operator new, by the allocator's usable
+// size of each block, so that a block is subtracted exactly as added.
+std::size_t g_live_bytes = 0;
+std::size_t g_peak_bytes = 0;
+
+void release(void* p) noexcept {
+  if (p != nullptr) g_live_bytes -= malloc_usable_size(p);
+  std::free(p);
+}
 }  // namespace
 
 // All three stay out of line, so that g++ never pairs an inlined
@@ -33,12 +46,16 @@ std::size_t g_bytes = 0;
 [[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
   g_bytes += size;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    g_live_bytes += malloc_usable_size(p);
+    g_peak_bytes = std::max(g_peak_bytes, g_live_bytes);
+    return p;
+  }
   throw std::bad_alloc();
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace choir::trace {
@@ -156,6 +173,44 @@ TEST_F(AllocCounts, ExperimentAllocationsPerRecordedPacket) {
               0.0321, 0.005);
   EXPECT_NEAR(experiment_allocations_per_packet(testbed::local_dual()),
               0.0486, 0.005);
+}
+
+/// Peak live heap bytes of a local-single run_experiment (seed 1,
+/// sequential evaluation, no series, captures not kept) above the live
+/// bytes at its start.
+std::size_t experiment_peak_bytes(int runs, std::uint64_t packets) {
+  testbed::ExperimentConfig config;
+  config.env = testbed::local_single();
+  config.packets = packets;
+  config.runs = runs;
+  config.seed = 1;
+  config.eval_jobs = 1;
+  config.collect_series = false;
+  const std::size_t base = g_live_bytes;
+  g_peak_bytes = base;
+  const testbed::ExperimentResult result = testbed::run_experiment(config);
+  EXPECT_EQ(result.capture_sizes,
+            std::vector<std::size_t>(static_cast<std::size_t>(runs), packets));
+  return g_peak_bytes - base;
+}
+
+TEST_F(AllocCounts, ExperimentPeakBytesGrowByATrialPerRun) {
+  // Each run closes at its round end into a trial (24 B per packet) that
+  // the evaluation reads; its capture (88 B per packet) is refilled by
+  // the next run. So an extra run raises the peak by one trial, plus its
+  // comparison and a few scheduled events: the slack is 2 B per packet.
+  // Holding every capture until the evaluation instead raises the peak by
+  // a capture per run.
+  constexpr std::uint64_t kPackets = 16384;
+  const std::size_t two = experiment_peak_bytes(2, kPackets);
+  const std::size_t six = experiment_peak_bytes(6, kPackets);
+  ASSERT_GT(six, two);
+  const std::size_t per_run = (six - two) / 4;
+  const std::size_t trial_bytes = sizeof(core::TrialPacket) * kPackets;
+  std::printf("peak heap: %zu B at 2 runs, %zu B at 6; %zu B per run, "
+              "trial %zu B\n",
+              two, six, per_run, trial_bytes);
+  EXPECT_LE(per_run, trial_bytes + 2 * kPackets);
 }
 
 /// Bytes allocated by building a fresh core::ReferenceIndex over `a`.

@@ -263,20 +263,24 @@ TEST(MonitorExperiment, ProfilerCapturesPipelinePhases) {
   const ExperimentResult result = run_experiment(config);
   ASSERT_NE(result.profile, nullptr);
   const auto& aggregates = result.profile->aggregates();
-  // The three top-level phases always close exactly once per experiment.
+  // Build closes once. Run and evaluate alternate as sibling top-level
+  // phases: one queue segment and one round close per run, then the tail
+  // segment and the final evaluation.
+  const auto phases = static_cast<std::size_t>(config.runs) + 1;
   ASSERT_TRUE(aggregates.count("experiment.build"));
   ASSERT_TRUE(aggregates.count("experiment.run"));
   ASSERT_TRUE(aggregates.count("experiment.evaluate"));
   EXPECT_EQ(aggregates.at("experiment.build").count, 1u);
-  EXPECT_EQ(aggregates.at("experiment.run").count, 1u);
-  EXPECT_EQ(aggregates.at("experiment.evaluate").count, 1u);
+  EXPECT_EQ(aggregates.at("experiment.run").count, phases);
+  EXPECT_EQ(aggregates.at("experiment.evaluate").count, phases);
   EXPECT_FALSE(aggregates.count("experiment.flow_eval"));
   // Hot-path spans fire per drain/pace step while the run phase is open.
   ASSERT_TRUE(aggregates.count("record.drain"));
   EXPECT_GT(aggregates.at("record.drain").count, 0u);
 
-  // With flows on, per-flow evaluation is one span nested inside the
-  // evaluate phase (perfbench reads both boundaries).
+  // With flows on, each round close classifies its run and the final
+  // evaluation compares the flows, each under a flow_eval span nested in
+  // its evaluate span (perfbench reads both boundaries).
   ExperimentConfig flows = config;
   flows.flow.enabled = true;
   flows.flow.flows = 16;
@@ -284,11 +288,14 @@ TEST(MonitorExperiment, ProfilerCapturesPipelinePhases) {
   ASSERT_NE(flow_result.profile, nullptr);
   const auto& flow_aggregates = flow_result.profile->aggregates();
   ASSERT_TRUE(flow_aggregates.count("experiment.flow_eval"));
-  EXPECT_EQ(flow_aggregates.at("experiment.flow_eval").count, 1u);
-  EXPECT_EQ(flow_aggregates.at("experiment.evaluate").count, 1u);
+  EXPECT_EQ(flow_aggregates.at("experiment.flow_eval").count, phases);
+  EXPECT_EQ(flow_aggregates.at("experiment.evaluate").count, phases);
   const telemetry::TraceEvent* evaluate = nullptr;
   const telemetry::TraceEvent* flow_eval = nullptr;
   for (const auto& e : flow_result.telemetry_trace->events()) {
+    if (e.name == "experiment.run") {
+      EXPECT_EQ(e.args_json, "{\"depth\":0}");
+    }
     if (e.name == "experiment.evaluate") evaluate = &e;
     if (e.name == "experiment.flow_eval") flow_eval = &e;
   }

@@ -5,41 +5,112 @@
 // pool still interleaves via preemption) and compare against the
 // sequential path. The BENCH_*.json artifacts get the same check from
 // the BenchPaper.<id> ctests (--jobs 1 vs 4, and the committed
-// baselines).
+// baselines). The same field-by-field comparison checks that kept and
+// reused capture buffers give identical results (RoundClose below).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/task_pool.hpp"
+#include "fault/fault_plan.hpp"
 #include "testbed/experiment.hpp"
 
 namespace choir::testbed {
 namespace {
 
+void expect_same_metrics(const core::ConsistencyMetrics& a,
+                         const core::ConsistencyMetrics& b) {
+  EXPECT_EQ(a.uniqueness, b.uniqueness);
+  EXPECT_EQ(a.ordering, b.ordering);
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.iat, b.iat);
+  EXPECT_EQ(a.kappa, b.kappa);
+}
+
+void expect_same_comparison(const core::ComparisonResult& a,
+                            const core::ComparisonResult& b) {
+  expect_same_metrics(a.metrics, b.metrics);
+  EXPECT_EQ(a.series.iat_delta_ns, b.series.iat_delta_ns);
+  EXPECT_EQ(a.series.latency_delta_ns, b.series.latency_delta_ns);
+  EXPECT_EQ(a.series.move_distance, b.series.move_distance);
+  EXPECT_EQ(a.size_a, b.size_a);
+  EXPECT_EQ(a.size_b, b.size_b);
+  EXPECT_EQ(a.common, b.common);
+  EXPECT_EQ(a.lcs_length, b.lcs_length);
+  EXPECT_EQ(a.moved, b.moved);
+  EXPECT_EQ(a.sum_abs_latency_delta_ns, b.sum_abs_latency_delta_ns);
+  EXPECT_EQ(a.sum_abs_iat_delta_ns, b.sum_abs_iat_delta_ns);
+  EXPECT_EQ(a.sum_abs_move_distance, b.sum_abs_move_distance);
+}
+
+void expect_same_flows(const flow::FlowSetComparison& a,
+                       const flow::FlowSetComparison& b) {
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t f = 0; f < a.flows.size(); ++f) {
+    const flow::FlowComparison& fa = a.flows[f];
+    const flow::FlowComparison& fb = b.flows[f];
+    EXPECT_EQ(fa.key, fb.key);
+    EXPECT_EQ(fa.id, fb.id);
+    EXPECT_EQ(fa.packets_a, fb.packets_a);
+    EXPECT_EQ(fa.packets_b, fb.packets_b);
+    EXPECT_EQ(fa.in_a, fb.in_a);
+    EXPECT_EQ(fa.in_b, fb.in_b);
+    expect_same_metrics(fa.metrics, fb.metrics);
+  }
+  const flow::FlowAggregate& ga = a.aggregate;
+  const flow::FlowAggregate& gb = b.aggregate;
+  EXPECT_EQ(ga.flows, gb.flows);
+  EXPECT_EQ(ga.matched, gb.matched);
+  EXPECT_EQ(ga.only_a, gb.only_a);
+  EXPECT_EQ(ga.only_b, gb.only_b);
+  EXPECT_EQ(ga.worst, gb.worst);
+  EXPECT_EQ(ga.p50, gb.p50);
+  EXPECT_EQ(ga.p90, gb.p90);
+  EXPECT_EQ(ga.p99, gb.p99);
+  EXPECT_EQ(ga.p999, gb.p999);
+  EXPECT_EQ(ga.weighted_mean, gb.weighted_mean);
+  EXPECT_EQ(ga.mean, gb.mean);
+  EXPECT_EQ(a.unclassified_a, b.unclassified_a);
+  EXPECT_EQ(a.unclassified_b, b.unclassified_b);
+}
+
+void expect_same_group(const app::GroupStats& a, const app::GroupStats& b) {
+  EXPECT_EQ(a.beacons_rx, b.beacons_rx);
+  EXPECT_EQ(a.beacons_malformed, b.beacons_malformed);
+  EXPECT_EQ(a.rounds_started, b.rounds_started);
+  EXPECT_EQ(a.rounds_completed, b.rounds_completed);
+  EXPECT_EQ(a.rounds_degraded, b.rounds_degraded);
+  EXPECT_EQ(a.members_started, b.members_started);
+  EXPECT_EQ(a.ready_timeouts, b.ready_timeouts);
+  EXPECT_EQ(a.stragglers_detected, b.stragglers_detected);
+  EXPECT_EQ(a.resyncs_sent, b.resyncs_sent);
+  EXPECT_EQ(a.rejoins, b.rejoins);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.barrier_worst_residual_ns, b.barrier_worst_residual_ns);
+}
+
 void expect_bitwise_equal(const ExperimentResult& a,
                           const ExperimentResult& b) {
-  EXPECT_EQ(a.recorded_packets, b.recorded_packets);
   EXPECT_EQ(a.capture_sizes, b.capture_sizes);
+  EXPECT_EQ(a.recorded_packets, b.recorded_packets);
+  EXPECT_EQ(a.events_by_component, b.events_by_component);
   ASSERT_EQ(a.comparisons.size(), b.comparisons.size());
   for (std::size_t i = 0; i < a.comparisons.size(); ++i) {
-    const auto& ca = a.comparisons[i];
-    const auto& cb = b.comparisons[i];
-    EXPECT_EQ(ca.metrics.kappa, cb.metrics.kappa);
-    EXPECT_EQ(ca.metrics.uniqueness, cb.metrics.uniqueness);
-    EXPECT_EQ(ca.metrics.ordering, cb.metrics.ordering);
-    EXPECT_EQ(ca.metrics.iat, cb.metrics.iat);
-    EXPECT_EQ(ca.metrics.latency, cb.metrics.latency);
-    EXPECT_EQ(ca.common, cb.common);
-    EXPECT_EQ(ca.lcs_length, cb.lcs_length);
-    EXPECT_EQ(ca.moved, cb.moved);
-    EXPECT_EQ(ca.sum_abs_latency_delta_ns, cb.sum_abs_latency_delta_ns);
-    EXPECT_EQ(ca.sum_abs_iat_delta_ns, cb.sum_abs_iat_delta_ns);
-    EXPECT_EQ(ca.series.iat_delta_ns, cb.series.iat_delta_ns);
-    EXPECT_EQ(ca.series.latency_delta_ns, cb.series.latency_delta_ns);
-    EXPECT_EQ(ca.series.move_distance, cb.series.move_distance);
+    SCOPED_TRACE("comparison " + std::to_string(i));
+    expect_same_comparison(a.comparisons[i], b.comparisons[i]);
   }
-  EXPECT_EQ(a.mean.kappa, b.mean.kappa);
+  expect_same_metrics(a.mean, b.mean);
+  EXPECT_EQ(a.flow_count, b.flow_count);
+  EXPECT_EQ(a.flow_unclassified, b.flow_unclassified);
+  ASSERT_EQ(a.flow_comparisons.size(), b.flow_comparisons.size());
+  for (std::size_t i = 0; i < a.flow_comparisons.size(); ++i) {
+    SCOPED_TRACE("flow comparison " + std::to_string(i));
+    expect_same_flows(a.flow_comparisons[i], b.flow_comparisons[i]);
+  }
+  expect_same_group(a.group_stats, b.group_stats);
 }
 
 TEST(ParallelDeterminism, EvalJobsBitIdentical) {
@@ -122,6 +193,110 @@ TEST(ParallelDeterminism, WorkerScopedProfilersMergeIntoTheSession) {
   };
   EXPECT_EQ(compare_count(*sequential.profile), 4u);
   EXPECT_EQ(compare_count(*parallel.profile), 4u);
+}
+
+// Each run closes at its round end. With captures kept, every run records
+// into its own buffer, which moves to the result; without, one buffer is
+// refilled run after run. Both must give the same evaluation bit for bit,
+// at any job count: the closed runs are all the evaluation reads.
+
+constexpr int kRuns = 4;
+
+struct RoundCloseCase {
+  const char* name;
+  ExperimentConfig config;
+};
+
+std::ostream& operator<<(std::ostream& os, const RoundCloseCase& c) {
+  return os << c.name;
+}
+
+ExperimentConfig small(EnvironmentPreset env, std::uint64_t packets) {
+  ExperimentConfig config;
+  config.env = std::move(env);
+  config.packets = packets;
+  config.runs = kRuns;
+  config.seed = 5;
+  config.collect_series = true;
+  return config;
+}
+
+/// The chaos preset with frame duplication as its only fault, on the
+/// link into the recorder: every run captures more frames than the trial
+/// has packets, so each outgrows the buffer reserved for it.
+ExperimentConfig duplicating_chaos() {
+  ExperimentConfig config = small(chaos_single(1.0), 4000);
+  fault::FaultEvent dup;
+  dup.kind = fault::FaultKind::kLinkDuplicate;
+  dup.target = "link.to-recorder";
+  dup.duration = seconds(30);
+  dup.probability = 0.02;
+  dup.delay = microseconds(5);
+  config.env.faults = fault::FaultPlan{};
+  config.env.faults.add(dup);
+  return config;
+}
+
+ExperimentConfig noisy_group_flows_monitor() {
+  ExperimentConfig config = small(fabric_shared_40_noisy(), 3000);
+  config.env.replayers = 4;
+  config.group.enabled = true;
+  config.flow.enabled = true;
+  config.flow.flows = 64;
+  config.monitor.enabled = true;
+  config.monitor.window_packets = 512;
+  return config;
+}
+
+class RoundClose : public ::testing::TestWithParam<RoundCloseCase> {};
+
+TEST_P(RoundClose, KeptAndReusedCapturesGiveIdenticalResults) {
+  ExperimentConfig config = GetParam().config;
+  config.eval_jobs = 1;
+  config.keep_captures = true;
+  const ExperimentResult reference = run_experiment(config);
+  ASSERT_EQ(reference.captures.size(), static_cast<std::size_t>(kRuns));
+  for (std::size_t r = 0; r < reference.captures.size(); ++r) {
+    EXPECT_EQ(reference.captures[r].name(), "run-" + std::to_string(r));
+    EXPECT_EQ(reference.captures[r].size(), reference.capture_sizes[r]);
+  }
+  struct Variant {
+    bool keep;
+    int jobs;
+  };
+  for (const Variant v : {Variant{false, 1}, Variant{false, 4},
+                          Variant{true, 4}}) {
+    SCOPED_TRACE(std::string(v.keep ? "kept" : "reused") + " captures, " +
+                 std::to_string(v.jobs) + " jobs");
+    config.keep_captures = v.keep;
+    config.eval_jobs = v.jobs;
+    const ExperimentResult result = run_experiment(config);
+    EXPECT_EQ(result.captures.size(), v.keep ? reference.captures.size() : 0);
+    expect_bitwise_equal(reference, result);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, RoundClose,
+    ::testing::Values(
+        RoundCloseCase{"local_single", small(local_single(), 4000)},
+        RoundCloseCase{"local_dual", small(local_dual(), 4000)},
+        RoundCloseCase{"chaos_duplicating", duplicating_chaos()},
+        RoundCloseCase{"shared_noisy_group_flows_monitor",
+                       noisy_group_flows_monitor()}),
+    [](const ::testing::TestParamInfo<RoundCloseCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(RoundClose, DuplicatingChaosOutgrowsTheReservedCapture) {
+  // The chaos case above covers the regrow path: duplicated frames make
+  // every run capture more packets than the buffer reserved for it.
+  const ExperimentConfig config = duplicating_chaos();
+  const ExperimentResult result = run_experiment(config);
+  EXPECT_GT(result.fault_stats.frames_duplicated, 0u);
+  for (const std::size_t size : result.capture_sizes) {
+    EXPECT_GT(size, config.packets);
+  }
 }
 
 }  // namespace
