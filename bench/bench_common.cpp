@@ -20,9 +20,8 @@ double host_now_ms() {
       .count();
 }
 
-/// Find `<flag> VALUE` in argv, strip both (so downstream parsers — e.g.
-/// google-benchmark's Initialize — never see them) and return VALUE.
-/// Null when the flag is absent.
+/// Find `<flag> VALUE` in argv, strip both (so later parsers never see
+/// them) and return VALUE. Null when the flag is absent.
 const char* take_flag_value(const char* flag, int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0 && i + 1 < *argc) {

@@ -44,10 +44,11 @@ int run(const std::string& dir) {
 
   // Offline analysis: reload and recompute kappa from files alone.
   bool identical = true;
-  const auto trial_a = testbed::rebased_trial(trace::read_trace(traces[0]));
+  const auto trial_a =
+      testbed::rebased_trial(trace::MappedCapture(traces[0]));
   for (std::size_t r = 1; r < traces.size(); ++r) {
     const auto trial_b =
-        testbed::rebased_trial(trace::read_trace(traces[r]));
+        testbed::rebased_trial(trace::MappedCapture(traces[r]));
     const auto offline = core::compare_trials(trial_a, trial_b);
     const double online = result.comparisons[r - 1].metrics.kappa;
     std::printf("run %zu: offline kappa %.6f, online kappa %.6f (%s)\n", r,

@@ -76,14 +76,6 @@ void longest_increasing_subsequence(std::span<const std::uint32_t> values,
   }
 }
 
-std::vector<std::uint32_t> longest_increasing_subsequence(
-    std::span<const std::uint32_t> values) {
-  LisScratch scratch;
-  std::vector<std::uint32_t> out;
-  longest_increasing_subsequence(values, scratch, &out);
-  return out;
-}
-
 std::size_t lis_length(std::span<const std::uint32_t> values) {
   std::vector<std::uint32_t> tails;
   tails.reserve(values.size());

@@ -32,16 +32,11 @@ struct LisScratch {
   std::uint64_t grows = 0;               ///< capacity-growth events
 };
 
-/// Returns the positions (into `values`) of one longest strictly
-/// increasing subsequence, in increasing position order. Patience sorting
-/// with parent links. Takes a span so arena-backed callers never copy
-/// (vectors convert implicitly).
-std::vector<std::uint32_t> longest_increasing_subsequence(
-    std::span<const std::uint32_t> values);
-
-/// Workspace variant: positions written into *out (cleared first), every
-/// internal buffer reused across calls. Output is identical to the
-/// allocating overloads.
+/// Writes into *out (cleared first) the positions (into `values`) of one
+/// longest strictly increasing subsequence, in increasing position order.
+/// Patience sorting with parent links; every internal buffer of
+/// `scratch` is reused across calls. Takes a span so arena-backed callers
+/// never copy (vectors convert implicitly).
 void longest_increasing_subsequence(std::span<const std::uint32_t> values,
                                     LisScratch& scratch,
                                     std::vector<std::uint32_t>* out);

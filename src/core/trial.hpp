@@ -72,7 +72,7 @@ class Trial {
   /// the time normalization run once per capture ahead of every
   /// comparison; it used to copy the whole packet vector and subtract
   /// per element, which at paper scale (~1.05 M packets per run) was a
-  /// measurable slice of the evaluation (see bench_metrics).
+  /// measurable slice of the evaluation.
   void shift_times(Ns delta);
 
   /// Rebase so the first packet arrives at time 0 (the paper evaluates

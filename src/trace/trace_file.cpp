@@ -91,10 +91,6 @@ void write_trace(const Capture& capture, const std::string& path) {
   CHOIR_EXPECT(out.good(), "write failed for trace file: " + path);
 }
 
-Capture read_trace(const std::string& path) {
-  return MappedCapture(path).materialize();
-}
-
 // ---- MappedCapture -----------------------------------------------------
 
 namespace {

@@ -32,10 +32,6 @@ inline constexpr std::size_t kTraceRecordBytes =
 /// Write `capture` to `path`. Throws choir::Error on I/O failure.
 void write_trace(const Capture& capture, const std::string& path);
 
-/// Read a capture back: MappedCapture(path).materialize(). Throws
-/// FormatError on I/O failure or a malformed/mismatched file.
-Capture read_trace(const std::string& path);
-
 /// Zero-copy view of a trace file, and the format's one decoder: the
 /// records stay on disk (mmap'd read-only) and are decoded field-by-field
 /// on access, so building a metrics trial or replay feed never

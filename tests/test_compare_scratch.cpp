@@ -303,6 +303,8 @@ TEST(CompareScratch, StoredDisplacementMatchesMoveSum) {
   EXPECT_EQ(r.sum_abs_move_distance, sum);
 }
 
+// A workspace reused across inputs of every size returns what a fresh
+// one returns.
 TEST(LisWorkspace, MatchesAllocatingOverload) {
   Rng rng(20);
   LisScratch scratch;
@@ -313,7 +315,9 @@ TEST(LisWorkspace, MatchesAllocatingOverload) {
     for (auto& v : values) {
       v = static_cast<std::uint32_t>(rng.uniform_u64(n * 2));
     }
-    const auto plain = longest_increasing_subsequence(values);
+    LisScratch fresh;
+    std::vector<std::uint32_t> plain;
+    longest_increasing_subsequence(values, fresh, &plain);
     longest_increasing_subsequence(values, scratch, &out);
     EXPECT_EQ(plain, out);
     EXPECT_EQ(lis_length(values), plain.size());

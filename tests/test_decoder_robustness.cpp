@@ -113,7 +113,8 @@ struct FileFuzz : ::testing::Test {
 TEST_F(FileFuzz, TraceReaderThrowsNeverCrashes) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     write_random(16 + seed * 13, seed);
-    EXPECT_THROW(trace::read_trace(path), Error) << "seed " << seed;
+    EXPECT_THROW(trace::MappedCapture(path).materialize(), Error)
+        << "seed " << seed;
   }
 }
 
@@ -128,18 +129,18 @@ TEST_F(FileFuzz, TraceReaderThrowsTypedFormatError) {
   // Malformed external input is a recoverable FormatError, never the
   // generic Error that CHOIR_EXPECT raises for API misuse.
   write_bytes("NOTATRCF");
-  EXPECT_THROW(trace::read_trace(path), FormatError);
+  EXPECT_THROW(trace::MappedCapture(path).materialize(), FormatError);
 
   // Valid magic, truncated before the version field.
   write_bytes("CHOIRTRC");
-  EXPECT_THROW(trace::read_trace(path), FormatError);
+  EXPECT_THROW(trace::MappedCapture(path).materialize(), FormatError);
 
   // Unsupported version.
   std::string bad_version = "CHOIRTRC";
   append<std::uint32_t>(bad_version, 0xdeadbeef);
   append<std::uint64_t>(bad_version, 0);
   write_bytes(bad_version);
-  EXPECT_THROW(trace::read_trace(path), FormatError);
+  EXPECT_THROW(trace::MappedCapture(path).materialize(), FormatError);
 
   // Record count far beyond what the file can hold: must be rejected
   // before any allocation is sized from it.
@@ -147,9 +148,10 @@ TEST_F(FileFuzz, TraceReaderThrowsTypedFormatError) {
   append<std::uint32_t>(huge_count, trace::kTraceVersion);
   append<std::uint64_t>(huge_count, ~0ULL);
   write_bytes(huge_count);
-  EXPECT_THROW(trace::read_trace(path), FormatError);
+  EXPECT_THROW(trace::MappedCapture(path).materialize(), FormatError);
 
-  EXPECT_THROW(trace::read_trace(path + ".does-not-exist"), FormatError);
+  EXPECT_THROW(trace::MappedCapture(path + ".does-not-exist").materialize(),
+               FormatError);
 }
 
 TEST_F(FileFuzz, TraceReaderRejectsImplausibleRecordFields) {
@@ -176,14 +178,14 @@ TEST_F(FileFuzz, TraceReaderRejectsImplausibleRecordFields) {
   bytes[record7 + 8 + 4] = '\xff';
   bytes[record7 + 8 + 4 + 1] = '\xff';
   write_bytes(bytes);
-  expect_format_error([&] { trace::read_trace(path); },
+  expect_format_error([&] { trace::MappedCapture(path).materialize(); },
                       "trace record 7 header_len exceeds maximum: " + path);
 
   // wire_len smaller than header_len is likewise implausible.
   bytes = valid;
   for (std::size_t k = 0; k < 4; ++k) bytes[record7 + 8 + k] = 0;
   write_bytes(bytes);
-  expect_format_error([&] { trace::read_trace(path); },
+  expect_format_error([&] { trace::MappedCapture(path).materialize(); },
                       "trace record 7 has implausible wire_len: " + path);
 }
 
@@ -271,10 +273,11 @@ TEST_F(FileFuzz, TruncatedValidTraceRejectedAtEveryPrefix) {
   in.close();
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     write_bytes(bytes.substr(0, n));
-    EXPECT_THROW(trace::read_trace(path), FormatError) << "prefix " << n;
+    EXPECT_THROW(trace::MappedCapture(path).materialize(), FormatError)
+        << "prefix " << n;
   }
   write_bytes(bytes);
-  EXPECT_EQ(trace::read_trace(path).size(), 2u);
+  EXPECT_EQ(trace::MappedCapture(path).materialize().size(), 2u);
 }
 
 TEST_F(FileFuzz, CorruptedValidTraceRejectedOrSane) {
@@ -299,7 +302,7 @@ TEST_F(FileFuzz, CorruptedValidTraceRejectedOrSane) {
     out << mutated;
     out.close();
     try {
-      const trace::Capture loaded = trace::read_trace(path);
+      const trace::Capture loaded = trace::MappedCapture(path).materialize();
       EXPECT_LE(loaded.size(), 2u);
     } catch (const Error&) {
       // rejection is fine

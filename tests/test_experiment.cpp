@@ -151,6 +151,78 @@ TEST(Experiment, ControlPlaneDrivesEverything) {
   EXPECT_EQ(result.middlebox_stats[0].replays_started, 3u);
 }
 
+// Section 5: the forwarding loop drains at most rx_burst_size frames per
+// poll interval, so it carries at most cap = burst × frame bits /
+// interval. Below the cap a recording is lossless. Above it the backlog
+// grows at rate − cap until the replayer's RX ring overflows, after
+// ring × rate / (rate − cap) offered packets.
+struct LineRateRun {
+  std::uint64_t recorded = 0;
+  std::size_t replayed = 0;
+};
+
+LineRateRun line_rate_run(std::uint16_t burst, double rate_gbps,
+                          std::uint64_t packets) {
+  ExperimentConfig cfg = small(local_single(), packets, 11);
+  cfg.runs = 2;
+  cfg.collect_series = false;
+  cfg.env.rate = gbps(rate_gbps);
+  cfg.env.choir.rx_burst_size = burst;
+  const auto result = run_experiment(cfg);
+  return {result.recorded_packets, result.capture_sizes[1]};
+}
+
+/// Bits per nanosecond, i.e. Gbps.
+double cap_gbps(const EnvironmentPreset& env, std::uint16_t burst) {
+  return static_cast<double>(burst) * env.frame_bytes * 8.0 /
+         static_cast<double>(env.choir.poll.interval);
+}
+
+/// Offered packets after which the backlog above the cap fills the ring.
+double overflow_after(const EnvironmentPreset& env, std::uint16_t burst,
+                      double rate_gbps) {
+  return static_cast<double>(env.replayer_nic.rx_ring_pkts) * rate_gbps /
+         (rate_gbps - cap_gbps(env, burst));
+}
+
+TEST(LineRate, BurstCapBoundsLosslessForwarding) {
+  const EnvironmentPreset env = local_single();
+  const std::uint64_t packets = 40'000;
+  struct Bracket {
+    std::uint16_t burst;
+    double below_gbps;
+    double above_gbps;
+  };
+  for (const Bracket b : {Bracket{2, 20.0, 40.0}, Bracket{4, 40.0, 80.0}}) {
+    SCOPED_TRACE(b.burst);
+    const double cap = cap_gbps(env, b.burst);
+    ASSERT_LT(b.below_gbps, cap);
+    ASSERT_GT(b.above_gbps, cap);
+    ASSERT_GT(static_cast<double>(packets),
+              overflow_after(env, b.burst, b.above_gbps));
+    const LineRateRun below = line_rate_run(b.burst, b.below_gbps, packets);
+    EXPECT_EQ(below.recorded, packets);
+    EXPECT_EQ(below.replayed, packets);
+    EXPECT_LT(line_rate_run(b.burst, b.above_gbps, packets).recorded,
+              packets);
+  }
+
+  // The paper's design point: 64-packet bursts carry 100 Gbps of
+  // 1400-byte frames (8.9 Mpps) through record and replay.
+  ASSERT_GT(cap_gbps(env, 64), 99.7);
+  const LineRateRun peak = line_rate_run(64, 99.7, packets);
+  EXPECT_EQ(peak.recorded, packets);
+  EXPECT_EQ(peak.replayed, packets);
+
+  // Above the cap but before the backlog fills the ring, nothing is lost:
+  // a trial this short measures the ring's depth, not the loop's cap.
+  const std::uint64_t short_trial = 16'000;
+  ASSERT_LT(static_cast<double>(short_trial), overflow_after(env, 2, 40.0));
+  const LineRateRun absorbed = line_rate_run(2, 40.0, short_trial);
+  EXPECT_EQ(absorbed.recorded, short_trial);
+  EXPECT_EQ(absorbed.replayed, short_trial);
+}
+
 // Fault targets are checked against the built topology's fault-point
 // list: every point docs/FAULTS.md documents for a mode is accepted, and
 // a target naming no wired point throws (instead of silently never

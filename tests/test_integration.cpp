@@ -93,7 +93,7 @@ TEST(Integration, CaptureArtifactsRoundTrip) {
 
   const core::Trial original = rebased_trial(result.captures[0]);
   for (const trace::Capture& loaded :
-       {trace::read_trace(trc), trace::read_pcap(pcap)}) {
+       {trace::MappedCapture(trc).materialize(), trace::read_pcap(pcap)}) {
     const core::Trial trial = rebased_trial(loaded);
     ASSERT_EQ(trial.size(), original.size());
     for (std::size_t i = 0; i < trial.size(); ++i) {
@@ -125,10 +125,12 @@ TEST(Integration, MetricsRecomputableFromSavedTraces) {
     write_trace(result.captures[i], trc.back());
     trace::write_pcap(result.captures[i], pcap.back());
   }
-  // Loader 0: MappedCapture; 1: read_trace; 2: read_pcap.
+  // Loader 0: MappedCapture; 1: its materialized Capture; 2: read_pcap.
   const auto load = [&](int loader, std::size_t i) {
     if (loader == 0) return rebased_trial(trace::MappedCapture(trc[i]));
-    if (loader == 1) return rebased_trial(trace::read_trace(trc[i]));
+    if (loader == 1) {
+      return rebased_trial(trace::MappedCapture(trc[i]).materialize());
+    }
     return rebased_trial(trace::read_pcap(pcap[i]));
   };
   double worst_o = 0.0;

@@ -51,6 +51,14 @@ std::vector<std::uint32_t> lis_oracle(const std::vector<std::uint32_t>& v) {
   return out;
 }
 
+/// One LIS through a fresh workspace.
+std::vector<std::uint32_t> lis(const std::vector<std::uint32_t>& v) {
+  LisScratch scratch;
+  std::vector<std::uint32_t> out;
+  longest_increasing_subsequence(v, scratch, &out);
+  return out;
+}
+
 bool is_valid_increasing_subsequence(const std::vector<std::uint32_t>& v,
                                      const std::vector<std::uint32_t>& pos) {
   for (std::size_t k = 1; k < pos.size(); ++k) {
@@ -61,43 +69,42 @@ bool is_valid_increasing_subsequence(const std::vector<std::uint32_t>& v,
 }
 
 TEST(Lis, EmptyInput) {
-  EXPECT_TRUE(
-      longest_increasing_subsequence(std::vector<std::uint32_t>{}).empty());
+  EXPECT_TRUE(lis({}).empty());
   EXPECT_EQ(lis_length(std::vector<std::uint32_t>{}), 0u);
 }
 
 TEST(Lis, SingleElement) {
-  const auto r = longest_increasing_subsequence(std::vector<std::uint32_t>{42});
+  const auto r = lis({42});
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0], 0u);
 }
 
 TEST(Lis, AlreadySorted) {
   const std::vector<std::uint32_t> v{1, 2, 3, 4, 5};
-  EXPECT_EQ(longest_increasing_subsequence(v).size(), 5u);
+  EXPECT_EQ(lis(v).size(), 5u);
 }
 
 TEST(Lis, ReversedGivesLengthOne) {
   const std::vector<std::uint32_t> v{5, 4, 3, 2, 1};
-  EXPECT_EQ(longest_increasing_subsequence(v).size(), 1u);
+  EXPECT_EQ(lis(v).size(), 1u);
 }
 
 TEST(Lis, ClassicExample) {
   const std::vector<std::uint32_t> v{10, 9, 2, 5, 3, 7, 101, 18};
-  const auto r = longest_increasing_subsequence(v);
+  const auto r = lis(v);
   EXPECT_EQ(r.size(), 4u);  // e.g. 2, 3, 7, 18
   EXPECT_TRUE(is_valid_increasing_subsequence(v, r));
 }
 
 TEST(Lis, StrictlyIncreasingRejectsEqualRuns) {
   const std::vector<std::uint32_t> v{3, 3, 3, 3};
-  EXPECT_EQ(longest_increasing_subsequence(v).size(), 1u);
+  EXPECT_EQ(lis(v).size(), 1u);
 }
 
 TEST(Lis, SwappedNeighborPair) {
   // A permutation with one adjacent swap keeps n-1 in order.
   const std::vector<std::uint32_t> v{0, 2, 1, 3, 4};
-  EXPECT_EQ(longest_increasing_subsequence(v).size(), 4u);
+  EXPECT_EQ(lis(v).size(), 4u);
 }
 
 TEST(Lis, LengthHelperMatchesRecovery) {
@@ -105,7 +112,7 @@ TEST(Lis, LengthHelperMatchesRecovery) {
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::uint32_t> v(200);
     for (auto& x : v) x = static_cast<std::uint32_t>(rng.uniform_u64(500));
-    EXPECT_EQ(lis_length(v), longest_increasing_subsequence(v).size());
+    EXPECT_EQ(lis_length(v), lis(v).size());
   }
 }
 
@@ -124,7 +131,7 @@ TEST_P(LisRandomTest, MatchesBruteForceAndIsValid) {
   for (auto& x : v) {
     x = static_cast<std::uint32_t>(rng.uniform_u64(param.value_range));
   }
-  const auto r = longest_increasing_subsequence(v);
+  const auto r = lis(v);
   EXPECT_EQ(r.size(), lis_brute(v));
   EXPECT_TRUE(is_valid_increasing_subsequence(v, r));
 }
@@ -144,7 +151,7 @@ TEST(Lis, PermutationIdentityRecovery) {
   for (std::size_t i = 0; i < n; ++i) {
     v[i] = static_cast<std::uint32_t>((i + shift) % n);
   }
-  EXPECT_EQ(longest_increasing_subsequence(v).size(), n - shift);
+  EXPECT_EQ(lis(v).size(), n - shift);
 }
 
 TEST(Lis, LargeInputFast) {
@@ -152,7 +159,7 @@ TEST(Lis, LargeInputFast) {
   Rng rng(11);
   std::vector<std::uint32_t> v(200000);
   for (auto& x : v) x = static_cast<std::uint32_t>(rng.next_u64());
-  const auto r = longest_increasing_subsequence(v);
+  const auto r = lis(v);
   EXPECT_GT(r.size(), 500u);  // ~2*sqrt(n) expected
   EXPECT_TRUE(is_valid_increasing_subsequence(v, r));
 }
@@ -198,11 +205,7 @@ std::vector<std::uint32_t> segmented_input(std::uint64_t seed,
 
 void expect_matches_oracle(const std::vector<std::uint32_t>& v) {
   const std::vector<std::uint32_t> expected = lis_oracle(v);
-  EXPECT_EQ(longest_increasing_subsequence(v), expected);
-  LisScratch scratch;
-  std::vector<std::uint32_t> out;
-  longest_increasing_subsequence(v, scratch, &out);
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(lis(v), expected);
   EXPECT_EQ(lis_length(v), expected.size());
 }
 

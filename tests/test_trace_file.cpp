@@ -138,7 +138,7 @@ TEST_F(TraceFileTest, WriterCoversEdgeFields) {
 TEST_F(TraceFileTest, RoundTripPreservesRecords) {
   const Capture original = sample_capture(100);
   write_trace(original, path);
-  const Capture loaded = read_trace(path);
+  const Capture loaded = MappedCapture(path).materialize();
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded[i].timestamp, original[i].timestamp);
@@ -153,26 +153,27 @@ TEST_F(TraceFileTest, RoundTripPreservesRecords) {
 
 TEST_F(TraceFileTest, EmptyCaptureRoundTrips) {
   write_trace(Capture("empty"), path);
-  EXPECT_EQ(read_trace(path).size(), 0u);
+  EXPECT_EQ(MappedCapture(path).materialize().size(), 0u);
 }
 
 TEST_F(TraceFileTest, TrialIdenticalAfterRoundTrip) {
   const Capture original = sample_capture(50);
   write_trace(original, path);
-  const Capture loaded = read_trace(path);
+  const Capture loaded = MappedCapture(path).materialize();
   const auto r = core::compare_trials(original.to_trial(), loaded.to_trial());
   EXPECT_EQ(r.metrics.kappa, 1.0);
 }
 
 TEST_F(TraceFileTest, MissingFileThrows) {
-  EXPECT_THROW(read_trace(path + ".does-not-exist"), Error);
+  EXPECT_THROW(MappedCapture(path + ".does-not-exist").materialize(),
+               Error);
 }
 
 TEST_F(TraceFileTest, BadMagicRejected) {
   std::ofstream out(path, std::ios::binary);
   out << "NOTATRACE-FILE-AT-ALL";
   out.close();
-  EXPECT_THROW(read_trace(path), Error);
+  EXPECT_THROW(MappedCapture(path).materialize(), Error);
 }
 
 TEST_F(TraceFileTest, TruncatedFileRejected) {
@@ -184,7 +185,7 @@ TEST_F(TraceFileTest, TruncatedFileRejected) {
   std::ofstream out(path, std::ios::binary | std::ios::in);
   out.close();
   ASSERT_EQ(truncate(path.c_str(), size - 20), 0);
-  EXPECT_THROW(read_trace(path), Error);
+  EXPECT_THROW(MappedCapture(path).materialize(), Error);
 }
 
 // --- MappedCapture ------------------------------------------------------
@@ -192,7 +193,7 @@ TEST_F(TraceFileTest, TruncatedFileRejected) {
 TEST_F(TraceFileTest, MappedMatchesReadTrace) {
   const Capture original = sample_capture(100);
   write_trace(original, path);
-  const Capture loaded = read_trace(path);
+  const Capture loaded = MappedCapture(path).materialize();
   const MappedCapture mapped(path);
   EXPECT_TRUE(mapped.zero_copy());
   ASSERT_EQ(mapped.size(), loaded.size());
@@ -213,7 +214,8 @@ TEST_F(TraceFileTest, MappedMatchesReadTrace) {
 
 TEST_F(TraceFileTest, MappedToTrialMatchesCapture) {
   write_trace(sample_capture(200), path);
-  const core::Trial from_read = read_trace(path).to_trial();
+  const core::Trial from_read =
+      MappedCapture(path).materialize().to_trial();
   const core::Trial from_map = MappedCapture(path).to_trial();
   ASSERT_EQ(from_map.size(), from_read.size());
   for (std::size_t i = 0; i < from_read.size(); ++i) {
@@ -224,8 +226,8 @@ TEST_F(TraceFileTest, MappedToTrialMatchesCapture) {
 }
 
 TEST_F(TraceFileTest, MappedMaterializeMatchesReadTrace) {
-  write_trace(sample_capture(40), path);
-  const Capture loaded = read_trace(path);
+  const Capture loaded = sample_capture(40);
+  write_trace(loaded, path);
   const Capture materialized = MappedCapture(path).materialize();
   ASSERT_EQ(materialized.size(), loaded.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
@@ -274,7 +276,6 @@ TEST_F(TraceFileTest, MappedBadVersionRejected) {
   f.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
   f.close();
   EXPECT_THROW(MappedCapture{path}, FormatError);
-  EXPECT_THROW(read_trace(path), FormatError);
 }
 
 TEST_F(TraceFileTest, MappedTruncatedRejected) {
@@ -296,7 +297,6 @@ TEST_F(TraceFileTest, MappedCorruptWireLenRejected) {
   f.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
   f.close();
   EXPECT_THROW(MappedCapture{path}, FormatError);
-  EXPECT_THROW(read_trace(path), FormatError);
 }
 
 TEST_F(TraceFileTest, NegativeTimestampsSupported) {
@@ -305,7 +305,7 @@ TEST_F(TraceFileTest, NegativeTimestampsSupported) {
   frame.wire_len = 64;
   cap.append(CaptureRecord::from_frame(frame, -12345));
   write_trace(cap, path);
-  EXPECT_EQ(read_trace(path)[0].timestamp, -12345);
+  EXPECT_EQ(MappedCapture(path).materialize()[0].timestamp, -12345);
 }
 
 }  // namespace
