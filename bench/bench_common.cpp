@@ -201,11 +201,15 @@ Reporter::Reporter(const std::string& name, int* argc, char** argv)
     : report_(make_bench_report(name)),
       path_(str_from_args("--json", "", argc, argv)) {}
 
-void Reporter::pin_suite(std::uint64_t packets) {
-  report_.suite = report_.name;
+void Reporter::pin_scale(std::uint64_t packets) {
   report_.scale_packets = packets;
   report_.choir_full = false;
   report_.has_choir_scale = false;
+}
+
+void Reporter::pin_suite(std::uint64_t packets) {
+  pin_scale(packets);
+  report_.suite = report_.name;
   ledger_ = true;
 }
 

@@ -68,9 +68,13 @@ class Reporter {
 
   bool enabled() const { return !path_.empty(); }
 
-  /// Give the report a suite header: a "suite" key, the pinned
-  /// `packets` as its scale (CHOIR_SCALE / CHOIR_FULL are not stamped)
-  /// and the event ledger (`events.<component>`,
+  /// Stamp the pinned `packets` as the report's scale, for a row whose
+  /// cases set their own packet count (CHOIR_SCALE / CHOIR_FULL are not
+  /// stamped: the row does not read them).
+  void pin_scale(std::uint64_t packets);
+
+  /// Give the report a suite header: a "suite" key, the pinned scale of
+  /// pin_scale and the event ledger (`events.<component>`,
   /// `events.total`) as counters of every case added afterwards.
   void pin_suite(std::uint64_t packets);
 

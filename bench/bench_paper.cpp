@@ -68,6 +68,9 @@ struct Artifact {
   std::vector<Case> cases;
   Render render;
   Report report = Report::kCases;
+  /// The cases set their own packet count (not CHOIR_SCALE/CHOIR_FULL),
+  /// so the header stamps cases[0]'s. Suites always pin.
+  bool pinned = false;
 };
 
 /// A paper environment run: five runs (A plus B-E) at the env-selected
@@ -957,7 +960,7 @@ std::vector<Artifact> all_artifacts() {
       // because it drains bursts of up to 64 packets; bursts of 2 and 4
       // lose packets above their caps. Pinned scale, no baseline.
       {"line_rate", "§5", line_rate_cases(), render_line_rate,
-       Report::kMetrics},
+       Report::kMetrics, true},
       // Pinned-scale suites with committed baselines (quick, engines)
       // that CI gates byte for byte.
       {"quick", "suite: local single + dual, 20k packets (CI gate)",
@@ -969,11 +972,11 @@ std::vector<Artifact> all_artifacts() {
       // The flow subsystem at many-flow scale: 100k flows, 300k packets
       // per trial (pinned).
       {"flow_scaling", "per-flow kappa percentiles over 100k flows",
-       {flow_scaling_case()}, render_flow_scaling},
+       {flow_scaling_case()}, render_flow_scaling, Report::kCases, true},
       // Replay-group consistency versus node count, plus chaos cases
       // (pinned).
       {"group_scaling", "group kappa vs node count, quiet + chaos",
-       group_scaling_cases(), render_group_scaling},
+       group_scaling_cases(), render_group_scaling, Report::kCases, true},
       // Consistency under deterministic fault injection.
       {"chaos_sweep", "kappa vs chaos intensity (EXPERIMENTS.md)",
        chaos_sweep_cases(), render_chaos_sweep, Report::kMetrics},
@@ -1020,8 +1023,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_paper: unexpected argument '%s'\n", argv[2]);
     return usage(artifacts);
   }
+  const std::uint64_t pinned = artifact->cases[0].config.packets;
   if (artifact->report == Report::kSuite) {
-    reporter.pin_suite(artifact->cases[0].config.packets);
+    reporter.pin_suite(pinned);
+  } else if (artifact->pinned) {
+    reporter.pin_scale(pinned);
   }
 
   std::vector<Case> cases = artifact->cases;

@@ -107,12 +107,11 @@ struct CompareScratch {
 
   std::uint32_t epoch = 0;
 
-  std::vector<std::uint32_t> order;         ///< match index by rank_a
-  std::vector<std::uint32_t> seq_forward;   ///< rank_a in B order
-  std::vector<std::uint32_t> seq_backward;  ///< rank_b in A order
-  std::vector<std::uint32_t> lis_out;       ///< LIS positions buffer
-  std::vector<char> member_fwd;             ///< LCS membership, B order
-  std::vector<char> member_bwd;             ///< LCS membership, A-rank order
+  std::vector<std::uint32_t> order;        ///< match index (= rank_b) by rank_a
+  std::vector<std::uint32_t> seq_forward;  ///< rank_a in B order
+  std::vector<std::uint32_t> lis_out;      ///< LIS positions buffer
+  std::vector<char> member_fwd;            ///< LCS membership, B order
+  std::vector<char> member_bwd;            ///< LCS membership, A-rank order
   LisScratch lis;
   Alignment alignment;  ///< compare_trials' reusable alignment storage
 };

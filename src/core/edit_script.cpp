@@ -119,25 +119,23 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
   // within the common permutation (insertions of B-only packets are
   // separate edits covered by U), and ranks give the proven maximum of
   // Eq. 2 (a reversal, the Spearman-footrule worst case).
+  // `order` lists the match indices in A order; a match index is its own
+  // rank_b (matches are in B order), so `order` is also the rank_b
+  // sequence the backward LIS reads.
   reserve_tracked(scratch.order, m, &scratch.grows);
   reserve_tracked(scratch.seq_forward, m, &scratch.grows);
-  reserve_tracked(scratch.seq_backward, m, &scratch.grows);
-  scratch.order.resize(m);
-  scratch.seq_forward.resize(m);
-  scratch.seq_backward.resize(m);
-  std::uint32_t rank = 0;
+  scratch.order.clear();
+  scratch.seq_forward.clear();
   for (std::uint32_t j = 0; j < a.size(); ++j) {
     const CompareScratch::Claim& claim = scratch.claimed[j];
     if (claim.epoch != epoch) continue;
-    out->matches[claim.match].rank_a = rank;
-    scratch.order[rank] = claim.match;
-    // The match index is its own rank_b (matches are in B order).
-    scratch.seq_backward[rank] = claim.match;
-    ++rank;
+    out->matches[claim.match].rank_a =
+        static_cast<std::uint32_t>(scratch.order.size());
+    scratch.order.push_back(claim.match);
   }
   for (std::uint32_t k = 0; k < m; ++k) {
     out->matches[k].rank_b = k;
-    scratch.seq_forward[k] = out->matches[k].rank_a;
+    scratch.seq_forward.push_back(out->matches[k].rank_a);
   }
 
   // The maximal LCS is not unique; which packets count as "moved" depends
@@ -149,7 +147,7 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
   const double forward =
       off_lcs_displacement(scratch.seq_forward, scratch, &scratch.member_fwd);
   const double backward =
-      off_lcs_displacement(scratch.seq_backward, scratch, &scratch.member_bwd);
+      off_lcs_displacement(scratch.order, scratch, &scratch.member_bwd);
 
   // Adopt the cheaper partition's membership flags (translated to B
   // order when the backward direction won). Each footrule term is an

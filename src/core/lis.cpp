@@ -1,5 +1,7 @@
 #include "core/lis.hpp"
 
+#include <algorithm>
+
 namespace choir::core {
 
 namespace {
@@ -28,6 +30,25 @@ void reserve_tracked(Vec& v, std::size_t n, std::uint64_t* grows) {
 
 }  // namespace
 
+std::size_t gallop_lower_bound(std::span<const std::uint32_t> sorted,
+                               std::uint32_t v) {
+  const std::uint32_t* a = sorted.data();
+  const std::size_t n = sorted.size();
+  if (n == 0 || a[n - 1] < v) return n;
+  // Invariant: a[hi] >= v. Each probe that still reads >= v moves hi down
+  // by `step` and doubles it, so after k probes hi = n - 2^k.
+  std::size_t hi = n - 1;
+  std::size_t step = 1;
+  while (step <= hi && a[hi - step] >= v) {
+    hi -= step;
+    step *= 2;
+  }
+  // The last probe read a[hi - step] < v (or ran past index 0): the
+  // answer lies in (hi - step, hi], and a[hi] >= v closes the bracket.
+  const std::size_t lo = step <= hi ? hi - step + 1 : 0;
+  return lo + lower_bound_pos(a + lo, hi - lo, v);
+}
+
 void longest_increasing_subsequence(std::span<const std::uint32_t> values,
                                     LisScratch& scratch,
                                     std::vector<std::uint32_t>* out) {
@@ -40,20 +61,13 @@ void longest_increasing_subsequence(std::span<const std::uint32_t> values,
   reserve_tracked(scratch.parent, n, &scratch.grows);
   scratch.tail_vals.clear();
   scratch.tail_pos.clear();
-  scratch.parent.resize(n);
+  scratch.parent.clear();
 
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t v = values[i];
-    // A value above every pile tail starts a new pile. lower_bound_pos
-    // returns tail_vals.size() exactly then, so skipping the search
-    // changes no output, and an in-order run costs O(1) per value.
-    const std::size_t piles = scratch.tail_vals.size();
-    const std::size_t pile =
-        piles == 0 || scratch.tail_vals.back() < v
-            ? piles
-            : lower_bound_pos(scratch.tail_vals.data(), piles, v);
-    scratch.parent[i] =
-        pile > 0 ? scratch.tail_pos[pile - 1] : UINT32_MAX;
+    const std::size_t pile = gallop_lower_bound(scratch.tail_vals, v);
+    scratch.parent.push_back(pile > 0 ? scratch.tail_pos[pile - 1]
+                                      : UINT32_MAX);
     if (pile == scratch.tail_vals.size()) {
       scratch.tail_vals.push_back(v);
       scratch.tail_pos.push_back(i);
@@ -77,14 +91,15 @@ void longest_increasing_subsequence(std::span<const std::uint32_t> values,
 }
 
 std::size_t lis_length(std::span<const std::uint32_t> values) {
+  // std::lower_bound rather than the gallop: an independent oracle.
   std::vector<std::uint32_t> tails;
   tails.reserve(values.size());
   for (const std::uint32_t v : values) {
-    const std::size_t pile = lower_bound_pos(tails.data(), tails.size(), v);
-    if (pile == tails.size()) {
+    const auto it = std::lower_bound(tails.begin(), tails.end(), v);
+    if (it == tails.end()) {
       tails.push_back(v);
     } else {
-      tails[pile] = v;
+      *it = v;
     }
   }
   return tails.size();

@@ -15,17 +15,23 @@ void Trial::rebase_to_zero() {
 std::size_t Trial::make_occurrences_unique() {
   PacketIdIndex index;
   index.reserve(packets_.size());
-  std::vector<std::uint32_t> counts;  // by dense id of the raw id
-  counts.reserve(packets_.size());
+  // Occurrences so far, by dense id of the raw id. Until the first repeat
+  // every id has occurred once, so the counts start there; a trial of
+  // distinct ids never allocates them.
+  std::vector<std::uint32_t> counts;
   std::size_t rewritten = 0;
   for (auto& p : packets_) {
     const auto [id, fresh] = index.insert(p.id);
-    if (fresh) counts.push_back(0);
-    const std::uint32_t occurrence = counts[id]++;
-    if (occurrence > 0) {
-      p.id = occurrence_id(p.id, occurrence);
-      ++rewritten;
+    if (fresh) {
+      if (!counts.empty()) counts.push_back(1);
+      continue;
     }
+    if (counts.empty()) {
+      counts.reserve(packets_.size());
+      counts.assign(index.size(), 1);
+    }
+    p.id = occurrence_id(p.id, counts[id]++);
+    ++rewritten;
   }
   return rewritten;
 }

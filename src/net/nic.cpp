@@ -87,8 +87,9 @@ Ns PhysNic::dma_pull_time() {
 Vf* PhysNic::route(const pktio::Mbuf* pkt) {
   const auto parsed = pktio::parse_eth_ipv4_udp(pkt->frame);
   if (parsed.valid) {
+    const std::uint64_t dst = pktio::mac_key(parsed.flow.dst_mac);
     for (const auto& vf : vfs_) {
-      if (vf->mac().bytes == parsed.flow.dst_mac.bytes) return vf.get();
+      if (vf->mac_key_ == dst) return vf.get();
     }
   }
   for (const auto& vf : vfs_) {

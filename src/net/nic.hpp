@@ -32,7 +32,8 @@ class Vf : public pktio::PortBackend {
  public:
   Vf(PhysNic& phys, pktio::MacAddress mac, std::size_t rx_ring_pkts,
      std::size_t tx_ring_pkts, bool promiscuous, const std::string& label)
-      : phys_(phys), mac_(mac), rx_ring_(rx_ring_pkts),
+      : phys_(phys), mac_(mac), mac_key_(pktio::mac_key(mac)),
+        rx_ring_(rx_ring_pkts),
         tx_ring_(tx_ring_pkts), promiscuous_(promiscuous),
         tm_rx_ring_hwm_(telemetry::gauge(label + ".rx_ring_hwm")) {
     exposure_.counter(label + ".imissed", imissed_);
@@ -71,6 +72,7 @@ class Vf : public pktio::PortBackend {
 
   PhysNic& phys_;
   pktio::MacAddress mac_;
+  std::uint64_t mac_key_;  ///< PhysNic::route compares this
   pktio::Ring rx_ring_;
   pktio::Ring tx_ring_;  ///< descriptor FIFO: accepted, not yet pulled
   bool promiscuous_;

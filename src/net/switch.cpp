@@ -7,14 +7,6 @@
 
 namespace choir::net {
 
-namespace {
-std::uint64_t mac_key(const pktio::MacAddress& mac) {
-  std::uint64_t k = 0;
-  for (const std::uint8_t b : mac.bytes) k = (k << 8) | b;
-  return k;
-}
-}  // namespace
-
 struct Switch::PortIngress : Endpoint {
   Switch* parent;
   std::size_t index;
@@ -58,7 +50,7 @@ void Switch::set_port_forward(std::size_t in, std::size_t out) {
 
 void Switch::set_mac_route(const pktio::MacAddress& mac, std::size_t port) {
   CHOIR_EXPECT(port < ports_.size(), "MAC route references missing port");
-  mac_table_[mac_key(mac)] = port;
+  mac_table_[pktio::mac_key(mac)] = port;
 }
 
 std::optional<std::size_t> Switch::lookup(std::size_t in_port,
@@ -66,7 +58,7 @@ std::optional<std::size_t> Switch::lookup(std::size_t in_port,
   if (ports_[in_port]->forward_to) return ports_[in_port]->forward_to;
   const auto parsed = pktio::parse_eth_ipv4_udp(pkt->frame);
   if (parsed.valid) {
-    const auto it = mac_table_.find(mac_key(parsed.flow.dst_mac));
+    const auto it = mac_table_.find(pktio::mac_key(parsed.flow.dst_mac));
     if (it != mac_table_.end()) return it->second;
   }
   return std::nullopt;

@@ -24,6 +24,14 @@ struct MacAddress {
   std::array<std::uint8_t, 6> bytes{};
 };
 
+/// The 48-bit address as an integer (bytes big-endian): equal keys are
+/// equal addresses, so lookups compare one word instead of six bytes.
+constexpr std::uint64_t mac_key(const MacAddress& mac) {
+  std::uint64_t k = 0;
+  for (const std::uint8_t b : mac.bytes) k = (k << 8) | b;
+  return k;
+}
+
 struct FlowAddress {
   MacAddress src_mac;
   MacAddress dst_mac;

@@ -19,7 +19,7 @@ CaptureRecord CaptureRecord::from_frame(const pktio::Frame& frame,
 
 core::PacketId CaptureRecord::packet_id() const {
   if (has_trailer) {
-    if (const auto tag = decode_tag(trailer)) return packet_id_of(*tag);
+    if (const auto id = trailer_packet_id(trailer.data())) return *id;
   }
   return untagged_packet_id(payload_token);
 }

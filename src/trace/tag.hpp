@@ -11,7 +11,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 
 #include "core/trial.hpp"
@@ -41,5 +43,24 @@ void stamp(pktio::Frame& frame, const Tag& tag);
 
 /// Packet identity for the metrics layer: the trailer verbatim.
 core::PacketId packet_id_of(const Tag& tag);
+
+/// Packet identity of the 16 trailer bytes at `trailer`, read as two
+/// big-endian 64-bit words: `hi` is bytes 0-7 (magic, replayer, stream)
+/// and `lo` bytes 8-15 (sequence), which is packet_id_of(*decode_tag(t))
+/// without rebuilding the tag byte by byte. nullopt when the magic does
+/// not match, as decode_tag.
+inline std::optional<core::PacketId> trailer_packet_id(
+    const std::uint8_t* trailer) {
+  static_assert(pktio::kTrailerBytes == 16);
+  core::PacketId id;
+  std::memcpy(&id.hi, trailer, sizeof id.hi);
+  std::memcpy(&id.lo, trailer + sizeof id.hi, sizeof id.lo);
+  if constexpr (std::endian::native == std::endian::little) {
+    id.hi = __builtin_bswap64(id.hi);
+    id.lo = __builtin_bswap64(id.lo);
+  }
+  if ((id.hi >> 48) != kTagMagic) return std::nullopt;
+  return id;
+}
 
 }  // namespace choir::trace

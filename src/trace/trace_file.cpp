@@ -228,9 +228,7 @@ Ns MappedCapture::timestamp(std::size_t i) const {
 core::PacketId MappedCapture::raw_packet_id(std::size_t i) const {
   const std::uint8_t* r = record_ptr(i);
   if (get_at<std::uint8_t>(r + kOffHasTrailer) != 0) {
-    std::array<std::uint8_t, pktio::kTrailerBytes> trailer;
-    std::memcpy(trailer.data(), r + kOffTrailer, trailer.size());
-    if (const auto tag = decode_tag(trailer)) return packet_id_of(*tag);
+    if (const auto id = trailer_packet_id(r + kOffTrailer)) return *id;
   }
   return untagged_packet_id(get_at<std::uint64_t>(r + kOffPayloadToken));
 }

@@ -21,6 +21,7 @@
 #include "common/flat_index.hpp"
 #include "common/rng.hpp"
 #include "core/compare_scratch.hpp"
+#include "core/metrics.hpp"
 #include "flow/flow_kappa.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/presets.hpp"
@@ -211,6 +212,72 @@ TEST_F(AllocCounts, ExperimentPeakBytesGrowByATrialPerRun) {
               "trial %zu B\n",
               two, six, per_run, trial_bytes);
   EXPECT_LE(per_run, trial_bytes + 2 * kPackets);
+}
+
+/// One replayer's tagged capture of n packets in `order`.
+Capture tagged_capture(const std::vector<std::uint64_t>& order) {
+  Capture cap("offline");
+  cap.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    pktio::Frame frame;
+    frame.wire_len = 1400;
+    frame.header_len = 42;
+    stamp(frame, Tag{1, 0, order[i]});
+    cap.append(CaptureRecord::from_frame(frame, static_cast<Ns>(i) * 280));
+  }
+  return cap;
+}
+
+TEST_F(AllocCounts, OfflineComparePeakBytesPerPacket) {
+  // What `choirctl compare` holds on the heap at once for a near-ordered
+  // 100k-packet pair (B swaps one neighbour pair in 50 and moves 20
+  // packets far). The traces are mapped, not read into the heap; the
+  // budget below names every per-packet buffer, and the slack is 2 B
+  // per packet.
+  constexpr std::size_t kPackets = 100'000;
+  std::vector<std::uint64_t> order(kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) order[i] = i;
+  write_trace(tagged_capture(order), path);
+  Rng rng(3);
+  for (std::size_t i = 0; i + 1 < kPackets; i += 50) {
+    std::swap(order[i], order[i + 1]);
+  }
+  for (int k = 0; k < 20; ++k) {
+    std::swap(order[rng.uniform_u64(kPackets)],
+              order[rng.uniform_u64(kPackets)]);
+  }
+  const std::string path_b = path + ".b";
+  write_trace(tagged_capture(order), path_b);
+  order = {};
+
+  const std::size_t base = g_live_bytes;
+  g_peak_bytes = base;
+  {
+    const MappedCapture a(path);
+    const MappedCapture b(path_b);
+    const core::Trial trial_a = testbed::rebased_trial(a);
+    const core::Trial trial_b = testbed::rebased_trial(b);
+    core::ComparisonOptions options;
+    options.collect_series = true;
+    const core::ComparisonResult cmp =
+        core::compare_trials(trial_a, trial_b, options);
+    EXPECT_EQ(cmp.common, kPackets);
+    EXPECT_GT(cmp.moved, 0u);
+  }
+  std::remove(path_b.c_str());
+  const std::size_t peak = g_peak_bytes - base;
+  std::printf("offline compare peak heap: %zu B, %.2f B per packet\n", peak,
+              static_cast<double>(peak) / kPackets);
+  const std::size_t budget =
+      2 * sizeof(core::TrialPacket)             // the two rebased trials
+      + sizeof(std::uint32_t)                   // the reference index lane
+      + sizeof(core::CompareScratch::Claim)     // claims
+      + sizeof(core::MatchedPacket)             // matches
+      + sizeof(core::Move)                      // moves, reserved to m
+      + 6 * sizeof(std::uint32_t)               // ranks, LIS piles, LIS out
+      + 2 * sizeof(char)                        // LCS membership flags
+      + 2 * sizeof(double);                     // IAT and latency series
+  EXPECT_LE(peak, (budget + 2) * kPackets);
 }
 
 /// Bytes allocated by building a fresh core::ReferenceIndex over `a`.

@@ -253,5 +253,63 @@ TEST(Lis, OracleNearOrderedCapture) {
   expect_matches_oracle(v);
 }
 
+/// A sorted array of n values with random gaps of 0 to 3 (0 repeats a
+/// value), starting at 1 so that every value has one below it.
+std::vector<std::uint32_t> sorted_input(Rng& rng, std::size_t n) {
+  std::vector<std::uint32_t> a;
+  std::uint32_t x = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    x += static_cast<std::uint32_t>(rng.uniform_u64(4));
+    a.push_back(x);
+  }
+  return a;
+}
+
+std::size_t std_lower_bound(const std::vector<std::uint32_t>& a,
+                            std::uint32_t v) {
+  return static_cast<std::size_t>(std::lower_bound(a.begin(), a.end(), v) -
+                                  a.begin());
+}
+
+TEST(GallopLowerBound, EqualsStdLowerBoundAtEveryDepth) {
+  // Sizes 0..70 and one either side of every power of two to 4096, so
+  // the gallop's brackets (after k probes, hi = n - 2^k) meet every edge
+  // of the array. Every landing index is probed, from d = 0 (the top
+  // pile) to d = n - 1 (the bottom), with the value itself and one below
+  // it, plus a value above every element and one below all of them.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 70; ++n) sizes.push_back(n);
+  for (std::size_t p = 128; p <= 4096; p *= 2) {
+    sizes.insert(sizes.end(), {p - 1, p, p + 1});
+  }
+  Rng rng(29);
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE(n);
+    const std::vector<std::uint32_t> a = sorted_input(rng, n);
+    for (std::size_t d = 0; d < n; ++d) {
+      const std::uint32_t v = a[n - 1 - d];
+      ASSERT_EQ(gallop_lower_bound(a, v), std_lower_bound(a, v)) << d;
+      ASSERT_EQ(gallop_lower_bound(a, v - 1), std_lower_bound(a, v - 1))
+          << d;
+    }
+    const std::uint32_t above = n == 0 ? 1 : a.back() + 1;
+    EXPECT_EQ(gallop_lower_bound(a, above), n);
+    EXPECT_EQ(gallop_lower_bound(a, 0), 0u);
+  }
+}
+
+TEST(GallopLowerBound, EqualsStdLowerBoundOnRandomQueries) {
+  Rng rng(37);
+  for (int round = 0; round < 200; ++round) {
+    const std::vector<std::uint32_t> a =
+        sorted_input(rng, rng.uniform_u64(3000));
+    const std::uint64_t top = a.empty() ? 2 : a.back() + 2;
+    for (int q = 0; q < 50; ++q) {
+      const auto v = static_cast<std::uint32_t>(rng.uniform_u64(top));
+      ASSERT_EQ(gallop_lower_bound(a, v), std_lower_bound(a, v));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace choir::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+
 namespace choir::trace {
 namespace {
 
@@ -55,6 +57,42 @@ TEST(Tag, SequentialSequencesSequentialIds) {
   for (std::uint64_t s = 0; s < 100; ++s) {
     EXPECT_EQ(packet_id_of(Tag{1, 0, s}).lo, s);
   }
+}
+
+TEST(Tag, TrailerIdEqualsDecodedTagId) {
+  // Random trailers, half of them with the magic: the two-load id equals
+  // the id of the decoded tag, and a wrong magic reads as no id.
+  Rng rng(41);
+  int tagged = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::array<std::uint8_t, pktio::kTrailerBytes> t;
+    for (auto& b : t) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+    if (i % 2 == 0) {
+      t[0] = static_cast<std::uint8_t>(kTagMagic >> 8);
+      t[1] = static_cast<std::uint8_t>(kTagMagic & 0xff);
+    }
+    const auto tag = decode_tag(t);
+    const auto id = trailer_packet_id(t.data());
+    ASSERT_EQ(id.has_value(), tag.has_value()) << i;
+    if (!tag) continue;
+    ++tagged;
+    EXPECT_EQ(*id, packet_id_of(*tag)) << i;
+  }
+  EXPECT_GE(tagged, 10000);
+}
+
+TEST(Tag, PacketIdIsTheTrailerBytes) {
+  // hi is trailer bytes 0-7 and lo bytes 8-15, big-endian.
+  const Tag tag{0x1234, 0x56789abc, 0x0102030405060708ULL};
+  const auto t = encode_tag(tag);
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  for (int i = 0; i < 8; ++i) {
+    hi = (hi << 8) | t[i];
+    lo = (lo << 8) | t[8 + i];
+  }
+  EXPECT_EQ(packet_id_of(tag), (core::PacketId{hi, lo}));
+  EXPECT_EQ(*trailer_packet_id(t.data()), (core::PacketId{hi, lo}));
 }
 
 }  // namespace

@@ -250,6 +250,31 @@ TEST_F(TraceFileTest, MappedUntaggedIdFallsBackToPayloadToken) {
   EXPECT_EQ(mapped.raw_packet_id(0).hi, cap[0].packet_id().hi);
 }
 
+TEST_F(TraceFileTest, WrongMagicFallsBackToPayloadToken) {
+  // A trailer whose magic does not match is no tag: CaptureRecord and
+  // MappedCapture both fall back to the payload token, and a record with
+  // the magic keeps its tag's id.
+  Capture cap("magic");
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    pktio::Frame frame;
+    frame.wire_len = 64;
+    frame.payload_token = 0xABC0 + i;
+    stamp(frame, Tag{3, 2, i});
+    if (i % 2 == 1) frame.trailer[i == 1 ? 0 : 1] ^= 0x40;
+    cap.append(CaptureRecord::from_frame(frame, static_cast<Ns>(i)));
+  }
+  write_trace(cap, path);
+  const MappedCapture mapped(path);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    const core::PacketId expected = i % 2 == 1
+                                        ? untagged_packet_id(0xABC0 + i)
+                                        : packet_id_of(Tag{3, 2, i});
+    EXPECT_EQ(cap[i].packet_id(), expected);
+    EXPECT_EQ(mapped.raw_packet_id(i), expected);
+  }
+}
+
 TEST_F(TraceFileTest, MappedEmptyTrace) {
   write_trace(Capture("empty"), path);
   const MappedCapture mapped(path);

@@ -1,6 +1,7 @@
 #include "core/trial.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -75,6 +76,57 @@ TEST(Trial, OccurrenceTaggingNoopOnUniqueIds) {
     t.push_back(TrialPacket{PacketId{0, i}, static_cast<Ns>(i)});
   }
   EXPECT_EQ(t.make_occurrences_unique(), 0u);
+}
+
+/// Map-based reference for make_occurrences_unique: the k-th repeat of
+/// an id (k counted from 0) becomes occurrence_id(id, k).
+std::vector<PacketId> occurrences_reference(const Trial& t) {
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> seen;
+  std::vector<PacketId> out;
+  for (const TrialPacket& p : t.packets()) {
+    out.push_back(occurrence_id(p.id, seen[{p.id.hi, p.id.lo}]++));
+  }
+  return out;
+}
+
+void expect_matches_reference(Trial t) {
+  const std::vector<PacketId> expected = occurrences_reference(t);
+  std::size_t repeats = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    repeats += expected[i] == t[i].id ? 0 : 1;
+  }
+  EXPECT_EQ(t.make_occurrences_unique(), repeats);
+  ASSERT_EQ(t.size(), expected.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    ASSERT_EQ(t[i].id, expected[i]) << i;
+  }
+}
+
+TEST(Trial, OccurrencesMatchReferenceWhenFirstRepeatComesLate) {
+  // 5000 distinct ids, then a tail that repeats early, middle and late
+  // ids (some many times) between ids seen for the first time.
+  Trial t;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    t.push_back(TrialPacket{PacketId{7, i}, static_cast<Ns>(i)});
+  }
+  for (std::uint64_t k = 0; k < 3000; ++k) {
+    const std::uint64_t lo = k % 3 == 0   ? 5000 + k  // a new id
+                             : k % 3 == 1 ? (k * 7919) % 5000
+                                          : k % 17;
+    t.push_back(TrialPacket{PacketId{7, lo}, static_cast<Ns>(5000 + k)});
+  }
+  expect_matches_reference(t);
+}
+
+TEST(Trial, OccurrencesMatchReferenceOnDistinctAndEqualIds) {
+  Trial distinct;
+  Trial equal;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    distinct.push_back(TrialPacket{PacketId{i * 31, i}, static_cast<Ns>(i)});
+    equal.push_back(TrialPacket{PacketId{5, 5}, static_cast<Ns>(i)});
+  }
+  expect_matches_reference(distinct);
+  expect_matches_reference(equal);
 }
 
 TEST(PacketId, EqualityAndHash) {

@@ -22,8 +22,10 @@
 #  - Entry points that tests drive: sim::EventQueue::run and
 #    fault::FaultInjector::attached_points. No production binary calls
 #    them, but the tests drive or check against both.
-#  - The oracle: core::lis_length, the brute-force LIS the incremental
-#    LIS tests check against.
+#  - The oracles: core::lis_length, the brute-force LIS the incremental
+#    LIS tests check against, and trace::packet_id_of, the Tag -> id
+#    mapping the tests check trace::trailer_packet_id (the production
+#    path, two loads of the raw trailer) against.
 #  - A work count only tests read: core::PacketIdIndex::census, the
 #    lane share tests/test_index_census.cpp reports per workload.
 #  - Symbols perfbench pins: trace::MappedCapture's move operations.
@@ -34,7 +36,7 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-dead}"
 
-KEEP='^choir::(sim::EventQueue::run\(|fault::FaultInjector::attached_points\(|core::lis_length\(|core::PacketIdIndex::census\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\))'
+KEEP='^choir::(sim::EventQueue::run\(|fault::FaultInjector::attached_points\(|core::lis_length\(|trace::packet_id_of\(|core::PacketIdIndex::census\(|trace::MappedCapture::(MappedCapture|operator=)\(choir::trace::MappedCapture&&\))'
 
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections" \
