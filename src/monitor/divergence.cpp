@@ -37,7 +37,7 @@ std::string render_windows_csv(const StreamMonitor& monitor) {
   // carried no flow ids, keeping one fixed schema either way.
   std::string out =
       "stream,window,b_begin,b_end,a_begin,a_end,common,moved,missing,"
-      "extra,lcs,U,O,L,I,kappa,kappa_running,"
+      "extra,lcs,U,O,L,I,kappa,"
       "flows,flow_kappa_worst,flow_kappa_p50,flow_kappa_p999\n";
   char buf[640];
   for (const WindowRecord& w : monitor.windows()) {
@@ -47,13 +47,13 @@ std::string render_windows_csv(const StreamMonitor& monitor) {
     const double fp999 = w.has_flows ? w.flow_aggregate.p999 : 1.0;
     std::snprintf(buf, sizeof(buf),
                   "%s,%" PRIu64 ",%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
-                  "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
+                  "%.17g,%.17g,%.17g,%.17g,%.17g,"
                   "%zu,%.17g,%.17g,%.17g\n",
                   w.stream_name.c_str(), w.index, w.b_begin, w.b_end,
                   w.a_begin, w.a_end, w.common, w.moved, w.missing, w.extra,
                   w.lcs_length, w.metrics.uniqueness, w.metrics.ordering,
-                  w.metrics.latency, w.metrics.iat, w.metrics.kappa,
-                  w.kappa_running, flows, fworst, fp50, fp999);
+                  w.metrics.latency, w.metrics.iat, w.metrics.kappa, flows,
+                  fworst, fp50, fp999);
     out += buf;
   }
   return out;
@@ -63,19 +63,19 @@ std::string render_window_table(const StreamMonitor& monitor) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-8s %6s %9s %7s %6s %7s %6s  %-9s %-9s %-9s %-9s %7s %7s\n",
+                "%-8s %6s %9s %7s %6s %7s %6s  %-9s %-9s %-9s %-9s %7s\n",
                 "stream", "window", "packets", "common", "moved", "missing",
-                "extra", "U", "O", "L", "I", "kappa", "run");
+                "extra", "U", "O", "L", "I", "kappa");
   out += line;
   for (const WindowRecord& w : monitor.windows()) {
     std::snprintf(line, sizeof(line),
                   "%-8s %6llu %9zu %7zu %6zu %7zu %6zu  %-9.2e %-9.2e "
-                  "%-9.2e %-9.2e %7.4f %7.4f\n",
+                  "%-9.2e %-9.2e %7.4f\n",
                   w.stream_name.c_str(),
                   static_cast<unsigned long long>(w.index),
                   w.b_end - w.b_begin, w.common, w.moved, w.missing, w.extra,
                   w.metrics.uniqueness, w.metrics.ordering, w.metrics.latency,
-                  w.metrics.iat, w.metrics.kappa, w.kappa_running);
+                  w.metrics.iat, w.metrics.kappa);
     out += line;
   }
   return out;

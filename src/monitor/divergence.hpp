@@ -26,7 +26,7 @@ std::string render_divergence_jsonl(const StreamMonitor& monitor);
 
 /// Per-window rows:
 /// stream,window,b_begin,b_end,a_begin,a_end,common,moved,missing,extra,
-/// lcs,U,O,L,I,kappa,kappa_running
+/// lcs,U,O,L,I,kappa,flows,flow_kappa_worst,flow_kappa_p50,flow_kappa_p999
 std::string render_windows_csv(const StreamMonitor& monitor);
 
 /// Fixed-width per-window table for terminal output.

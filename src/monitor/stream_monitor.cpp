@@ -32,7 +32,6 @@ StreamMonitor::StreamMonitor(MonitorConfig config)
       tm_windows_(telemetry::counter("monitor.windows")),
       tm_streams_(telemetry::counter("monitor.streams")),
       tm_window_kappa_ppm_(telemetry::gauge("monitor.window_kappa_ppm")),
-      tm_running_kappa_ppm_(telemetry::gauge("monitor.running_kappa_ppm")),
       tm_window_flow_kappa_ppm_(
           telemetry::gauge("monitor.window_flow_kappa_ppm")),
       tm_track_(telemetry::track("monitor")) {
@@ -50,31 +49,10 @@ void StreamMonitor::begin_stream(const std::string& name) {
   id_table_.new_stream();
   window_begin_ = 0;
   window_index_ = 0;
-  stream_lis_.clear();
-  if (reference_set_) std::fill(fenwick_.begin(), fenwick_.end(), 0u);
-  stream_matched_ = 0;
-  match_high_ = 0;
   ref_hint_ = 0;
-  running_abs_latency_ns_ = 0.0;
-  running_abs_iat_ns_ = 0.0;
-  running_footrule_ = 0.0;
-  running_ = RunningEstimate{};
 }
 
 void StreamMonitor::finalize() { close_stream(); }
-
-void StreamMonitor::fenwick_add(std::size_t index_a) {
-  const std::size_t size = fenwick_.size();
-  std::uint32_t* tree = fenwick_.data();
-  for (std::size_t i = index_a + 1; i < size; i += i & (~i + 1)) ++tree[i];
-}
-
-std::uint64_t StreamMonitor::fenwick_prefix(std::size_t index_a) const {
-  const std::uint32_t* tree = fenwick_.data();
-  std::uint64_t sum = 0;
-  for (std::size_t i = index_a; i > 0; i -= i & (~i + 1)) sum += tree[i];
-  return sum;
-}
 
 void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
                             flow::FlowId flow) {
@@ -86,10 +64,7 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
   const core::PacketId id =
       hit.occurrence > 0 ? core::occurrence_id(raw_id, hit.occurrence)
                          : raw_id;
-  const std::size_t k = stream_size_++;
-  if (k == 0) stream_first_time_ = timestamp;
-  const Ns previous_time = stream_last_time_;
-  stream_last_time_ = timestamp;
+  ++stream_size_;
   stream_packets_.push_back(core::TrialPacket{id, timestamp});
   stream_flows_.push_back(flow);
   if (flow != flow::kNoFlow && flow + 1 > flow_ids_high_) {
@@ -99,69 +74,19 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
   tm_observed_.add();
   if (stream_is_reference_) return;
 
-  // Match against the reference and fold the packet into the running
-  // accumulators — the same per-match quantities the offline Eqs. 3-4
-  // loop computes, built incrementally. The fused table answers the
-  // common case (unique id, present in the reference) with one probe;
-  // a repeated id re-probes under its occurrence-tagged identity.
+  // Count a match against the reference. The fused table answers the
+  // common case (unique id, present in the reference) with one probe; a
+  // repeated id re-probes under its occurrence-tagged identity.
   const std::uint32_t j = hit.occurrence == 0
                               ? hit.ref_index
                               : id_table_.ref_index_of(id);
   if (j != IdTable::kNoRef) {
-    ++stream_matched_;
     ++matched_total_;
     tm_matched_.add();
-    const double l_a = static_cast<double>(reference_[j].time);
-    const double l_b = static_cast<double>(timestamp - stream_first_time_);
-    const double g_a =
-        j == 0 ? 0.0
-               : static_cast<double>(reference_[j].time -
-                                     reference_[j - 1].time);
-    const double g_b =
-        k == 0 ? 0.0 : static_cast<double>(timestamp - previous_time);
-    running_abs_latency_ns_ += l_a >= l_b ? l_a - l_b : l_b - l_a;
-    running_abs_iat_ns_ += g_a >= g_b ? g_a - g_b : g_b - g_a;
-    // Insertion-rank footrule: rank among matched-so-far, by B arrival
-    // vs by reference position. An O(log n) running proxy for Eq. 2.
-    const auto rank_b = static_cast<double>(stream_matched_ - 1);
-    const auto rank_a = static_cast<double>(
-        j >= match_high_ ? stream_matched_ - 1 : fenwick_prefix(j));
-    running_footrule_ += rank_a >= rank_b ? rank_a - rank_b : rank_b - rank_a;
-    fenwick_add(j);
-    stream_lis_.append(j);
-    match_high_ = std::max<std::size_t>(match_high_, j + 1);
     ref_hint_ = j + 1;
   }
 
   if (stream_packets_.size() >= config_.window_packets) close_window();
-}
-
-void StreamMonitor::update_running() {
-  RunningEstimate r;
-  const auto na = static_cast<double>(reference_.size());
-  const auto nb = static_cast<double>(stream_size_);
-  const auto m = static_cast<double>(stream_matched_);
-  const double total = na + nb;
-  r.uniqueness = total > 0.0 ? 1.0 - 2.0 * m / total : 0.0;
-  const double o_denominator = m * (m + 1.0) / 2.0;
-  r.ordering = o_denominator > 0.0
-                   ? std::min(1.0, running_footrule_ / o_denominator)
-                   : 0.0;
-  if (stream_matched_ > 0) {
-    const double a_last =
-        reference_.empty() ? 0.0 : static_cast<double>(reference_.last_time());
-    const double b_span =
-        static_cast<double>(stream_last_time_ - stream_first_time_);
-    const double straddle = std::max(b_span, a_last);
-    const double l_denominator = m * straddle;
-    r.latency =
-        l_denominator > 0.0 ? running_abs_latency_ns_ / l_denominator : 0.0;
-    const double i_denominator = b_span + a_last;
-    r.iat = i_denominator > 0.0 ? running_abs_iat_ns_ / i_denominator : 0.0;
-  }
-  r.kappa = core::kappa_of(r.uniqueness, r.ordering, r.latency, r.iat);
-  r.lcs_length = stream_lis_.length();
-  running_ = r;
 }
 
 namespace {
@@ -215,8 +140,6 @@ void StreamMonitor::close_window() {
   window.missing = cmp.size_a - cmp.common;
   window.extra = cmp.size_b - cmp.common;
   window.lcs_length = cmp.lcs_length;
-  update_running();
-  window.kappa_running = running_.kappa;
 
   // Per-flow κ for this window: the same slice pair demuxed by flow id,
   // so every window carries its own flow-κ distribution. Inline
@@ -239,7 +162,6 @@ void StreamMonitor::close_window() {
   tm_windows_.add();
   tm_window_kappa_ppm_.set(
       static_cast<std::int64_t>(window.metrics.kappa * 1e6));
-  tm_running_kappa_ppm_.set(static_cast<std::int64_t>(running_.kappa * 1e6));
   if (window.has_flows) {
     tm_window_flow_kappa_ppm_.set(
         static_cast<std::int64_t>(window.flow_aggregate.worst * 1e6));
@@ -372,7 +294,6 @@ void StreamMonitor::close_stream() {
     reference_.make_occurrences_unique();
     reference_.rebase_to_zero();
     id_table_.rebuild(reference_);
-    fenwick_.assign(reference_.size() + 1, 0);
     reference_set_ = true;
     reference_flows_ = std::move(stream_flows_);
     stream_packets_.clear();

@@ -13,11 +13,6 @@
 //    Section 3 computation runs on the pair (O(w log w) via the LIS
 //    alignment). A window covering the full trial therefore reproduces
 //    the offline Eq. 5 result bit for bit.
-//  - **Running estimates.** U, L and I accumulate exactly across the
-//    stream; O is estimated from insertion-rank displacements (a Fenwick
-//    tree over reference positions), and the LCS length so far is
-//    maintained by an incremental LIS. These give a live κ estimate
-//    without re-scanning the stream.
 //  - **Divergence attribution.** Each window contributes its top-K
 //    packets by move distance and by latency straddle, plus missing and
 //    extra packets, to a per-packet record stream (divergence.hpp)
@@ -44,7 +39,6 @@
 #include "core/metrics.hpp"
 #include "core/trial.hpp"
 #include "flow/flow_kappa.hpp"
-#include "monitor/incremental_lis.hpp"
 #include "telemetry/metric.hpp"
 
 namespace choir::monitor {
@@ -151,25 +145,12 @@ struct WindowRecord {
   std::size_t missing = 0;      ///< in the A slice, absent from the window
   std::size_t extra = 0;        ///< in the window, absent from the A slice
   std::size_t lcs_length = 0;
-  /// Stream-cumulative κ estimate at window close (running U/L/I exact,
-  /// O estimated from insertion ranks — see RunningEstimate).
-  double kappa_running = 1.0;
 
   /// Per-flow κ over this window's slice pair, populated iff the feed
   /// carries flow ids: the flow-κ distribution as a sim-time series
   /// (one FlowAggregate per window).
   bool has_flows = false;
   flow::FlowAggregate flow_aggregate;
-};
-
-/// Stream-cumulative estimate, updated per packet in O(log n).
-struct RunningEstimate {
-  double uniqueness = 0.0;  ///< exact so far
-  double ordering = 0.0;    ///< insertion-rank footrule estimate
-  double latency = 0.0;     ///< exact so far
-  double iat = 0.0;         ///< exact so far
-  double kappa = 1.0;
-  std::size_t lcs_length = 0;  ///< exact (incremental LIS)
 };
 
 /// What the monitor observed of one finished stream. Its whole-run
@@ -217,7 +198,9 @@ class StreamMonitor {
   /// tagging) identity, receiver timestamp and flow id, exactly what the
   /// capture path records (flow::kNoFlow for unclassified packets). Flow
   /// ids on the reference and in a window enable that window's per-flow
-  /// κ. O(log n) amortized; windows close inline.
+  /// κ. One id-table lookup per packet, skipped for the reference packet
+  /// after the previous match (a repeated id probes once more); windows
+  /// close inline.
   void observe(core::PacketId raw_id, Ns timestamp, flow::FlowId flow);
 
   /// Close the current stream. Idempotent; further observes require a
@@ -231,22 +214,14 @@ class StreamMonitor {
     return divergence_;
   }
 
-  /// Running estimate for the *current* (unfinished) stream.
-  const RunningEstimate& running() const { return running_; }
-
   std::uint64_t observed() const { return observed_; }
   std::uint64_t matched() const { return matched_total_; }
 
  private:
   void close_window();
   void close_stream();
-  void update_running();
   void attribute_window(const core::ComparisonResult& cmp,
                         const WindowRecord& window);
-
-  // Fenwick tree over reference positions, for insertion ranks.
-  void fenwick_add(std::size_t index_a);
-  std::uint64_t fenwick_prefix(std::size_t index_a) const;
 
   MonitorConfig config_;
 
@@ -273,27 +248,10 @@ class StreamMonitor {
   std::vector<core::TrialPacket> stream_packets_;
   std::size_t window_begin_ = 0;
   std::size_t stream_size_ = 0;  ///< packets observed on the stream
-  Ns stream_first_time_ = 0;     ///< raw time of its first packet
-  Ns stream_last_time_ = 0;      ///< raw time of its latest packet
   std::uint64_t window_index_ = 0;
-
-  // Running accumulators (see RunningEstimate). Fenwick counts are one
-  // per reference position, so u32 nodes halve the tree's footprint on
-  // the per-packet hot path.
-  IncrementalLis stream_lis_;
-  std::vector<std::uint32_t> fenwick_;
-  std::size_t stream_matched_ = 0;
-  // One past the largest reference position matched so far (0: none). A
-  // match at or beyond it outranks every earlier match, so its Fenwick
-  // prefix is stream_matched_ - 1 without a tree walk.
-  std::size_t match_high_ = 0;
   // Reference position after the last match: in-order streams find their
   // next packet there, which saves the id table's lookup.
   std::size_t ref_hint_ = 0;
-  double running_abs_latency_ns_ = 0.0;
-  double running_abs_iat_ns_ = 0.0;
-  double running_footrule_ = 0.0;
-  RunningEstimate running_;
 
   // Comparison arena for window closes: one scratch serves every
   // compare, and it never grows past one window. The slice trials and
@@ -320,7 +278,6 @@ class StreamMonitor {
   telemetry::CounterHandle tm_windows_;
   telemetry::CounterHandle tm_streams_;
   telemetry::GaugeHandle tm_window_kappa_ppm_;
-  telemetry::GaugeHandle tm_running_kappa_ppm_;
   telemetry::GaugeHandle tm_window_flow_kappa_ppm_;  ///< worst flow κ
   std::uint32_t tm_track_ = 0;
 };

@@ -245,9 +245,9 @@ struct ExperimentResult {
   std::size_t flow_count = 0;           ///< distinct flows in run A
   std::uint64_t flow_unclassified = 0;  ///< recorder frames w/o a flow key
 
-  /// Streaming monitor (windows, running estimates, divergence records,
-  /// per-stream counts; each stream's whole-run metrics are
-  /// `comparisons`); populated iff config.monitor.enabled.
+  /// Streaming monitor (windows, divergence records, per-stream counts;
+  /// each stream's whole-run metrics are `comparisons`); populated iff
+  /// config.monitor.enabled.
   std::shared_ptr<monitor::StreamMonitor> monitor;
   /// Per-node flight rings + clock histories; populated iff
   /// config.obs.enabled. Merge with obs::merge_timeline for analysis.

@@ -2,11 +2,12 @@
 // writing a trace must not grow with the record count, per-flow κ must
 // not allocate per flow, a full experiment's allocations per recorded
 // packet stay pinned, its peak live heap grows by no more than a trial
-// per run, and the bytes a reference index allocates per packet stay
-// bounded. Allocation counts and sizes are deterministic, so they gate
-// exactly where host time cannot. This binary replaces the global
-// operator new to count allocations, sum their bytes and track the live
-// and peak heap, so it is kept apart from every other test executable.
+// per run, a monitored stream holds one window rather than the stream,
+// and the bytes a reference index allocates per packet stay bounded.
+// Allocation counts and sizes are deterministic, so they gate exactly
+// where host time cannot. This binary replaces the global operator new
+// to count allocations, sum their bytes and track the live and peak
+// heap, so it is kept apart from every other test executable.
 #include <malloc.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "core/compare_scratch.hpp"
 #include "core/metrics.hpp"
 #include "flow/flow_kappa.hpp"
+#include "monitor/stream_monitor.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/presets.hpp"
 #include "trace/tag.hpp"
@@ -278,6 +280,57 @@ TEST_F(AllocCounts, OfflineComparePeakBytesPerPacket) {
       + 2 * sizeof(char)                        // LCS membership flags
       + 2 * sizeof(double);                     // IAT and latency series
   EXPECT_LE(peak, (budget + 2) * kPackets);
+}
+
+constexpr std::size_t kMonitorReference = std::size_t{1} << 16;
+
+/// Peak live heap bytes of a StreamMonitor (8192-packet windows) while it
+/// watches one in-order stream of `packets` against a 65536-packet
+/// reference, above the live bytes just after the reference closes.
+std::size_t monitored_stream_peak_bytes(std::size_t packets) {
+  const auto packet = [](std::size_t i) {
+    return core::TrialPacket{packet_id_of(Tag{1, 0, i}),
+                             static_cast<Ns>(i) * 280};
+  };
+  monitor::MonitorConfig config;
+  config.window_packets = 8192;
+  monitor::StreamMonitor mon(config);
+  mon.begin_stream("reference");
+  for (std::size_t i = 0; i < kMonitorReference; ++i) {
+    const core::TrialPacket p = packet(i);
+    mon.observe(p.id, p.time, flow::kNoFlow);
+  }
+  mon.begin_stream("run-1");  // closes the reference
+  const std::size_t base = g_live_bytes;
+  g_peak_bytes = base;
+  for (std::size_t i = 0; i < packets; ++i) {
+    const core::TrialPacket p = packet(i % kMonitorReference);
+    mon.observe(p.id, p.time, flow::kNoFlow);
+  }
+  mon.finalize();
+  EXPECT_EQ(mon.windows().size(), packets / config.window_packets);
+  EXPECT_EQ(mon.matched(), packets);
+  return g_peak_bytes - base;
+}
+
+TEST_F(AllocCounts, MonitoredStreamHeapIsOneWindow) {
+  // A monitored stream holds its open window, the window's comparison
+  // and the closed windows' records; nothing it keeps grows per packet.
+  // So quadrupling the stream raises the peak by a WindowRecord per
+  // extra window at most: the slope gate is 0.5 B per packet. Anything
+  // kept per match fails it, such as a running LIS over the stream's
+  // matches (4 B per in-order packet).
+  constexpr std::size_t kShort = 16384;
+  constexpr std::size_t kLong = 65536;
+  const std::size_t short_peak = monitored_stream_peak_bytes(kShort);
+  const std::size_t long_peak = monitored_stream_peak_bytes(kLong);
+  const double slope =
+      (static_cast<double>(long_peak) - static_cast<double>(short_peak)) /
+      static_cast<double>(kLong - kShort);
+  std::printf("monitored stream peak heap: %zu B at %zu packets, %zu B at "
+              "%zu; %.3f B per packet\n",
+              short_peak, kShort, long_peak, kLong, slope);
+  EXPECT_LE(slope, 0.5);
 }
 
 /// Bytes allocated by building a fresh core::ReferenceIndex over `a`.

@@ -1,14 +1,13 @@
-// Unit tests for the streaming consistency monitor: the incremental LIS
-// and IdTable building blocks, closed-form windowed-κ checks on
-// synthetic streams, the full-trial-window ≡ offline Eq. 5 equivalence,
-// and divergence attribution.
+// Unit tests for the streaming consistency monitor: the IdTable building
+// block, closed-form windowed-κ checks on synthetic streams, the
+// full-trial-window ≡ offline Eq. 5 equivalence, and divergence
+// attribution.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "core/lis.hpp"
 #include "core/metrics.hpp"
 #include "monitor/divergence.hpp"
 #include "monitor/stream_monitor.hpp"
@@ -77,45 +76,6 @@ core::Trial perturb(const core::Trial& a, std::uint64_t seed,
     if (b[i].time < b[i - 1].time) b[i].time = b[i - 1].time;
   }
   return core::Trial(std::move(b));
-}
-
-// ---- IncrementalLis ----------------------------------------------------
-
-TEST(IncrementalLis, MatchesOfflineAfterEveryAppend) {
-  // LCG-generated sequence with repeats; length() must equal
-  // core::lis_length of the prefix after every single append.
-  std::uint64_t s = 12345;
-  std::vector<std::uint32_t> prefix;
-  IncrementalLis lis;
-  for (int i = 0; i < 300; ++i) {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto v = static_cast<std::uint32_t>((s >> 33) % 64);
-    prefix.push_back(v);
-    lis.append(v);
-    ASSERT_EQ(lis.length(), core::lis_length(prefix)) << "after " << i;
-  }
-  EXPECT_EQ(lis.size(), prefix.size());
-}
-
-TEST(IncrementalLis, AdversarialShapes) {
-  {
-    IncrementalLis lis;  // strictly increasing: LIS == n
-    for (std::uint32_t v = 0; v < 100; ++v) lis.append(v);
-    EXPECT_EQ(lis.length(), 100u);
-  }
-  {
-    IncrementalLis lis;  // strictly decreasing: LIS == 1
-    for (std::uint32_t v = 100; v-- > 0;) lis.append(v);
-    EXPECT_EQ(lis.length(), 1u);
-  }
-  {
-    IncrementalLis lis;  // all equal: strictly increasing -> LIS == 1
-    for (int i = 0; i < 50; ++i) lis.append(7);
-    EXPECT_EQ(lis.length(), 1u);
-    lis.clear();
-    EXPECT_EQ(lis.length(), 0u);
-    EXPECT_EQ(lis.size(), 0u);
-  }
 }
 
 // ---- IdTable -----------------------------------------------------------
@@ -192,7 +152,6 @@ TEST(StreamMonitor, IdenticalStreamIsPerfectlyConsistent) {
   EXPECT_EQ(w.missing, 0u);
   EXPECT_EQ(w.extra, 0u);
   EXPECT_EQ(w.moved, 0u);
-  EXPECT_EQ(w.kappa_running, 1.0);
 
   ASSERT_EQ(mon.streams().size(), 1u);
   EXPECT_EQ(mon.streams().front().packets, 64u);
@@ -407,27 +366,6 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
   feed(cfg_k0, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
   cfg_k0.finalize();
   EXPECT_TRUE(cfg_k0.divergence().empty());
-}
-
-TEST(StreamMonitor, RunningEstimateTracksExactComponents) {
-  // U, L, I in the running estimate are exact; on a stream whose only
-  // defect is one dropped packet, the estimate at the final window must
-  // agree with the whole-trial U and keep O/L/I at zero.
-  StreamMonitor mon(offline_config(1u << 20));
-  const core::Trial a = cbr_trial(20, 100);
-  std::vector<core::TrialPacket> b;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i != 10) b.push_back(a[i]);
-  }
-  feed(mon, a, "reference");
-  feed(mon, core::Trial(std::move(b)));
-  mon.finalize();
-  const RunningEstimate& r = mon.running();
-  // 19 B packets, 19 matched against a 20-packet reference.
-  EXPECT_NEAR(r.uniqueness, 1.0 - 2.0 * 19.0 / 39.0, 1e-12);
-  EXPECT_EQ(r.ordering, 0.0);
-  EXPECT_EQ(r.lcs_length, 19u);
-  EXPECT_GT(r.kappa, 0.9);
 }
 
 TEST(StreamMonitor, ReferenceFromFirstStream) {

@@ -866,7 +866,7 @@ int cmd_soak(const std::vector<std::string>& args) {
     if (result.monitor != nullptr) {
       for (const auto& w : result.monitor->windows()) {
         ++windows;
-        worst = std::min(worst, w.kappa_running);
+        worst = std::min(worst, w.metrics.kappa);
         if (w.has_flows) {
           any_flow = true;
           fworst = std::min(fworst, w.flow_aggregate.worst);

@@ -22,10 +22,11 @@
 #  - Entry points that tests drive: sim::EventQueue::run and
 #    fault::FaultInjector::attached_points. No production binary calls
 #    them, but the tests drive or check against both.
-#  - The oracles: core::lis_length, the brute-force LIS the incremental
-#    LIS tests check against, and trace::packet_id_of, the Tag -> id
-#    mapping the tests check trace::trailer_packet_id (the production
-#    path, two loads of the raw trailer) against.
+#  - The oracles: core::lis_length, the plain std::lower_bound LIS
+#    length the LIS and galloping-search tests check against, and
+#    trace::packet_id_of, the Tag -> id mapping the tests check
+#    trace::trailer_packet_id (the production path, two loads of the raw
+#    trailer) against.
 #  - A work count only tests read: core::PacketIdIndex::census, the
 #    lane share tests/test_index_census.cpp reports per workload.
 #  - Symbols perfbench pins: trace::MappedCapture's move operations.
