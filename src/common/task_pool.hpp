@@ -94,8 +94,7 @@ class TaskPool {
 
 /// True when parallel_for_indexed would actually spread `tasks` over
 /// workers: more than one task, a resolved job count above one, and not
-/// already on a pool worker. Callers that need per-task setup only in
-/// the fan-out case (e.g. worker-scoped profilers) branch on this.
+/// already on a pool worker.
 bool will_fan_out(int jobs, std::size_t tasks);
 
 /// Run fn(0) .. fn(tasks-1), fanning across min(resolve_jobs(jobs),

@@ -7,8 +7,8 @@
 // table is ever touched by two threads, and per-shard telemetry
 // (`flow.<shard>.…`) falls out for free.
 //
-// Determinism contract (the same one telemetry::Registry::merge_from and
-// SpanProfiler::merge_from follow): merging worker-private sets in
+// Determinism contract (the same one telemetry::Registry::merge_from
+// follows): merging worker-private sets in
 // submission order, then enumerating flows by first arrival index via
 // merged_flows(), yields the exact same global view — same flows, same
 // order, same counters — as a single sequential classifier, for ANY

@@ -38,10 +38,23 @@ StreamMonitor::StreamMonitor(MonitorConfig config)
   CHOIR_EXPECT(config_.window_packets > 0, "window_packets must be > 0");
 }
 
+void StreamMonitor::set_reference(const core::Trial& reference,
+                                  std::span<const flow::FlowId> flows) {
+  CHOIR_EXPECT(flows.empty() || flows.size() == reference.size(),
+               "reference flow ids must be parallel to the reference");
+  id_table_.rebuild(reference);  // throws on duplicate ids
+  reference_ = &reference;
+  reference_flows_ = flows;
+  flow_ids_high_ = 0;
+  for (const flow::FlowId f : flows) {
+    if (f != flow::kNoFlow && f + 1 > flow_ids_high_) flow_ids_high_ = f + 1;
+  }
+}
+
 void StreamMonitor::begin_stream(const std::string& name) {
   close_stream();
   stream_open_ = true;
-  stream_is_reference_ = !reference_set_;
+  stream_monitored_ = reference_ != nullptr;
   stream_name_ = name;
   stream_packets_.clear();
   stream_flows_.clear();
@@ -52,13 +65,21 @@ void StreamMonitor::begin_stream(const std::string& name) {
   ref_hint_ = 0;
 }
 
-void StreamMonitor::finalize() { close_stream(); }
+void StreamMonitor::finalize() {
+  close_stream();
+  reference_ = nullptr;
+  reference_flows_ = {};
+}
 
 void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
                             flow::FlowId flow) {
   CHOIR_EXPECT(stream_open_, "observe() requires an open stream");
+  ++observed_;
+  tm_observed_.add();
+  if (!stream_monitored_) return;
+  const core::Trial& reference = *reference_;
   const IdTable::Hit hit =
-      ref_hint_ < reference_.size() && reference_[ref_hint_].id == raw_id
+      ref_hint_ < reference.size() && reference[ref_hint_].id == raw_id
           ? id_table_.observe_reference(static_cast<std::uint32_t>(ref_hint_))
           : id_table_.observe(raw_id);
   const core::PacketId id =
@@ -70,9 +91,6 @@ void StreamMonitor::observe(core::PacketId raw_id, Ns timestamp,
   if (flow != flow::kNoFlow && flow + 1 > flow_ids_high_) {
     flow_ids_high_ = flow + 1;
   }
-  ++observed_;
-  tm_observed_.add();
-  if (stream_is_reference_) return;
 
   // Count a match against the reference. The fused table answers the
   // common case (unique id, present in the reference) with one probe; a
@@ -99,12 +117,6 @@ void load_slice(std::span<const core::TrialPacket> packets, std::size_t begin,
   out.rebase_to_zero();
 }
 
-/// flows[begin, end) as a span.
-std::span<const flow::FlowId> flow_slice(const std::vector<flow::FlowId>& flows,
-                                         std::size_t begin, std::size_t end) {
-  return std::span<const flow::FlowId>(flows).subspan(begin, end - begin);
-}
-
 }  // namespace
 
 void StreamMonitor::close_window() {
@@ -113,9 +125,9 @@ void StreamMonitor::close_window() {
   if (b_end == b_begin) return;
   telemetry::ProfileSpan prof("monitor.window");
 
-  const std::size_t a_begin = std::min(b_begin, reference_.size());
-  const std::size_t a_end = std::min(b_end, reference_.size());
-  load_slice(reference_.packets(), a_begin, a_end, slice_a_);
+  const std::size_t a_begin = std::min(b_begin, reference_->size());
+  const std::size_t a_end = std::min(b_end, reference_->size());
+  load_slice(reference_->packets(), a_begin, a_end, slice_a_);
   load_slice(stream_packets_, 0, stream_packets_.size(), slice_b_);
 
   core::ComparisonOptions options;
@@ -151,8 +163,8 @@ void StreamMonitor::close_window() {
                   [](flow::FlowId f) { return f != flow::kNoFlow; });
   if (window_has_flows) {
     const flow::FlowSetComparison flows = flow::compare_flows_by_id(
-        slice_a_, flow_slice(reference_flows_, a_begin, a_end), slice_b_,
-        stream_flows_, flow_ids_high_, /*jobs=*/1);
+        slice_a_, reference_flows_.subspan(a_begin, a_end - a_begin),
+        slice_b_, stream_flows_, flow_ids_high_, /*jobs=*/1);
     window.has_flows = true;
     window.flow_aggregate = flows.aggregate;
   }
@@ -265,9 +277,9 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kMissing;
     const std::size_t global_a = window.a_begin + j;
-    r.id = reference_[global_a].id;
+    r.id = (*reference_)[global_a].id;
     r.index_a = static_cast<std::int64_t>(global_a);
-    r.time_ns = reference_[global_a].time;  // reference-relative time
+    r.time_ns = (*reference_)[global_a].time;  // reference-relative time
     emit(r);
     ++emitted;
   }
@@ -289,17 +301,7 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
 void StreamMonitor::close_stream() {
   if (!stream_open_) return;
   stream_open_ = false;
-  if (stream_is_reference_) {
-    reference_ = core::Trial(std::move(stream_packets_));
-    reference_.make_occurrences_unique();
-    reference_.rebase_to_zero();
-    id_table_.rebuild(reference_);
-    reference_set_ = true;
-    reference_flows_ = std::move(stream_flows_);
-    stream_packets_.clear();
-    stream_flows_.clear();
-    return;
-  }
+  if (!stream_monitored_) return;
   telemetry::ProfileSpan prof("monitor.finalize");
   close_window();
   streams_.push_back(

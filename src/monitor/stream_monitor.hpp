@@ -20,9 +20,10 @@
 //
 // The whole-run κ of a finished stream is not the monitor's: the
 // evaluation computes it once per run (`compare_trials` on each run's
-// trial), and render_stream_summary() reads it from there. A monitored
-// stream keeps only its open window's packets, so the monitor holds the
-// reference plus one window.
+// trial), and render_stream_summary() reads it from there. Nor is the
+// reference: set_reference() borrows the evaluation's run A trial and
+// flow ids. A monitored stream keeps only its open window's packets, so
+// the monitor holds one window and an index over the reference.
 //
 // The monitor is a pure observer: it draws no randomness, schedules
 // nothing, and a seeded run is bit-identical with the monitor on or off.
@@ -30,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -185,13 +187,19 @@ class StreamMonitor {
   StreamMonitor(const StreamMonitor&) = delete;
   StreamMonitor& operator=(const StreamMonitor&) = delete;
 
-  /// True once the first stream has closed and become the reference.
-  bool has_reference() const { return reference_set_; }
+  /// Monitor every stream that begins from now on against `reference`
+  /// (trial A: occurrence-tagged ids, rebased to its first packet) and
+  /// its per-packet flow ids (empty, or parallel to `reference`). Both
+  /// are borrowed and must outlive finalize(), which releases them.
+  void set_reference(const core::Trial& reference,
+                     std::span<const flow::FlowId> flows);
 
-  /// Start a new stream, closing the current one (its tail window). The
-  /// first stream observed becomes the reference trial A and emits no
-  /// windows; every later stream is monitored against it. Its
-  /// timestamps are rebased to its first packet on close.
+  /// True between set_reference() and finalize().
+  bool has_reference() const { return reference_ != nullptr; }
+
+  /// Start a new stream, closing the current one (its tail window). A
+  /// stream that begins before set_reference() — the reference's own
+  /// run — is counted but keeps nothing and emits no windows.
   void begin_stream(const std::string& name);
 
   /// Observe the next packet of the current stream: raw (pre-occurrence-
@@ -203,8 +211,8 @@ class StreamMonitor {
   /// close inline.
   void observe(core::PacketId raw_id, Ns timestamp, flow::FlowId flow);
 
-  /// Close the current stream. Idempotent; further observes require a
-  /// new begin_stream().
+  /// Close the current stream and release the reference. Idempotent;
+  /// further observes require a new begin_stream().
   void finalize();
 
   const MonitorConfig& config() const { return config_; }
@@ -225,26 +233,24 @@ class StreamMonitor {
 
   MonitorConfig config_;
 
-  core::Trial reference_;
-  bool reference_set_ = false;
+  const core::Trial* reference_ = nullptr;  ///< borrowed
   IdTable id_table_;  ///< fused id->ref-position + occurrence counting
 
-  // Flow feed (parallel to reference_ / stream_packets_; kNoFlow for
+  // Flow feed (parallel to *reference_ / stream_packets_; kNoFlow for
   // unclassified packets). flow_ids_high_ tracks the id-space
   // size: the classifier's ids are dense, so max+1 is the flow count.
-  std::vector<flow::FlowId> reference_flows_;
+  std::span<const flow::FlowId> reference_flows_;  ///< borrowed
   std::vector<flow::FlowId> stream_flows_;
   std::size_t flow_ids_high_ = 0;
 
   // Current stream.
   bool stream_open_ = false;
-  bool stream_is_reference_ = false;
+  bool stream_monitored_ = false;  ///< began after set_reference()
   std::uint32_t stream_ordinal_ = 0;  ///< next monitored-stream ordinal
   std::string stream_name_;
   // The open window's packets (raw times, unique ids), from stream
   // position window_begin_ on: a window's close reads nothing before it,
-  // so a monitored stream holds one window. The reference stream holds
-  // all of its packets, which become reference_.
+  // so a monitored stream holds one window.
   std::vector<core::TrialPacket> stream_packets_;
   std::size_t window_begin_ = 0;
   std::size_t stream_size_ = 0;  ///< packets observed on the stream

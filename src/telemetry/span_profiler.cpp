@@ -68,26 +68,6 @@ void SpanProfiler::exit(std::uint64_t at_ns) {
   }
 }
 
-void SpanProfiler::merge_from(const SpanProfiler& other) {
-  CHOIR_EXPECT(other.stack_.empty(),
-               "merge_from requires every span of the source closed");
-  for (const auto& [name, agg] : other.aggregates_) {
-    Aggregate& mine = aggregates_[name];
-    mine.count += agg.count;
-    mine.total_ns += agg.total_ns;
-    mine.child_ns += agg.child_ns;
-    if (agg.max_ns > mine.max_ns) mine.max_ns = agg.max_ns;
-  }
-  for (const Span& span : other.spans_) {
-    if (spans_.size() < max_spans_) {
-      spans_.push_back(span);
-    } else {
-      ++dropped_spans_;
-    }
-  }
-  dropped_spans_ += other.dropped_spans_;
-}
-
 std::vector<SpanProfiler::Entry> SpanProfiler::summary() const {
   std::vector<Entry> entries;
   entries.reserve(aggregates_.size());

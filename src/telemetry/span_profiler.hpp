@@ -89,16 +89,6 @@ class SpanProfiler {
   /// Emit every retained span onto a "profiler (host ns)" tracer track.
   void export_to_tracer(Tracer& tracer) const;
 
-  /// Fold a worker-scoped profiler into this one after its task joined:
-  /// aggregates add (count, total, child; max keeps the larger), retained
-  /// spans append up to max_spans, drop counts accumulate. Requires the
-  /// other profiler's span stack to be empty (all spans closed). Span
-  /// timestamps stay relative to each profiler's own epoch — fine for
-  /// the self-time table, approximate on the Chrome-trace track, and
-  /// host-gated either way. Merging workers in submission order keeps
-  /// the summary deterministic in structure.
-  void merge_from(const SpanProfiler& other);
-
   const std::map<std::string, Aggregate>& aggregates() const {
     return aggregates_;
   }

@@ -10,7 +10,6 @@
 #include "choir/controller.hpp"
 #include "choir/middlebox.hpp"
 #include "common/expect.hpp"
-#include "common/task_pool.hpp"
 #include "common/write_file.hpp"
 #include "core/compare_scratch.hpp"
 #include "fault/injector.hpp"
@@ -680,37 +679,70 @@ void schedule_rounds(Topology& t, const ReplaySchedule& sched,
   }
 }
 
-/// What the evaluation reads of the finished runs, one entry per run,
-/// filled by close_round as each capture window closes.
+/// Run A and what is left of each later run once it is compared against
+/// A, filled by close_round as each capture window closes. Run A's
+/// trial, classification and index serve every comparison; a later
+/// run's trial and classification live only through its own round close.
 struct ClosedRuns {
-  std::vector<core::Trial> trials;  ///< rebased to each run's first packet
-  std::vector<trace::FlowClassification> flows;  ///< iff flows are on
+  core::Trial trial_a;  ///< rebased to its first packet
+  trace::FlowClassification flows_a;  ///< iff flows are on
+  core::ReferenceIndex index_a;  ///< run A's ids, indexed once
+  // One κ arena serves every comparison. A fresh arena per round close
+  // faults its pages in again each time: about 2% of perfbench
+  // record_replay's packet rate on a 4-vCPU VM (docs/PERF.md). Keeping
+  // it costs group_flows about 2 MB of peak, since it then outlives the
+  // per-flow stage.
+  core::CompareScratch scratch;
   std::vector<std::size_t> capture_sizes;
+  std::vector<core::ComparisonResult> comparisons;  ///< run r at r - 1
+  std::vector<flow::FlowSetComparison> flow_comparisons;  ///< iff flows
   std::vector<trace::Capture> captures;  ///< iff keep_captures
 };
 
+/// Compare run B against run A: the Section-3 comparison and, with flows
+/// on, the per-flow one, matching B's flows to A's by key.
+void compare_run(const ExperimentConfig& config, ClosedRuns& closed,
+                 const core::Trial& trial_b,
+                 const trace::FlowClassification* flows_b) {
+  core::ComparisonOptions options;
+  options.collect_series = config.collect_series;
+  closed.comparisons.push_back(
+      core::compare_trials(closed.trial_a, trial_b, options, closed.scratch));
+  if (flows_b == nullptr) return;
+  const trace::FlowClassification& a = closed.flows_a;
+  closed.flow_comparisons.push_back(
+      flow::compare_flows(closed.trial_a, a.table, a.per_packet, trial_b,
+                          flows_b->table, flows_b->per_packet, /*jobs=*/1));
+}
+
 /// Close run `r` once its capture window has: reduce the capture to the
-/// run's trial (and flow classification), then hand the buffer on. A
-/// kept capture moves to the result and the next run records into a
-/// fresh reservation; otherwise the next run refills this buffer,
-/// capacity and all. Freeing and re-reserving a buffer per run would
-/// not lower the peak: the allocator keeps the freed pages resident.
+/// run's trial (and flow classification), then hand the buffer on. Run A
+/// is kept, indexed and handed to the monitor as its reference; every
+/// later run is compared against it here and then dropped. A kept
+/// capture moves to the result and the next run records into a fresh
+/// reservation; otherwise the next run refills this buffer, capacity and
+/// all. Freeing and re-reserving a buffer per run would not lower the
+/// peak: the allocator keeps the freed pages resident.
 void close_round(const Topology& t, int r, trace::Capture& capture,
-                 ClosedRuns& closed) {
+                 monitor::StreamMonitor* monitor, ClosedRuns& closed) {
   const ExperimentConfig& config = t.config;
   telemetry::ProfileSpan prof("experiment.evaluate");
   closed.capture_sizes.push_back(capture.size());
-  closed.trials.push_back(rebased_trial(capture));
+  core::Trial trial = rebased_trial(capture);
+  // With flows on, one span covers the run's classification and its
+  // comparisons: the per-flow comparison reads the Section-3 one's trial.
+  std::optional<telemetry::ProfileSpan> prof_flows;
+  trace::FlowClassification flows;
   if (config.flow.enabled) {
+    prof_flows.emplace("experiment.flow_eval");
     // The sharded classification does not depend on the job count.
-    telemetry::ProfileSpan prof_flows("experiment.flow_eval");
-    closed.flows.push_back(trace::classify_capture_sharded(
-        capture, t.flow_shards, config.eval_jobs));
+    flows = trace::classify_capture_sharded(capture, t.flow_shards,
+                                            config.eval_jobs);
   }
   const bool last = r + 1 == config.runs;
   if (config.keep_captures) closed.captures.push_back(std::move(capture));
   if (last) {
-    // Nothing records any more: free the buffer, so that the evaluation
+    // Nothing records any more: free the buffer, so that the comparison
     // reuses its pages.
     capture = trace::Capture();
   } else if (config.keep_captures) {
@@ -719,6 +751,18 @@ void close_round(const Topology& t, int r, trace::Capture& capture,
   } else {
     capture.clear();
     capture.set_name(run_name(r + 1));
+  }
+  if (r > 0) {
+    compare_run(config, closed, trial,
+                config.flow.enabled ? &flows : nullptr);
+    return;
+  }
+  closed.trial_a = std::move(trial);
+  closed.flows_a = std::move(flows);
+  closed.index_a.rebuild(closed.trial_a);
+  closed.scratch.shared_ref = &closed.index_a;
+  if (monitor != nullptr) {
+    monitor->set_reference(closed.trial_a, closed.flows_a.per_packet);
   }
 }
 
@@ -766,54 +810,6 @@ void collect_counters(Topology& t, ExperimentResult& result) {
   result.switch_queue_drops = t.sw->queue_drops();
 }
 
-/// Compare each run B..E against run A: the Section-3 comparison and,
-/// with flows on, the per-flow one, matching each run's flows to run A's
-/// by key. compare_trials and compare_flows are pure functions of the
-/// closed runs and every worker writes its own index-addressed slots, so
-/// the result is bit-identical at any job count (and inline when the
-/// experiment already runs on a suite-level pool worker).
-void compare_runs(const ExperimentConfig& config, const ClosedRuns& closed,
-                  telemetry::SpanProfiler* profiler, ExperimentResult& result) {
-  const core::Trial& trial_a = closed.trials[0];
-  const trace::FlowClassification* cls_a =
-      config.flow.enabled ? &closed.flows[0] : nullptr;
-  // Run A's ids are indexed once and shared read-only by every
-  // comparison instead of rebuilding a hash map per comparison.
-  const core::ReferenceIndex ref_index(trial_a);
-  core::ComparisonOptions options;
-  options.collect_series = config.collect_series;
-  const std::size_t n_cmp = closed.trials.size() - 1;
-  result.comparisons.resize(n_cmp);
-  if (cls_a != nullptr) result.flow_comparisons.resize(n_cmp);
-  // Worker threads see no installed profiler (installation is
-  // thread-local), so when profiling is on each task gets its own
-  // profiler, merged back in submission order after the join. Host-time
-  // spans are report-only, so this never affects determinism.
-  const bool fan_out = will_fan_out(config.eval_jobs, n_cmp);
-  std::vector<telemetry::SpanProfiler> eval_profiles(
-      fan_out && profiler != nullptr ? n_cmp : 0);
-  parallel_for_indexed(config.eval_jobs, n_cmp, [&](std::size_t i) {
-    std::optional<telemetry::ScopedProfiler> task_prof;
-    if (!eval_profiles.empty()) task_prof.emplace(&eval_profiles[i]);
-    const core::Trial& trial_b = closed.trials[i + 1];
-    {
-      // Scoped so the κ arena is freed before the flow stage allocates:
-      // a task's peak is its larger stage, not their sum.
-      core::CompareScratch scratch;
-      scratch.shared_ref = &ref_index;
-      result.comparisons[i] =
-          core::compare_trials(trial_a, trial_b, options, scratch);
-    }
-    if (cls_a == nullptr) return;
-    const trace::FlowClassification& cls_b = closed.flows[i + 1];
-    result.flow_comparisons[i] =
-        flow::compare_flows(trial_a, cls_a->table, cls_a->per_packet, trial_b,
-                            cls_b.table, cls_b.per_packet, /*jobs=*/1);
-  });
-  for (const auto& ep : eval_profiles) profiler->merge_from(ep);
-  result.mean = mean_metrics(result.comparisons);
-}
-
 /// Every observer of one run, opened in a fixed order before any
 /// component is built so each layer binds its handles at construction
 /// (the capture daemon takes the monitor then). All are strictly
@@ -832,8 +828,9 @@ struct Observers {
       }
     }
     if (config.monitor.enabled) {
-      // Run 0's capture becomes the reference; each later run is
-      // monitored against it as it streams in.
+      // Run A's closed trial becomes the reference at its round close
+      // (close_round); each later run is monitored against it as it
+      // streams in.
       monitor::MonitorConfig mcfg;
       mcfg.window_packets = config.monitor.window_packets;
       mcfg.top_k = config.monitor.top_k;
@@ -960,25 +957,20 @@ struct Observers {
   std::shared_ptr<telemetry::SeriesSampler> series;
 };
 
-/// Evaluate phase: counters, the Section-3 comparisons, per-round kappa
-/// for the flight log, and the per-flow comparisons, all from the closed
-/// runs.
+/// Evaluate phase: counters, the closed runs' comparisons and their
+/// mean, and per-round kappa for the flight log.
 ExperimentResult evaluate(Topology& t, ClosedRuns& closed,
                           Observers& observers, const ReplaySchedule& sched) {
   ExperimentResult result;
   result.trial_duration = sched.trial_duration;
   collect_counters(t, result);
   result.capture_sizes = std::move(closed.capture_sizes);
-  {
-    // With flows on, each run's per-flow comparison shares its task and
-    // its trial with the Section-3 one, so one span covers both.
-    std::optional<telemetry::ProfileSpan> prof_flows;
-    if (t.config.flow.enabled) {
-      prof_flows.emplace("experiment.flow_eval");
-      result.flow_count = closed.flows[0].table.size();
-      result.flow_unclassified = t.daemon->flow_unclassified();
-    }
-    compare_runs(t.config, closed, observers.profiler.get(), result);
+  result.comparisons = std::move(closed.comparisons);
+  result.mean = mean_metrics(result.comparisons);
+  result.flow_comparisons = std::move(closed.flow_comparisons);
+  if (t.config.flow.enabled) {
+    result.flow_count = closed.flows_a.table.size();
+    result.flow_unclassified = t.daemon->flow_unclassified();
   }
   observers.record_kappa_rounds(sched, result);
   result.captures = std::move(closed.captures);
@@ -1082,7 +1074,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       telemetry::ProfileSpan prof_run("experiment.run");
       queue.run_until(sched.round_end(r));
     }
-    close_round(*topology, r, capture, closed);
+    close_round(*topology, r, capture, observers.stream_monitor.get(),
+                closed);
   }
   {
     telemetry::ProfileSpan prof_run("experiment.run");

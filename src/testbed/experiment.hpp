@@ -152,19 +152,19 @@ struct ExperimentConfig {
   bool collect_series = true;
   /// Keep every run's raw capture in the result: the only mode that
   /// holds every capture (88 B per packet per run). Otherwise each run is
-  /// closed into its trial at its round end, the next run refills the
-  /// same capture buffer, and the buffer is freed before the evaluation.
+  /// closed into its trial and compared against run A at its round end,
+  /// the next run refills the same capture buffer, and the buffer is
+  /// freed before the last run's comparison.
   bool keep_captures = false;
   ReplayEngine engine = ReplayEngine::kChoir;
-  /// Workers for the Section-3 metric evaluation: each run B..E is
-  /// compared against run A on its own task (comparisons only read the
-  /// immutable trials the runs closed into), and with flows on each
-  /// run's classification at its round end fans out too. 0 = auto
-  /// (CHOIR_JOBS, else hardware concurrency); 1 = the sequential path. Results land by run index,
-  /// so every metric — and every artifact derived from one — is
-  /// bit-identical at any setting. When the experiment itself runs on a
-  /// task-pool worker (a suite fanning experiments out), the evaluation
-  /// degrades to inline automatically.
+  /// Workers for the flow classification of each run at its round end.
+  /// Each run B..E is compared against run A at its own round close, on
+  /// the thread that runs the experiment. 0 = auto (CHOIR_JOBS, else
+  /// hardware concurrency); 1 = the sequential path. The classification
+  /// does not depend on the job count, so every metric — and every
+  /// artifact derived from one — is bit-identical at any setting. When
+  /// the experiment itself runs on a task-pool worker (a suite fanning
+  /// experiments out), the classification runs inline automatically.
   int eval_jobs = 0;
   TelemetryOptions telemetry;
   MonitorOptions monitor;

@@ -463,10 +463,12 @@ TEST(EvalPlaneOracle, MonitorFastPathsMatchRescannedWindows) {
   cfg.window_packets = 37;
   cfg.top_k = 4;
   monitor::StreamMonitor mon(cfg);
-  mon.begin_stream("reference");
-  for (const auto& p : reference.packets()) {
-    mon.observe(p.id, p.time, flow::kNoFlow);
-  }
+  // The monitor takes run A as the evaluation closes it: occurrence-
+  // tagged and rebased. The oracle tags the raw reference on its own.
+  core::Trial run_a = reference;
+  run_a.make_occurrences_unique();
+  run_a.rebase_to_zero();
+  mon.set_reference(run_a, {});
   RescannedStream oracle(reference);
   std::size_t checked = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "core/metrics.hpp"
 #include "monitor/divergence.hpp"
 #include "monitor/stream_monitor.hpp"
@@ -34,8 +35,9 @@ core::Trial cbr_trial(std::size_t n, Ns gap, Ns start = 0) {
 }
 
 /// Feed every packet of `b` into a new stream named `name`, without flow
-/// ids. The first stream a monitor sees is its reference trial A, so
-/// tests feed A first (named "reference") and then the monitored trials.
+/// ids. Tests hand the monitor its reference trial A with set_reference()
+/// first (A must outlive finalize()); every stream fed after that is
+/// monitored against A.
 void feed(StreamMonitor& mon, const core::Trial& b,
           const std::string& name = "b") {
   mon.begin_stream(name);
@@ -138,7 +140,7 @@ TEST(IdTable, GrowthPreservesReferenceMappings) {
 TEST(StreamMonitor, IdenticalStreamIsPerfectlyConsistent) {
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(64, 1000);
-  feed(mon, a, "reference");
+  mon.set_reference(a, {});
   feed(mon, a);
   mon.finalize();
 
@@ -165,7 +167,7 @@ TEST(StreamMonitor, ConstantTimeShiftIsInvisible) {
   // the whole stream changes nothing (same as the offline L and I).
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(32, 500);
-  feed(mon, a, "reference");
+  mon.set_reference(a, {});
   feed(mon, cbr_trial(32, 500, /*start=*/987654));
   mon.finalize();
   ASSERT_EQ(mon.windows().size(), 1u);
@@ -186,7 +188,7 @@ TEST(StreamMonitor, DroppedPacketUniquenessClosedForm) {
     dropped.push_back(a[i]);
   }
   const core::Trial b(std::move(dropped));
-  feed(mon, a, "reference");
+  mon.set_reference(a, {});
   feed(mon, b);
   mon.finalize();
 
@@ -207,7 +209,8 @@ TEST(StreamMonitor, AdjacentSwapOrderingClosedForm) {
   // One move of distance 1 over the max sum m(m+1)/2 = 10 -> O = 1/10
   // (the paper's worked example, here observed live).
   StreamMonitor mon(offline_config());
-  feed(mon, cbr_trial(4, 100), "reference");
+  const core::Trial a = cbr_trial(4, 100);
+  mon.set_reference(a, {});
   feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}));
   mon.finalize();
 
@@ -219,7 +222,8 @@ TEST(StreamMonitor, LatencyStraddleClosedForm) {
   // Section 3 worked example: the common packet arrives 9 ns after the
   // start of A and 8 ns after the start of B -> L = 1/18.
   StreamMonitor mon(offline_config());
-  feed(mon, make_trial({1, 2}, {0, 9}), "reference");
+  const core::Trial a = make_trial({1, 2}, {0, 9});
+  mon.set_reference(a, {});
   feed(mon, make_trial({1, 2}, {0, 8}));
   mon.finalize();
   ASSERT_EQ(mon.windows().size(), 1u);
@@ -228,9 +232,12 @@ TEST(StreamMonitor, LatencyStraddleClosedForm) {
 
 TEST(StreamMonitor, DuplicateRawIdsAreOccurrenceTagged) {
   // The same raw id three times in both trials matches positionally
-  // (occurrence tagging), so the stream is perfectly consistent.
+  // (occurrence tagging), so the stream is perfectly consistent. The
+  // reference arrives tagged, as the evaluation's run A trial does.
   StreamMonitor mon(offline_config());
-  feed(mon, make_trial({7, 7, 7, 8}, {0, 10, 20, 30}), "reference");
+  core::Trial a = make_trial({7, 7, 7, 8}, {0, 10, 20, 30});
+  a.make_occurrences_unique();
+  mon.set_reference(a, {});
   feed(mon, make_trial({7, 7, 7, 8}, {0, 10, 20, 30}));
   mon.finalize();
   EXPECT_EQ(mon.matched(), 4u);
@@ -254,7 +261,7 @@ TEST(StreamMonitor, FullTrialWindowReproducesOfflineKappa) {
   ASSERT_GE(b.size(), a.size());
 
   StreamMonitor mon(offline_config());
-  feed(mon, a, "reference");
+  mon.set_reference(a, {});
   feed(mon, b);
   mon.finalize();
 
@@ -288,7 +295,7 @@ TEST(StreamMonitor, WindowBoundariesAndDriftAttribution) {
   const core::Trial a = cbr_trial(8, 100);
   const core::Trial b = make_trial({1, 2, 3, 5, 4, 6, 7, 8},
                                    {0, 100, 200, 300, 400, 500, 600, 700});
-  feed(mon, a, "reference");
+  mon.set_reference(a, {});
   feed(mon, b);
   mon.finalize();
 
@@ -334,8 +341,9 @@ TEST(StreamMonitor, WindowBoundariesAndDriftAttribution) {
 }
 
 TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
+  const core::Trial a = cbr_trial(6, 100);
   StreamMonitor cfg_full(offline_config(1u << 20, /*top_k=*/16));
-  feed(cfg_full, cbr_trial(6, 100), "reference");
+  cfg_full.set_reference(a, {});
   feed(cfg_full, make_trial({2, 1, 4, 3, 6, 5},
                             {0, 100, 200, 300, 400, 500}));
   cfg_full.finalize();
@@ -351,7 +359,7 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
 
   // top_k = 1 keeps a single moved record per window.
   StreamMonitor cfg_k1(offline_config(1u << 20, /*top_k=*/1));
-  feed(cfg_k1, cbr_trial(6, 100), "reference");
+  cfg_k1.set_reference(a, {});
   feed(cfg_k1, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
   cfg_k1.finalize();
   moved = 0;
@@ -362,24 +370,31 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
 
   // top_k = 0 disables attribution entirely.
   StreamMonitor cfg_k0(offline_config(1u << 20, /*top_k=*/0));
-  feed(cfg_k0, cbr_trial(6, 100), "reference");
+  cfg_k0.set_reference(a, {});
   feed(cfg_k0, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
   cfg_k0.finalize();
   EXPECT_TRUE(cfg_k0.divergence().empty());
 }
 
 TEST(StreamMonitor, ReferenceFromFirstStream) {
-  // The first stream becomes A and emits no windows; every later stream
-  // is monitored against it.
+  // In an experiment the first stream is run A's own: it streams in
+  // before its round close hands the monitor run A's trial, so it is
+  // counted but keeps nothing and emits no windows. Every stream that
+  // begins after set_reference() is monitored against A.
   MonitorConfig cfg;
   cfg.window_packets = 1u << 20;
   StreamMonitor mon(cfg);
   const core::Trial a = cbr_trial(16, 250);
+  const core::Trial c = perturb(a, 4);
   feed(mon, a, "run-0");
-  feed(mon, a, "run-1");  // closing run-0 installs it as the reference
+  EXPECT_FALSE(mon.has_reference());
+  mon.set_reference(a, {});
   EXPECT_TRUE(mon.has_reference());
-  feed(mon, perturb(a, 4), "run-2");
+  feed(mon, a, "run-1");  // closes run-0, which emits nothing
+  feed(mon, c, "run-2");
   mon.finalize();
+  EXPECT_FALSE(mon.has_reference());  // finalize() releases A
+  EXPECT_EQ(mon.observed(), 2 * a.size() + c.size());
   ASSERT_EQ(mon.streams().size(), 2u);
   EXPECT_EQ(mon.streams()[0].name, "run-1");
   EXPECT_EQ(mon.streams()[1].name, "run-2");
@@ -388,6 +403,19 @@ TEST(StreamMonitor, ReferenceFromFirstStream) {
   EXPECT_EQ(mon.windows()[0].metrics.kappa, 1.0);
   EXPECT_EQ(mon.windows()[1].stream_name, "run-2");
   EXPECT_LT(mon.windows()[1].metrics.kappa, 1.0);
+}
+
+TEST(StreamMonitor, ReferenceFlowIdsParallelTheReference) {
+  // Flow ids are per reference packet or absent: a span of any other
+  // length would pair windows with the wrong flows.
+  StreamMonitor mon(offline_config());
+  const core::Trial a = cbr_trial(4, 100);
+  const std::vector<flow::FlowId> short_flows = {0, 1, 0};
+  EXPECT_THROW(mon.set_reference(a, short_flows), Error);
+  EXPECT_FALSE(mon.has_reference());
+  const std::vector<flow::FlowId> flows = {0, 1, 0, 1};
+  mon.set_reference(a, flows);
+  EXPECT_TRUE(mon.has_reference());
 }
 
 // ---- Serialization determinism -----------------------------------------
@@ -401,7 +429,7 @@ TEST(Divergence, SerializationIsByteDeterministic) {
   std::string first;
   for (int round = 0; round < 2; ++round) {
     StreamMonitor mon(offline_config(/*window_packets=*/64));
-    feed(mon, a, "reference");
+    mon.set_reference(a, {});
     feed(mon, b, "run");
     mon.finalize();
     const std::string jsonl = render_divergence_jsonl(mon);
@@ -417,7 +445,8 @@ TEST(Divergence, SerializationIsByteDeterministic) {
 
 TEST(Divergence, JsonlSchemaFields) {
   StreamMonitor mon(offline_config());
-  feed(mon, cbr_trial(4, 100), "reference");
+  const core::Trial a = cbr_trial(4, 100);
+  mon.set_reference(a, {});
   feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}), "run");
   mon.finalize();
   const std::string text = render_divergence_jsonl(mon);

@@ -278,9 +278,16 @@ TEST(MonitorExperiment, ProfilerCapturesPipelinePhases) {
   ASSERT_TRUE(aggregates.count("record.drain"));
   EXPECT_GT(aggregates.at("record.drain").count, 0u);
 
-  // With flows on, each round close classifies its run and the final
-  // evaluation compares the flows, each under a flow_eval span nested in
-  // its evaluate span (perfbench reads both boundaries).
+  // Every round close after run A's compares its run: one kappa.compare
+  // each (the monitor's window compares add theirs).
+  ASSERT_TRUE(aggregates.count("kappa.compare"));
+  EXPECT_EQ(aggregates.at("kappa.compare").count,
+            static_cast<std::size_t>(config.runs - 1) +
+                result.monitor->windows().size());
+
+  // With flows on, each round close classifies its run and compares it,
+  // under one flow_eval span nested in its evaluate span; the final
+  // evaluation has none (perfbench reads both boundaries).
   ExperimentConfig flows = config;
   flows.flow.enabled = true;
   flows.flow.flows = 16;
@@ -288,23 +295,28 @@ TEST(MonitorExperiment, ProfilerCapturesPipelinePhases) {
   ASSERT_NE(flow_result.profile, nullptr);
   const auto& flow_aggregates = flow_result.profile->aggregates();
   ASSERT_TRUE(flow_aggregates.count("experiment.flow_eval"));
-  EXPECT_EQ(flow_aggregates.at("experiment.flow_eval").count, phases);
+  EXPECT_EQ(flow_aggregates.at("experiment.flow_eval").count,
+            static_cast<std::size_t>(flows.runs));
   EXPECT_EQ(flow_aggregates.at("experiment.evaluate").count, phases);
-  const telemetry::TraceEvent* evaluate = nullptr;
-  const telemetry::TraceEvent* flow_eval = nullptr;
+  std::vector<const telemetry::TraceEvent*> evaluates;
+  std::vector<const telemetry::TraceEvent*> flow_evals;
   for (const auto& e : flow_result.telemetry_trace->events()) {
     if (e.name == "experiment.run") {
       EXPECT_EQ(e.args_json, "{\"depth\":0}");
     }
-    if (e.name == "experiment.evaluate") evaluate = &e;
-    if (e.name == "experiment.flow_eval") flow_eval = &e;
+    if (e.name == "experiment.evaluate") evaluates.push_back(&e);
+    if (e.name == "experiment.flow_eval") flow_evals.push_back(&e);
   }
-  ASSERT_NE(evaluate, nullptr);
-  ASSERT_NE(flow_eval, nullptr);
-  EXPECT_EQ(evaluate->args_json, "{\"depth\":0}");
-  EXPECT_EQ(flow_eval->args_json, "{\"depth\":1}");
-  EXPECT_GE(flow_eval->ts, evaluate->ts);
-  EXPECT_LE(flow_eval->ts + flow_eval->dur, evaluate->ts + evaluate->dur);
+  ASSERT_EQ(flow_evals.size(), static_cast<std::size_t>(flows.runs));
+  for (const telemetry::TraceEvent* flow_eval : flow_evals) {
+    EXPECT_EQ(flow_eval->args_json, "{\"depth\":1}");
+    const auto encloses = [&](const telemetry::TraceEvent* evaluate) {
+      return evaluate->args_json == "{\"depth\":0}" &&
+             flow_eval->ts >= evaluate->ts &&
+             flow_eval->ts + flow_eval->dur <= evaluate->ts + evaluate->dur;
+    };
+    EXPECT_TRUE(std::any_of(evaluates.begin(), evaluates.end(), encloses));
+  }
   // Without a profile session, no profiler is attached.
   ExperimentConfig plain = small_config();
   plain.telemetry.enabled = true;

@@ -1,6 +1,6 @@
 // The parallel execution layer's acceptance oracle: per-experiment
-// comparisons and telemetry artifacts must be bit-identical whether they
-// were produced sequentially or fanned across task-pool workers. These
+// results and telemetry artifacts must be bit-identical whether their
+// parts ran sequentially or fanned across task-pool workers. These
 // tests pass explicit job counts (the host may have a single core; the
 // pool still interleaves via preemption) and compare against the
 // sequential path. The BENCH_*.json artifacts get the same check from
@@ -16,6 +16,8 @@
 
 #include "common/task_pool.hpp"
 #include "fault/fault_plan.hpp"
+#include "monitor/stream_monitor.hpp"
+#include "telemetry/span_profiler.hpp"
 #include "testbed/experiment.hpp"
 
 namespace choir::testbed {
@@ -46,6 +48,21 @@ void expect_same_comparison(const core::ComparisonResult& a,
   EXPECT_EQ(a.sum_abs_move_distance, b.sum_abs_move_distance);
 }
 
+void expect_same_aggregate(const flow::FlowAggregate& a,
+                           const flow::FlowAggregate& b) {
+  EXPECT_EQ(a.flows, b.flows);
+  EXPECT_EQ(a.matched, b.matched);
+  EXPECT_EQ(a.only_a, b.only_a);
+  EXPECT_EQ(a.only_b, b.only_b);
+  EXPECT_EQ(a.worst, b.worst);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p90, b.p90);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_EQ(a.p999, b.p999);
+  EXPECT_EQ(a.weighted_mean, b.weighted_mean);
+  EXPECT_EQ(a.mean, b.mean);
+}
+
 void expect_same_flows(const flow::FlowSetComparison& a,
                        const flow::FlowSetComparison& b) {
   ASSERT_EQ(a.flows.size(), b.flows.size());
@@ -60,19 +77,7 @@ void expect_same_flows(const flow::FlowSetComparison& a,
     EXPECT_EQ(fa.in_b, fb.in_b);
     expect_same_metrics(fa.metrics, fb.metrics);
   }
-  const flow::FlowAggregate& ga = a.aggregate;
-  const flow::FlowAggregate& gb = b.aggregate;
-  EXPECT_EQ(ga.flows, gb.flows);
-  EXPECT_EQ(ga.matched, gb.matched);
-  EXPECT_EQ(ga.only_a, gb.only_a);
-  EXPECT_EQ(ga.only_b, gb.only_b);
-  EXPECT_EQ(ga.worst, gb.worst);
-  EXPECT_EQ(ga.p50, gb.p50);
-  EXPECT_EQ(ga.p90, gb.p90);
-  EXPECT_EQ(ga.p99, gb.p99);
-  EXPECT_EQ(ga.p999, gb.p999);
-  EXPECT_EQ(ga.weighted_mean, gb.weighted_mean);
-  EXPECT_EQ(ga.mean, gb.mean);
+  expect_same_aggregate(a.aggregate, b.aggregate);
   EXPECT_EQ(a.unclassified_a, b.unclassified_a);
   EXPECT_EQ(a.unclassified_b, b.unclassified_b);
 }
@@ -90,6 +95,51 @@ void expect_same_group(const app::GroupStats& a, const app::GroupStats& b) {
   EXPECT_EQ(a.rejoins, b.rejoins);
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.barrier_worst_residual_ns, b.barrier_worst_residual_ns);
+}
+
+/// The monitor's windows and divergence records: it reads run A from the
+/// round close, so kept and reused captures must give it the same A.
+void expect_same_monitor(const monitor::StreamMonitor& a,
+                         const monitor::StreamMonitor& b) {
+  EXPECT_EQ(a.observed(), b.observed());
+  EXPECT_EQ(a.matched(), b.matched());
+  ASSERT_EQ(a.windows().size(), b.windows().size());
+  for (std::size_t i = 0; i < a.windows().size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    const monitor::WindowRecord& wa = a.windows()[i];
+    const monitor::WindowRecord& wb = b.windows()[i];
+    EXPECT_EQ(wa.stream_name, wb.stream_name);
+    EXPECT_EQ(wa.index, wb.index);
+    EXPECT_EQ(wa.b_begin, wb.b_begin);
+    EXPECT_EQ(wa.b_end, wb.b_end);
+    EXPECT_EQ(wa.a_begin, wb.a_begin);
+    EXPECT_EQ(wa.a_end, wb.a_end);
+    EXPECT_EQ(wa.first_time_ns, wb.first_time_ns);
+    EXPECT_EQ(wa.last_time_ns, wb.last_time_ns);
+    expect_same_metrics(wa.metrics, wb.metrics);
+    EXPECT_EQ(wa.common, wb.common);
+    EXPECT_EQ(wa.moved, wb.moved);
+    EXPECT_EQ(wa.missing, wb.missing);
+    EXPECT_EQ(wa.extra, wb.extra);
+    EXPECT_EQ(wa.lcs_length, wb.lcs_length);
+    EXPECT_EQ(wa.has_flows, wb.has_flows);
+    expect_same_aggregate(wa.flow_aggregate, wb.flow_aggregate);
+  }
+  ASSERT_EQ(a.divergence().size(), b.divergence().size());
+  for (std::size_t i = 0; i < a.divergence().size(); ++i) {
+    SCOPED_TRACE("divergence record " + std::to_string(i));
+    const monitor::DivergenceRecord& ra = a.divergence()[i];
+    const monitor::DivergenceRecord& rb = b.divergence()[i];
+    EXPECT_EQ(ra.kind, rb.kind);
+    EXPECT_EQ(ra.stream_name, rb.stream_name);
+    EXPECT_EQ(ra.window, rb.window);
+    EXPECT_EQ(ra.id, rb.id);
+    EXPECT_EQ(ra.index_a, rb.index_a);
+    EXPECT_EQ(ra.index_b, rb.index_b);
+    EXPECT_EQ(ra.move, rb.move);
+    EXPECT_EQ(ra.latency_delta_ns, rb.latency_delta_ns);
+    EXPECT_EQ(ra.time_ns, rb.time_ns);
+  }
 }
 
 void expect_bitwise_equal(const ExperimentResult& a,
@@ -111,23 +161,38 @@ void expect_bitwise_equal(const ExperimentResult& a,
     expect_same_flows(a.flow_comparisons[i], b.flow_comparisons[i]);
   }
   expect_same_group(a.group_stats, b.group_stats);
+  ASSERT_EQ(a.monitor == nullptr, b.monitor == nullptr);
+  if (a.monitor != nullptr) expect_same_monitor(*a.monitor, *b.monitor);
 }
 
 TEST(ParallelDeterminism, EvalJobsBitIdentical) {
-  // The per-comparison fan-out inside one experiment: κ evaluation at
-  // eval_jobs 1 vs 4 must agree bit for bit, series included.
+  // κ evaluation at eval_jobs 1 vs 4 must agree bit for bit, series
+  // included. Every run is compared at its round close on the
+  // experiment's own thread, so the session profile sees each of the
+  // four comparisons at any job count.
   ExperimentConfig cfg;
   cfg.env = local_single();
   cfg.packets = 4000;
   cfg.runs = 5;
   cfg.seed = 11;
   cfg.collect_series = true;
+  cfg.telemetry.profile = true;
   cfg.eval_jobs = 1;
   const auto sequential = run_experiment(cfg);
   cfg.eval_jobs = 4;
   const auto parallel = run_experiment(cfg);
   ASSERT_EQ(sequential.comparisons.size(), 4u);
   expect_bitwise_equal(sequential, parallel);
+
+  auto compare_count = [](const ExperimentResult& result) {
+    EXPECT_NE(result.profile, nullptr);
+    if (result.profile == nullptr) return std::uint64_t{0};
+    const auto& aggregates = result.profile->aggregates();
+    const auto it = aggregates.find("kappa.compare");
+    return it == aggregates.end() ? std::uint64_t{0} : it->second.count;
+  };
+  EXPECT_EQ(compare_count(sequential), 4u);
+  EXPECT_EQ(compare_count(parallel), 4u);
 }
 
 TEST(ParallelDeterminism, ConcurrentExperimentsKeepTelemetryIsolated) {
@@ -167,38 +232,11 @@ TEST(ParallelDeterminism, ConcurrentExperimentsKeepTelemetryIsolated) {
   }
 }
 
-TEST(ParallelDeterminism, WorkerScopedProfilersMergeIntoTheSession) {
-  // With profiling on, the parallel evaluation runs each comparison
-  // under its own worker-scoped profiler and merges them after the
-  // join: the session profile must still see every kappa.compare span.
-  ExperimentConfig cfg;
-  cfg.env = local_single();
-  cfg.packets = 3000;
-  cfg.runs = 5;
-  cfg.seed = 21;
-  cfg.telemetry.enabled = true;
-  cfg.telemetry.profile = true;
-  cfg.eval_jobs = 1;
-  const auto sequential = run_experiment(cfg);
-  cfg.eval_jobs = 4;
-  const auto parallel = run_experiment(cfg);
-  expect_bitwise_equal(sequential, parallel);
-
-  ASSERT_NE(parallel.profile, nullptr);
-  auto compare_count = [](const telemetry::SpanProfiler& profiler) {
-    for (const auto& entry : profiler.summary()) {
-      if (entry.name == "kappa.compare") return entry.agg.count;
-    }
-    return std::uint64_t{0};
-  };
-  EXPECT_EQ(compare_count(*sequential.profile), 4u);
-  EXPECT_EQ(compare_count(*parallel.profile), 4u);
-}
-
 // Each run closes at its round end. With captures kept, every run records
 // into its own buffer, which moves to the result; without, one buffer is
 // refilled run after run. Both must give the same evaluation bit for bit,
-// at any job count: the closed runs are all the evaluation reads.
+// at any job count: the closed runs are all the evaluation reads, and run
+// A's closed trial is all the monitor reads of the reference.
 
 constexpr int kRuns = 4;
 

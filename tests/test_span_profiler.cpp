@@ -138,44 +138,5 @@ TEST(SpanProfiler, ExportsSpansToTracerTrack) {
             std::string::npos);
 }
 
-TEST(SpanProfiler, MergeFromFoldsWorkerAggregates) {
-  // Worker-scoped profilers (one per parallel evaluation task) are
-  // folded into the session profiler after the join; aggregates must be
-  // sample-exact across the merge.
-  SpanProfiler session;
-  session.enter("kappa.compare", 0);
-  session.exit(100);
-
-  SpanProfiler worker;
-  worker.enter("kappa.compare", 0);
-  worker.exit(250);
-  worker.enter("kappa.align", 300);
-  worker.exit(340);
-
-  session.merge_from(worker);
-  bool saw_compare = false, saw_align = false;
-  for (const auto& entry : session.summary()) {
-    if (entry.name == "kappa.compare") {
-      saw_compare = true;
-      EXPECT_EQ(entry.agg.count, 2u);
-      EXPECT_EQ(entry.agg.total_ns, 350u);
-      EXPECT_EQ(entry.agg.max_ns, 250u);
-    } else if (entry.name == "kappa.align") {
-      saw_align = true;
-      EXPECT_EQ(entry.agg.count, 1u);
-      EXPECT_EQ(entry.agg.total_ns, 40u);
-    }
-  }
-  EXPECT_TRUE(saw_compare);
-  EXPECT_TRUE(saw_align);
-}
-
-TEST(SpanProfiler, MergeFromRejectsOpenSpans) {
-  SpanProfiler session;
-  SpanProfiler worker;
-  worker.enter("open", 0);  // never exited
-  EXPECT_THROW(session.merge_from(worker), Error);
-}
-
 }  // namespace
 }  // namespace choir::telemetry
