@@ -167,32 +167,50 @@ void expect_bitwise_equal(const ExperimentResult& a,
 
 TEST(ParallelDeterminism, EvalJobsBitIdentical) {
   // κ evaluation at eval_jobs 1 vs 4 must agree bit for bit, series
-  // included. Every run is compared at its round close on the
-  // experiment's own thread, so the session profile sees each of the
-  // four comparisons at any job count.
+  // included.
   ExperimentConfig cfg;
   cfg.env = local_single();
   cfg.packets = 4000;
   cfg.runs = 5;
   cfg.seed = 11;
   cfg.collect_series = true;
-  cfg.telemetry.profile = true;
   cfg.eval_jobs = 1;
   const auto sequential = run_experiment(cfg);
   cfg.eval_jobs = 4;
   const auto parallel = run_experiment(cfg);
   ASSERT_EQ(sequential.comparisons.size(), 4u);
   expect_bitwise_equal(sequential, parallel);
+}
 
-  auto compare_count = [](const ExperimentResult& result) {
-    EXPECT_NE(result.profile, nullptr);
-    if (result.profile == nullptr) return std::uint64_t{0};
-    const auto& aggregates = result.profile->aggregates();
-    const auto it = aggregates.find("kappa.compare");
-    return it == aggregates.end() ? std::uint64_t{0} : it->second.count;
+TEST(ParallelDeterminism, WorkerScopedProfilersMergeIntoTheSession) {
+  // With profiling on, eval_jobs fans only the flow classification out to
+  // workers; every run is compared at its round close on the experiment's
+  // own thread. Whatever the job count, the session profile must see each
+  // of the four kappa.compare spans, and the results must agree bit for
+  // bit.
+  ExperimentConfig cfg;
+  cfg.env = local_single();
+  cfg.packets = 3000;
+  cfg.runs = 5;
+  cfg.seed = 21;
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.profile = true;
+  cfg.eval_jobs = 1;
+  const auto sequential = run_experiment(cfg);
+  cfg.eval_jobs = 4;
+  const auto parallel = run_experiment(cfg);
+  expect_bitwise_equal(sequential, parallel);
+
+  ASSERT_NE(sequential.profile, nullptr);
+  ASSERT_NE(parallel.profile, nullptr);
+  auto compare_count = [](const telemetry::SpanProfiler& profiler) {
+    for (const auto& entry : profiler.summary()) {
+      if (entry.name == "kappa.compare") return entry.agg.count;
+    }
+    return std::uint64_t{0};
   };
-  EXPECT_EQ(compare_count(sequential), 4u);
-  EXPECT_EQ(compare_count(parallel), 4u);
+  EXPECT_EQ(compare_count(*sequential.profile), 4u);
+  EXPECT_EQ(compare_count(*parallel.profile), 4u);
 }
 
 TEST(ParallelDeterminism, ConcurrentExperimentsKeepTelemetryIsolated) {
