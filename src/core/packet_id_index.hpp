@@ -1,7 +1,6 @@
 // Packet id -> dense id, in first-insert order: the index behind every
 // "where is this packet?" question of the κ plane (core::ReferenceIndex,
-// the κ kernel's B-only set, the monitor's IdTable and
-// Trial::make_occurrences_unique).
+// the κ kernel's B-only set and Trial::make_occurrences_unique).
 //
 // A tagged id is a (sender, sequence) pair: `hi` holds the replayer and
 // stream of the evaluation tag, `lo` a dense per-middlebox counter

@@ -20,9 +20,8 @@ namespace choir::core {
 
 /// Identity of the k-th occurrence of a repeated id (occurrence 0 is the
 /// id itself). The mix constant keeps derived ids disjoint from natural
-/// trailer values. Shared by Trial::make_occurrences_unique and the
-/// streaming monitor so an incrementally observed stream builds the exact
-/// same trial a batch capture does.
+/// trailer values. Trial::make_occurrences_unique tags with it, and the
+/// tests' oracles use it to tag a trial their own way.
 constexpr PacketId occurrence_id(PacketId id, std::uint64_t occurrence) {
   if (occurrence > 0) {
     id.hi ^= occurrence * 0xd6e8feb86659fd93ULL;

@@ -119,41 +119,39 @@ FlowSetComparison compare_flows_by_id(const core::Trial& a,
   return out;
 }
 
+FlowRemap remap_flows(const FlowTable& table_a, const FlowTable& table_b,
+                      std::span<const FlowId> ids_b) {
+  FlowRemap out;
+  out.flow_count = table_a.size();
+  std::vector<FlowId> remap(table_b.size(), kNoFlow);
+  for (FlowId bid = 0; bid < table_b.size(); ++bid) {
+    remap[bid] = table_a.lookup(table_b.key_of(bid));
+    if (remap[bid] == kNoFlow) {
+      remap[bid] = static_cast<FlowId>(out.flow_count++);
+      out.b_only.push_back(bid);
+    }
+  }
+  out.ids.assign(ids_b.size(), kNoFlow);
+  for (std::size_t i = 0; i < ids_b.size(); ++i) {
+    if (ids_b[i] != kNoFlow) out.ids[i] = remap[ids_b[i]];
+  }
+  return out;
+}
+
 FlowSetComparison compare_flows(const core::Trial& a, const FlowTable& table_a,
                                 std::span<const FlowId> ids_a,
                                 const core::Trial& b, const FlowTable& table_b,
                                 std::span<const FlowId> ids_b, int jobs) {
-  // Remap B's ids into A's id space by key; B-only flows are appended
-  // past A's count in B's first-seen order.
-  const std::size_t a_count = table_a.size();
-  std::vector<FlowId> remap(table_b.size(), kNoFlow);
-  std::size_t extras = 0;
-  for (FlowId bid = 0; bid < table_b.size(); ++bid) {
-    const FlowId aid = table_a.lookup(table_b.key_of(bid));
-    if (aid != kNoFlow) {
-      remap[bid] = aid;
-    } else {
-      remap[bid] = static_cast<FlowId>(a_count + extras);
-      ++extras;
-    }
-  }
-  std::vector<FlowId> ids_b_mapped(ids_b.size(), kNoFlow);
-  for (std::size_t i = 0; i < ids_b.size(); ++i) {
-    if (ids_b[i] != kNoFlow) ids_b_mapped[i] = remap[ids_b[i]];
-  }
-
+  const FlowRemap remap = remap_flows(table_a, table_b, ids_b);
   FlowSetComparison out;
-  compare_into(a, ids_a, b, ids_b_mapped, a_count + extras, jobs, &out);
-
-  // Attach keys: ids below a_count come from A's table, the rest from B's.
-  std::vector<FlowId> extra_key(extras, kNoFlow);
-  for (FlowId bid = 0; bid < table_b.size(); ++bid) {
-    if (remap[bid] >= a_count) extra_key[remap[bid] - a_count] = bid;
-  }
+  compare_into(a, ids_a, b, remap.ids, remap.flow_count, jobs, &out);
+  // Attach keys: ids below A's count come from A's table, the rest from
+  // B's.
+  const std::size_t a_count = table_a.size();
   for (std::size_t f = 0; f < out.flows.size(); ++f) {
-    out.flows[f].key = f < a_count
-                           ? table_a.key_of(static_cast<FlowId>(f))
-                           : table_b.key_of(extra_key[f - a_count]);
+    out.flows[f].key =
+        f < a_count ? table_a.key_of(static_cast<FlowId>(f))
+                    : table_b.key_of(remap.b_only[f - a_count]);
   }
   return out;
 }

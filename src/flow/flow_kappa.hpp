@@ -81,9 +81,20 @@ FlowSetComparison compare_flows_by_id(const core::Trial& a,
                                       std::span<const FlowId> ids_b,
                                       std::size_t flow_count, int jobs = 1);
 
+/// B's flow ids in A's id space, matched by key: a flow of both tables
+/// takes A's id, and B-only flows are appended past A's count in B's
+/// first-seen order.
+struct FlowRemap {
+  std::vector<FlowId> ids;     ///< B's per-packet ids, remapped
+  std::vector<FlowId> b_only;  ///< B's id of remapped id table_a.size() + i
+  std::size_t flow_count = 0;  ///< A's flows plus the B-only ones
+};
+
+FlowRemap remap_flows(const FlowTable& table_a, const FlowTable& table_b,
+                      std::span<const FlowId> ids_b);
+
 /// Compare two independently classified trials: flows are matched by key
-/// (B's ids are remapped into A's id space; B-only flows are appended).
-/// Fills FlowComparison::key from the tables.
+/// (remap_flows). Fills FlowComparison::key from the tables.
 FlowSetComparison compare_flows(const core::Trial& a, const FlowTable& table_a,
                                 std::span<const FlowId> ids_a,
                                 const core::Trial& b, const FlowTable& table_b,

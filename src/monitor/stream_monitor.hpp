@@ -1,33 +1,30 @@
-// Streaming consistency monitor: live per-window κ against a reference.
+// Streaming consistency monitor: per-window κ against a reference.
 //
 // The paper's κ (Eqs. 1-5) grades two *finished* trials; by the time it
 // says a replay diverged, the trial is over and nothing can say when
-// during the run — or which packets — caused the drop. The monitor
-// consumes the trial-B packet stream incrementally (fed from the
-// recorder's drain path through the same null-check hook style as
-// telemetry) and turns κ into an observability signal:
+// during the run — or which packets — caused the drop. The monitor cuts
+// each finished run B into windows and turns κ into an observability
+// signal:
 //
-//  - **Per-window metrics.** Every `window_packets` arrivals, the window
-//    of B is paired with the same index range of the reference trial A,
-//    both slices are rebased to their own first packet, and the exact
-//    Section 3 computation runs on the pair (O(w log w) via the LIS
-//    alignment). A window covering the full trial therefore reproduces
-//    the offline Eq. 5 result bit for bit.
+//  - **Per-window metrics.** Every `window_packets` positions, the
+//    window of B is paired with the same index range of the reference
+//    trial A, both slices are rebased to their own first packet, and the
+//    exact Section 3 computation runs on the pair (O(w log w) via the
+//    LIS alignment). A window covering the full trial therefore
+//    reproduces the offline Eq. 5 result bit for bit.
 //  - **Divergence attribution.** Each window contributes its top-K
 //    packets by move distance and by latency straddle, plus missing and
 //    extra packets, to a per-packet record stream (divergence.hpp)
 //    exported as `divergence.jsonl`.
 //
-// The whole-run κ of a finished stream is not the monitor's: the
-// evaluation computes it once per run (`compare_trials` on each run's
-// trial), and render_stream_summary() reads it from there. Nor is the
-// reference: set_reference() borrows the evaluation's run A trial and
-// flow ids. A monitored stream keeps only its open window's packets, so
-// the monitor holds one window and an index over the reference.
+// The monitor keeps no trial of its own. An experiment's round close
+// builds each run's trial (and flow classification) once for the
+// evaluation and hands run A and run B to monitor_run(), which reads
+// them in place; the whole-run κ is the evaluation's too, and
+// render_stream_summary() reads it from there.
 //
 // The monitor is a pure observer: it draws no randomness, schedules
 // nothing, and a seeded run is bit-identical with the monitor on or off.
-// It runs inline on the feeding thread, so its telemetry is live.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/expect.hpp"
 #include "common/units.hpp"
 #include "core/compare_scratch.hpp"
 #include "core/metrics.hpp"
@@ -44,82 +40,6 @@
 #include "telemetry/metric.hpp"
 
 namespace choir::monitor {
-
-/// Packet id -> reference position, fused with the per-stream occurrence
-/// counter used for duplicate tagging. The reference ids hold dense ids
-/// 0..n-1 of one PacketIdIndex, so the dense id *is* the reference position;
-/// ids first seen on a stream get ids >= n and resolve to kNoRef. The
-/// common case — a unique packet present in the reference — is one lookup.
-/// Occurrence counters sit in a per-id array, reset per stream in O(1) by
-/// an epoch stamp.
-class IdTable {
- public:
-  static constexpr std::uint32_t kNoRef = core::PacketIdIndex::kNone;
-
-  struct Hit {
-    std::uint32_t ref_index = kNoRef;  ///< position in the reference trial
-    std::uint64_t occurrence = 0;      ///< 0-based occurrence of the raw id
-  };
-
-  /// Rebuild over an (already occurrence-tagged) reference trial.
-  /// Existing stream-side entries are discarded.
-  void rebuild(const core::Trial& reference) {
-    index_.clear();
-    index_.reserve(reference.size());
-    for (const core::TrialPacket& p : reference.packets()) {
-      CHOIR_EXPECT(index_.insert(p.id).fresh,
-                   "reference trial contains duplicate packet ids");
-    }
-    reference_size_ = reference.size();
-    counts_.assign(reference.size(), Count{});
-    epoch_ = 1;
-  }
-
-  /// Bump the stream epoch: every occurrence counter reads as zero again.
-  void new_stream() { ++epoch_; }
-
-  /// The hot path: look up `raw`, inserting it when absent, and claim its
-  /// next occurrence number.
-  Hit observe(core::PacketId raw) {
-    const core::PacketIdIndex::Inserted hit = index_.insert(raw);
-    if (hit.fresh) counts_.emplace_back();
-    return claim(hit.id);
-  }
-
-  /// observe() for a raw id the caller has already found at reference
-  /// position `ref_index` (the id there compared equal). Reference ids
-  /// are their own dense ids, so this is exactly what the lookup would
-  /// return, without the lookup.
-  Hit observe_reference(std::uint32_t ref_index) { return claim(ref_index); }
-
-  /// Read-only lookup (used for occurrence-tagged duplicate ids).
-  std::uint32_t ref_index_of(core::PacketId id) const {
-    return to_ref(index_.find(id));
-  }
-
-  std::size_t size() const { return index_.size(); }
-
- private:
-  struct Count {
-    std::uint64_t value = 0;
-    std::uint32_t epoch = 0;
-  };
-
-  Hit claim(std::uint32_t id) {
-    Count& count = counts_[id];
-    if (count.epoch != epoch_) count = Count{0, epoch_};
-    return Hit{to_ref(id), count.value++};
-  }
-
-  std::uint32_t to_ref(std::uint32_t id) const {
-    return id < reference_size_ ? id : kNoRef;
-  }
-
-  core::PacketIdIndex index_;
-  std::size_t reference_size_ = 0;
-  std::vector<Count> counts_;  ///< by dense id
-  std::uint32_t epoch_ = 1;
-};
 
 struct MonitorConfig {
   /// Packets of trial B per window. Each window is compared as its own
@@ -148,7 +68,7 @@ struct WindowRecord {
   std::size_t extra = 0;        ///< in the window, absent from the A slice
   std::size_t lcs_length = 0;
 
-  /// Per-flow κ over this window's slice pair, populated iff the feed
+  /// Per-flow κ over this window's slice pair, populated iff the run
   /// carries flow ids: the flow-κ distribution as a sim-time series
   /// (one FlowAggregate per window).
   bool has_flows = false;
@@ -181,39 +101,30 @@ struct DivergenceRecord {
 
 const char* to_string(DivergenceRecord::Kind kind);
 
+/// One finished run and the reference it is windowed against, as an
+/// experiment's round close holds them. Every span is empty or parallel
+/// to its trial; flow ids are in the reference's id space (kNoFlow for
+/// unclassified packets), and `flow_count` is that space's size.
+struct MonitoredRun {
+  const core::Trial& reference;  ///< run A: occurrence-tagged, rebased
+  std::span<const flow::FlowId> reference_flows = {};
+  const core::Trial& trial;  ///< run B: occurrence-tagged, rebased
+  Ns origin = 0;             ///< raw sim arrival time of B's first packet
+  std::span<const flow::FlowId> flows = {};
+  std::size_t flow_count = 0;
+};
+
 class StreamMonitor {
  public:
   explicit StreamMonitor(MonitorConfig config = {});
   StreamMonitor(const StreamMonitor&) = delete;
   StreamMonitor& operator=(const StreamMonitor&) = delete;
 
-  /// Monitor every stream that begins from now on against `reference`
-  /// (trial A: occurrence-tagged ids, rebased to its first packet) and
-  /// its per-packet flow ids (empty, or parallel to `reference`). Both
-  /// are borrowed and must outlive finalize(), which releases them.
-  void set_reference(const core::Trial& reference,
-                     std::span<const flow::FlowId> flows);
-
-  /// True between set_reference() and finalize().
-  bool has_reference() const { return reference_ != nullptr; }
-
-  /// Start a new stream, closing the current one (its tail window). A
-  /// stream that begins before set_reference() — the reference's own
-  /// run — is counted but keeps nothing and emits no windows.
-  void begin_stream(const std::string& name);
-
-  /// Observe the next packet of the current stream: raw (pre-occurrence-
-  /// tagging) identity, receiver timestamp and flow id, exactly what the
-  /// capture path records (flow::kNoFlow for unclassified packets). Flow
-  /// ids on the reference and in a window enable that window's per-flow
-  /// κ. One id-table lookup per packet, skipped for the reference packet
-  /// after the previous match (a repeated id probes once more); windows
-  /// close inline.
-  void observe(core::PacketId raw_id, Ns timestamp, flow::FlowId flow);
-
-  /// Close the current stream and release the reference. Idempotent;
-  /// further observes require a new begin_stream().
-  void finalize();
+  /// Window the finished run `name` against its reference: B positions
+  /// [k·w, (k+1)·w) each close one window, the last one possibly short.
+  /// Flow ids on both sides enable a window's per-flow κ. Nothing of
+  /// `run` is kept once this returns.
+  void monitor_run(const std::string& name, const MonitoredRun& run);
 
   const MonitorConfig& config() const { return config_; }
   const std::vector<WindowRecord>& windows() const { return windows_; }
@@ -222,42 +133,15 @@ class StreamMonitor {
     return divergence_;
   }
 
-  std::uint64_t observed() const { return observed_; }
-  std::uint64_t matched() const { return matched_total_; }
-
  private:
-  void close_window();
-  void close_stream();
-  void attribute_window(const core::ComparisonResult& cmp,
+  /// Compare and attribute the window of B positions [window.b_begin,
+  /// window.b_end); its comparison is freed before the record is kept.
+  WindowRecord close_window(const MonitoredRun& run, WindowRecord window);
+  void attribute_window(const MonitoredRun& run,
+                        const core::ComparisonResult& cmp,
                         const WindowRecord& window);
 
   MonitorConfig config_;
-
-  const core::Trial* reference_ = nullptr;  ///< borrowed
-  IdTable id_table_;  ///< fused id->ref-position + occurrence counting
-
-  // Flow feed (parallel to *reference_ / stream_packets_; kNoFlow for
-  // unclassified packets). flow_ids_high_ tracks the id-space
-  // size: the classifier's ids are dense, so max+1 is the flow count.
-  std::span<const flow::FlowId> reference_flows_;  ///< borrowed
-  std::vector<flow::FlowId> stream_flows_;
-  std::size_t flow_ids_high_ = 0;
-
-  // Current stream.
-  bool stream_open_ = false;
-  bool stream_monitored_ = false;  ///< began after set_reference()
-  std::uint32_t stream_ordinal_ = 0;  ///< next monitored-stream ordinal
-  std::string stream_name_;
-  // The open window's packets (raw times, unique ids), from stream
-  // position window_begin_ on: a window's close reads nothing before it,
-  // so a monitored stream holds one window.
-  std::vector<core::TrialPacket> stream_packets_;
-  std::size_t window_begin_ = 0;
-  std::size_t stream_size_ = 0;  ///< packets observed on the stream
-  std::uint64_t window_index_ = 0;
-  // Reference position after the last match: in-order streams find their
-  // next packet there, which saves the id table's lookup.
-  std::size_t ref_hint_ = 0;
 
   // Comparison arena for window closes: one scratch serves every
   // compare, and it never grows past one window. The slice trials and
@@ -275,12 +159,8 @@ class StreamMonitor {
   std::vector<WindowRecord> windows_;
   std::vector<StreamResult> streams_;
   std::vector<DivergenceRecord> divergence_;
-  std::uint64_t observed_ = 0;
-  std::uint64_t matched_total_ = 0;
 
   // Telemetry (null handles when no session is installed).
-  telemetry::CounterHandle tm_observed_;
-  telemetry::CounterHandle tm_matched_;
   telemetry::CounterHandle tm_windows_;
   telemetry::CounterHandle tm_streams_;
   telemetry::GaugeHandle tm_window_kappa_ppm_;

@@ -279,7 +279,7 @@ std::size_t add_ptp_slave(Topology& t, sim::NodeClock& clock,
   return t.ptp->add_slave(&clock.system, sigma);
 }
 
-void add_recorder(Topology& t, Rng& root, monitor::StreamMonitor* monitor) {
+void add_recorder(Topology& t, Rng& root) {
   t.rec = make_port(t.queue, t.config.env.recorder_nic, "recorder",
                     root.split(0x524543));
   t.rec_vf = &t.rec.nic->add_vf(pktio::mac_for_node(kRecorder));
@@ -289,7 +289,7 @@ void add_recorder(Topology& t, Rng& root, monitor::StreamMonitor* monitor) {
                                         : 0;
   t.daemon = std::make_unique<trace::CaptureDaemon>(
       t.queue, *t.rec_vf, net::PollLoopConfig{}, root.split(0x444d),
-      "recorder", t.flow_shards, monitor);
+      "recorder", t.flow_shards);
   t.rec_port_in = t.sw->add_port();
   t.sw->egress_link(t.rec_port_in).connect(*t.rec.nic);
 }
@@ -545,7 +545,6 @@ void wire_flight_log(Topology& t, obs::FlightLog& log) {
 /// split order and the event tie order both depend on it).
 std::unique_ptr<Topology> build_topology(const ExperimentConfig& config,
                                          sim::EventQueue& queue, Rng& root,
-                                         monitor::StreamMonitor* monitor,
                                          obs::FlightLog* log) {
   const EnvironmentPreset& env = config.env;
   const bool group_on = config.group.enabled;
@@ -559,7 +558,7 @@ std::unique_ptr<Topology> build_topology(const ExperimentConfig& config,
   add_ptp_slave(*t, t->rec_clock, 0);
   t->sw = std::make_unique<net::Switch>(queue, env.switch_config,
                                         root.split(0x5357));
-  add_recorder(*t, root, monitor);
+  add_recorder(*t, root);
   if (group_on) add_coordinator(*t, root, log);
 
   const double sync_sigma = replay_schedule(config).sync_sigma_ns;
@@ -715,10 +714,29 @@ void compare_run(const ExperimentConfig& config, ClosedRuns& closed,
                           flows_b->table, flows_b->per_packet, /*jobs=*/1));
 }
 
+/// Window run `r` against run A in the monitor, with the run's flow ids
+/// (if any) mapped into A's id space as the per-flow comparison maps them.
+void monitor_run(monitor::StreamMonitor& monitor, const ClosedRuns& closed,
+                 int r, const core::Trial& trial, Ns origin,
+                 const trace::FlowClassification* flows) {
+  flow::FlowRemap remap;
+  if (flows != nullptr) {
+    remap = flow::remap_flows(closed.flows_a.table, flows->table,
+                              flows->per_packet);
+  }
+  monitor.monitor_run(run_name(r),
+                      {.reference = closed.trial_a,
+                       .reference_flows = closed.flows_a.per_packet,
+                       .trial = trial,
+                       .origin = origin,
+                       .flows = remap.ids,
+                       .flow_count = remap.flow_count});
+}
+
 /// Close run `r` once its capture window has: reduce the capture to the
 /// run's trial (and flow classification), then hand the buffer on. Run A
-/// is kept, indexed and handed to the monitor as its reference; every
-/// later run is compared against it here and then dropped. A kept
+/// is kept and indexed; every later run is compared against it here,
+/// windowed against it by the monitor, and then dropped. A kept
 /// capture moves to the result and the next run records into a fresh
 /// reservation; otherwise the next run refills this buffer, capacity and
 /// all. Freeing and re-reserving a buffer per run would not lower the
@@ -729,6 +747,9 @@ void close_round(const Topology& t, int r, trace::Capture& capture,
   telemetry::ProfileSpan prof("experiment.evaluate");
   closed.capture_sizes.push_back(capture.size());
   core::Trial trial = rebased_trial(capture);
+  // The raw time the trial is rebased from: the monitor's windows report
+  // raw sim times.
+  const Ns origin = capture.empty() ? 0 : capture[0].timestamp;
   // With flows on, one span covers the run's classification and its
   // comparisons: the per-flow comparison reads the Section-3 one's trial.
   std::optional<telemetry::ProfileSpan> prof_flows;
@@ -753,17 +774,19 @@ void close_round(const Topology& t, int r, trace::Capture& capture,
     capture.set_name(run_name(r + 1));
   }
   if (r > 0) {
-    compare_run(config, closed, trial,
-                config.flow.enabled ? &flows : nullptr);
+    const trace::FlowClassification* flows_b =
+        config.flow.enabled ? &flows : nullptr;
+    compare_run(config, closed, trial, flows_b);
+    prof_flows.reset();
+    if (monitor != nullptr) {
+      monitor_run(*monitor, closed, r, trial, origin, flows_b);
+    }
     return;
   }
   closed.trial_a = std::move(trial);
   closed.flows_a = std::move(flows);
   closed.index_a.rebuild(closed.trial_a);
   closed.scratch.shared_ref = &closed.index_a;
-  if (monitor != nullptr) {
-    monitor->set_reference(closed.trial_a, closed.flows_a.per_packet);
-  }
 }
 
 /// Provenance and adversity counters of the finished simulation.
@@ -811,10 +834,9 @@ void collect_counters(Topology& t, ExperimentResult& result) {
 }
 
 /// Every observer of one run, opened in a fixed order before any
-/// component is built so each layer binds its handles at construction
-/// (the capture daemon takes the monitor then). All are strictly
-/// observers: a seeded run is bit-identical with any of them on or off,
-/// and with one off its hook pointers stay null.
+/// component is built so each layer binds its handles at construction.
+/// All are strictly observers: a seeded run is bit-identical with any of
+/// them on or off, and with one off its hook pointers stay null.
 struct Observers {
   explicit Observers(const ExperimentConfig& c) : config(c) {
     if (config.telemetry.enabled || config.telemetry.profile) {
@@ -828,9 +850,8 @@ struct Observers {
       }
     }
     if (config.monitor.enabled) {
-      // Run A's closed trial becomes the reference at its round close
-      // (close_round); each later run is monitored against it as it
-      // streams in.
+      // Each later run is windowed against run A at its own round close
+      // (close_round).
       monitor::MonitorConfig mcfg;
       mcfg.window_packets = config.monitor.window_packets;
       mcfg.top_k = config.monitor.top_k;
@@ -893,10 +914,7 @@ struct Observers {
 
   /// Hand every observer to `result` and write the artifacts.
   void finish(ExperimentResult& result) {
-    if (stream_monitor != nullptr) {
-      stream_monitor->finalize();
-      result.monitor = stream_monitor;
-    }
+    result.monitor = stream_monitor;
     if (profiler != nullptr) {
       result.profile = profiler;
       // Host-time spans ride a dedicated tracer track; only opted-in runs
@@ -1050,8 +1068,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   Rng root(config.seed * 0x9e3779b97f4a7c15ULL + 0x43484f4952ULL);
   observers.start_sampling(queue);
   const std::unique_ptr<Topology> topology =
-      build_topology(config, queue, root, observers.stream_monitor.get(),
-                     observers.flight_log.get());
+      build_topology(config, queue, root, observers.flight_log.get());
 
   // Every schedule instant comes from the shared timetable so offline
   // tools (choirctl postmortem) see the exact same rounds.

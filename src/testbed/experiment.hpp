@@ -89,8 +89,8 @@ struct MonitorOptions {
 /// Many-flow workload + per-flow evaluation (see docs/FLOWS.md).
 /// When enabled, each generator fans its aggregate stream over
 /// `flows / replayers` synthetic 5-tuples, the recorder classifies
-/// in-path (per-shard `flow.<s>.…` telemetry, flow ids on the monitor
-/// feed), and evaluation adds per-flow κ with cross-flow aggregates.
+/// in-path (per-shard `flow.<s>.…` telemetry), and evaluation adds
+/// per-flow κ with cross-flow aggregates (per monitor window too).
 /// Like telemetry/monitoring, classification observes the simulation
 /// without perturbing it — only the generated addresses differ from a
 /// single-flow run.

@@ -7,13 +7,8 @@
 namespace choir::trace {
 
 void CaptureDaemon::arm(Ns from, Ns until, Capture* out) {
-  // The monitor's stream boundary rides the existing arm event: no new
-  // queue insertions, so event sequence numbers — and with them the
-  // seeded run — are untouched whether a monitor is attached or not.
-  queue_.schedule_at(from, sim::Component::kRecorder, [this, out] {
-    active_ = out;
-    if (monitor_ != nullptr) monitor_->begin_stream(out->name());
-  });
+  queue_.schedule_at(from, sim::Component::kRecorder,
+                     [this, out] { active_ = out; });
   const auto disarm = [this, out, from, until] {
     if (active_ == out) active_ = nullptr;
     if (auto* tracer = telemetry::tracer()) {
@@ -40,13 +35,12 @@ bool CaptureDaemon::drain() {
       if (active_ != nullptr) {
         const CaptureRecord record =
             CaptureRecord::from_frame(m->frame, m->rx_timestamp);
-        flow::FlowId fid = flow::kNoFlow;
         if (flow_shards_ > 0) {
           flow::FlowKey key;
           if (key_of_record(record, &key)) {
             const std::size_t before = flow_table_.size();
-            fid = flow_table_.classify(key, record.wire_len,
-                                       record.timestamp, recorded_);
+            flow_table_.classify(key, record.wire_len, record.timestamp,
+                                 recorded_);
             const int s = flow::shard_of_key(key, flow_shards_);
             const auto su = static_cast<std::size_t>(s);
             tm_flow_packets_[su].add();
@@ -55,9 +49,6 @@ bool CaptureDaemon::drain() {
           } else {
             ++flow_unclassified_;
           }
-        }
-        if (monitor_ != nullptr) {
-          monitor_->observe(record.packet_id(), record.timestamp, fid);
         }
         active_->append(record);
         ++recorded_;

@@ -13,7 +13,6 @@
 
 #include "common/rng.hpp"
 #include "flow/flow_table.hpp"
-#include "monitor/stream_monitor.hpp"
 #include "net/poll_loop.hpp"
 #include "pktio/ethdev.hpp"
 #include "sim/event_queue.hpp"
@@ -25,23 +24,20 @@ namespace choir::trace {
 class CaptureDaemon {
  public:
   /// `flow_shards` > 0 turns on in-path flow classification: every
-  /// recorded frame is classified into a persistent FlowTable (dense ids
-  /// first-seen across ALL runs, so run B reuses run A's ids), per-shard
-  /// `flow.<shard>.{packets,bytes,flows}` counters are maintained, and
-  /// the monitor feed carries the flow id. Strictly an observer: one
-  /// predictable branch when off, and never any effect on the sim.
-  /// A non-null `monitor` is fed every captured packet of every armed
-  /// window.
+  /// recorded frame is classified into a persistent FlowTable, so that
+  /// the per-shard `flow.<shard>.{packets,bytes,flows}` counters count
+  /// packets, bytes and first-seen flows live, as the run records. The
+  /// evaluation classifies each closed capture on its own
+  /// (flow_classify.hpp). Strictly an observer: one predictable branch
+  /// when off, and never any effect on the sim.
   CaptureDaemon(sim::EventQueue& queue, net::Vf& vf,
                 net::PollLoopConfig poll = {}, Rng rng = Rng{0xCAFE},
-                const std::string& label = "recorder", int flow_shards = 0,
-                monitor::StreamMonitor* monitor = nullptr)
+                const std::string& label = "recorder", int flow_shards = 0)
       : queue_(queue),
         dev_(label, vf),
         loop_(queue, vf, poll, rng, label),
         tm_drain_batch_pkts_(telemetry::histogram(label + ".drain_batch_pkts")),
         tm_track_(telemetry::track(label)),
-        monitor_(monitor),
         flow_shards_(flow_shards) {
     for (int s = 0; s < flow_shards_; ++s) {
       const std::string prefix = "flow." + std::to_string(s) + ".";
@@ -64,9 +60,7 @@ class CaptureDaemon {
   std::uint64_t recorded() const { return recorded_; }
   const pktio::EthDevStats& port_stats() const { return dev_.stats(); }
 
-  /// In-path classifier state (meaningful iff flow_shards > 0).
-  int flow_shards() const { return flow_shards_; }
-  const flow::FlowTable& flows() const { return flow_table_; }
+  /// Recorded frames without a flow key (counted iff flow_shards > 0).
   std::uint64_t flow_unclassified() const { return flow_unclassified_; }
 
  private:
@@ -80,11 +74,6 @@ class CaptureDaemon {
   std::uint64_t recorded_ = 0;
   telemetry::HistogramHandle tm_drain_batch_pkts_;
   std::uint32_t tm_track_ = 0;
-  /// Streaming monitor feed, bound at construction: null when the run
-  /// has no monitor, in which case the per-packet feed is a single
-  /// predictable branch.
-  monitor::StreamMonitor* monitor_;
-
   // In-path flow classification (off unless flow_shards_ > 0). The table
   // assigns global dense ids; the shard only namespaces the telemetry.
   int flow_shards_ = 0;

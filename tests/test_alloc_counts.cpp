@@ -2,7 +2,7 @@
 // writing a trace must not grow with the record count, per-flow κ must
 // not allocate per flow, a full experiment's allocations per recorded
 // packet stay pinned, its peak live heap grows by no more than a trial
-// per run, a monitored stream holds one window rather than the stream,
+// per run, a monitored run needs one window rather than the run,
 // and the bytes a reference index allocates per packet stay bounded.
 // Allocation counts and sizes are deterministic, so they gate exactly
 // where host time cannot. This binary replaces the global operator new
@@ -283,56 +283,49 @@ TEST_F(AllocCounts, OfflineComparePeakBytesPerPacket) {
   EXPECT_LE(peak, (budget + 2) * kPackets);
 }
 
-constexpr std::size_t kMonitorReference = std::size_t{1} << 16;
-
-/// Peak live heap bytes of a StreamMonitor (8192-packet windows) while it
-/// watches one in-order stream of `packets` against a 65536-packet
-/// reference, above the live bytes just after the stream begins.
-std::size_t monitored_stream_peak_bytes(std::size_t packets) {
+/// Heap a StreamMonitor (8192-packet windows) needs to window one
+/// in-order run of `packets` against a 65536-packet reference, above the
+/// warm level: the peak live bytes of the call above the live bytes once
+/// it returns, which hold the monitor's reused buffers and every window
+/// record it keeps. A first call on the same run warms those buffers.
+std::size_t monitored_run_heap_bytes(std::size_t packets) {
+  constexpr std::size_t kReference = std::size_t{1} << 16;
   const auto packet = [](std::size_t i) {
     return core::TrialPacket{packet_id_of(Tag{1, 0, i}),
                              static_cast<Ns>(i) * 280};
   };
   core::Trial reference;
-  reference.reserve(kMonitorReference);
-  for (std::size_t i = 0; i < kMonitorReference; ++i) {
-    reference.push_back(packet(i));
-  }
+  reference.reserve(kReference);
+  for (std::size_t i = 0; i < kReference; ++i) reference.push_back(packet(i));
+  core::Trial trial;
+  trial.reserve(packets);
+  for (std::size_t i = 0; i < packets; ++i) trial.push_back(packet(i));
   monitor::MonitorConfig config;
   config.window_packets = 8192;
   monitor::StreamMonitor mon(config);
-  mon.set_reference(reference, {});
-  mon.begin_stream("run-1");
-  const std::size_t base = g_live_bytes;
-  g_peak_bytes = base;
-  for (std::size_t i = 0; i < packets; ++i) {
-    const core::TrialPacket p = packet(i % kMonitorReference);
-    mon.observe(p.id, p.time, flow::kNoFlow);
-  }
-  mon.finalize();
-  EXPECT_EQ(mon.windows().size(), packets / config.window_packets);
-  EXPECT_EQ(mon.matched(), packets);
-  return g_peak_bytes - base;
+  const monitor::MonitoredRun run{.reference = reference, .trial = trial};
+  mon.monitor_run("run-1", run);
+  g_peak_bytes = g_live_bytes;
+  mon.monitor_run("run-2", run);
+  EXPECT_EQ(mon.windows().size(), 2 * packets / config.window_packets);
+  return g_peak_bytes - g_live_bytes;
 }
 
 TEST_F(AllocCounts, MonitoredStreamHeapIsOneWindow) {
-  // A monitored stream holds its open window, the window's comparison
-  // and the closed windows' records; nothing it keeps grows per packet.
-  // So quadrupling the stream raises the peak by a WindowRecord per
-  // extra window at most: the slope gate is 0.5 B per packet. Anything
-  // kept per match fails it, such as a running LIS over the stream's
-  // matches (4 B per in-order packet).
+  // The monitor reads each run in place and compares one window at a
+  // time, so the heap it needs above its warm level is one window's
+  // comparison whatever the run's length: a run four times as long needs
+  // exactly the same. Anything copied or kept per packet of the run
+  // during the call fails it.
   constexpr std::size_t kShort = 16384;
   constexpr std::size_t kLong = 65536;
-  const std::size_t short_peak = monitored_stream_peak_bytes(kShort);
-  const std::size_t long_peak = monitored_stream_peak_bytes(kLong);
-  const double slope =
-      (static_cast<double>(long_peak) - static_cast<double>(short_peak)) /
-      static_cast<double>(kLong - kShort);
-  std::printf("monitored stream peak heap: %zu B at %zu packets, %zu B at "
-              "%zu; %.3f B per packet\n",
-              short_peak, kShort, long_peak, kLong, slope);
-  EXPECT_LE(slope, 0.5);
+  const std::size_t short_heap = monitored_run_heap_bytes(kShort);
+  const std::size_t long_heap = monitored_run_heap_bytes(kLong);
+  std::printf("monitored run heap above warm: %zu B at %zu packets, %zu B "
+              "at %zu\n",
+              short_heap, kShort, long_heap, kLong);
+  EXPECT_GT(short_heap, 0u);
+  EXPECT_EQ(long_heap, short_heap);
 }
 
 /// Bytes allocated by building a fresh core::ReferenceIndex over `a`.

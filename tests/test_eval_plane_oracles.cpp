@@ -8,9 +8,8 @@
 //  - compare_flows_by_id over the position CSR against one rebased
 //    Trial per flow and side;
 //  - partial-sort top-K attribution against stable_sort + truncate;
-//  - the monitor's fused id table, hinted lookup and occurrence re-probe
-//    against a hash probe per packet, and each window it closes against
-//    fresh copies of both slices.
+//  - each window the monitor closes against fresh copies of both
+//    slices, occurrence-tagged by a hash map of their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -349,65 +348,53 @@ TEST(EvalPlaneOracle, PartialSortTopKMatchesStableSort) {
   }
 }
 
-// ---- Monitor fast paths -------------------------------------------------
+// ---- Monitor windows ---------------------------------------------------
 
-/// A monitored stream rescanned without the monitor's fast paths: an
-/// independent hash map for occurrence counting and reference lookup
-/// (no fused id table, no hinted lookup, no occurrence re-probe), and
-/// every window compared from fresh copies of both slices.
-class RescannedStream {
- public:
-  explicit RescannedStream(const core::Trial& raw_reference)
-      : reference_(raw_reference) {
-    reference_.make_occurrences_unique();
-    reference_.rebase_to_zero();
-    for (std::size_t j = 0; j < reference_.size(); ++j) {
-      position_.emplace(reference_[j].id, static_cast<std::uint32_t>(j));
-    }
-  }
-
-  void begin() {
-    occurrences_.clear();
-    tagged_.clear();
-  }
-
-  void observe(core::PacketId raw, Ns time) {
-    const std::uint64_t occurrence = occurrences_[raw]++;
-    const core::PacketId id = core::occurrence_id(raw, occurrence);
-    tagged_.push_back({id, time});
-    if (position_.contains(id)) ++matched_;
-  }
-
-  /// Packets matched in the reference, over every stream so far.
-  std::uint64_t matched() const { return matched_; }
-
-  /// The window a monitor would close over stream packets [b_begin,
-  /// b_end): copies of both slices, each rebased, compared offline.
-  core::ComparisonResult window(std::size_t b_begin, std::size_t b_end) const {
-    const std::size_t a_begin = std::min(b_begin, reference_.size());
-    const std::size_t a_end = std::min(b_end, reference_.size());
-    core::Trial wa(std::vector<core::TrialPacket>(
-        reference_.packets().begin() + static_cast<std::ptrdiff_t>(a_begin),
-        reference_.packets().begin() + static_cast<std::ptrdiff_t>(a_end)));
-    core::Trial wb(std::vector<core::TrialPacket>(
-        tagged_.begin() + static_cast<std::ptrdiff_t>(b_begin),
-        tagged_.begin() + static_cast<std::ptrdiff_t>(b_end)));
-    wa.rebase_to_zero();
-    wb.rebase_to_zero();
-    core::ComparisonOptions options;
-    options.collect_series = true;
-    return core::compare_trials(wa, wb, options);
-  }
-
- private:
-  core::Trial reference_;
-  std::unordered_map<core::PacketId, std::uint32_t, core::PacketIdHash>
-      position_;
+/// Occurrence tags from a hash map of its own, not from
+/// Trial::make_occurrences_unique: the k-th repeat of a raw id becomes
+/// occurrence_id(id, k).
+std::vector<core::TrialPacket> rescanned_tags(const core::Trial& raw) {
   std::unordered_map<core::PacketId, std::uint64_t, core::PacketIdHash>
-      occurrences_;
-  std::vector<core::TrialPacket> tagged_;  ///< occurrence-tagged stream
-  std::uint64_t matched_ = 0;
-};
+      occurrences;
+  std::vector<core::TrialPacket> tagged;
+  for (const core::TrialPacket& p : raw.packets()) {
+    tagged.push_back({core::occurrence_id(p.id, occurrences[p.id]++), p.time});
+  }
+  return tagged;
+}
+
+/// The window a monitor closes over run positions [b_begin, b_end),
+/// rescanned: copies of both slices of the raw runs, each tagged on its
+/// own and rebased, compared offline.
+core::ComparisonResult rescanned_window(const core::Trial& raw_reference,
+                                        const core::Trial& raw_run,
+                                        std::size_t b_begin,
+                                        std::size_t b_end) {
+  const std::vector<core::TrialPacket> ref = rescanned_tags(raw_reference);
+  const std::vector<core::TrialPacket> run = rescanned_tags(raw_run);
+  const std::size_t a_begin = std::min(b_begin, ref.size());
+  const std::size_t a_end = std::min(b_end, ref.size());
+  core::Trial wa(std::vector<core::TrialPacket>(
+      ref.begin() + static_cast<std::ptrdiff_t>(a_begin),
+      ref.begin() + static_cast<std::ptrdiff_t>(a_end)));
+  core::Trial wb(std::vector<core::TrialPacket>(
+      run.begin() + static_cast<std::ptrdiff_t>(b_begin),
+      run.begin() + static_cast<std::ptrdiff_t>(b_end)));
+  wa.rebase_to_zero();
+  wb.rebase_to_zero();
+  core::ComparisonOptions options;
+  options.collect_series = true;
+  return core::compare_trials(wa, wb, options);
+}
+
+/// A run as an experiment's round close builds it: occurrence-tagged and
+/// rebased to its first packet.
+core::Trial closed_run(const core::Trial& raw) {
+  core::Trial trial = raw;
+  trial.make_occurrences_unique();
+  trial.rebase_to_zero();
+  return trial;
+}
 
 core::PacketId raw_id(std::uint64_t n) { return core::PacketId{0x5eed, n}; }
 
@@ -457,45 +444,40 @@ core::Trial jumpy_stream(const core::Trial& reference, std::uint64_t seed) {
   return t;
 }
 
-TEST(EvalPlaneOracle, MonitorFastPathsMatchRescannedWindows) {
+TEST(EvalPlaneOracle, MonitorWindowsMatchRescannedSlices) {
   const core::Trial reference = raw_reference();
   monitor::MonitorConfig cfg;
   cfg.window_packets = 37;
   cfg.top_k = 4;
   monitor::StreamMonitor mon(cfg);
-  // The monitor takes run A as the evaluation closes it: occurrence-
-  // tagged and rebased. The oracle tags the raw reference on its own.
-  core::Trial run_a = reference;
-  run_a.make_occurrences_unique();
-  run_a.rebase_to_zero();
-  mon.set_reference(run_a, {});
-  RescannedStream oracle(reference);
+  const core::Trial run_a = closed_run(reference);
   std::size_t checked = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const core::Trial stream = jumpy_stream(reference, seed);
-    mon.begin_stream(seed == 1 ? "s1" : seed == 2 ? "s2" : "s3");
-    oracle.begin();
-    for (const auto& p : stream.packets()) {
-      const std::size_t windows = mon.windows().size();
-      mon.observe(p.id, p.time, flow::kNoFlow);
-      oracle.observe(p.id, p.time);
-      if (mon.windows().size() == windows) continue;
-      // A window closed on this packet: its match count and its window
-      // must equal the oracle's after the same prefix.
-      EXPECT_EQ(mon.matched(), oracle.matched());
-      const monitor::WindowRecord& w = mon.windows().back();
-      const core::ComparisonResult cmp = oracle.window(w.b_begin, w.b_end);
+    const core::Trial run_b = closed_run(stream);
+    const std::size_t first = mon.windows().size();
+    mon.monitor_run(seed == 1 ? "s1" : seed == 2 ? "s2" : "s3",
+                    {.reference = run_a,
+                     .trial = run_b,
+                     .origin = stream.first_time()});
+    // Every window, the short last one too, must equal the rescanned
+    // one, and report the raw times of its first and last packets.
+    for (std::size_t i = first; i < mon.windows().size(); ++i) {
+      const monitor::WindowRecord& w = mon.windows()[i];
+      const core::ComparisonResult cmp =
+          rescanned_window(reference, stream, w.b_begin, w.b_end);
       expect_same_metrics(w.metrics, cmp.metrics);
       EXPECT_EQ(w.common, cmp.common);
       EXPECT_EQ(w.moved, cmp.moved);
       EXPECT_EQ(w.lcs_length, cmp.lcs_length);
       EXPECT_EQ(w.missing, cmp.size_a - cmp.common);
       EXPECT_EQ(w.extra, cmp.size_b - cmp.common);
+      EXPECT_EQ(w.first_time_ns, stream[w.b_begin].time);
+      EXPECT_EQ(w.last_time_ns, stream[w.b_end - 1].time);
       ++checked;
     }
   }
-  mon.finalize();
-  EXPECT_EQ(checked, 3u * (1100u / 37u));
+  EXPECT_EQ(checked, 3u * ((1100u + 36u) / 37u));
 }
 
 }  // namespace

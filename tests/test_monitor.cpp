@@ -1,7 +1,7 @@
-// Unit tests for the streaming consistency monitor: the IdTable building
-// block, closed-form windowed-κ checks on synthetic streams, the
-// full-trial-window ≡ offline Eq. 5 equivalence, and divergence
-// attribution.
+// Unit tests for the streaming consistency monitor: closed-form
+// windowed-κ checks on synthetic runs, the full-trial-window ≡ offline
+// Eq. 5 equivalence, per-flow windows over by-key remapped flow ids, and
+// divergence attribution.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,14 +34,23 @@ core::Trial cbr_trial(std::size_t n, Ns gap, Ns start = 0) {
   return t;
 }
 
-/// Feed every packet of `b` into a new stream named `name`, without flow
-/// ids. Tests hand the monitor its reference trial A with set_reference()
-/// first (A must outlive finalize()); every stream fed after that is
-/// monitored against A.
-void feed(StreamMonitor& mon, const core::Trial& b,
+/// B as an experiment's round close builds it: occurrence-tagged and
+/// rebased to its first packet, whose raw time is `origin`.
+core::Trial closed_trial(const core::Trial& b, Ns* origin) {
+  core::Trial trial = b;
+  trial.make_occurrences_unique();
+  *origin = b.empty() ? 0 : b.first_time();
+  trial.rebase_to_zero();
+  return trial;
+}
+
+/// Window run `b`, named `name`, against the reference `a` (run A,
+/// already occurrence-tagged and rebased), without flow ids.
+void feed(StreamMonitor& mon, const core::Trial& a, const core::Trial& b,
           const std::string& name = "b") {
-  mon.begin_stream(name);
-  for (const auto& p : b.packets()) mon.observe(p.id, p.time, flow::kNoFlow);
+  Ns origin = 0;
+  const core::Trial trial = closed_trial(b, &origin);
+  mon.monitor_run(name, {.reference = a, .trial = trial, .origin = origin});
 }
 
 MonitorConfig offline_config(std::size_t window_packets = 1u << 20,
@@ -80,69 +89,12 @@ core::Trial perturb(const core::Trial& a, std::uint64_t seed,
   return core::Trial(std::move(b));
 }
 
-// ---- IdTable -----------------------------------------------------------
-
-TEST(IdTable, LookupAndOccurrenceCounting) {
-  IdTable table;
-  const core::Trial ref = cbr_trial(8, 100);
-  table.rebuild(ref);
-  EXPECT_EQ(table.size(), 8u);
-
-  // Known ids resolve to their reference position with occurrence 0,
-  // then count up on repeats.
-  const core::PacketId id3{0, 4};  // ref position 3
-  IdTable::Hit h = table.observe(id3);
-  EXPECT_EQ(h.ref_index, 3u);
-  EXPECT_EQ(h.occurrence, 0u);
-  h = table.observe(id3);
-  EXPECT_EQ(h.ref_index, 3u);
-  EXPECT_EQ(h.occurrence, 1u);
-
-  // Unknown ids insert a counting slot but resolve to kNoRef.
-  const core::PacketId alien{7, 7};
-  h = table.observe(alien);
-  EXPECT_EQ(h.ref_index, IdTable::kNoRef);
-  EXPECT_EQ(h.occurrence, 0u);
-  EXPECT_EQ(table.observe(alien).occurrence, 1u);
-
-  EXPECT_EQ(table.ref_index_of(id3), 3u);
-  EXPECT_EQ(table.ref_index_of(core::PacketId{9, 9}), IdTable::kNoRef);
-}
-
-TEST(IdTable, EpochBumpResetsOccurrencesInO1) {
-  IdTable table;
-  table.rebuild(cbr_trial(4, 10));
-  const core::PacketId id{0, 2};
-  EXPECT_EQ(table.observe(id).occurrence, 0u);
-  EXPECT_EQ(table.observe(id).occurrence, 1u);
-  table.new_stream();
-  EXPECT_EQ(table.observe(id).occurrence, 0u);  // counter reads zero again
-  EXPECT_EQ(table.observe(id).ref_index, 1u);   // ref mapping survives
-}
-
-TEST(IdTable, GrowthPreservesReferenceMappings) {
-  IdTable table;
-  const core::Trial ref = cbr_trial(16, 10);
-  table.rebuild(ref);
-  // Insert far more stream-side ids than the initial capacity holds.
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    table.observe(core::PacketId{1, i});
-  }
-  for (std::uint32_t j = 0; j < ref.size(); ++j) {
-    ASSERT_EQ(table.ref_index_of(ref[j].id), j) << "ref position " << j;
-  }
-  // Occurrence counters also survive the rehash.
-  EXPECT_EQ(table.observe(core::PacketId{1, 5}).occurrence, 1u);
-}
-
 // ---- Closed-form synthetic streams -------------------------------------
 
 TEST(StreamMonitor, IdenticalStreamIsPerfectlyConsistent) {
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(64, 1000);
-  mon.set_reference(a, {});
-  feed(mon, a);
-  mon.finalize();
+  feed(mon, a, a);
 
   ASSERT_EQ(mon.windows().size(), 1u);
   const WindowRecord& w = mon.windows().front();
@@ -159,7 +111,6 @@ TEST(StreamMonitor, IdenticalStreamIsPerfectlyConsistent) {
   EXPECT_EQ(mon.streams().front().packets, 64u);
   EXPECT_EQ(mon.streams().front().windows, 1u);
   EXPECT_TRUE(mon.divergence().empty());
-  EXPECT_EQ(mon.matched(), 64u);
 }
 
 TEST(StreamMonitor, ConstantTimeShiftIsInvisible) {
@@ -167,9 +118,7 @@ TEST(StreamMonitor, ConstantTimeShiftIsInvisible) {
   // the whole stream changes nothing (same as the offline L and I).
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(32, 500);
-  mon.set_reference(a, {});
-  feed(mon, cbr_trial(32, 500, /*start=*/987654));
-  mon.finalize();
+  feed(mon, a, cbr_trial(32, 500, /*start=*/987654));
   ASSERT_EQ(mon.windows().size(), 1u);
   EXPECT_EQ(mon.windows().front().metrics.kappa, 1.0);
 }
@@ -188,9 +137,7 @@ TEST(StreamMonitor, DroppedPacketUniquenessClosedForm) {
     dropped.push_back(a[i]);
   }
   const core::Trial b(std::move(dropped));
-  mon.set_reference(a, {});
-  feed(mon, b);
-  mon.finalize();
+  feed(mon, a, b);
 
   const core::ComparisonResult whole = core::compare_trials(a, b);
   EXPECT_EQ(whole.size_a - whole.common, 1u);
@@ -210,9 +157,7 @@ TEST(StreamMonitor, AdjacentSwapOrderingClosedForm) {
   // (the paper's worked example, here observed live).
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(4, 100);
-  mon.set_reference(a, {});
-  feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}));
-  mon.finalize();
+  feed(mon, a, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}));
 
   ASSERT_EQ(mon.windows().size(), 1u);
   EXPECT_NEAR(mon.windows().front().metrics.ordering, 1.0 / 10.0, 1e-12);
@@ -223,26 +168,9 @@ TEST(StreamMonitor, LatencyStraddleClosedForm) {
   // start of A and 8 ns after the start of B -> L = 1/18.
   StreamMonitor mon(offline_config());
   const core::Trial a = make_trial({1, 2}, {0, 9});
-  mon.set_reference(a, {});
-  feed(mon, make_trial({1, 2}, {0, 8}));
-  mon.finalize();
+  feed(mon, a, make_trial({1, 2}, {0, 8}));
   ASSERT_EQ(mon.windows().size(), 1u);
   EXPECT_NEAR(mon.windows().front().metrics.latency, 1.0 / 18.0, 1e-12);
-}
-
-TEST(StreamMonitor, DuplicateRawIdsAreOccurrenceTagged) {
-  // The same raw id three times in both trials matches positionally
-  // (occurrence tagging), so the stream is perfectly consistent. The
-  // reference arrives tagged, as the evaluation's run A trial does.
-  StreamMonitor mon(offline_config());
-  core::Trial a = make_trial({7, 7, 7, 8}, {0, 10, 20, 30});
-  a.make_occurrences_unique();
-  mon.set_reference(a, {});
-  feed(mon, make_trial({7, 7, 7, 8}, {0, 10, 20, 30}));
-  mon.finalize();
-  EXPECT_EQ(mon.matched(), 4u);
-  ASSERT_EQ(mon.windows().size(), 1u);
-  EXPECT_EQ(mon.windows().front().metrics.kappa, 1.0);
 }
 
 // ---- Full-trial window == offline Eq. 5 (acceptance) -------------------
@@ -261,9 +189,7 @@ TEST(StreamMonitor, FullTrialWindowReproducesOfflineKappa) {
   ASSERT_GE(b.size(), a.size());
 
   StreamMonitor mon(offline_config());
-  mon.set_reference(a, {});
-  feed(mon, b);
-  mon.finalize();
+  feed(mon, a, b);
 
   // The monitor rebases every slice to its own first packet; mirror that
   // for the offline call (the L straddle mixes the two trials' absolute
@@ -295,9 +221,7 @@ TEST(StreamMonitor, WindowBoundariesAndDriftAttribution) {
   const core::Trial a = cbr_trial(8, 100);
   const core::Trial b = make_trial({1, 2, 3, 5, 4, 6, 7, 8},
                                    {0, 100, 200, 300, 400, 500, 600, 700});
-  mon.set_reference(a, {});
-  feed(mon, b);
-  mon.finalize();
+  feed(mon, a, b);
 
   ASSERT_EQ(mon.windows().size(), 2u);
   const WindowRecord& w0 = mon.windows()[0];
@@ -343,10 +267,9 @@ TEST(StreamMonitor, WindowBoundariesAndDriftAttribution) {
 TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
   const core::Trial a = cbr_trial(6, 100);
   StreamMonitor cfg_full(offline_config(1u << 20, /*top_k=*/16));
-  cfg_full.set_reference(a, {});
-  feed(cfg_full, make_trial({2, 1, 4, 3, 6, 5},
-                            {0, 100, 200, 300, 400, 500}));
-  cfg_full.finalize();
+  const core::Trial swapped =
+      make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500});
+  feed(cfg_full, a, swapped);
   std::size_t moved = 0;
   for (const DivergenceRecord& r : cfg_full.divergence()) {
     if (r.kind == DivergenceRecord::Kind::kMoved) {
@@ -359,9 +282,7 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
 
   // top_k = 1 keeps a single moved record per window.
   StreamMonitor cfg_k1(offline_config(1u << 20, /*top_k=*/1));
-  cfg_k1.set_reference(a, {});
-  feed(cfg_k1, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
-  cfg_k1.finalize();
+  feed(cfg_k1, a, swapped);
   moved = 0;
   for (const DivergenceRecord& r : cfg_k1.divergence()) {
     if (r.kind == DivergenceRecord::Kind::kMoved) ++moved;
@@ -370,52 +291,100 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
 
   // top_k = 0 disables attribution entirely.
   StreamMonitor cfg_k0(offline_config(1u << 20, /*top_k=*/0));
-  cfg_k0.set_reference(a, {});
-  feed(cfg_k0, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
-  cfg_k0.finalize();
+  feed(cfg_k0, a, swapped);
   EXPECT_TRUE(cfg_k0.divergence().empty());
 }
 
-TEST(StreamMonitor, ReferenceFromFirstStream) {
-  // In an experiment the first stream is run A's own: it streams in
-  // before its round close hands the monitor run A's trial, so it is
-  // counted but keeps nothing and emits no windows. Every stream that
-  // begins after set_reference() is monitored against A.
-  MonitorConfig cfg;
-  cfg.window_packets = 1u << 20;
-  StreamMonitor mon(cfg);
-  const core::Trial a = cbr_trial(16, 250);
-  const core::Trial c = perturb(a, 4);
-  feed(mon, a, "run-0");
-  EXPECT_FALSE(mon.has_reference());
-  mon.set_reference(a, {});
-  EXPECT_TRUE(mon.has_reference());
-  feed(mon, a, "run-1");  // closes run-0, which emits nothing
-  feed(mon, c, "run-2");
-  mon.finalize();
-  EXPECT_FALSE(mon.has_reference());  // finalize() releases A
-  EXPECT_EQ(mon.observed(), 2 * a.size() + c.size());
-  ASSERT_EQ(mon.streams().size(), 2u);
-  EXPECT_EQ(mon.streams()[0].name, "run-1");
-  EXPECT_EQ(mon.streams()[1].name, "run-2");
-  ASSERT_EQ(mon.windows().size(), 2u);
-  EXPECT_EQ(mon.windows()[0].stream_name, "run-1");
-  EXPECT_EQ(mon.windows()[0].metrics.kappa, 1.0);
-  EXPECT_EQ(mon.windows()[1].stream_name, "run-2");
-  EXPECT_LT(mon.windows()[1].metrics.kappa, 1.0);
-}
-
 TEST(StreamMonitor, ReferenceFlowIdsParallelTheReference) {
-  // Flow ids are per reference packet or absent: a span of any other
-  // length would pair windows with the wrong flows.
+  // Flow ids are per packet or absent: a span of any other length would
+  // pair windows with the wrong flows.
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(4, 100);
   const std::vector<flow::FlowId> short_flows = {0, 1, 0};
-  EXPECT_THROW(mon.set_reference(a, short_flows), Error);
-  EXPECT_FALSE(mon.has_reference());
   const std::vector<flow::FlowId> flows = {0, 1, 0, 1};
-  mon.set_reference(a, flows);
-  EXPECT_TRUE(mon.has_reference());
+  EXPECT_THROW(mon.monitor_run("b", {.reference = a,
+                                     .reference_flows = short_flows,
+                                     .trial = a,
+                                     .flows = flows,
+                                     .flow_count = 2}),
+               Error);
+  EXPECT_THROW(mon.monitor_run("b", {.reference = a,
+                                     .reference_flows = flows,
+                                     .trial = a,
+                                     .flows = short_flows,
+                                     .flow_count = 2}),
+               Error);
+  EXPECT_TRUE(mon.windows().empty());
+  mon.monitor_run("b", {.reference = a,
+                        .reference_flows = flows,
+                        .trial = a,
+                        .flows = flows,
+                        .flow_count = 2});
+  ASSERT_EQ(mon.windows().size(), 1u);
+  EXPECT_TRUE(mon.windows().front().has_flows);
+}
+
+TEST(StreamMonitor, WindowFlowsRemappedByKeyMatchCompareFlows) {
+  // One window holds a flow of both runs (k0), a flow only A has (k1)
+  // and a flow only B has (k2). B was classified on its own, so its ids
+  // go through the by-key remap into A's id space, as an experiment's
+  // round close maps them; the window's per-flow κ must then be
+  // compare_flows over the same two slices.
+  const flow::FlowKey k0{.src_ip = 1, .dst_ip = 2, .src_port = 10,
+                         .dst_port = 20};
+  const flow::FlowKey k1{.src_ip = 1, .dst_ip = 2, .src_port = 11,
+                         .dst_port = 20};
+  const flow::FlowKey k2{.src_ip = 1, .dst_ip = 2, .src_port = 12,
+                         .dst_port = 20};
+  flow::FlowTable table_a;
+  flow::FlowTable table_b;
+  table_a.classify(k0, 64, 0, 0);  // A: k0 -> 0, k1 -> 1
+  table_a.classify(k1, 64, 100, 1);
+  table_b.classify(k2, 64, 0, 0);  // B: k2 -> 0, k0 -> 1
+  table_b.classify(k0, 64, 100, 1);
+
+  const core::Trial a = make_trial({1, 2, 3, 4, 5, 6},
+                                   {0, 100, 200, 300, 400, 500});
+  const std::vector<flow::FlowId> ids_a = {0, 1, 0, 1, 0, 0};
+  const core::Trial b = make_trial({10, 1, 3, 11, 6, 5},
+                                   {0, 100, 220, 300, 390, 520});
+  const std::vector<flow::FlowId> ids_b = {0, 1, 1, 0, 1, 1};
+
+  const flow::FlowRemap remap = flow::remap_flows(table_a, table_b, ids_b);
+  EXPECT_EQ(remap.flow_count, 3u);
+  EXPECT_EQ(remap.ids, (std::vector<flow::FlowId>{2, 0, 0, 2, 0, 0}));
+  StreamMonitor mon(offline_config());
+  mon.monitor_run("run-1", {.reference = a,
+                            .reference_flows = ids_a,
+                            .trial = b,
+                            .flows = remap.ids,
+                            .flow_count = remap.flow_count});
+
+  ASSERT_EQ(mon.windows().size(), 1u);
+  const WindowRecord& w = mon.windows().front();
+  ASSERT_TRUE(w.has_flows);
+  EXPECT_EQ(w.flow_aggregate.flows, 3u);
+  EXPECT_EQ(w.flow_aggregate.matched, 1u);
+  EXPECT_EQ(w.flow_aggregate.only_a, 1u);
+  EXPECT_EQ(w.flow_aggregate.only_b, 1u);
+
+  // The window covers both trials, which already start at 0, so its
+  // slices are the trials themselves.
+  const flow::FlowAggregate want =
+      flow::compare_flows(a, table_a, ids_a, b, table_b, ids_b).aggregate;
+  const flow::FlowAggregate& got = w.flow_aggregate;
+  EXPECT_EQ(got.flows, want.flows);
+  EXPECT_EQ(got.matched, want.matched);
+  EXPECT_EQ(got.only_a, want.only_a);
+  EXPECT_EQ(got.only_b, want.only_b);
+  EXPECT_EQ(got.worst, want.worst);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.p999, want.p999);
+  EXPECT_EQ(got.weighted_mean, want.weighted_mean);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_LT(got.worst, 1.0);  // the one-sided flows grade κ = 0.5
 }
 
 // ---- Serialization determinism -----------------------------------------
@@ -429,9 +398,7 @@ TEST(Divergence, SerializationIsByteDeterministic) {
   std::string first;
   for (int round = 0; round < 2; ++round) {
     StreamMonitor mon(offline_config(/*window_packets=*/64));
-    mon.set_reference(a, {});
-    feed(mon, b, "run");
-    mon.finalize();
+    feed(mon, a, b, "run");
     const std::string jsonl = render_divergence_jsonl(mon);
     const std::string combined = jsonl + "\n--\n" + render_windows_csv(mon);
     if (round == 0) {
@@ -446,9 +413,7 @@ TEST(Divergence, SerializationIsByteDeterministic) {
 TEST(Divergence, JsonlSchemaFields) {
   StreamMonitor mon(offline_config());
   const core::Trial a = cbr_trial(4, 100);
-  mon.set_reference(a, {});
-  feed(mon, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}), "run");
-  mon.finalize();
+  feed(mon, a, make_trial({1, 3, 2, 4}, {0, 100, 200, 300}), "run");
   const std::string text = render_divergence_jsonl(mon);
   EXPECT_NE(text.find("\"stream\":\"run\""), std::string::npos);
   EXPECT_NE(text.find("\"kind\":\"moved\""), std::string::npos);

@@ -97,12 +97,11 @@ void expect_same_group(const app::GroupStats& a, const app::GroupStats& b) {
   EXPECT_EQ(a.barrier_worst_residual_ns, b.barrier_worst_residual_ns);
 }
 
-/// The monitor's windows and divergence records: it reads run A from the
-/// round close, so kept and reused captures must give it the same A.
+/// The monitor's windows and divergence records: it reads run A and each
+/// later run from the round close, so kept and reused captures must give
+/// it the same trials.
 void expect_same_monitor(const monitor::StreamMonitor& a,
                          const monitor::StreamMonitor& b) {
-  EXPECT_EQ(a.observed(), b.observed());
-  EXPECT_EQ(a.matched(), b.matched());
   ASSERT_EQ(a.windows().size(), b.windows().size());
   for (std::size_t i = 0; i < a.windows().size(); ++i) {
     SCOPED_TRACE("window " + std::to_string(i));
