@@ -177,16 +177,13 @@ bool flag_from_args(const char* flag, int* argc, char** argv) {
 std::vector<testbed::ExperimentResult> run_configs(
     const std::vector<testbed::ExperimentConfig>& configs, int jobs,
     double* task_seconds) {
-  // Each config is an independent seeded simulation; the fan-out owns
-  // the workers and each experiment's own κ evaluation degrades to
-  // inline on them (see common/task_pool.hpp).
+  // Each config is an independent seeded simulation, run whole on one
+  // worker.
   std::vector<double> task_ms(configs.size(), 0.0);
   auto results = parallel_map_indexed<testbed::ExperimentResult>(
-      jobs, configs.size(), [&configs, &task_ms, jobs](std::size_t i) {
+      jobs, configs.size(), [&configs, &task_ms](std::size_t i) {
         const double start = host_now_ms();
-        testbed::ExperimentConfig cfg = configs[i];
-        cfg.eval_jobs = jobs;
-        auto result = testbed::run_experiment(cfg);
+        auto result = testbed::run_experiment(configs[i]);
         task_ms[i] = host_now_ms() - start;
         return result;
       });

@@ -43,11 +43,11 @@ std::string str_from_args(const char* flag, const std::string& fallback,
 bool flag_from_args(const char* flag, int* argc, char** argv);
 
 /// Run several independent experiment configurations, fanned across a
-/// task pool (`jobs` as in choirctl: 0 = auto, 1 = sequential). Results
-/// land in config order regardless of completion order, so every report
-/// built from them is byte-identical at any job count. `task_seconds`,
-/// when non-null, receives the summed host wall time of the
-/// experiments (each worker charged its own clock).
+/// task pool (`jobs`: 0 = auto, 1 = sequential), one whole experiment
+/// per task. Results land in config order regardless of completion
+/// order, so every report built from them is byte-identical at any job
+/// count. `task_seconds`, when non-null, receives the summed host wall
+/// time of the experiments (each worker charged its own clock).
 std::vector<testbed::ExperimentResult> run_configs(
     const std::vector<testbed::ExperimentConfig>& configs, int jobs = 0,
     double* task_seconds = nullptr);

@@ -31,11 +31,9 @@
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench_common.hpp"
-#include "common/expect.hpp"
 #include "core/weighted_kappa.hpp"
 #include "fault/chaos.hpp"
 #include "testbed/scale.hpp"
-#include "trace/flow_classify.hpp"
 
 namespace {
 
@@ -428,18 +426,14 @@ Case flow_scaling_case() {
   cfg.runs = 3;
   cfg.seed = 2025;
   cfg.collect_series = true;  // iat_within_10ns in the case rows
-  cfg.keep_captures = true;   // the classifier self-check in the render
   cfg.flow.enabled = true;
   cfg.flow.flows = 100'000;
-  cfg.flow.shards = 16;
   return {std::move(cfg), "flow_scaling", {}};
 }
 
 /// The cross-flow κ aggregates (tail-oriented, see docs/FLOWS.md) and the
 /// worst flows. The per-run aggregates are case counters
 /// (flow.B.kappa_p50, ...); the cross-run summary goes under "metrics".
-/// The sharded classifier, at the row's job count, must reproduce the
-/// sequential one on run A's capture packet for packet.
 void render_flow_scaling(const std::vector<Case>& cases,
                          const Results& results, bench::Reporter& reporter) {
   const testbed::ExperimentConfig& cfg = cases[0].config;
@@ -448,14 +442,6 @@ void render_flow_scaling(const std::vector<Case>& cases,
               cfg.env.name.c_str(),
               static_cast<unsigned long long>(cfg.flow.flows),
               static_cast<unsigned long long>(cfg.packets), cfg.runs);
-  const auto sequential = trace::classify_capture(result.captures[0]);
-  const auto sharded = trace::classify_capture_sharded(
-      result.captures[0], cfg.flow.shards, cfg.eval_jobs);
-  CHOIR_EXPECT(sequential.per_packet == sharded.per_packet &&
-                   sequential.table.size() == sharded.table.size(),
-               "sharded flow classification diverged from the sequential "
-               "classifier");
-
   std::printf("classified %zu flows in run A (%llu frames unclassified)\n",
               result.flow_count,
               static_cast<unsigned long long>(result.flow_unclassified));
@@ -1030,12 +1016,9 @@ int main(int argc, char** argv) {
     reporter.pin_scale(pinned);
   }
 
-  std::vector<Case> cases = artifact->cases;
+  const std::vector<Case>& cases = artifact->cases;
   std::vector<testbed::ExperimentConfig> configs;
-  for (auto& c : cases) {
-    c.config.eval_jobs = jobs;
-    configs.push_back(c.config);
-  }
+  for (const auto& c : cases) configs.push_back(c.config);
   try {
     // Every repetition reruns the whole row; the results (and so stdout
     // and the JSON) are the same each time, only the host time differs.

@@ -2,8 +2,9 @@
 // first-insert order (the n-th distinct key gets id n), or to an id the
 // caller assigns.
 //
-// It backs flow::FlowTable (flow key -> FlowId) and, inside
-// core::PacketIdIndex, the hi -> lane directory and the spill table.
+// It backs flow::FlowTable (flow key -> FlowId), net::Switch's MAC table
+// (MAC -> port) and, inside core::PacketIdIndex, the hi -> lane
+// directory and the spill table.
 // Packet ids mostly do not reach it: PacketIdIndex resolves dense runs
 // of tagged ids by direct addressing and spills only what is sparse
 // (core/packet_id_index.hpp). Callers keep per-id payload in plain
@@ -27,6 +28,16 @@
 #include <vector>
 
 namespace choir {
+
+/// Hash for 64-bit integer keys: half of the MurmurHash3 finalizer.
+struct U64Hash {
+  std::size_t operator()(std::uint64_t x) const noexcept {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return static_cast<std::size_t>(x);
+  }
+};
 
 template <typename Key, typename Hash, typename Epoch = std::uint32_t>
 class FlatIndex {

@@ -1,7 +1,7 @@
 // Fixed-worker task pool with deterministic result ordering.
 //
-// The evaluation is embarrassingly parallel — every trial pair and every
-// environment preset is an independent seeded simulation — but the
+// A suite of experiments is embarrassingly parallel — every experiment
+// is an independent seeded simulation, run whole by one task — but the
 // repo's acceptance oracle is byte identity: a BENCH_*.json produced at
 // `--jobs N` must equal the one produced at `--jobs 1`. The pool is
 // therefore built around determinism, not throughput tricks:
@@ -18,9 +18,7 @@
 //  - Submitting from inside a worker thread (nested fan-out) is
 //    rejected with choir::Error — it could deadlock a fixed-size pool.
 //    parallel_for_indexed instead degrades to the inline path on worker
-//    threads, so nested parallel callers compose safely: an experiment
-//    parallelizing its κ evaluation runs it inline when the experiment
-//    itself is a suite-level task.
+//    threads, so nested parallel callers compose safely.
 //
 // Artifact writes belong on the submitting thread after wait(); tasks
 // should only compute and store into their own slot.

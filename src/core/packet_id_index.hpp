@@ -183,15 +183,6 @@ class PacketIdIndex {
     std::uint32_t dense = kNone;
   };
 
-  struct HiHash {
-    std::size_t operator()(std::uint64_t hi) const noexcept {
-      hi ^= hi >> 33;
-      hi *= 0xff51afd7ed558ccdULL;
-      hi ^= hi >> 33;
-      return static_cast<std::size_t>(hi);
-    }
-  };
-
   /// The current fill's id counts. Its destructor and a move into it add
   /// the fill it ends to the census; a moved-from fill is empty, so every
   /// fill is counted once.
@@ -254,7 +245,7 @@ class PacketIdIndex {
   }
 
   std::size_t bucket(std::uint64_t hi) const {
-    return HiHash{}(hi) & (kBuckets - 1);
+    return U64Hash{}(hi) & (kBuckets - 1);
   }
 
   bool plain_hint() const { return hint_ > 0 && hint_ <= kPlainFill; }
@@ -285,7 +276,7 @@ class PacketIdIndex {
   std::vector<Lane> lanes_;  ///< first lane_count_ live; the rest keep storage
   std::uint32_t lane_count_ = 0;
   std::uint32_t last_lane_ = kNone;
-  FlatIndex<std::uint64_t, HiHash> lane_of_;  ///< hi -> lane number
+  FlatIndex<std::uint64_t, U64Hash> lane_of_;  ///< hi -> lane number
 
   std::array<Staged, kStaged> staged_{};
   std::size_t staged_count_ = 0;

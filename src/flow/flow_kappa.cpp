@@ -4,7 +4,6 @@
 
 #include "common/expect.hpp"
 #include "common/stats.hpp"
-#include "common/task_pool.hpp"
 #include "core/compare_scratch.hpp"
 #include "flow/flow_demux.hpp"
 
@@ -12,14 +11,9 @@ namespace choir::flow {
 
 namespace {
 
-/// Flows compared in chunks of this many per task: 100k single-flow
-/// tasks would pay one std::function allocation per flow, while chunks
-/// amortize it without affecting results (slots are index-addressed).
-constexpr std::size_t kFlowsPerTask = 1024;
-
 void compare_into(const core::Trial& a, std::span<const FlowId> ids_a,
                   const core::Trial& b, std::span<const FlowId> ids_b,
-                  std::size_t flow_count, int jobs, FlowSetComparison* out) {
+                  std::size_t flow_count, FlowSetComparison* out) {
   const DemuxResult da = demux_trial(a, ids_a, flow_count);
   const DemuxResult db = demux_trial(b, ids_b, flow_count);
   out->unclassified_a = da.unclassified;
@@ -27,38 +21,30 @@ void compare_into(const core::Trial& a, std::span<const FlowId> ids_a,
 
   out->flows.resize(flow_count);
   core::ComparisonOptions options;  // metrics only: no series, no alignment
-  const std::size_t chunks =
-      (flow_count + kFlowsPerTask - 1) / kFlowsPerTask;
-  parallel_for_indexed(jobs, chunks, [&](std::size_t c) {
-    // One comparison arena and one pair of flow trials per chunk: their
-    // buffers amortize across the up to kFlowsPerTask flows a task
-    // compares (results are scratch-invariant, so sharding stays
-    // byte-deterministic at any job count).
-    core::CompareScratch scratch;
-    core::Trial ta;
-    core::Trial tb;
-    const std::size_t lo = c * kFlowsPerTask;
-    const std::size_t hi = std::min(flow_count, lo + kFlowsPerTask);
-    for (std::size_t f = lo; f < hi; ++f) {
-      FlowComparison& fc = out->flows[f];
-      fc.id = static_cast<FlowId>(f);
-      fc.packets_a = static_cast<std::uint32_t>(da.flow(fc.id).size());
-      fc.packets_b = static_cast<std::uint32_t>(db.flow(fc.id).size());
-      fc.in_a = fc.packets_a > 0;
-      fc.in_b = fc.packets_b > 0;
-      if (fc.matched()) {
-        da.load_rebased(a, fc.id, ta);
-        db.load_rebased(b, fc.id, tb);
-        fc.metrics = core::compare_trials(ta, tb, options, scratch).metrics;
-      } else if (fc.in_a || fc.in_b) {
-        // One-sided flow: Eq. 5 against an empty trial (see header).
-        fc.metrics.uniqueness = 1.0;
-        fc.metrics.kappa = core::kappa_of(1.0, 0.0, 0.0, 0.0);
-      }
-      // Flows in neither trial (retired ids) keep default metrics and
-      // are skipped by aggregate_flows.
+  // One comparison arena and one pair of flow trials: their buffers
+  // amortize across the flows.
+  core::CompareScratch scratch;
+  core::Trial ta;
+  core::Trial tb;
+  for (std::size_t f = 0; f < flow_count; ++f) {
+    FlowComparison& fc = out->flows[f];
+    fc.id = static_cast<FlowId>(f);
+    fc.packets_a = static_cast<std::uint32_t>(da.flow(fc.id).size());
+    fc.packets_b = static_cast<std::uint32_t>(db.flow(fc.id).size());
+    fc.in_a = fc.packets_a > 0;
+    fc.in_b = fc.packets_b > 0;
+    if (fc.matched()) {
+      da.load_rebased(a, fc.id, ta);
+      db.load_rebased(b, fc.id, tb);
+      fc.metrics = core::compare_trials(ta, tb, options, scratch).metrics;
+    } else if (fc.in_a || fc.in_b) {
+      // One-sided flow: Eq. 5 against an empty trial (see header).
+      fc.metrics.uniqueness = 1.0;
+      fc.metrics.kappa = core::kappa_of(1.0, 0.0, 0.0, 0.0);
     }
-  });
+    // Flows in neither trial (retired ids) keep default metrics and are
+    // skipped by aggregate_flows.
+  }
   out->aggregate = aggregate_flows(out->flows);
 }
 
@@ -113,9 +99,9 @@ FlowSetComparison compare_flows_by_id(const core::Trial& a,
                                       std::span<const FlowId> ids_a,
                                       const core::Trial& b,
                                       std::span<const FlowId> ids_b,
-                                      std::size_t flow_count, int jobs) {
+                                      std::size_t flow_count) {
   FlowSetComparison out;
-  compare_into(a, ids_a, b, ids_b, flow_count, jobs, &out);
+  compare_into(a, ids_a, b, ids_b, flow_count, &out);
   return out;
 }
 
@@ -141,10 +127,9 @@ FlowRemap remap_flows(const FlowTable& table_a, const FlowTable& table_b,
 FlowSetComparison compare_flows(const core::Trial& a, const FlowTable& table_a,
                                 std::span<const FlowId> ids_a,
                                 const core::Trial& b, const FlowTable& table_b,
-                                std::span<const FlowId> ids_b, int jobs) {
-  const FlowRemap remap = remap_flows(table_a, table_b, ids_b);
+                                const FlowRemap& remap) {
   FlowSetComparison out;
-  compare_into(a, ids_a, b, remap.ids, remap.flow_count, jobs, &out);
+  compare_into(a, ids_a, b, remap.ids, remap.flow_count, &out);
   // Attach keys: ids below A's count come from A's table, the rest from
   // B's.
   const std::size_t a_count = table_a.size();

@@ -16,9 +16,8 @@
 // one-sided packet weight. A wholly dropped flow therefore drags the
 // tail percentiles instead of vanishing from them.
 //
-// Determinism: flows are keyed to index-addressed result slots before
-// any fan-out, and the aggregate is folded sequentially in flow-id
-// order, so results are bit-identical at any `jobs` value.
+// Flows are compared one after another in flow-id order, and the
+// aggregate folds them in the same order.
 #pragma once
 
 #include <cstdint>
@@ -73,13 +72,12 @@ FlowAggregate aggregate_flows(std::span<const FlowComparison> flows);
 
 /// Compare two trials flow by flow when both were classified against the
 /// SAME id space (e.g. the recorder's persistent classifier): ids match
-/// directly. `flow_count` is the id-space size; `jobs` fans the per-flow
-/// comparisons across the task pool (0 = auto, 1 = sequential).
+/// directly. `flow_count` is the id-space size.
 FlowSetComparison compare_flows_by_id(const core::Trial& a,
                                       std::span<const FlowId> ids_a,
                                       const core::Trial& b,
                                       std::span<const FlowId> ids_b,
-                                      std::size_t flow_count, int jobs = 1);
+                                      std::size_t flow_count);
 
 /// B's flow ids in A's id space, matched by key: a flow of both tables
 /// takes A's id, and B-only flows are appended past A's count in B's
@@ -93,11 +91,25 @@ struct FlowRemap {
 FlowRemap remap_flows(const FlowTable& table_a, const FlowTable& table_b,
                       std::span<const FlowId> ids_b);
 
-/// Compare two independently classified trials: flows are matched by key
-/// (remap_flows). Fills FlowComparison::key from the tables.
+/// Compare two independently classified trials whose flows `remap`
+/// matched by key (remap_flows(table_a, table_b, ids of B)). Fills
+/// FlowComparison::key from the tables.
 FlowSetComparison compare_flows(const core::Trial& a, const FlowTable& table_a,
                                 std::span<const FlowId> ids_a,
                                 const core::Trial& b, const FlowTable& table_b,
-                                std::span<const FlowId> ids_b, int jobs = 1);
+                                const FlowRemap& remap);
+
+/// Same, remapping B's ids first. `jobs` has no effect; the benchmark
+/// harness passes it (ROADMAP "Mend perfbench").
+inline FlowSetComparison compare_flows(const core::Trial& a,
+                                       const FlowTable& table_a,
+                                       std::span<const FlowId> ids_a,
+                                       const core::Trial& b,
+                                       const FlowTable& table_b,
+                                       std::span<const FlowId> ids_b,
+                                       int /*jobs*/ = 1) {
+  return compare_flows(a, table_a, ids_a, b, table_b,
+                       remap_flows(table_a, table_b, ids_b));
+}
 
 }  // namespace choir::flow

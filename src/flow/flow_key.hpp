@@ -34,7 +34,7 @@ struct FlowKey {
 };
 
 /// Mix the key into a well-spread 64-bit hash. Low bits index the table
-/// slots, high bits pick the shard, so the two stay decorrelated.
+/// slots, high bits pick the shard (shard_of_key).
 inline std::uint64_t hash_of(const FlowKey& key) {
   const std::uint64_t a = ((static_cast<std::uint64_t>(key.src_ip) << 32) |
                            key.dst_ip) +
@@ -47,6 +47,14 @@ inline std::uint64_t hash_of(const FlowKey& key) {
   x *= 0xd6e8feb86659fd93ULL;
   x ^= x >> 29;
   return x;
+}
+
+/// Shard owning `key` among `shards` partitions: the recorder's
+/// `flow.<s>.*` counter namespace and `choirctl partition`'s node. High
+/// hash bits: decorrelated from the tables' slot indexing (low bits).
+inline int shard_of_key(const FlowKey& key, int shards) {
+  return static_cast<int>((hash_of(key) >> 32) %
+                          static_cast<std::uint64_t>(shards));
 }
 
 struct FlowKeyHash {

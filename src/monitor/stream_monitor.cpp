@@ -107,7 +107,7 @@ WindowRecord StreamMonitor::close_window(const MonitoredRun& run,
         slice_a_,
         run.reference_flows.subspan(window.a_begin,
                                     window.a_end - window.a_begin),
-        slice_b_, flows_b, run.flow_count, /*jobs=*/1);
+        slice_b_, flows_b, run.flow_count);
     window.has_flows = true;
     window.flow_aggregate = flows.aggregate;
   }

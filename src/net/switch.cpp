@@ -50,7 +50,10 @@ void Switch::set_port_forward(std::size_t in, std::size_t out) {
 
 void Switch::set_mac_route(const pktio::MacAddress& mac, std::size_t port) {
   CHOIR_EXPECT(port < ports_.size(), "MAC route references missing port");
-  mac_table_[pktio::mac_key(mac)] = port;
+  CHOIR_EXPECT(
+      mac_table_.insert(pktio::mac_key(mac), static_cast<std::uint32_t>(port))
+          .fresh,
+      "MAC already has a route");
 }
 
 std::optional<std::size_t> Switch::lookup(std::size_t in_port,
@@ -58,8 +61,9 @@ std::optional<std::size_t> Switch::lookup(std::size_t in_port,
   if (ports_[in_port]->forward_to) return ports_[in_port]->forward_to;
   const auto parsed = pktio::parse_eth_ipv4_udp(pkt->frame);
   if (parsed.valid) {
-    const auto it = mac_table_.find(pktio::mac_key(parsed.flow.dst_mac));
-    if (it != mac_table_.end()) return it->second;
+    const std::uint32_t port =
+        mac_table_.find(pktio::mac_key(parsed.flow.dst_mac));
+    if (port != decltype(mac_table_)::kNone) return port;
   }
   return std::nullopt;
 }

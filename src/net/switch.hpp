@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/rng.hpp"
 #include "net/config.hpp"
 #include "net/link.hpp"
@@ -46,7 +46,7 @@ class Switch {
   void set_port_forward(std::size_t in, std::size_t out);
 
   /// MAC route: frames for `mac` leave on `port`. Consulted only when
-  /// the ingress port has no static forward.
+  /// the ingress port has no static forward. A MAC has one route.
   void set_mac_route(const pktio::MacAddress& mac, std::size_t port);
 
   std::uint64_t forwarded() const { return forwarded_; }
@@ -72,7 +72,7 @@ class Switch {
   SwitchConfig config_;
   Rng rng_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::unordered_map<std::uint64_t, std::size_t> mac_table_;
+  FlatIndex<std::uint64_t, U64Hash> mac_table_;  ///< MAC key -> port
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;
   std::uint64_t fcs_drops_ = 0;

@@ -249,7 +249,6 @@ struct Topology {
   net::Vf* rec_vf = nullptr;
   std::unique_ptr<trace::CaptureDaemon> daemon;
   std::size_t rec_port_in = 0;  ///< switch egress to the recorder
-  int flow_shards = 0;
 
   // Coordinator node (group mode only).
   std::unique_ptr<sim::NodeClock> ctl_clock;
@@ -285,11 +284,11 @@ void add_recorder(Topology& t, Rng& root) {
   t.rec_vf = &t.rec.nic->add_vf(pktio::mac_for_node(kRecorder));
   // In-path flow classification is an observer: daemon behavior on the
   // simulated timeline is identical with shards on or off.
-  t.flow_shards = t.config.flow.enabled ? std::max(1, t.config.flow.shards)
-                                        : 0;
+  const int flow_shards =
+      t.config.flow.enabled ? std::max(1, t.config.flow.shards) : 0;
   t.daemon = std::make_unique<trace::CaptureDaemon>(
       t.queue, *t.rec_vf, net::PollLoopConfig{}, root.split(0x444d),
-      "recorder", t.flow_shards);
+      "recorder", flow_shards);
   t.rec_port_in = t.sw->add_port();
   t.sw->egress_link(t.rec_port_in).connect(*t.rec.nic);
 }
@@ -699,38 +698,19 @@ struct ClosedRuns {
 };
 
 /// Compare run B against run A: the Section-3 comparison and, with flows
-/// on, the per-flow one, matching B's flows to A's by key.
+/// on, the per-flow one over B's flows matched to A's by key (`remap`).
 void compare_run(const ExperimentConfig& config, ClosedRuns& closed,
                  const core::Trial& trial_b,
-                 const trace::FlowClassification* flows_b) {
+                 const trace::FlowClassification* flows_b,
+                 const flow::FlowRemap& remap) {
   core::ComparisonOptions options;
   options.collect_series = config.collect_series;
   closed.comparisons.push_back(
       core::compare_trials(closed.trial_a, trial_b, options, closed.scratch));
   if (flows_b == nullptr) return;
   const trace::FlowClassification& a = closed.flows_a;
-  closed.flow_comparisons.push_back(
-      flow::compare_flows(closed.trial_a, a.table, a.per_packet, trial_b,
-                          flows_b->table, flows_b->per_packet, /*jobs=*/1));
-}
-
-/// Window run `r` against run A in the monitor, with the run's flow ids
-/// (if any) mapped into A's id space as the per-flow comparison maps them.
-void monitor_run(monitor::StreamMonitor& monitor, const ClosedRuns& closed,
-                 int r, const core::Trial& trial, Ns origin,
-                 const trace::FlowClassification* flows) {
-  flow::FlowRemap remap;
-  if (flows != nullptr) {
-    remap = flow::remap_flows(closed.flows_a.table, flows->table,
-                              flows->per_packet);
-  }
-  monitor.monitor_run(run_name(r),
-                      {.reference = closed.trial_a,
-                       .reference_flows = closed.flows_a.per_packet,
-                       .trial = trial,
-                       .origin = origin,
-                       .flows = remap.ids,
-                       .flow_count = remap.flow_count});
+  closed.flow_comparisons.push_back(flow::compare_flows(
+      closed.trial_a, a.table, a.per_packet, trial_b, flows_b->table, remap));
 }
 
 /// Close run `r` once its capture window has: reduce the capture to the
@@ -746,19 +726,17 @@ void close_round(const Topology& t, int r, trace::Capture& capture,
   const ExperimentConfig& config = t.config;
   telemetry::ProfileSpan prof("experiment.evaluate");
   closed.capture_sizes.push_back(capture.size());
-  core::Trial trial = rebased_trial(capture);
   // The raw time the trial is rebased from: the monitor's windows report
   // raw sim times.
   const Ns origin = capture.empty() ? 0 : capture[0].timestamp;
+  core::Trial trial = capture.to_trial(origin);
   // With flows on, one span covers the run's classification and its
   // comparisons: the per-flow comparison reads the Section-3 one's trial.
   std::optional<telemetry::ProfileSpan> prof_flows;
   trace::FlowClassification flows;
   if (config.flow.enabled) {
     prof_flows.emplace("experiment.flow_eval");
-    // The sharded classification does not depend on the job count.
-    flows = trace::classify_capture_sharded(capture, t.flow_shards,
-                                            config.eval_jobs);
+    flows = trace::classify_capture(capture);
   }
   const bool last = r + 1 == config.runs;
   if (config.keep_captures) closed.captures.push_back(std::move(capture));
@@ -774,12 +752,25 @@ void close_round(const Topology& t, int r, trace::Capture& capture,
     capture.set_name(run_name(r + 1));
   }
   if (r > 0) {
+    // Run r's flow ids in A's id space, mapped once for the per-flow
+    // comparison and the monitor.
     const trace::FlowClassification* flows_b =
         config.flow.enabled ? &flows : nullptr;
-    compare_run(config, closed, trial, flows_b);
+    flow::FlowRemap remap;
+    if (flows_b != nullptr) {
+      remap = flow::remap_flows(closed.flows_a.table, flows.table,
+                                flows.per_packet);
+    }
+    compare_run(config, closed, trial, flows_b, remap);
     prof_flows.reset();
     if (monitor != nullptr) {
-      monitor_run(*monitor, closed, r, trial, origin, flows_b);
+      monitor->monitor_run(run_name(r),
+                           {.reference = closed.trial_a,
+                            .reference_flows = closed.flows_a.per_packet,
+                            .trial = trial,
+                            .origin = origin,
+                            .flows = remap.ids,
+                            .flow_count = remap.flow_count});
     }
     return;
   }
@@ -998,15 +989,11 @@ ExperimentResult evaluate(Topology& t, ClosedRuns& closed,
 }  // namespace
 
 core::Trial rebased_trial(const trace::Capture& capture) {
-  core::Trial trial = capture.to_trial();
-  trial.rebase_to_zero();
-  return trial;
+  return capture.to_trial(capture.empty() ? 0 : capture[0].timestamp);
 }
 
 core::Trial rebased_trial(const trace::MappedCapture& capture) {
-  core::Trial trial = capture.to_trial();
-  trial.rebase_to_zero();
-  return trial;
+  return capture.to_trial(capture.empty() ? 0 : capture.timestamp(0));
 }
 
 ReplaySchedule replay_schedule(const ExperimentConfig& config) {

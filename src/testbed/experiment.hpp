@@ -98,8 +98,8 @@ struct FlowOptions {
   bool enabled = false;
   /// Total synthetic flows across generators (>= 1).
   std::uint32_t flows = 1024;
-  /// Classifier shards: telemetry namespaces on the recorder and
-  /// partitions for the sharded offline classification.
+  /// Namespaces of the recorder's `flow.<s>.*` counters (a flow's shard
+  /// is flow::shard_of_key). The evaluation does not read it.
   int shards = 8;
 };
 
@@ -157,14 +157,9 @@ struct ExperimentConfig {
   /// freed before the last run's comparison.
   bool keep_captures = false;
   ReplayEngine engine = ReplayEngine::kChoir;
-  /// Workers for the flow classification of each run at its round end.
-  /// Each run B..E is compared against run A at its own round close, on
-  /// the thread that runs the experiment. 0 = auto (CHOIR_JOBS, else
-  /// hardware concurrency); 1 = the sequential path. The classification
-  /// does not depend on the job count, so every metric — and every
-  /// artifact derived from one — is bit-identical at any setting. When
-  /// the experiment itself runs on a task-pool worker (a suite fanning
-  /// experiments out), the classification runs inline automatically.
+  /// No effect: every run is classified and compared at its round close
+  /// on the thread that runs the experiment. Kept for the benchmark
+  /// harness, which sets it (ROADMAP "Mend perfbench").
   int eval_jobs = 0;
   TelemetryOptions telemetry;
   MonitorOptions monitor;

@@ -24,11 +24,11 @@ core::PacketId CaptureRecord::packet_id() const {
   return untagged_packet_id(payload_token);
 }
 
-core::Trial Capture::to_trial() const {
+core::Trial Capture::to_trial(Ns origin) const {
   core::Trial trial;
   trial.reserve(records_.size());
   for (const CaptureRecord& r : records_) {
-    trial.push_back(core::TrialPacket{r.packet_id(), r.timestamp});
+    trial.push_back(core::TrialPacket{r.packet_id(), r.timestamp - origin});
   }
   trial.make_occurrences_unique();
   return trial;

@@ -59,8 +59,9 @@ class Capture {
 
   /// Build the metrics-layer trial: identity from the evaluation trailer
   /// where present, otherwise from the payload token; duplicate ids are
-  /// made unique by occurrence, per Section 3.
-  core::Trial to_trial() const;
+  /// made unique by occurrence, per Section 3. Times are measured from
+  /// `origin`.
+  core::Trial to_trial(Ns origin = 0) const;
 
  private:
   std::string name_;

@@ -6,13 +6,8 @@
 // its SSRC-style stream id comes from the trailer tag when one is
 // present. Records without a parseable UDP stack classify as kNoFlow.
 //
-// classify_capture() is the sequential reference; the sharded variant
-// parses each record once (key and owning shard), fans the shards across
-// the task pool — each worker classifies only its own shard's records, so
-// no table is shared — and then renumbers the shard-local ids into the
-// global first-arrival order. The results are guaranteed identical (the
-// unit tests diff them), which is what lets the 100k-flow bench keep its
-// byte-identity gate at any --jobs value.
+// classify_capture() is the one offline classifier: each run's capture
+// is classified once, at its round close, on the experiment's thread.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +30,12 @@ bool key_of_record(const CaptureRecord& record, flow::FlowKey* key);
 /// Classify every record of `capture` in arrival order.
 FlowClassification classify_capture(const Capture& capture);
 
-/// Same result, computed by fanning `shards` key partitions across the
-/// task pool (`jobs` as everywhere: 0 = auto, 1 = sequential).
-FlowClassification classify_capture_sharded(const Capture& capture,
-                                            int shards, int jobs);
+/// classify_capture(capture); `shards` and `jobs` have no effect. Kept
+/// for the benchmark harness, which calls it (ROADMAP "Mend perfbench").
+inline FlowClassification classify_capture_sharded(const Capture& capture,
+                                                   int /*shards*/,
+                                                   int /*jobs*/) {
+  return classify_capture(capture);
+}
 
 }  // namespace choir::trace

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/expect.hpp"
-#include "flow/flow_shard.hpp"
 #include "trace/flow_classify.hpp"
 
 namespace choir::trace {

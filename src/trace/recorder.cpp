@@ -1,7 +1,6 @@
 #include "trace/recorder.hpp"
 
 #include "common/json.hpp"
-#include "flow/flow_shard.hpp"
 #include "trace/flow_classify.hpp"
 
 namespace choir::trace {
@@ -39,8 +38,7 @@ bool CaptureDaemon::drain() {
           flow::FlowKey key;
           if (key_of_record(record, &key)) {
             const std::size_t before = flow_table_.size();
-            flow_table_.classify(key, record.wire_len, record.timestamp,
-                                 recorded_);
+            flow_table_.classify(key);
             const int s = flow::shard_of_key(key, flow_shards_);
             const auto su = static_cast<std::size_t>(s);
             tm_flow_packets_[su].add();

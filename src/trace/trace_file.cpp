@@ -246,11 +246,12 @@ CaptureRecord MappedCapture::record(std::size_t i) const {
   return r;
 }
 
-core::Trial MappedCapture::to_trial() const {
+core::Trial MappedCapture::to_trial(Ns origin) const {
   core::Trial trial;
   trial.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) {
-    trial.push_back(core::TrialPacket{raw_packet_id(i), timestamp(i)});
+    trial.push_back(
+        core::TrialPacket{raw_packet_id(i), timestamp(i) - origin});
   }
   trial.make_occurrences_unique();
   return trial;

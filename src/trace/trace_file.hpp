@@ -67,8 +67,8 @@ class MappedCapture {
   CaptureRecord record(std::size_t i) const;
 
   /// Build the metrics trial straight from the mapped bytes (ids and
-  /// timestamps only). Identical to materialize().to_trial().
-  core::Trial to_trial() const;
+  /// timestamps only). Identical to materialize().to_trial(origin).
+  core::Trial to_trial(Ns origin = 0) const;
 
   /// Full in-memory copy of every record.
   Capture materialize() const;

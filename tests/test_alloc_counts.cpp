@@ -127,7 +127,7 @@ std::size_t flow_compare_allocations(std::size_t flows) {
   }
   const std::size_t before = g_allocations;
   const flow::FlowSetComparison cmp =
-      flow::compare_flows_by_id(a, ids, b, ids, flows, /*jobs=*/1);
+      flow::compare_flows_by_id(a, ids, b, ids, flows);
   const std::size_t made = g_allocations - before;
   EXPECT_EQ(cmp.aggregate.matched, flows);
   return made;
@@ -153,7 +153,6 @@ double experiment_allocations_per_packet(
     config.packets = packets[i];
     config.runs = 3;
     config.seed = 1;
-    config.eval_jobs = 1;
     const std::size_t before = g_allocations;
     const testbed::ExperimentResult result = testbed::run_experiment(config);
     allocations[i] = g_allocations - before;
@@ -187,7 +186,6 @@ std::size_t experiment_peak_bytes(int runs, std::uint64_t packets) {
   config.packets = packets;
   config.runs = runs;
   config.seed = 1;
-  config.eval_jobs = 1;
   config.collect_series = false;
   const std::size_t base = g_live_bytes;
   g_peak_bytes = base;

@@ -3,6 +3,7 @@
 // contracts — bit-identical results to the allocating overloads, the
 // same duplicate-id diagnostics, and zero buffer growth in steady
 // state.
+#include "common/task_pool.hpp"
 #include "core/compare_scratch.hpp"
 
 #include <gtest/gtest.h>
@@ -329,21 +330,20 @@ TEST(LisWorkspace, MatchesAllocatingOverload) {
 }
 
 TEST(ScratchDeterminism, EvalJobsInvariant) {
-  // The experiment evaluator shares one read-only ReferenceIndex across
-  // workers, each with a private scratch; results must be bit-identical
-  // at any job count (this also exercises the sharing under TSan).
-  auto run_at = [](int jobs) {
-    testbed::ExperimentConfig cfg;
-    cfg.env = testbed::local_single();
-    cfg.packets = 2000;
-    cfg.runs = 5;
-    cfg.seed = 77;
-    cfg.collect_series = false;
-    cfg.eval_jobs = jobs;
-    return testbed::run_experiment(cfg);
-  };
-  const auto serial = run_at(1);
-  const auto parallel = run_at(4);
+  // Each experiment compares its runs on one kept scratch against run A's
+  // ReferenceIndex. Two copies of one experiment side by side on pool
+  // workers, as a bench row runs its configs, must agree bit for bit
+  // (this also runs the scratch and index under TSan).
+  testbed::ExperimentConfig cfg;
+  cfg.env = testbed::local_single();
+  cfg.packets = 2000;
+  cfg.runs = 5;
+  cfg.seed = 77;
+  cfg.collect_series = false;
+  const auto runs = parallel_map_indexed<testbed::ExperimentResult>(
+      2, 2, [&](std::size_t) { return testbed::run_experiment(cfg); });
+  const auto& serial = runs[0];
+  const auto& parallel = runs[1];
   ASSERT_EQ(serial.comparisons.size(), parallel.comparisons.size());
   for (std::size_t i = 0; i < serial.comparisons.size(); ++i) {
     expect_same_result(serial.comparisons[i], parallel.comparisons[i]);

@@ -1,10 +1,9 @@
 // Oracles for the flow-and-monitor evaluation plane. Each fast path is
-// checked, bit for bit, against a transcription of the straightforward
-// code it replaced:
+// checked, bit for bit, against straightforward code that shares none of
+// its own (for most, a transcription of the code it replaced):
 //
-//  - the single-parse sharded classifier against the rescanning one
-//    (every shard re-parsed the whole capture, and the remap parsed each
-//    record again to recover its shard);
+//  - classify_capture against an ordered-map classifier that reads the
+//    header and trailer bytes at their fixed offsets;
 //  - compare_flows_by_id over the position CSR against one rebased
 //    Trial per flow and side;
 //  - partial-sort top-K attribution against stable_sort + truncate;
@@ -16,13 +15,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
-#include "common/task_pool.hpp"
 #include "core/metrics.hpp"
 #include "flow/flow_kappa.hpp"
-#include "flow/flow_shard.hpp"
 #include "monitor/stream_monitor.hpp"
 #include "monitor/top_k.hpp"
 #include "pktio/headers.hpp"
@@ -42,117 +42,145 @@ struct Lcg {
   std::uint64_t below(std::uint64_t n) { return next() % n; }
 };
 
-// ---- Sharded classification -----------------------------------------------
+// ---- Flow classification ---------------------------------------------------
 
-/// `n` records over `flows` UDP flows and two trailer stream ids; every
-/// 7th record has no parseable header stack (unclassified).
-trace::Capture synthetic_capture(std::size_t n, std::uint32_t flows) {
+/// `n` records over a few hosts whose flows share their UDP ports, with
+/// trailers of two stream ids, no trailer, or a trailer whose magic does
+/// not match. About one record in three is made unparseable: cut short,
+/// not IPv4, carrying IP options, not UDP, or random header bytes.
+trace::Capture hostile_capture(std::size_t n, std::uint64_t seed) {
   trace::Capture capture("oracle");
-  Lcg rng{42};
+  Lcg rng{seed};
   for (std::size_t i = 0; i < n; ++i) {
     pktio::Frame frame;
     frame.wire_len = 64 + static_cast<std::uint32_t>(rng.below(1400));
     frame.payload_token = i;
-    const auto f = static_cast<std::uint32_t>(rng.below(flows));
-    if (i % 7 != 3) {
-      pktio::FlowAddress addr;
-      addr.src_ip = (10u << 24) | (f & 0xff);
-      addr.dst_ip = (10u << 24) | 4u;
-      addr.src_port = static_cast<std::uint16_t>(7000 + f);
-      addr.dst_port = 7001;
-      pktio::write_eth_ipv4_udp(frame, addr);
-      trace::stamp(frame, trace::Tag{
-          1, static_cast<std::uint32_t>(rng.below(2)), i});
+    pktio::FlowAddress addr;
+    addr.src_ip = (10u << 24) | static_cast<std::uint32_t>(1 + rng.below(3));
+    addr.dst_ip = (10u << 24) | 4u;
+    addr.src_port = static_cast<std::uint16_t>(7000 + rng.below(2));
+    addr.dst_port = 7001;
+    pktio::write_eth_ipv4_udp(frame, addr);
+    switch (rng.below(4)) {
+      case 0:
+        break;
+      case 1:
+      case 2:
+        trace::stamp(frame, trace::Tag{
+            1, static_cast<std::uint32_t>(rng.below(2)), i});
+        break;
+      default:
+        frame.has_trailer = true;
+        for (auto& byte : frame.trailer) {
+          byte = static_cast<std::uint8_t>(rng.below(256));
+        }
+        frame.trailer[0] = 0x00;  // never the tag magic
     }
-    capture.append(trace::CaptureRecord::from_frame(
-        frame, static_cast<Ns>(i) * 97 + static_cast<Ns>(rng.below(50))));
+    trace::CaptureRecord record = trace::CaptureRecord::from_frame(
+        frame, static_cast<Ns>(i) * 97 + static_cast<Ns>(rng.below(50)));
+    switch (rng.below(15)) {
+      case 0:
+        record.header_len = static_cast<std::uint16_t>(rng.below(42));
+        break;
+      case 1:
+        record.header[12] = 0x86;  // IPv6 ethertype
+        record.header[13] = 0xDD;
+        break;
+      case 2:
+        record.header[14] = 0x46;  // IHL 6: IP options
+        break;
+      case 3:
+        record.header[23] = 6;  // TCP
+        break;
+      case 4:
+        for (auto& byte : record.header) {
+          byte = static_cast<std::uint8_t>(rng.below(256));
+        }
+        break;
+      default:
+        break;
+    }
+    capture.append(record);
   }
   return capture;
 }
 
-/// The sharded classifier before the single-parse rewrite, verbatim in
-/// substance: each shard rescans and re-parses the whole capture, and
-/// the remap re-parses every record to recover its shard.
-trace::FlowClassification classify_sharded_rescanning(
-    const trace::Capture& capture, int shards, int jobs) {
-  if (shards <= 1) return trace::classify_capture(capture);
-  flow::FlowShardSet set(shards);
-  std::vector<flow::FlowId> local(capture.size(), flow::kNoFlow);
-  std::vector<std::uint64_t> unclassified(static_cast<std::size_t>(shards),
-                                          0);
-  parallel_for_indexed(jobs, static_cast<std::size_t>(shards),
-                       [&](std::size_t s) {
-    flow::FlowTable& table = set.shard(static_cast<int>(s));
-    flow::FlowKey key;
-    for (std::size_t i = 0; i < capture.size(); ++i) {
-      const trace::CaptureRecord& record = capture[i];
-      if (!trace::key_of_record(record, &key)) {
-        if (s == 0) ++unclassified[0];
-        continue;
-      }
-      if (set.shard_of(key) != static_cast<int>(s)) continue;
-      local[i] = table.classify(key, record.wire_len, record.timestamp, i);
+/// Source and destination address and port, protocol, stream.
+using OracleKey = std::tuple<std::uint32_t, std::uint32_t, std::uint16_t,
+                             std::uint16_t, std::uint8_t, std::uint32_t>;
+
+std::uint32_t big_endian(const std::uint8_t* bytes, int n) {
+  std::uint32_t value = 0;
+  for (int i = 0; i < n; ++i) value = (value << 8) | bytes[i];
+  return value;
+}
+
+struct OracleClassification {
+  std::vector<flow::FlowId> per_packet;
+  std::vector<OracleKey> keys;  ///< by id
+  std::uint64_t unclassified = 0;
+};
+
+/// classify_capture's contract from the wire formats alone: Ethernet,
+/// IPv4 without options and UDP read at their fixed offsets, the stream
+/// id from trailer bytes 4-7 when bytes 0-1 hold the tag magic, and ids
+/// numbered in first-seen order by an ordered map.
+OracleClassification classify_by_map(const trace::Capture& capture) {
+  OracleClassification out;
+  std::map<OracleKey, flow::FlowId> ids;
+  for (const trace::CaptureRecord& record : capture.records()) {
+    const std::uint8_t* h = record.header.data();
+    if (record.header_len < 42 || big_endian(h + 12, 2) != 0x0800 ||
+        h[14] != 0x45 || h[23] != 17) {
+      ++out.unclassified;
+      out.per_packet.push_back(flow::kNoFlow);
+      continue;
     }
-  });
-  const std::vector<flow::GlobalFlow> global = flow::merged_flows(set);
-  trace::FlowClassification out;
-  out.unclassified = unclassified[0];
-  std::vector<std::vector<flow::FlowId>> remap(
-      static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    remap[static_cast<std::size_t>(s)].assign(set.shard(s).size(),
-                                              flow::kNoFlow);
-  }
-  flow::FlowId gid = 0;
-  for (const flow::GlobalFlow& gf : global) {
-    out.table.merge_entry(gf.key, gf.stats);
-    remap[static_cast<std::size_t>(gf.shard)][gf.local_id] = gid++;
-  }
-  out.per_packet.assign(capture.size(), flow::kNoFlow);
-  for (std::size_t i = 0; i < capture.size(); ++i) {
-    if (local[i] == flow::kNoFlow) continue;
-    flow::FlowKey key;
-    trace::key_of_record(capture[i], &key);
-    out.per_packet[i] =
-        remap[static_cast<std::size_t>(set.shard_of(key))][local[i]];
+    const std::uint8_t* t = record.trailer.data();
+    const std::uint32_t stream =
+        record.has_trailer && big_endian(t, 2) == 0xC401 ? big_endian(t + 4, 4)
+                                                         : 0;
+    const OracleKey key{big_endian(h + 26, 4),
+                        big_endian(h + 30, 4),
+                        static_cast<std::uint16_t>(big_endian(h + 34, 2)),
+                        static_cast<std::uint16_t>(big_endian(h + 36, 2)),
+                        std::uint8_t{17},
+                        stream};
+    const auto next = static_cast<flow::FlowId>(ids.size());
+    const auto [it, fresh] = ids.emplace(key, next);
+    if (fresh) out.keys.push_back(key);
+    out.per_packet.push_back(it->second);
   }
   return out;
 }
 
-void expect_same_classification(const trace::FlowClassification& got,
-                                const trace::FlowClassification& want) {
-  EXPECT_EQ(got.unclassified, want.unclassified);
-  EXPECT_EQ(got.per_packet, want.per_packet);
-  ASSERT_EQ(got.table.size(), want.table.size());
-  for (flow::FlowId id = 0; id < want.table.size(); ++id) {
-    EXPECT_EQ(got.table.key_of(id), want.table.key_of(id)) << id;
-    const auto& g = got.table.stats_of(id);
-    const auto& w = want.table.stats_of(id);
-    EXPECT_EQ(g.packets, w.packets) << id;
-    EXPECT_EQ(g.bytes, w.bytes) << id;
-    EXPECT_EQ(g.first_index, w.first_index) << id;
-    EXPECT_EQ(g.first_seen, w.first_seen) << id;
-    EXPECT_EQ(g.last_seen, w.last_seen) << id;
-  }
-}
+TEST(EvalPlaneOracle, ClassifierMatchesOrderedMapOracle) {
+  for (const std::uint64_t seed : {3u, 42u, 97u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const trace::Capture capture = hostile_capture(4000, seed);
+    const trace::FlowClassification got = trace::classify_capture(capture);
+    const OracleClassification want = classify_by_map(capture);
+    // The capture reaches every branch: unparseable records, and flows
+    // that share both ports.
+    ASSERT_GT(want.unclassified, 0u);
+    std::set<std::pair<std::uint16_t, std::uint16_t>> ports;
+    for (const OracleKey& key : want.keys) {
+      ports.emplace(std::get<2>(key), std::get<3>(key));
+    }
+    ASSERT_GT(want.keys.size(), 2 * ports.size());
 
-TEST(EvalPlaneOracle, ShardedClassifierMatchesRescanningAndSequential) {
-  const trace::Capture capture = synthetic_capture(3000, 97);
-  const trace::FlowClassification sequential =
-      trace::classify_capture(capture);
-  ASSERT_GT(sequential.unclassified, 0u);
-  ASSERT_EQ(sequential.table.size(), 2u * 97u);
-  for (const int shards : {1, 2, 3, 8, 16}) {
-    for (const int jobs : {1, 4}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards " << shards << " jobs " << jobs);
-      const trace::FlowClassification fast =
-          trace::classify_capture_sharded(capture, shards, jobs);
-      expect_same_classification(
-          fast, classify_sharded_rescanning(capture, shards, jobs));
-      expect_same_classification(fast, sequential);
+    EXPECT_EQ(got.unclassified, want.unclassified);
+    EXPECT_EQ(got.per_packet, want.per_packet);
+    ASSERT_EQ(got.table.size(), want.keys.size());
+    for (flow::FlowId id = 0; id < want.keys.size(); ++id) {
+      const flow::FlowKey& key = got.table.key_of(id);
+      EXPECT_EQ(OracleKey(key.src_ip, key.dst_ip, key.src_port, key.dst_port,
+                          key.protocol, key.stream),
+                want.keys[id])
+          << id;
     }
   }
+  EXPECT_TRUE(trace::classify_capture(trace::Capture()).per_packet.empty());
 }
 
 // ---- Per-flow κ by id -----------------------------------------------------
@@ -245,43 +273,40 @@ TEST(EvalPlaneOracle, FlowsByIdCsrMatchesPerFlowTrials) {
     b.push_back({core::PacketId{3, id}, t});
     ids_b.push_back(pick(false));
   }
-  for (const int jobs : {1, 4}) {
-    SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
-    const flow::FlowSetComparison got =
-        flow::compare_flows_by_id(a, ids_a, b, ids_b, kFlowCount, jobs);
-    const flow::FlowSetComparison want =
-        compare_by_id_per_flow_trials(a, ids_a, b, ids_b, kFlowCount);
-    EXPECT_EQ(got.unclassified_a, want.unclassified_a);
-    EXPECT_EQ(got.unclassified_b, want.unclassified_b);
-    ASSERT_EQ(got.flows.size(), want.flows.size());
-    for (std::size_t f = 0; f < want.flows.size(); ++f) {
-      SCOPED_TRACE(::testing::Message() << "flow " << f);
-      const flow::FlowComparison& g = got.flows[f];
-      const flow::FlowComparison& w = want.flows[f];
-      EXPECT_EQ(g.id, w.id);
-      EXPECT_EQ(g.packets_a, w.packets_a);
-      EXPECT_EQ(g.packets_b, w.packets_b);
-      EXPECT_EQ(g.in_a, w.in_a);
-      EXPECT_EQ(g.in_b, w.in_b);
-      expect_same_metrics(g.metrics, w.metrics);
-    }
-    EXPECT_TRUE(want.flows[7].in_a && !want.flows[7].in_b);
-    EXPECT_TRUE(!want.flows[11].in_a && want.flows[11].in_b);
-    EXPECT_FALSE(want.flows[45].in_a || want.flows[45].in_b);
-    const flow::FlowAggregate& g = got.aggregate;
-    const flow::FlowAggregate& w = want.aggregate;
-    EXPECT_EQ(g.flows, w.flows);
-    EXPECT_EQ(g.matched, w.matched);
-    EXPECT_EQ(g.only_a, w.only_a);
-    EXPECT_EQ(g.only_b, w.only_b);
-    expect_bits(g.worst, w.worst, "worst");
-    expect_bits(g.p50, w.p50, "p50");
-    expect_bits(g.p90, w.p90, "p90");
-    expect_bits(g.p99, w.p99, "p99");
-    expect_bits(g.p999, w.p999, "p999");
-    expect_bits(g.weighted_mean, w.weighted_mean, "weighted_mean");
-    expect_bits(g.mean, w.mean, "mean");
+  const flow::FlowSetComparison got =
+      flow::compare_flows_by_id(a, ids_a, b, ids_b, kFlowCount);
+  const flow::FlowSetComparison want =
+      compare_by_id_per_flow_trials(a, ids_a, b, ids_b, kFlowCount);
+  EXPECT_EQ(got.unclassified_a, want.unclassified_a);
+  EXPECT_EQ(got.unclassified_b, want.unclassified_b);
+  ASSERT_EQ(got.flows.size(), want.flows.size());
+  for (std::size_t f = 0; f < want.flows.size(); ++f) {
+    SCOPED_TRACE(::testing::Message() << "flow " << f);
+    const flow::FlowComparison& g = got.flows[f];
+    const flow::FlowComparison& w = want.flows[f];
+    EXPECT_EQ(g.id, w.id);
+    EXPECT_EQ(g.packets_a, w.packets_a);
+    EXPECT_EQ(g.packets_b, w.packets_b);
+    EXPECT_EQ(g.in_a, w.in_a);
+    EXPECT_EQ(g.in_b, w.in_b);
+    expect_same_metrics(g.metrics, w.metrics);
   }
+  EXPECT_TRUE(want.flows[7].in_a && !want.flows[7].in_b);
+  EXPECT_TRUE(!want.flows[11].in_a && want.flows[11].in_b);
+  EXPECT_FALSE(want.flows[45].in_a || want.flows[45].in_b);
+  const flow::FlowAggregate& g = got.aggregate;
+  const flow::FlowAggregate& w = want.aggregate;
+  EXPECT_EQ(g.flows, w.flows);
+  EXPECT_EQ(g.matched, w.matched);
+  EXPECT_EQ(g.only_a, w.only_a);
+  EXPECT_EQ(g.only_b, w.only_b);
+  expect_bits(g.worst, w.worst, "worst");
+  expect_bits(g.p50, w.p50, "p50");
+  expect_bits(g.p90, w.p90, "p90");
+  expect_bits(g.p99, w.p99, "p99");
+  expect_bits(g.p999, w.p999, "p999");
+  expect_bits(g.weighted_mean, w.weighted_mean, "weighted_mean");
+  expect_bits(g.mean, w.mean, "mean");
 }
 
 // ---- Top-K attribution ----------------------------------------------------

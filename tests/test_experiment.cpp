@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "fault/fault_plan.hpp"
+#include "telemetry/registry.hpp"
+#include "trace/flow_classify.hpp"
+#include "trace/trace_file.hpp"
 
 namespace choir::testbed {
 namespace {
@@ -120,8 +124,75 @@ TEST(Experiment, RebasedTrialStartsAtZero) {
   ExperimentConfig cfg = small(local_single(), 500);
   cfg.keep_captures = true;
   const auto result = run_experiment(cfg);
-  const auto trial = rebased_trial(result.captures[0]);
+  const trace::Capture& capture = result.captures[1];
+  const auto trial = rebased_trial(capture);
   EXPECT_EQ(trial.first_time(), 0);
+  // One pass gives the trial the build-then-shift path gave, from the
+  // capture and from its trace file.
+  core::Trial shifted = capture.to_trial();
+  shifted.rebase_to_zero();
+  const std::string path = ::testing::TempDir() + "rebased_trial.trc";
+  trace::write_trace(capture, path);
+  const auto mapped = rebased_trial(trace::MappedCapture(path));
+  std::filesystem::remove(path);
+  ASSERT_EQ(trial.size(), shifted.size());
+  ASSERT_EQ(mapped.size(), shifted.size());
+  for (std::size_t i = 0; i < shifted.size(); ++i) {
+    EXPECT_EQ(trial[i].id, shifted[i].id);
+    EXPECT_EQ(trial[i].time, shifted[i].time);
+    EXPECT_EQ(mapped[i].id, shifted[i].id);
+    EXPECT_EQ(mapped[i].time, shifted[i].time);
+  }
+  EXPECT_TRUE(rebased_trial(trace::Capture()).empty());
+}
+
+TEST(Experiment, RecorderFlowCountsAgreeWithTheClassifier) {
+  // The recorder classifies in its drain; the evaluation classifies each
+  // closed capture. Both read the same frames, so the in-path counts must
+  // add up to what classify_capture finds in the kept captures.
+  ExperimentConfig cfg = small(local_dual(), 3000);
+  cfg.keep_captures = true;
+  cfg.telemetry.enabled = true;
+  cfg.flow.enabled = true;
+  cfg.flow.flows = 64;
+  const auto result = run_experiment(cfg);
+  ASSERT_EQ(result.captures.size(), 3u);
+  ASSERT_NE(result.telemetry_registry, nullptr);
+
+  std::uint64_t unclassified = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  flow::FlowTable flows;  // every run's flows, as the recorder's table
+  for (const trace::Capture& capture : result.captures) {
+    const trace::FlowClassification c = trace::classify_capture(capture);
+    unclassified += c.unclassified;
+    for (std::size_t i = 0; i < capture.size(); ++i) {
+      if (c.per_packet[i] == flow::kNoFlow) continue;
+      ++packets;
+      bytes += capture[i].wire_len;
+      flows.classify(c.table.key_of(c.per_packet[i]));
+    }
+  }
+  EXPECT_EQ(result.flow_unclassified, unclassified);
+
+  std::uint64_t counted[3] = {};  // packets, bytes, flows
+  const char* const kSuffixes[3] = {".packets", ".bytes", ".flows"};
+  for (const auto& [name, counter] :
+       result.telemetry_registry->counters()) {
+    if (name.rfind("flow.", 0) != 0) continue;
+    for (int k = 0; k < 3; ++k) {
+      const std::string suffix = kSuffixes[k];
+      if (name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+        counted[k] += counter.value();
+      }
+    }
+  }
+  EXPECT_GT(packets, 0u);
+  EXPECT_EQ(counted[0], packets);
+  EXPECT_EQ(counted[1], bytes);
+  EXPECT_EQ(counted[2], flows.size());
 }
 
 TEST(Experiment, RejectsSillyConfigs) {

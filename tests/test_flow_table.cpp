@@ -41,19 +41,13 @@ TEST(FlowTable, AssignsDenseIdsInFirstSeenOrder) {
   FlowTable table;
   EXPECT_EQ(table.lookup(key_n(0)), kNoFlow);  // empty-table probe
   for (std::uint32_t n = 0; n < 100; ++n) {
-    EXPECT_EQ(table.classify(key_n(n), 100 + n, Ns{n}, n), n);
+    EXPECT_EQ(table.classify(key_n(n)), n);
   }
-  // Re-classifying folds into the existing id, never mints a new one.
+  // Re-classifying returns the existing id, never mints a new one.
   for (std::uint32_t n = 0; n < 100; ++n) {
-    EXPECT_EQ(table.classify(key_n(n), 10, Ns{1000 + n}, 100 + n), n);
+    EXPECT_EQ(table.classify(key_n(n)), n);
   }
   EXPECT_EQ(table.size(), 100u);
-  const auto& st = table.stats_of(7);
-  EXPECT_EQ(st.packets, 2u);
-  EXPECT_EQ(st.bytes, 107u + 10u);
-  EXPECT_EQ(st.first_index, 7u);
-  EXPECT_EQ(st.first_seen, 7);
-  EXPECT_EQ(st.last_seen, 1007);
   EXPECT_EQ(table.key_of(7), key_n(7));
 }
 
@@ -63,7 +57,7 @@ TEST(FlowTable, SurvivesCollisionHeavyProbeChains) {
   const auto keys = colliding_keys(20);
   FlowTable table;
   for (std::uint32_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(table.classify(keys[i], 64, Ns{i}, i), i);
+    EXPECT_EQ(table.classify(keys[i]), i);
   }
   for (std::uint32_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(table.lookup(keys[i]), i);
@@ -75,7 +69,7 @@ TEST(FlowTable, GrowsTo100kFlows) {
   constexpr std::uint32_t kFlows = 100'000;
   FlowTable table;
   for (std::uint32_t n = 0; n < kFlows; ++n) {
-    ASSERT_EQ(table.classify(key_n(n), 100, Ns{n}, n), n);
+    ASSERT_EQ(table.classify(key_n(n)), n);
   }
   EXPECT_EQ(table.size(), kFlows);
   // Load factor stays <= 50% and capacity is a power of two.
@@ -84,7 +78,7 @@ TEST(FlowTable, GrowsTo100kFlows) {
   // Spot-check lookups across the whole range after all the rehashing.
   for (std::uint32_t n = 0; n < kFlows; n += 997) {
     EXPECT_EQ(table.lookup(key_n(n)), n);
-    EXPECT_EQ(table.stats_of(n).first_index, n);
+    EXPECT_EQ(table.key_of(n), key_n(n));
   }
 }
 
@@ -94,36 +88,9 @@ TEST(FlowTable, ReservePreallocatesCapacity) {
   const std::size_t capacity = table.capacity();
   EXPECT_GE(capacity, 2u * 100'000u);
   for (std::uint32_t n = 0; n < 100'000; ++n) {
-    table.classify(key_n(n), 64, 0, n);
+    table.classify(key_n(n));
   }
   EXPECT_EQ(table.capacity(), capacity) << "reserve() should pre-size";
-}
-
-TEST(FlowTable, MergeEntryFoldsCountersByEarliestArrival) {
-  FlowTable table;
-  table.classify(key_n(0), 100, Ns{50}, 5);
-  table.classify(key_n(0), 100, Ns{60}, 6);
-
-  FlowTable::FlowStats other;
-  other.packets = 3;
-  other.bytes = 300;
-  other.first_index = 2;  // earlier than the resident entry
-  other.first_seen = 20;
-  other.last_seen = 999;
-  table.merge_entry(key_n(0), other);
-
-  const auto& st = table.stats_of(0);
-  EXPECT_EQ(st.packets, 5u);
-  EXPECT_EQ(st.bytes, 500u);
-  EXPECT_EQ(st.first_index, 2u);  // min() semantics
-  EXPECT_EQ(st.first_seen, 20);
-  EXPECT_EQ(st.last_seen, 999);
-
-  // Merging an unseen key inserts it verbatim with the next dense id.
-  table.merge_entry(key_n(1), other);
-  EXPECT_EQ(table.lookup(key_n(1)), 1u);
-  EXPECT_EQ(table.stats_of(1).packets, 3u);
-  EXPECT_EQ(table.stats_of(1).first_index, 2u);
 }
 
 }  // namespace

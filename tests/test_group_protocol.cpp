@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "flow/flow_shard.hpp"
+#include "common/task_pool.hpp"
 #include "testbed/experiment.hpp"
 #include "trace/flow_classify.hpp"
 #include "trace/partition.hpp"
@@ -209,12 +209,14 @@ TEST(GroupProtocol, GroupRunIsDeterministic) {
 }
 
 TEST(GroupProtocol, EvaluationJobsDoNotChangeGroupResults) {
+  // Two copies of one group run side by side on pool workers, as a bench
+  // row runs its configs.
   testbed::ExperimentConfig cfg = quiet_group_config(3);
   cfg.runs = 3;
-  cfg.eval_jobs = 1;
-  const auto seq = testbed::run_experiment(cfg);
-  cfg.eval_jobs = 4;
-  const auto par = testbed::run_experiment(cfg);
+  const auto runs = parallel_map_indexed<testbed::ExperimentResult>(
+      2, 2, [&](std::size_t) { return testbed::run_experiment(cfg); });
+  const auto& seq = runs[0];
+  const auto& par = runs[1];
   ASSERT_EQ(seq.comparisons.size(), par.comparisons.size());
   for (std::size_t i = 0; i < seq.comparisons.size(); ++i) {
     EXPECT_EQ(seq.comparisons[i].metrics.kappa,

@@ -47,7 +47,6 @@ TEST(IndexCensus, RecordReplay) {
   cfg.packets = 20'000;
   cfg.runs = 5;
   cfg.seed = 1;
-  cfg.eval_jobs = 1;
   EXPECT_GT(lane_share("record_replay", [&] { run_experiment(cfg); }), 0.99);
 }
 
@@ -59,7 +58,6 @@ TEST(IndexCensus, OfflineCompare) {
   cfg.packets = 100'000;
   cfg.runs = 2;
   cfg.seed = 1;
-  cfg.eval_jobs = 1;
   cfg.keep_captures = true;
   const ExperimentResult r = run_experiment(cfg);
   ASSERT_EQ(r.captures.size(), 2u);
@@ -84,7 +82,6 @@ TEST(IndexCensus, GroupFlows) {
   cfg.packets = 20'000;
   cfg.runs = 5;
   cfg.seed = 1;
-  cfg.eval_jobs = 1;
   cfg.group.enabled = true;
   cfg.flow.enabled = true;
   cfg.flow.flows = 4096;
@@ -106,7 +103,6 @@ ExperimentConfig group_of(int nodes) {
   cfg.packets = 8192;
   cfg.runs = 2;
   cfg.seed = 2025;
-  cfg.eval_jobs = 1;
   cfg.group.enabled = true;
   cfg.group.config.beacon_interval = microseconds(100);
   cfg.group.config.check_interval = microseconds(250);

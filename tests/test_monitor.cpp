@@ -338,10 +338,10 @@ TEST(StreamMonitor, WindowFlowsRemappedByKeyMatchCompareFlows) {
                          .dst_port = 20};
   flow::FlowTable table_a;
   flow::FlowTable table_b;
-  table_a.classify(k0, 64, 0, 0);  // A: k0 -> 0, k1 -> 1
-  table_a.classify(k1, 64, 100, 1);
-  table_b.classify(k2, 64, 0, 0);  // B: k2 -> 0, k0 -> 1
-  table_b.classify(k0, 64, 100, 1);
+  table_a.classify(k0);  // A: k0 -> 0, k1 -> 1
+  table_a.classify(k1);
+  table_b.classify(k2);  // B: k2 -> 0, k0 -> 1
+  table_b.classify(k0);
 
   const core::Trial a = make_trial({1, 2, 3, 4, 5, 6},
                                    {0, 100, 200, 300, 400, 500});

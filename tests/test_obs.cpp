@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/postmortem.hpp"
+#include "common/task_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/flight_log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -336,12 +337,14 @@ TEST(ObsExperiment, FlightLogCoversCoordinatorAndEveryReplayer) {
 }
 
 TEST(ObsExperiment, MergedArtifactsAreByteIdenticalAcrossEvalJobs) {
+  // Two copies of one run side by side on pool workers, as a bench row
+  // runs its configs.
   testbed::ExperimentConfig cfg = small_group_config();
   cfg.obs.enabled = true;
-  cfg.eval_jobs = 1;
-  const auto seq = testbed::run_experiment(cfg);
-  cfg.eval_jobs = 4;
-  const auto par = testbed::run_experiment(cfg);
+  const auto runs = parallel_map_indexed<testbed::ExperimentResult>(
+      2, 2, [&](std::size_t) { return testbed::run_experiment(cfg); });
+  const auto& seq = runs[0];
+  const auto& par = runs[1];
   ASSERT_NE(seq.flight_log, nullptr);
   ASSERT_NE(par.flight_log, nullptr);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/postmortem.hpp"
+#include "common/task_pool.hpp"
 #include "fault/chaos.hpp"
 #include "obs/flight_log.hpp"
 #include "obs/group_trace.hpp"
@@ -137,10 +138,12 @@ TEST(ObsPostmortem, FaultedArtifactsAreByteIdenticalAcrossJobs) {
   const testbed::ReplaySchedule s = testbed::replay_schedule(cfg);
   cfg.env.faults = fault::group_node_stall_plan(
       1, s.wall_start(1) + s.trial_duration / 4, 2 * s.trial_duration / 3);
-  cfg.eval_jobs = 1;
-  const auto seq = testbed::run_experiment(cfg);
-  cfg.eval_jobs = 4;
-  const auto par = testbed::run_experiment(cfg);
+  // Two copies side by side on pool workers, as a bench row runs its
+  // configs.
+  const auto runs = parallel_map_indexed<testbed::ExperimentResult>(
+      2, 2, [&](std::size_t) { return testbed::run_experiment(cfg); });
+  const auto& seq = runs[0];
+  const auto& par = runs[1];
   ASSERT_NE(seq.flight_log, nullptr);
   ASSERT_NE(par.flight_log, nullptr);
 

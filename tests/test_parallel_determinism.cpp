@@ -1,6 +1,6 @@
-// The parallel execution layer's acceptance oracle: per-experiment
-// results and telemetry artifacts must be bit-identical whether their
-// parts ran sequentially or fanned across task-pool workers. These
+// The parallel execution layer's acceptance oracle: an experiment's
+// results and telemetry artifacts must be bit-identical whether it ran
+// on the calling thread or on a task-pool worker beside others. These
 // tests pass explicit job counts (the host may have a single core; the
 // pool still interleaves via preemption) and compare against the
 // sequential path. The BENCH_*.json artifacts get the same check from
@@ -164,29 +164,10 @@ void expect_bitwise_equal(const ExperimentResult& a,
   if (a.monitor != nullptr) expect_same_monitor(*a.monitor, *b.monitor);
 }
 
-TEST(ParallelDeterminism, EvalJobsBitIdentical) {
-  // κ evaluation at eval_jobs 1 vs 4 must agree bit for bit, series
-  // included.
-  ExperimentConfig cfg;
-  cfg.env = local_single();
-  cfg.packets = 4000;
-  cfg.runs = 5;
-  cfg.seed = 11;
-  cfg.collect_series = true;
-  cfg.eval_jobs = 1;
-  const auto sequential = run_experiment(cfg);
-  cfg.eval_jobs = 4;
-  const auto parallel = run_experiment(cfg);
-  ASSERT_EQ(sequential.comparisons.size(), 4u);
-  expect_bitwise_equal(sequential, parallel);
-}
-
 TEST(ParallelDeterminism, WorkerScopedProfilersMergeIntoTheSession) {
-  // With profiling on, eval_jobs fans only the flow classification out to
-  // workers; every run is compared at its round close on the experiment's
-  // own thread. Whatever the job count, the session profile must see each
-  // of the four kappa.compare spans, and the results must agree bit for
-  // bit.
+  // Every run is compared at its round close on the experiment's own
+  // thread, so the session profile sees each of the four kappa.compare
+  // spans.
   ExperimentConfig cfg;
   cfg.env = local_single();
   cfg.packets = 3000;
@@ -194,22 +175,13 @@ TEST(ParallelDeterminism, WorkerScopedProfilersMergeIntoTheSession) {
   cfg.seed = 21;
   cfg.telemetry.enabled = true;
   cfg.telemetry.profile = true;
-  cfg.eval_jobs = 1;
-  const auto sequential = run_experiment(cfg);
-  cfg.eval_jobs = 4;
-  const auto parallel = run_experiment(cfg);
-  expect_bitwise_equal(sequential, parallel);
-
-  ASSERT_NE(sequential.profile, nullptr);
-  ASSERT_NE(parallel.profile, nullptr);
-  auto compare_count = [](const telemetry::SpanProfiler& profiler) {
-    for (const auto& entry : profiler.summary()) {
-      if (entry.name == "kappa.compare") return entry.agg.count;
-    }
-    return std::uint64_t{0};
-  };
-  EXPECT_EQ(compare_count(*sequential.profile), 4u);
-  EXPECT_EQ(compare_count(*parallel.profile), 4u);
+  const auto result = run_experiment(cfg);
+  ASSERT_NE(result.profile, nullptr);
+  std::uint64_t compares = 0;
+  for (const auto& entry : result.profile->summary()) {
+    if (entry.name == "kappa.compare") compares = entry.agg.count;
+  }
+  EXPECT_EQ(compares, 4u);
 }
 
 TEST(ParallelDeterminism, ConcurrentExperimentsKeepTelemetryIsolated) {
@@ -251,9 +223,9 @@ TEST(ParallelDeterminism, ConcurrentExperimentsKeepTelemetryIsolated) {
 
 // Each run closes at its round end. With captures kept, every run records
 // into its own buffer, which moves to the result; without, one buffer is
-// refilled run after run. Both must give the same evaluation bit for bit,
-// at any job count: the closed runs are all the evaluation reads, and run
-// A's closed trial is all the monitor reads of the reference.
+// refilled run after run. Both must give the same evaluation bit for bit:
+// the closed runs are all the evaluation reads, and run A's closed trial
+// is all the monitor reads of the reference.
 
 constexpr int kRuns = 4;
 
@@ -307,28 +279,17 @@ class RoundClose : public ::testing::TestWithParam<RoundCloseCase> {};
 
 TEST_P(RoundClose, KeptAndReusedCapturesGiveIdenticalResults) {
   ExperimentConfig config = GetParam().config;
-  config.eval_jobs = 1;
   config.keep_captures = true;
-  const ExperimentResult reference = run_experiment(config);
-  ASSERT_EQ(reference.captures.size(), static_cast<std::size_t>(kRuns));
-  for (std::size_t r = 0; r < reference.captures.size(); ++r) {
-    EXPECT_EQ(reference.captures[r].name(), "run-" + std::to_string(r));
-    EXPECT_EQ(reference.captures[r].size(), reference.capture_sizes[r]);
+  const ExperimentResult kept = run_experiment(config);
+  ASSERT_EQ(kept.captures.size(), static_cast<std::size_t>(kRuns));
+  for (std::size_t r = 0; r < kept.captures.size(); ++r) {
+    EXPECT_EQ(kept.captures[r].name(), "run-" + std::to_string(r));
+    EXPECT_EQ(kept.captures[r].size(), kept.capture_sizes[r]);
   }
-  struct Variant {
-    bool keep;
-    int jobs;
-  };
-  for (const Variant v : {Variant{false, 1}, Variant{false, 4},
-                          Variant{true, 4}}) {
-    SCOPED_TRACE(std::string(v.keep ? "kept" : "reused") + " captures, " +
-                 std::to_string(v.jobs) + " jobs");
-    config.keep_captures = v.keep;
-    config.eval_jobs = v.jobs;
-    const ExperimentResult result = run_experiment(config);
-    EXPECT_EQ(result.captures.size(), v.keep ? reference.captures.size() : 0);
-    expect_bitwise_equal(reference, result);
-  }
+  config.keep_captures = false;
+  const ExperimentResult reused = run_experiment(config);
+  EXPECT_TRUE(reused.captures.empty());
+  expect_bitwise_equal(kept, reused);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,6 +13,7 @@
 
 #include "analysis/export.hpp"
 #include "analysis/telemetry_dir.hpp"
+#include "common/task_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/telemetry.hpp"
@@ -155,22 +156,26 @@ TEST(SeriesSampler, RingWrapUnderLongRun) {
 
 // ---- Full-experiment determinism (the CI cmp gate in miniature) --------
 
-testbed::ExperimentConfig series_config(int eval_jobs) {
+testbed::ExperimentConfig series_config() {
   testbed::ExperimentConfig cfg;
   cfg.env = testbed::local_single();
   cfg.packets = 2000;
   cfg.runs = 3;
   cfg.seed = 7;
   cfg.collect_series = false;
-  cfg.eval_jobs = eval_jobs;
   cfg.telemetry.enabled = true;
   cfg.telemetry.series_interval = milliseconds(1);
   return cfg;
 }
 
 TEST(SeriesDeterminism, ArtifactBytesIndependentOfJobs) {
-  const auto seq = testbed::run_experiment(series_config(1));
-  const auto par = testbed::run_experiment(series_config(4));
+  // Two copies of one run side by side on pool workers, as a bench row
+  // runs its configs.
+  const auto runs = parallel_map_indexed<testbed::ExperimentResult>(
+      2, 2,
+      [](std::size_t) { return testbed::run_experiment(series_config()); });
+  const auto& seq = runs[0];
+  const auto& par = runs[1];
   ASSERT_NE(seq.telemetry_series, nullptr);
   ASSERT_NE(par.telemetry_series, nullptr);
   EXPECT_GT(seq.telemetry_series->samples_taken(), 0u);
@@ -182,10 +187,10 @@ TEST(SeriesDeterminism, ArtifactBytesIndependentOfJobs) {
 
 TEST(SeriesDeterminism, SamplerOnOffIsBitIdentical) {
   // The sampler runs whenever telemetry is on, so "off" is telemetry off.
-  testbed::ExperimentConfig off = series_config(1);
+  testbed::ExperimentConfig off = series_config();
   off.telemetry.enabled = false;
   const auto r_off = testbed::run_experiment(off);
-  const auto r_on = testbed::run_experiment(series_config(1));
+  const auto r_on = testbed::run_experiment(series_config());
   EXPECT_EQ(r_off.telemetry_series, nullptr);
   EXPECT_EQ(r_off.mean.kappa, r_on.mean.kappa);
   EXPECT_EQ(r_off.mean.latency, r_on.mean.latency);

@@ -153,6 +153,9 @@ TEST_F(SwitchFixture, InvalidPortConfigurationThrows) {
   sw.add_port();
   EXPECT_THROW(sw.set_port_forward(0, 5), Error);
   EXPECT_THROW(sw.set_mac_route(pktio::mac_for_node(1), 9), Error);
+  // A MAC has one route: a second one is a wiring error, not an update.
+  sw.set_mac_route(pktio::mac_for_node(1), 0);
+  EXPECT_THROW(sw.set_mac_route(pktio::mac_for_node(1), 0), Error);
 }
 
 }  // namespace

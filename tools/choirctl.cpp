@@ -60,7 +60,7 @@
 //   --nodes N      replay-node count (implies --group for N outside the
 //                  preset's hardwired 1..2 range)
 //   --flows N      synthetic flow count for the many-flow workload
-//   --flow-shards N  classifier shards / flow.<shard>.* namespaces
+//   --flow-shards N  flow.<shard>.* counter namespaces
 //   --flow ID      (stats) show one flow; exits 1 when ID is absent
 //   --obs D        record per-node flight rings and write
 //                  group_trace.json + events.jsonl into directory D
@@ -80,10 +80,6 @@
 //                  turns telemetry on); also prints fired events per
 //                  recorded packet for each scheduling component (the
 //                  event ledger)
-//   --jobs N       worker threads (0 = auto: CHOIR_JOBS, else hardware
-//                  concurrency; 1 = sequential). Results are
-//                  byte-identical at any setting; `run`/`stats`/... use
-//                  it for the parallel metric evaluation.
 //
 // Environment names accept every preset from `list` plus chaos-<f>
 // (e.g. chaos-0.50) for the parametric chaos sweep presets.
@@ -152,7 +148,7 @@ int usage() {
       "options: --packets N  --runs N  --seed N  --csv DIR  --engine "
       "choir|sleep|busywait|gapfill  --telemetry DIR\n"
       "         --monitor DIR  --window-packets N  --top-k N  --windows  "
-      "--profile  --jobs N\n"
+      "--profile\n"
       "         --series-interval MS  --series-capacity N  --rounds N  "
       "--drift-gate\n"
       "         --per-flow  --flows N  --flow-shards N  --flow ID\n"
@@ -200,10 +196,9 @@ struct Options {
   int rounds = 6;             ///< soak: independent rounds
   bool drift_gate = false;    ///< soak: exit 1 on a drifting series
   bool profile = false;       ///< host-time span profiling
-  int jobs = 0;               ///< 0 = auto (CHOIR_JOBS / hw concurrency)
   bool per_flow = false;      ///< flow classification + per-flow kappa
   std::uint32_t flows = 0;    ///< synthetic flows (0 = subsystem default)
-  int flow_shards = 8;        ///< classifier shards
+  int flow_shards = 8;        ///< flow.<shard>.* counter namespaces
   long long flow_id = -1;     ///< stats: show one flow (exit 1 if absent)
   bool group = false;         ///< replay-group protocol (coordinator node)
   int nodes = 0;              ///< replay-node count (0 = preset default)
@@ -279,8 +274,6 @@ Options parse_options(const std::vector<std::string>& args,
       opt.window_packets = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "--top-k") {
       opt.top_k = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--jobs") {
-      opt.jobs = std::atoi(value.c_str());
     } else if (key == "--series-interval") {
       opt.series_interval_ms = std::strtod(value.c_str(), nullptr);
       // The sampler needs a cadence of at least one simulated ns.
@@ -355,7 +348,6 @@ testbed::ExperimentConfig make_config(const testbed::EnvironmentPreset& env,
   cfg.monitor.enabled = opt.monitor;
   cfg.monitor.window_packets = opt.window_packets;
   cfg.monitor.top_k = opt.top_k;
-  cfg.eval_jobs = opt.jobs;
   cfg.flow.enabled = opt.per_flow;
   if (opt.flows > 0) cfg.flow.flows = opt.flows;
   cfg.flow.shards = opt.flow_shards;
@@ -728,7 +720,6 @@ int cmd_postmortem(const std::vector<std::string>& args) {
   cfg.runs = opt.runs;
   cfg.seed = opt.seed;
   cfg.collect_series = false;
-  cfg.eval_jobs = opt.jobs;
   cfg.group.enabled = true;
   cfg.group.config.beacon_interval = microseconds(100);
   cfg.group.config.check_interval = microseconds(250);
@@ -906,7 +897,7 @@ int cmd_soak(const std::vector<std::string>& args) {
 
 /// `export <env> <dir>`: one-stop artifact export — the telemetry
 /// artifacts with the sampler cadence derived from the run length. The
-/// bytes written are deterministic in (seed, scale) at any --jobs.
+/// bytes written are deterministic in (seed, scale).
 int cmd_export(const std::vector<std::string>& args) {
   testbed::EnvironmentPreset env;
   if (args.size() < 4 || !find_preset(args[2], &env)) return usage();
